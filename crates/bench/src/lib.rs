@@ -53,8 +53,9 @@ pub struct ReproOptions {
     /// Test-only harness-fault injection (`--inject-panic`,
     /// `--inject-panic-persistent`).
     pub inject_panic: PanicInjection,
-    /// Disable the shared-snapshot/golden-memoization fast path and
-    /// fall back to booting + capturing goldens per rig (`--no-memo`).
+    /// Disable the shared-snapshot/golden/severity memoization fast path
+    /// and fall back to booting + capturing goldens per rig and
+    /// rebooting after every crash (`--no-memo`).
     /// The dataset is bit-identical either way; the flag exists so CI
     /// can prove exactly that.
     pub no_memo: bool,
@@ -130,6 +131,20 @@ impl Default for ReproOptions {
     }
 }
 
+/// The number given as `args[i]`, the value of flag `args[i - 1]`. A
+/// missing or malformed value prints the usage text and exits 2.
+fn number_arg<T: std::str::FromStr>(args: &[String], i: usize) -> T {
+    match args.get(i).and_then(|v| v.parse().ok()) {
+        Some(n) => n,
+        None => {
+            let got = args.get(i).map_or("nothing".to_string(), |v| format!("`{v}`"));
+            eprintln!("{}: expected a number, got {got}\n", args[i - 1]);
+            eprint!("{USAGE}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn parse_index_list(s: &str) -> std::collections::BTreeSet<usize> {
     s.split(',').filter_map(|v| v.trim().parse().ok()).collect()
 }
@@ -156,8 +171,9 @@ General:
                         dataset stays bit-identical at any --threads)
   --no-assertions       build the kernel without BUG() assertions (ablation)
   --sanitize            per-step architectural-state sanitizer on the rig
-  --no-memo             boot + capture goldens per rig instead of sharing
-                        one snapshot (results bit-identical; CI proof knob)
+  --no-memo             boot + capture goldens per rig and reboot after
+                        every crash instead of sharing one snapshot and its
+                        memos (results bit-identical; CI proof knob)
   --csv                 dump the raw dataset as CSV on stdout
 
 Supervisor:
@@ -209,7 +225,9 @@ impl ReproOptions {
     /// test-only `--inject-panic I,J,...` /
     /// `--inject-panic-persistent I,J,...` from the process arguments.
     /// `--help`/`-h` prints the usage text — including the per-cell
-    /// matrix RNG derivation — and exits.
+    /// matrix RNG derivation — and exits. A `--cap`, `--seed`,
+    /// `--threads` or `--cpus` value that is not a number prints the
+    /// usage text to stderr and exits 2.
     pub fn from_args() -> ReproOptions {
         let mut o = ReproOptions::default();
         let args: Vec<String> = std::env::args().collect();
@@ -219,20 +237,20 @@ impl ReproOptions {
                 "--full" => o.cap = None,
                 "--cap" => {
                     i += 1;
-                    o.cap = args.get(i).and_then(|v| v.parse().ok());
+                    o.cap = Some(number_arg(&args, i));
                 }
                 "--seed" => {
                     i += 1;
-                    o.seed = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(o.seed);
+                    o.seed = number_arg(&args, i);
                 }
                 "--threads" => {
                     i += 1;
-                    o.threads = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(o.threads);
+                    o.threads = number_arg(&args, i);
                 }
                 "--no-assertions" => o.no_assertions = true,
                 "--cpus" => {
                     i += 1;
-                    o.cpus = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(o.cpus).max(1);
+                    o.cpus = number_arg::<u32>(&args, i).max(1);
                 }
                 "--help" | "-h" => {
                     print!("{USAGE}");

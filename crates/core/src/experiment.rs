@@ -38,9 +38,10 @@ pub struct ExperimentConfig {
     /// Selects the filesystem contents, the profiled workload list, and
     /// the number of golden run modes.
     pub suite: kfi_workloads::Suite,
-    /// Whether workers share one post-boot snapshot and one memoized
-    /// set of golden runs ([`kfi_injector::RigShared`]) instead of each
-    /// booting and re-running the goldens privately. Default `true`;
+    /// Whether workers share one post-boot snapshot, one memoized set of
+    /// golden runs and one memo of post-crash severity verdicts
+    /// ([`kfi_injector::RigShared`]) instead of each booting, re-running
+    /// the goldens and rebooting after every crash privately. Default `true`;
     /// the `false` position is the recompute-per-rig reference path —
     /// results are bit-identical either way (`tests/golden_memo.rs`).
     pub memoize: bool,

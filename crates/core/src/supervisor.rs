@@ -257,6 +257,13 @@ fn write_quarantine_artifact(
         Some(rig) => match kfi_dump::capture(rig.machine_mut(), &exp.image) {
             Some(dump) => {
                 text.push_str("\n--- crash capture ---\n");
+                // See `InjectorRig::machine_mut`: after a crash the state
+                // depends on which worker assessed the crash first.
+                text.push_str(
+                    "(after a crash: the crash itself if the campaign's severity store already \
+                     held its verdict, else the severity reboot; which one depends on worker \
+                     scheduling)\n",
+                );
                 text.push_str(&dump.format(&exp.image));
             }
             None => text.push_str("\n(no crash cause reported by the guest)\n"),

@@ -23,7 +23,10 @@ mod target;
 pub mod wire;
 
 pub use outcome::{CrashInfo, FsvKind, Outcome, RunRecord, Severity};
-pub use rig::{GoldenRun, GoldenStore, InjectorRig, RigConfig, RigError, RigShared};
+pub use rig::{
+    GoldenRun, GoldenStore, InjectorRig, OnceStore, RigConfig, RigError, RigShared, SeverityKey,
+    SeverityStore,
+};
 pub use target::{
     function_insns, plan_campaign, plan_function, Campaign, InjectionTarget, TargetInsn,
 };

@@ -6,13 +6,14 @@ use crate::target::InjectionTarget;
 use kfi_kernel::layout::{causes, events};
 use kfi_kernel::{boot, fsck, mkfs::FileSpec, BootConfig, FsckReport, KernelImage};
 use kfi_machine::{
-    Machine, MachineConfig, MonitorEvent, Ramdisk, RunExit, Snapshot, StepEvent, TrapRecord, Vector,
+    Machine, MachineConfig, MonitorEvent, Ramdisk, ResetResidue, RunExit, Snapshot, StepEvent,
+    TrapRecord, Vector,
 };
 use kfi_trace::{outcome as trace_outcome, subsystem as trace_subsystem};
 use kfi_trace::{Event, EventKind, Metrics, TraceSink};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Rig configuration.
 #[derive(Debug, Clone, Copy)]
@@ -153,57 +154,69 @@ fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// A campaign-wide memo of golden (fault-free) reference runs, keyed by
-/// `(kernel-config fingerprint, workload mode)`.
+/// A campaign-wide exactly-once memo: each key's value is captured once
+/// across all workers and shared afterwards.
 ///
-/// The paper's per-injection key is `(function, workload,
-/// kernel-config)`; the function dimension collapses here because a
-/// golden run never arms a breakpoint and never flips a bit — its
-/// outcome is independent of which function the campaign will later
-/// inject into, so one capture serves every function. What remains is
-/// one entry per workload mode per kernel configuration.
+/// The first asker for a key runs the capture while holding the key's
+/// slot; concurrent askers block on that slot until it is filled and
+/// then share the value. A capture may decline to be kept (see
+/// [`OnceStore::get_or_capture_if`]); the slot then stays empty and the
+/// next asker captures again. A poisoned slot (a capture that panicked)
+/// is empty in the same way.
 ///
-/// Each entry is captured **exactly once** across all workers: the
-/// first rig to ask runs the capture; concurrent askers block on the
-/// entry's [`OnceLock`] until it is ready and then share the same
-/// [`Arc<GoldenRun>`]. A failed capture is memoized too — every rig
-/// sharing the store sees the same [`RigError`].
-#[derive(Default)]
-pub struct GoldenStore {
+/// Two memos use it:
+/// * [`GoldenStore`]: golden runs by `(kernel-config fingerprint,
+///   workload mode)`;
+/// * [`SeverityStore`]: post-crash severity verdicts by
+///   [`SeverityKey`].
+pub struct OnceStore<K, V> {
     #[allow(clippy::type_complexity)]
-    entries: Mutex<BTreeMap<(u64, u32), Arc<OnceLock<Result<Arc<GoldenRun>, RigError>>>>>,
+    entries: Mutex<BTreeMap<K, Arc<Mutex<Option<V>>>>>,
     hits: AtomicU64,
     captures: AtomicU64,
 }
 
-impl GoldenStore {
-    /// Returns the memoized golden run for `key`, running `capture` to
+impl<K, V> Default for OnceStore<K, V> {
+    fn default() -> Self {
+        OnceStore {
+            entries: Mutex::new(BTreeMap::new()),
+            hits: AtomicU64::new(0),
+            captures: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<K: Ord, V: Clone> OnceStore<K, V> {
+    /// Returns the memoized value for `key`, running `capture` to
     /// produce it if this is the first request. Concurrent first
     /// requests for the same key execute `capture` once; the losers
     /// block until the winner finishes.
-    pub fn get_or_capture(
-        &self,
-        key: (u64, u32),
-        capture: impl FnOnce() -> Result<GoldenRun, RigError>,
-    ) -> Result<Arc<GoldenRun>, RigError> {
-        let cell = {
-            let mut entries = self.entries.lock().expect("golden store lock");
-            entries.entry(key).or_default().clone()
-        };
-        let mut ran = false;
-        let result = cell.get_or_init(|| {
-            ran = true;
-            self.captures.fetch_add(1, Ordering::Relaxed);
-            capture().map(Arc::new)
-        });
-        if !ran {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        result.clone()
+    pub fn get_or_capture(&self, key: K, capture: impl FnOnce() -> V) -> V {
+        self.get_or_capture_if(key, || (capture(), true))
     }
 
-    /// Number of golden captures actually executed (one per distinct
-    /// key, regardless of how many rigs forked).
+    /// Like [`OnceStore::get_or_capture`], but `capture` also says
+    /// whether its value may be kept. A value it declines goes to this
+    /// caller only.
+    pub fn get_or_capture_if(&self, key: K, capture: impl FnOnce() -> (V, bool)) -> V {
+        let slot = self.entries.lock().expect("once store lock").entry(key).or_default().clone();
+        // A slot is written once, after its capture returned, so a
+        // capture that panicked left it empty and valid.
+        let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(v) = slot.as_ref() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return v.clone();
+        }
+        self.captures.fetch_add(1, Ordering::Relaxed);
+        let (v, keep) = capture();
+        if keep {
+            *slot = Some(v.clone());
+        }
+        v
+    }
+
+    /// Number of captures actually executed (one per distinct key,
+    /// regardless of how many rigs asked, plus one per declined value).
     pub fn captures(&self) -> u64 {
         self.captures.load(Ordering::Relaxed)
     }
@@ -213,6 +226,37 @@ impl GoldenStore {
         self.hits.load(Ordering::Relaxed)
     }
 }
+
+/// The memo of golden (fault-free) reference runs, keyed by
+/// `(kernel-config fingerprint, workload mode)`.
+///
+/// The paper's per-injection key is `(function, workload,
+/// kernel-config)`; the function dimension collapses here because a
+/// golden run never arms a breakpoint and never flips a bit — its
+/// outcome is independent of which function the campaign will later
+/// inject into, so one capture serves every function. What remains is
+/// one entry per workload mode per kernel configuration. A failed
+/// capture is memoized too — every rig sharing the store sees the same
+/// [`RigError`].
+pub type GoldenStore = OnceStore<(u64, u32), Result<Arc<GoldenRun>, RigError>>;
+
+/// Everything the post-crash severity assessment reads that can differ
+/// between crashes of one [`RigShared`] (whose image, manifest, post-boot
+/// disk and configuration are fixed): the disk and the machine state the
+/// reboot inherits.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct SeverityKey {
+    /// The post-crash disk as `(lba, bytes)` of the sectors that differ
+    /// from the post-boot image ([`Ramdisk::delta_from`]).
+    disk: Vec<(u32, Vec<u8>)>,
+    /// The machine state the reboot does not reset
+    /// ([`Machine::reset_residue`]).
+    residue: ResetResidue,
+}
+
+/// The memo of post-crash severity verdicts: one fsck and reboot per
+/// distinct [`SeverityKey`].
+pub type SeverityStore = OnceStore<SeverityKey, (Severity, FsckReport)>;
 
 /// Everything produced by booting a workload once, before any golden
 /// run or injection: the post-boot machine, its snapshot, and the
@@ -276,12 +320,14 @@ fn boot_base(
 
 /// The shared, immutable post-boot base of a campaign: one boot's worth
 /// of state ([`Snapshot`] with `Arc`-shared memory, post-boot disk,
-/// filesystem manifest) plus the campaign-wide [`GoldenStore`].
+/// filesystem manifest) plus the campaign-wide [`GoldenStore`] and
+/// [`SeverityStore`].
 ///
 /// Boot once with [`RigShared::boot`], then hand the `Arc` to every
 /// worker; each [`InjectorRig::fork`] builds a private copy-on-write
-/// machine off the shared snapshot and resolves its golden runs through
-/// the store. Nothing here is ever written after construction, so any
+/// machine off the shared snapshot and resolves its golden runs and
+/// severity verdicts through the stores. Nothing but the stores is ever
+/// written after construction, and they only gain exact answers, so any
 /// number of threads may fork concurrently — and a worker that poisons
 /// its private rig (panic, sanitizer violation) can be handed a fresh
 /// fork with no way to have contaminated the base.
@@ -296,6 +342,7 @@ pub struct RigShared {
     n_modes: u32,
     fingerprint: u64,
     store: GoldenStore,
+    severity: SeverityStore,
 }
 
 impl RigShared {
@@ -346,12 +393,18 @@ impl RigShared {
             n_modes,
             fingerprint: fp,
             store: GoldenStore::default(),
+            severity: SeverityStore::default(),
         }))
     }
 
     /// The campaign-wide golden store.
     pub fn store(&self) -> &GoldenStore {
         &self.store
+    }
+
+    /// The campaign-wide severity store.
+    pub fn severity_store(&self) -> &SeverityStore {
+        &self.severity
     }
 
     /// Boot duration in cycles (identical for every fork).
@@ -379,6 +432,9 @@ pub struct InjectorRig {
     manifest: BTreeMap<String, (u32, u32)>,
     golden: Vec<Arc<GoldenRun>>,
     metrics: Metrics,
+    /// The base a fork came from, whose severity store it shares;
+    /// `None` for a standalone rig, which reboots for every crash.
+    shared: Option<Arc<RigShared>>,
 }
 
 /// Stable [`trace_outcome`] code for an [`Outcome`].
@@ -465,6 +521,7 @@ impl InjectorRig {
             manifest: base.manifest,
             golden: Vec::new(),
             metrics: Metrics::default(),
+            shared: None,
         };
 
         for mode in 0..n_modes {
@@ -504,11 +561,12 @@ impl InjectorRig {
             manifest: shared.manifest.clone(),
             golden: Vec::new(),
             metrics: Metrics::default(),
+            shared: Some(shared.clone()),
         };
         for mode in 0..shared.n_modes {
-            let g = shared
-                .store
-                .get_or_capture((shared.fingerprint, mode), || rig.capture_golden(mode))?;
+            let g = shared.store.get_or_capture((shared.fingerprint, mode), || {
+                rig.capture_golden(mode).map(Arc::new)
+            })?;
             rig.golden.push(g);
         }
         Ok(rig)
@@ -809,7 +867,8 @@ impl InjectorRig {
     /// from the watchdog's point of view.
     ///
     /// Crash exits trigger the severity assessment, which reboots the
-    /// rig's machine.
+    /// rig's machine unless its base's [`SeverityStore`] already holds
+    /// the verdict.
     ///
     /// [`Hang`]: Outcome::Hang
     pub fn classify_exit(
@@ -876,8 +935,8 @@ impl InjectorRig {
         }
         // Everything looked right — but did the run silently corrupt
         // the disk?
-        let disk = self.machine.disk.as_ref().expect("disk").bytes().to_vec();
-        match fsck(&disk, &self.manifest) {
+        let disk = self.machine.disk.as_ref().expect("disk");
+        match fsck(disk.bytes(), &self.manifest) {
             FsckReport::Clean => Outcome::NotManifested,
             FsckReport::Fixed { notes, .. } => {
                 Outcome::FailSilenceViolation(FsvKind::SilentCorruption {
@@ -992,36 +1051,60 @@ impl InjectorRig {
     /// unrecoverable fs or unbootable system → most severe; repairable
     /// inconsistencies → severe; else normal. Returns the fsck report
     /// for the record.
+    ///
+    /// A forked rig asks its base's [`SeverityStore`] first, keyed by
+    /// everything the assessment reads ([`SeverityKey`]), and runs fsck
+    /// and the reboot only for an input no rig has assessed yet. A
+    /// stored answer leaves the machine in its post-crash state; a
+    /// computed one leaves it rebooted.
     pub fn assess_severity(&mut self) -> (Severity, FsckReport) {
-        let disk = self.machine.disk.as_ref().expect("disk").bytes().to_vec();
-        let report = fsck(&disk, &self.manifest);
-        if let FsckReport::Unrecoverable { .. } = report {
-            return (Severity::MostSevere, report);
-        }
-        // Reboot test on the (possibly damaged) disk.
-        let boots = {
-            let m = &mut self.machine;
-            m.disk = Some(Ramdisk::from_bytes(disk));
-            kfi_kernel::load_into(m, &self.image, &BootConfig::default());
-            let budget = self.boot_cycles * 4 + 1_000_000;
-            let exit = m.run(budget);
-            match exit {
-                RunExit::Halted | RunExit::CycleLimit => {
-                    has_event(m, events::BOOT_OK) && !has_event(m, events::PANIC)
-                }
-                _ => false,
-            }
+        let Some(shared) = self.shared.clone() else {
+            return self.reboot_severity().0;
         };
-        if !boots {
-            return (Severity::MostSevere, report);
-        }
-        match report {
-            FsckReport::Fixed { .. } => (Severity::Severe, report),
-            _ => (Severity::Normal, report),
-        }
+        let disk = self.machine.disk.as_ref().expect("disk");
+        let key = SeverityKey {
+            disk: disk.delta_from(&self.post_boot_disk, self.snapshot.id()),
+            residue: self.machine.reset_residue(),
+        };
+        shared.severity.get_or_capture_if(key, || self.reboot_severity())
     }
 
-    /// Borrow the machine (post-run inspection, e.g. crash dumps).
+    /// The uncached assessment behind [`InjectorRig::assess_severity`],
+    /// plus whether its verdict may be stored: not when the wall-clock
+    /// abort flag may have cut the reboot short.
+    fn reboot_severity(&mut self) -> ((Severity, FsckReport), bool) {
+        let report = fsck(self.machine.disk.as_ref().expect("disk").bytes(), &self.manifest);
+        if let FsckReport::Unrecoverable { .. } = report {
+            return ((Severity::MostSevere, report), true);
+        }
+        // Reboot test on the (possibly damaged) disk, as a fresh disk
+        // over the same bytes.
+        let m = &mut self.machine;
+        let disk = m.disk.take().expect("disk").into_bytes();
+        m.disk = Some(Ramdisk::from_bytes(disk));
+        kfi_kernel::load_into(m, &self.image, &BootConfig::default());
+        let budget = self.boot_cycles * 4 + 1_000_000;
+        let boots = match m.run(budget) {
+            RunExit::Halted | RunExit::CycleLimit => {
+                has_event(m, events::BOOT_OK) && !has_event(m, events::PANIC)
+            }
+            _ => false,
+        };
+        let keep = !m.abort_requested();
+        let severity = match report {
+            _ if !boots => Severity::MostSevere,
+            FsckReport::Fixed { .. } => Severity::Severe,
+            _ => Severity::Normal,
+        };
+        ((severity, report), keep)
+    }
+
+    /// Borrow the machine (post-run inspection, e.g. crash dumps). After
+    /// a crash run it holds the crash state or, when the severity
+    /// assessment had to reboot, the reboot's state. On a fork, which
+    /// one depends on whether another rig sharing the base assessed the
+    /// same input first, so with several workers it depends on thread
+    /// scheduling.
     pub fn machine_mut(&mut self) -> &mut Machine {
         &mut self.machine
     }
@@ -1031,14 +1114,14 @@ impl InjectorRig {
 mod tests {
     use super::*;
 
-    fn dummy_golden(mode: u32) -> GoldenRun {
-        GoldenRun {
+    fn dummy_golden(mode: u32) -> Arc<GoldenRun> {
+        Arc::new(GoldenRun {
             mode,
             console: format!("mode {mode}"),
             results: vec![mode],
             cycles: 1000 + mode as u64,
             coverage: Vec::new(),
-        }
+        })
     }
 
     #[test]
@@ -1100,6 +1183,26 @@ mod tests {
         for r in &runs[1..] {
             assert!(Arc::ptr_eq(&runs[0], r));
         }
+    }
+
+    #[test]
+    fn once_store_does_not_keep_a_declined_value() {
+        let store = OnceStore::<u32, u32>::default();
+        assert_eq!(store.get_or_capture_if(5, || (1, false)), 1, "the asker still gets it");
+        assert_eq!(store.get_or_capture_if(5, || (2, true)), 2, "declined: captured again");
+        assert_eq!(store.get_or_capture(5, || panic!("kept value must be served")), 2);
+        assert_eq!((store.captures(), store.hits()), (2, 1));
+    }
+
+    #[test]
+    fn once_store_recaptures_after_a_panicked_capture() {
+        let store = OnceStore::<u32, u32>::default();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.get_or_capture(1, || panic!("capture dies"))
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(store.get_or_capture(1, || 7), 7);
+        assert_eq!(store.get_or_capture(1, || panic!("kept value must be served")), 7);
     }
 
     #[test]

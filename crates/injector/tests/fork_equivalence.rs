@@ -3,8 +3,12 @@
 //! ([`InjectorRig::new`]): same golden runs, and — for arbitrary
 //! planned injections — bit-identical run records, metrics deltas, and
 //! full post-run architectural state including a digest of all guest
-//! memory. Every injection run exercises the fork's snapshot-restore
-//! path (each run resets to the shared snapshot) and its bit flips are
+//! memory. After a crash, a fork whose severity verdict came from its
+//! base's store keeps the crash state instead of rebooting, so the state
+//! is compared whenever the fork's assessment was a store miss: it then
+//! rebooted from the same input as the fresh rig. Every injection run
+//! exercises the fork's snapshot-restore path (each run resets to the
+//! shared snapshot) and its bit flips are
 //! self-modifying-code writes into pages shared copy-on-write with the
 //! base image, so the proptest covers both of the scary cases: restore
 //! against an `Arc`-shared baseline and SMC against CoW pages. The
@@ -148,17 +152,20 @@ fn forked_goldens_match_fresh_boot_goldens() {
 
 #[test]
 fn a_second_fork_is_fresh_not_contaminated() {
-    // Dirty a fork with a run, then fork again: the new fork's record
+    // Held throughout: the proptest reads the capture counter of the
+    // shared severity store, so no other run may use that store meanwhile.
+    let _store = forked_rig().lock().unwrap();
+    // Dirty a fork with runs, then fork again: the new fork's record
     // for the same target matches a run on the long-lived fresh rig.
     let mut first = InjectorRig::fork(&setup().shared).expect("fork");
-    // Pick a target the mode-0 golden run actually covers, so the
-    // machines really execute (a NotActivated run never touches them).
+    // Pick a target the mode-0 golden run covers and that crashes, so
+    // the machines really execute (a NotActivated run never touches
+    // them) and the severity assessment runs.
     let t = setup()
         .plan
         .iter()
-        .find(|t| first.would_activate(t.insn_addr, 0))
-        .expect("some planned target activates under mode 0");
-    let _ = first.run_one(t, 0);
+        .find(|t| first.would_activate(t.insn_addr, 0) && crashed(&first.run_one(t, 0)))
+        .expect("some planned target crashes under mode 0");
     let r1 = first.run_one(t, 0);
 
     let mut second = InjectorRig::fork(&setup().shared).expect("fork");
@@ -169,11 +176,26 @@ fn a_second_fork_is_fresh_not_contaminated() {
     let r3 = fresh.run_one(t, 0);
     assert_eq!(r1, r2, "rerun on a dirty fork == first run on a new fork");
     assert_eq!(r2, r3, "new fork == fresh-booted rig");
+
+    // `second` took its verdict from the store `first` filled and kept
+    // the crash state. A fork of a new base has an empty store, so it
+    // reboots from the same input as the fresh rig and must end in the
+    // same state.
+    let image = build_kernel(KernelBuildOptions::default()).unwrap();
+    let files = kfi_workloads::suite_files().unwrap();
+    let base = RigShared::boot(image, &files, N_MODES, RigConfig::default()).expect("base boots");
+    let mut cold = InjectorRig::fork(&base).expect("fork");
+    assert_eq!(cold.run_one(t, 0), r3, "fork of a new base == fresh-booted rig");
+    assert_eq!(base.severity_store().captures(), 1, "an empty store misses");
     assert_eq!(
-        capture(second.machine_mut()),
+        capture(cold.machine_mut()),
         capture(fresh.machine_mut()),
         "post-run machine state diverged between fork and fresh boot"
     );
+}
+
+fn crashed(r: &kfi_injector::RunRecord) -> bool {
+    matches!(r.outcome, kfi_injector::Outcome::Crash(_))
 }
 
 proptest! {
@@ -188,7 +210,11 @@ proptest! {
 
         let mut forked = forked_rig().lock().unwrap();
         let _ = forked.take_metrics();
+        let captures = setup.shared.severity_store().captures();
         let r_fork = forked.run_one(t, mode);
+        // A capture means the fork's assessment missed the store and
+        // rebooted, exactly as the fresh rig does after every crash.
+        let rebooted = setup.shared.severity_store().captures() > captures;
         let d_fork = forked.take_metrics();
         let s_fork = capture(forked.machine_mut());
         drop(forked);
@@ -202,10 +228,11 @@ proptest! {
         let activated = r_fork.activation_tsc.is_some();
         prop_assert_eq!(&r_fork, &r_fresh);
         prop_assert_eq!(d_fork, d_fresh);
-        if activated {
+        if activated && (!crashed(&r_fork) || rebooted) {
             // A NotActivated run never touches the machine, so its
             // state still reflects unrelated earlier cases; only an
-            // executed run leaves comparable state behind.
+            // executed run leaves comparable state behind, and after a
+            // crash only a fork that rebooted.
             prop_assert_eq!(s_fork, s_fresh);
         }
     }

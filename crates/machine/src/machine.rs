@@ -266,6 +266,17 @@ impl Eq for Snapshot {}
 
 static NEXT_SNAPSHOT_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
+/// The machine state a reboot inherits: see [`Machine::reset_residue`].
+///
+/// Opaque on purpose — it exists to be compared (a memo key), not read.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ResetResidue {
+    next_tick: u64,
+    idt_base: u32,
+    tlb: Vec<crate::mmu::TlbEntry>,
+    blk: [u32; 3],
+}
+
 pub(crate) enum Fault {
     Page(PageFault),
     Vec(Vector, Option<u32>),
@@ -365,6 +376,102 @@ impl Machine {
     /// [`RunExit::CycleLimit`] within [`ABORT_CHECK_STEPS`] steps.
     pub fn set_abort_flag(&mut self, flag: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>) {
         self.abort = flag;
+    }
+
+    /// Whether the [abort flag](Machine::set_abort_flag) reads set. After
+    /// a [`RunExit::CycleLimit`] this tells a run the flag may have cut
+    /// short from one that spent its whole budget.
+    pub fn abort_requested(&self) -> bool {
+        self.abort.as_ref().is_some_and(|f| f.load(std::sync::atomic::Ordering::Relaxed))
+    }
+
+    /// The state a reboot does not reset, for a reboot that wipes memory
+    /// ([`PhysMem::clear`]), clears the logs ([`Machine::clear_logs`]),
+    /// parks the secondary CPUs ([`Machine::reset_secondary_cpus`]) and
+    /// reloads CPU 0's registers, control registers, `dr7` and TSC — the
+    /// boot loader's reset (`kfi_kernel::load_into`). What survives is
+    /// CPU 0's timer deadline, IDT base and resident TLB entries, plus
+    /// the block-device latches. Together with the disk, the image and
+    /// the configuration, this residue determines how such a reboot
+    /// runs, so equal residues make equal reboots.
+    ///
+    /// The reset makes CPU 0 active, so on an SMP machine whose active
+    /// CPU is another one, the residue comes from CPU 0's parked
+    /// context.
+    pub fn reset_residue(&self) -> ResetResidue {
+        // Exhaustive on purpose: a new field fails to compile here until
+        // it is classified as residue or as reset.
+        let Machine {
+            cpu,
+            tlb,
+            next_tick,
+            blk_lba,
+            blk_dma,
+            blk_status,
+            smp,
+            // `mem.clear()` rewrites every byte and bumps every page
+            // generation, which invalidates every decode- and block-cache
+            // entry (both validate against those generations).
+            mem: _,
+            decode_cache: _,
+            block_cache: _,
+            // Persistent medium: the caller keys the disk separately.
+            disk: _,
+            // Reset by `clear_logs`.
+            console: _,
+            monitor: _,
+            trap_log: _,
+            counters: _,
+            delivering: _,
+            triple_faulted: _,
+            // Host-side; the guest never reads them.
+            trace: _,
+            san: _,
+            abort: _,
+            // Fixed for the machine's life.
+            config: _,
+        } = self;
+        let (cpu0, tlb0, next_tick0) = match smp.as_deref() {
+            // `reset_secondary_cpus` rebuilds every application-processor
+            // context, the IPI queues and the scheduler state; only CPU
+            // 0's context survives, and it becomes the active one.
+            Some(crate::smp::SmpState {
+                ctxs,
+                active,
+                slice_left: _,
+                rng: _,
+                ipi_arg: _,
+                pending: _,
+            }) if *active != 0 => {
+                let crate::smp::CpuCtx { cpu, tlb, next_tick } = &ctxs[0];
+                (cpu, tlb, *next_tick)
+            }
+            _ => (cpu, tlb, *next_tick),
+        };
+        let Cpu {
+            idt_base,
+            // Reloaded by the boot loader.
+            regs: _,
+            eip: _,
+            eflags: _,
+            cs: _,
+            cr0: _,
+            cr2: _,
+            cr3: _,
+            esp0: _,
+            dr7: _,
+            tsc: _,
+            halted: _,
+            // Dead once `dr7 = 0`, and the guest cannot write debug
+            // registers.
+            dr: _,
+        } = cpu0;
+        ResetResidue {
+            next_tick: next_tick0,
+            idt_base: *idt_base,
+            tlb: tlb0.resident(),
+            blk: [*blk_lba, *blk_dma, *blk_status],
+        }
     }
 
     /// The machine configuration.
@@ -2112,6 +2219,98 @@ mod smp_tests {
         // And its snapshots carry no SMP payload, so pre-SMP snapshot
         // equality semantics are untouched.
         assert!(m.snapshot().smp.is_none());
+    }
+}
+
+#[cfg(test)]
+mod residue_tests {
+    use super::*;
+    use crate::cpu::CR0_PG;
+
+    /// A machine with paging on over an identity map of the low 4 MiB,
+    /// a translation resident for page 0x6000, an IDT base and
+    /// programmed block latches: every residue component is non-default.
+    fn used_machine(cpus: u32) -> Machine {
+        let mut m = Machine::new(MachineConfig { cpus, ..Default::default() });
+        m.mem.write_u32(0x4000, 0x5000 | 7);
+        for i in 0..1024u32 {
+            m.mem.write_u32(0x5000 + i * 4, (i << 12) | 3);
+        }
+        m.cpu.cr3 = 0x4000;
+        m.cpu.cr0 |= CR0_PG;
+        assert_eq!(m.probe_translate(0x6000), Some(0x6000));
+        m.cpu.idt_base = 0x2000;
+        m.next_tick = 123_456;
+        m.port_out(ports::BLK_LBA, 7);
+        m.port_out(ports::BLK_DMA, 0x7000);
+        m.port_out(ports::BLK_CMD, 1); // no disk attached: status 1
+        m
+    }
+
+    /// What the boot loader resets (`kfi_kernel::load_into`, minus
+    /// loading an image).
+    fn reboot_reset(m: &mut Machine) {
+        m.mem.clear();
+        m.clear_logs();
+        m.reset_secondary_cpus();
+        m.cpu.regs = [0; 8];
+        m.cpu.cs = KERNEL_CS;
+        m.cpu.cr3 = 0x9000;
+        m.cpu.cr0 = CR0_PG;
+        m.cpu.cr2 = 0;
+        m.cpu.eip = 0xc010_0000;
+        m.cpu.esp0 = 0xc009_0000;
+        m.cpu.eflags = kfi_isa::Eflags::new();
+        m.cpu.halted = false;
+        m.cpu.dr7 = 0;
+        m.cpu.tsc = 0;
+    }
+
+    #[test]
+    fn every_component_changes_the_residue() {
+        let base = used_machine(1).reset_residue();
+        let changes = |what: &str, mutate: &dyn Fn(&mut Machine)| {
+            let mut m = used_machine(1);
+            mutate(&mut m);
+            assert_ne!(m.reset_residue(), base, "{what} must be part of the residue");
+        };
+        changes("timer deadline", &|m| m.next_tick += 1);
+        changes("IDT base", &|m| m.cpu.idt_base += 8);
+        changes("TLB flush", &|m| m.tlb.flush());
+        changes("TLB insert", &|m| assert!(m.probe_translate(0x8000).is_some()));
+        changes("LBA latch", &|m| m.port_out(ports::BLK_LBA, 8));
+        changes("DMA latch", &|m| m.port_out(ports::BLK_DMA, 0x8000));
+        changes("status latch", &|m| {
+            m.disk = Some(Ramdisk::new(8));
+            m.port_out(ports::BLK_CMD, 1); // LBA 7 exists: status 0
+        });
+    }
+
+    #[test]
+    fn reboot_reset_leaves_the_residue_unchanged() {
+        let mut m = used_machine(1);
+        let before = m.reset_residue();
+        m.cpu.arm_breakpoint(2, 0x1234);
+        m.cpu.tsc = 99_999;
+        m.console.push(b'x');
+        reboot_reset(&mut m);
+        assert_eq!(m.reset_residue(), before);
+    }
+
+    #[test]
+    fn smp_residue_is_cpu0s_even_while_another_cpu_is_active() {
+        let mut m = used_machine(2);
+        let cpu0 = m.reset_residue();
+        m.smp_switch(1);
+        assert_eq!(m.active_cpu(), 1);
+        // CPU 1's live state is not the residue: the reset discards it.
+        m.cpu.idt_base = 0x3000;
+        m.next_tick = 1;
+        m.tlb.flush();
+        assert_eq!(m.reset_residue(), cpu0, "read from CPU 0's parked context");
+        reboot_reset(&mut m);
+        assert_eq!(m.active_cpu(), 0);
+        assert_eq!(m.reset_residue(), cpu0);
     }
 }
 

@@ -55,8 +55,8 @@ impl PageFault {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct TlbEntry {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct TlbEntry {
     vpn: u32,
     pfn: u32,
     writable: bool,
@@ -100,6 +100,17 @@ impl Tlb {
     /// (hits, misses) since construction.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
+    }
+
+    /// The resident translations in slot order — everything a lookup
+    /// can answer. A slot is a function of its entry's page number, so
+    /// the list pins the entry array exactly.
+    pub(crate) fn resident(&self) -> Vec<TlbEntry> {
+        // Exhaustive so a new field must be classified here too. The
+        // statistics never steer execution, and the generation is only
+        // compared within one block-engine dispatch.
+        let Tlb { entries, hits: _, misses: _, generation: _ } = self;
+        entries.iter().flatten().copied().collect()
     }
 
     /// The entry-array mutation generation (see the field docs).

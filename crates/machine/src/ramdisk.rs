@@ -41,6 +41,13 @@ fn dirty_words(bytes_len: usize) -> usize {
     (bytes_len / SECTOR_SIZE).div_ceil(64)
 }
 
+/// The sector numbers set in a dirty bitset, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        (0..64).filter(move |b| word & (1 << b) != 0).map(move |b| w * 64 + b)
+    })
+}
+
 impl Ramdisk {
     /// Creates a zeroed disk with `sectors` sectors.
     pub fn new(sectors: u32) -> Ramdisk {
@@ -98,16 +105,10 @@ impl Ramdisk {
         assert_eq!(base.len(), self.bytes.len(), "image size mismatch");
         let copied = if self.synced_to == Some(id) {
             let mut n = 0u32;
-            for (w, word) in self.dirty.iter().enumerate() {
-                let mut bits = *word;
-                while bits != 0 {
-                    let s = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let off = s * SECTOR_SIZE;
-                    self.bytes[off..off + SECTOR_SIZE]
-                        .copy_from_slice(&base[off..off + SECTOR_SIZE]);
-                    n += 1;
-                }
+            for s in set_bits(&self.dirty) {
+                let off = s * SECTOR_SIZE;
+                self.bytes[off..off + SECTOR_SIZE].copy_from_slice(&base[off..off + SECTOR_SIZE]);
+                n += 1;
             }
             n
         } else {
@@ -120,6 +121,35 @@ impl Ramdisk {
         self.reads = 0;
         self.writes = 0;
         copied
+    }
+
+    /// The sectors whose bytes differ from `base`, as `(lba, bytes)` in
+    /// LBA order: the disk as a difference from that image. When the
+    /// disk is synced to the baseline `id` (see
+    /// [`Ramdisk::restore_from`]) only sectors written since the last
+    /// restore can differ, so only they are compared; otherwise every
+    /// sector is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` has a different length than the disk.
+    pub fn delta_from(&self, base: &[u8], id: u64) -> Vec<(u32, Vec<u8>)> {
+        assert_eq!(base.len(), self.bytes.len(), "image size mismatch");
+        let differs = |s: usize| {
+            let (a, b) = (s * SECTOR_SIZE, (s + 1) * SECTOR_SIZE);
+            let sector = &self.bytes[a..b];
+            (sector != &base[a..b]).then(|| (s as u32, sector.to_vec()))
+        };
+        if self.synced_to == Some(id) {
+            set_bits(&self.dirty).filter_map(differs).collect()
+        } else {
+            (0..self.sectors() as usize).filter_map(differs).collect()
+        }
+    }
+
+    /// Unwraps the image bytes.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.bytes
     }
 
     /// Number of sectors written since the last restore (or creation).
@@ -270,6 +300,27 @@ mod tests {
         // must not trust the (empty) dirty set.
         assert_eq!(d.restore_from(&base, 1), 4, "full copy after bytes_mut");
         assert_eq!(d.bytes(), &base[..]);
+    }
+
+    #[test]
+    fn delta_lists_exactly_the_differing_sectors_on_either_path() {
+        let base = {
+            let mut d = Ramdisk::new(130);
+            d.write_sector(70, &[0x11u8; SECTOR_SIZE]);
+            d.bytes().to_vec()
+        };
+        let mut synced = Ramdisk::fork_from(&base, 4);
+        synced.write_sector(129, &[0x22u8; SECTOR_SIZE]);
+        synced.write_sector(3, &[0x33u8; SECTOR_SIZE]);
+        // Rewritten with its own bytes: dirty, but not a difference.
+        synced.write_sector(70, &[0x11u8; SECTOR_SIZE]);
+        let want = vec![(3, vec![0x33u8; SECTOR_SIZE]), (129, vec![0x22u8; SECTOR_SIZE])];
+        assert_eq!(synced.delta_from(&base, 4), want, "dirty-set path");
+        let unsynced = Ramdisk::from_bytes(synced.bytes().to_vec());
+        assert_eq!(unsynced.delta_from(&base, 4), want, "full-compare path");
+        // A different baseline id falls back to the full compare.
+        assert_eq!(synced.delta_from(&base, 5), want);
+        assert!(Ramdisk::fork_from(&base, 4).delta_from(&base, 4).is_empty());
     }
 
     #[test]
