@@ -1,7 +1,8 @@
 //! Emits `BENCH_machine.json`: the machine-core performance baseline
 //! (exec-loop MIPS with the decode cache off, on, and with the
 //! basic-block engine on top; paged-guest kernel-replay MIPS with
-//! block chaining off vs on; per-run snapshot restore cost full vs
+//! block chaining off vs on; two-CPU kernel-replay MIPS single-stepped
+//! vs through `Machine::run`; per-run snapshot restore cost full vs
 //! dirty-tracked; and small-campaign wall clock at 1 and 4 worker
 //! threads, both recompute-per-rig and with golden memoization +
 //! copy-on-write rig forks).
@@ -12,7 +13,7 @@
 
 use kfi_core::{Experiment, ExperimentConfig};
 use kfi_injector::Campaign;
-use kfi_machine::{Machine, MachineConfig, Ramdisk, RunExit};
+use kfi_machine::{Machine, MachineConfig, Ramdisk, RunExit, Snapshot, StepEvent};
 use kfi_profiler::ProfilerConfig;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -63,45 +64,90 @@ fn measure_mips(iters: u32, passes: u32, decode_cache: bool, block_engine: bool)
     (insns as f64 / best / 1e6, insns)
 }
 
+/// A booted kernel at its paging-enabled entry point, replayed by
+/// copy-on-write forks.
+struct BootImage {
+    snap: Snapshot,
+    config: MachineConfig,
+    disk: Vec<u8>,
+}
+
+impl BootImage {
+    fn new(kernel: kfi_kernel::KernelBuildOptions, cpus: u32) -> BootImage {
+        let image = kfi_kernel::build_kernel(kernel).expect("kernel builds");
+        let files = kfi_workloads::suite_files().expect("workloads build");
+        let fsimg = kfi_kernel::mkfs(2048, &files);
+        let disk = fsimg.disk.bytes().to_vec();
+        let boot = kfi_kernel::BootConfig { cpus, ..Default::default() };
+        let m = kfi_kernel::boot(&image, fsimg.disk, &boot);
+        BootImage { snap: m.snapshot(), config: *m.config(), disk }
+    }
+
+    fn fork(&self, config: MachineConfig) -> Machine {
+        let mut f = Machine::fork(&self.snap, config);
+        f.disk = Some(Ramdisk::fork_from(&self.disk, self.snap.id()));
+        f
+    }
+}
+
+/// Runs `passes` rounds of `pass(false)` then `pass(true)`, each
+/// returning `(seconds, instructions)`, and returns each side's
+/// best-pass MIPS plus the instruction count. Passes alternate so
+/// host-load drift hits both sides equally instead of whichever side
+/// was measured second. The two sides replay the same window with
+/// bit-identical deadline semantics, so they must retire the same
+/// instruction count (`what` names the assertion), and their MIPS ratio
+/// isolates the cost one side removes.
+fn alternate(passes: u32, what: &str, mut pass: impl FnMut(bool) -> (f64, u64)) -> (f64, f64, u64) {
+    let (mut best, mut insns) = ([f64::MAX; 2], [0; 2]);
+    for _ in 0..passes {
+        for side in [false, true] {
+            let (dt, n) = pass(side);
+            best[usize::from(side)] = best[usize::from(side)].min(dt);
+            insns[usize::from(side)] = n;
+        }
+    }
+    assert_eq!(insns[0], insns[1], "{what}");
+    (insns[0] as f64 / best[0] / 1e6, insns[1] as f64 / best[1] / 1e6, insns[1])
+}
+
 /// Paged-guest replay: where campaigns actually spend their cycles.
-/// Boots the real kernel image, snapshots at the paging-enabled entry
-/// point, then replays the same boot-plus-workload instruction window
-/// (a copy-on-write fork per pass, block engine on) with block chaining
-/// off vs on. The two must retire the *same* instruction count — the
-/// deadline semantics are bit-identical — so the MIPS ratio isolates
-/// the dispatch + per-instruction-translation cost that chaining and
+/// Replays the base kernel's boot-plus-workload instruction window
+/// (block engine on) with block chaining off vs on, isolating the
+/// dispatch + per-instruction-translation cost that chaining and
 /// once-per-entry translation validation remove. Returns
 /// `(mips_chain_off, mips_chain_on, instructions)`.
 fn measure_paged(budget: u64, passes: u32) -> (f64, f64, u64) {
-    let image = kfi_kernel::build_kernel(Default::default()).expect("kernel builds");
-    let files = kfi_workloads::suite_files().expect("workloads build");
-    let fsimg = kfi_kernel::mkfs(2048, &files);
-    let disk = fsimg.disk.bytes().to_vec();
-    let m = kfi_kernel::boot(&image, fsimg.disk, &Default::default());
-    let snap = m.snapshot();
-    let base_cfg = *m.config();
-
-    let one_pass = |block_chain: bool| -> (f64, u64) {
-        let mut f = Machine::fork(&snap, MachineConfig { block_chain, ..base_cfg });
-        f.disk = Some(Ramdisk::fork_from(&disk, snap.id()));
+    let boot = BootImage::new(Default::default(), 1);
+    alternate(passes, "chaining must not change the instruction count", |block_chain| {
+        let mut f = boot.fork(MachineConfig { block_chain, ..boot.config });
         let t = Instant::now();
         let _ = f.run(budget);
         (t.elapsed().as_secs_f64(), f.counters().instructions)
-    };
-    // Passes alternate chain-off/chain-on so host-load drift hits both
-    // sides equally instead of whichever side was measured second.
-    let (mut best_off, mut best_on) = (f64::MAX, f64::MAX);
-    let (mut insns_off, mut insns_on) = (0, 0);
-    for _ in 0..passes {
-        let (dt, n) = one_pass(false);
-        best_off = best_off.min(dt);
-        insns_off = n;
-        let (dt, n) = one_pass(true);
-        best_on = best_on.min(dt);
-        insns_on = n;
-    }
-    assert_eq!(insns_off, insns_on, "chaining must not change the instruction count");
-    (insns_off as f64 / best_off / 1e6, insns_on as f64 / best_on / 1e6, insns_on)
+    })
+}
+
+/// Two-CPU replay: the `smp` kernel's boot-plus-workload window on a
+/// two-CPU machine (bringing the application processor online, then
+/// mostly CPU 0 alone), single-stepped until the machine-wide clock
+/// reaches the budget — the loop `Machine::run` used to be on SMP
+/// machines — vs through `Machine::run`, which takes the chained block
+/// engine while the active CPU runs alone. Returns `(mips_step,
+/// mips_run, instructions)`.
+fn measure_smp(budget: u64, passes: u32) -> (f64, f64, u64) {
+    let boot =
+        BootImage::new(kfi_kernel::KernelBuildOptions { smp: true, ..Default::default() }, 2);
+    alternate(passes, "run must retire what single-stepping retires", |run| {
+        let mut f = boot.fork(boot.config);
+        let t = Instant::now();
+        if run {
+            let _ = f.run(budget);
+        } else {
+            let deadline = f.max_tsc() + budget;
+            while f.max_tsc() < deadline && f.step() == StepEvent::Executed {}
+        }
+        (t.elapsed().as_secs_f64(), f.counters().instructions)
+    })
 }
 
 /// Measures per-restore cost in microseconds against a booted kernel
@@ -210,6 +256,10 @@ fn main() {
     let (mips_paged_off, mips_paged_on, paged_insns) = measure_paged(paged_budget, paged_passes);
     let paged_speedup = mips_paged_on / mips_paged_off;
 
+    eprintln!("[bench_machine] two-CPU kernel replay (budget {paged_budget} cycles)...");
+    let (mips_smp_step, mips_smp_run, smp_insns) = measure_smp(paged_budget, paged_passes);
+    let smp_speedup = mips_smp_run / mips_smp_step;
+
     eprintln!("[bench_machine] snapshot restore ({restore_reps} reps)...");
     let (full_us, dirty_us, dirty_pages) = measure_restore(restore_reps);
     let restore_speedup = full_us / dirty_us;
@@ -251,6 +301,13 @@ fn main() {
     let _ = writeln!(json, "    \"mips_chain_off\": {mips_paged_off:.1},");
     let _ = writeln!(json, "    \"mips_chain_on\": {mips_paged_on:.1},");
     let _ = writeln!(json, "    \"speedup_chain\": {paged_speedup:.2}");
+    let _ = writeln!(json, "  }},");
+    let _ = writeln!(json, "  \"exec_loop_smp\": {{");
+    let _ = writeln!(json, "    \"cpus\": 2,");
+    let _ = writeln!(json, "    \"instructions\": {smp_insns},");
+    let _ = writeln!(json, "    \"mips_single_step\": {mips_smp_step:.1},");
+    let _ = writeln!(json, "    \"mips_run\": {mips_smp_run:.1},");
+    let _ = writeln!(json, "    \"speedup\": {smp_speedup:.2}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"snapshot_restore\": {{");
     let _ = writeln!(json, "    \"phys_mem_bytes\": {},", 8 << 20);

@@ -225,9 +225,11 @@ impl ReproOptions {
     /// test-only `--inject-panic I,J,...` /
     /// `--inject-panic-persistent I,J,...` from the process arguments.
     /// `--help`/`-h` prints the usage text — including the per-cell
-    /// matrix RNG derivation — and exits. A `--cap`, `--seed`,
-    /// `--threads` or `--cpus` value that is not a number prints the
-    /// usage text to stderr and exits 2.
+    /// matrix RNG derivation — and exits. A missing or malformed value
+    /// of any numeric flag (`--cap`, `--seed`, `--threads`, `--cpus`,
+    /// `--wall-budget-ms`, `--dist-workers`, `--chaos`, `--dist-hb-ms`,
+    /// `--dist-hb-budget-ms`, `--dist-handshake-ms`), and any unknown
+    /// argument, prints the usage text to stderr and exits 2.
     pub fn from_args() -> ReproOptions {
         let mut o = ReproOptions::default();
         let args: Vec<String> = std::env::args().collect();
@@ -283,32 +285,30 @@ impl ReproOptions {
                 "--check" => o.check = true,
                 "--dist-workers" => {
                     i += 1;
-                    o.dist_workers = args.get(i).and_then(|v| v.parse().ok());
+                    o.dist_workers = Some(number_arg(&args, i));
                 }
                 "--chaos" => {
                     i += 1;
-                    o.chaos = args.get(i).and_then(|v| v.parse().ok());
+                    o.chaos = Some(number_arg(&args, i));
                 }
                 "--worker" => o.worker = true,
                 "--worker-wedge-handshake" => o.worker_wedge_handshake = true,
                 "--wedge-first-handshake" => o.wedge_first_handshake = true,
                 "--dist-hb-ms" => {
                     i += 1;
-                    o.dist_hb_ms = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(o.dist_hb_ms);
+                    o.dist_hb_ms = number_arg(&args, i);
                 }
                 "--dist-hb-budget-ms" => {
                     i += 1;
-                    o.dist_hb_budget_ms =
-                        args.get(i).and_then(|v| v.parse().ok()).unwrap_or(o.dist_hb_budget_ms);
+                    o.dist_hb_budget_ms = number_arg(&args, i);
                 }
                 "--dist-handshake-ms" => {
                     i += 1;
-                    o.dist_handshake_ms =
-                        args.get(i).and_then(|v| v.parse().ok()).unwrap_or(o.dist_handshake_ms);
+                    o.dist_handshake_ms = number_arg(&args, i);
                 }
                 "--wall-budget-ms" => {
                     i += 1;
-                    o.wall_budget_ms = args.get(i).and_then(|v| v.parse().ok());
+                    o.wall_budget_ms = Some(number_arg(&args, i));
                 }
                 "--inject-panic" => {
                     i += 1;
@@ -323,7 +323,11 @@ impl ReproOptions {
                     }
                 }
                 "--csv" => {} // handled by the binaries themselves
-                other => eprintln!("ignoring unknown argument `{other}`"),
+                other => {
+                    eprintln!("unknown argument `{other}`\n");
+                    eprint!("{USAGE}");
+                    std::process::exit(2);
+                }
             }
             i += 1;
         }

@@ -1,13 +1,40 @@
-//! The numeric flags of the repro binaries fail loudly: a value of
-//! `--cap`, `--seed`, `--threads` or `--cpus` that is not a number (or
-//! is missing) exits 2 with the usage text, before any campaign runs,
-//! instead of silently falling back to a default or an uncapped study.
+//! The command line of the repro binaries fails loudly: a numeric flag
+//! whose value is not a number (or is missing) exits 2 with the usage
+//! text, before any campaign runs, instead of silently falling back to
+//! a default, an uncapped study, an in-process run or a disabled
+//! watchdog; so does an argument the binaries do not know.
 
 use std::process::Command;
 
+const NUMERIC_FLAGS: [&str; 10] = [
+    "--cap",
+    "--seed",
+    "--threads",
+    "--cpus",
+    "--wall-budget-ms",
+    "--dist-workers",
+    "--chaos",
+    "--dist-hb-ms",
+    "--dist-hb-budget-ms",
+    "--dist-handshake-ms",
+];
+
+#[test]
+fn unknown_arguments_exit_2_with_the_usage() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro_all"))
+        .args(["--cap", "1", "--no-such-flag"])
+        .output()
+        .expect("spawn repro_all");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown argument `--no-such-flag`"), "{stderr}");
+    assert!(stderr.contains("usage: repro_all"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing may run");
+}
+
 #[test]
 fn malformed_numbers_exit_2_with_the_usage() {
-    for flag in ["--cap", "--seed", "--threads", "--cpus"] {
+    for flag in NUMERIC_FLAGS {
         for args in [vec![flag, "x"], vec![flag, "-3"], vec![flag]] {
             let out = Command::new(env!("CARGO_BIN_EXE_repro_all"))
                 .args(&args)

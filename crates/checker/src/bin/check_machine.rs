@@ -9,11 +9,12 @@
 //! two-ring program crossing `int $0x80`/`iret`/timer gates under
 //! paging — full pipeline vs bare interpreter, and on a separately
 //! generated two-CPU program exchanging startup and reschedule IPIs —
-//! decode cache on/off at `cpus = 2` plus parked-secondary vs plain
-//! uniprocessor). The architectural-state sanitizer is enabled on
-//! every machine except in the block-engine, chain, and ring pairs,
-//! which force it off so block execution actually engages (the engine
-//! falls back to single-stepping under the sanitizer). A smaller sweep
+//! full pipeline vs bare interpreter at `cpus = 2` plus
+//! parked-secondary vs plain uniprocessor). The architectural-state
+//! sanitizer is enabled on every machine except in the block-engine,
+//! chain, and ring pairs and on the full-pipeline side of the smp
+//! pair, which force it off so block execution actually engages (the
+//! engine falls back to single-stepping under the sanitizer). A smaller sweep
 //! of full injection campaigns compares 1-worker vs 2-worker execution
 //! record-for-record. Before any of that, three self-tests seed known
 //! bugs through test-only machine hooks — a broken ALU flag writer the

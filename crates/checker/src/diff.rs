@@ -342,13 +342,113 @@ pub fn pair_restore(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
     PairOutcome { steps: second, divergence, violations }
 }
 
+/// The single-step reference pass of the pairs whose other side is
+/// driven by [`Machine::run`]: the stepped machine, its step count, and
+/// the campaign-clock ([`Machine::max_tsc`]) readings at which it
+/// applied the program's mid-run flip and stopped.
+#[derive(Debug)]
+pub struct Reference {
+    /// The single-stepped machine, in its final state.
+    pub machine: Machine,
+    /// Steps taken.
+    pub steps: u64,
+    /// Campaign clock at the boundary where the mid-run flip landed
+    /// (`None` when the program has none or ended first).
+    pub flip_tsc: Option<u64>,
+    /// Campaign clock at the end.
+    pub end_tsc: u64,
+    /// Whether the run ended in a halt or triple fault (rather than at
+    /// [`MAX_STEPS`]).
+    pub terminated: bool,
+}
+
+/// Single-steps `prog` under `config` as the reference for a
+/// [`run_to_reference`] side.
+///
+/// `run` stops at the first instruction boundary where the campaign
+/// clock has reached its deadline, and instruction-boundary TSCs are
+/// bit-identical across execution modes. So the flip and the stop must
+/// land on a boundary that is the *first* to show its clock reading:
+/// one right after a step that raised the clock. On a uniprocessor
+/// every non-terminal step does, and the flip lands exactly before its
+/// step index. On an SMP machine a laggard CPU can step under the
+/// leader's clock, so the flip (and, past [`MAX_STEPS`], the stop)
+/// waits for the next step that raises it.
+pub fn reference_pass(prog: &GenProgram, config: MachineConfig) -> Reference {
+    let mut m = install(prog, config);
+    let mut flip_tsc = None;
+    let mut steps = 0u64;
+    let mut clock_rose = true;
+    let terminated = loop {
+        if let Some(f) =
+            prog.mid_flip.filter(|f| clock_rose && flip_tsc.is_none() && steps >= f.step)
+        {
+            flip_tsc = Some(m.max_tsc());
+            apply_mid_flip(&mut m, &f);
+        }
+        let before = m.max_tsc();
+        let ev = m.step();
+        steps += 1;
+        clock_rose = m.max_tsc() > before;
+        if terminal(ev) {
+            break true;
+        }
+        if steps >= MAX_STEPS && clock_rose {
+            break false;
+        }
+    };
+    Reference { end_tsc: m.max_tsc(), machine: m, steps, flip_tsc, terminated }
+}
+
+/// Installs `prog` under `config` and drives it with [`Machine::run`]
+/// to the reference's flip boundary, applies the flip, and runs on to
+/// the reference's end (through the same terminal event, when the
+/// reference terminated).
+pub fn run_to_reference(prog: &GenProgram, config: MachineConfig, r: &Reference) -> Machine {
+    let mut m = install(prog, config);
+    if let (Some(f), Some(t)) = (prog.mid_flip, r.flip_tsc) {
+        m.run(t - m.max_tsc());
+        apply_mid_flip(&mut m, &f);
+    }
+    if r.terminated {
+        // Slack covers the halted side's TSC not advancing past the
+        // terminal event.
+        m.run(r.end_tsc.saturating_sub(m.max_tsc()).saturating_add(100_000));
+    } else {
+        m.run(r.end_tsc - m.max_tsc());
+    }
+    m
+}
+
+/// Compares the final states of a run-driven pair under `mask`.
+fn final_outcome(
+    a: &mut Machine,
+    b: &Machine,
+    mask: &StateMask,
+    steps: u64,
+    what: &str,
+) -> PairOutcome {
+    let sa = ArchState::capture(a, mask);
+    let sb = ArchState::capture(b, mask);
+    let divergence = (sa != sb).then(|| Divergence {
+        step: steps,
+        detail: format!("{what}:\n    {}", sa.diff(&sb).join("\n    ")),
+        context: disasm_context(a),
+    });
+    let mut violations = Vec::new();
+    collect_violations("a", a, &mut violations);
+    collect_violations("b", b, &mut violations);
+    PairOutcome { steps, divergence, violations }
+}
+
 /// Pair: basic-block engine vs single-stepping. Machine `b` is the
-/// reference: it single-steps (via [`Machine::step`], which never uses
-/// blocks) while recording the TSC at the pre-flip boundary and at
-/// termination. Machine `a` has the block engine on and is driven by
-/// [`Machine::run`] against those recorded TSCs — instruction-boundary
-/// TSCs are bit-identical across the two modes, so a cycle deadline
-/// stops `a` exactly where the flip (or the comparison point) belongs.
+/// [`reference_pass`]: it single-steps (via [`Machine::step`], which
+/// never uses blocks) while recording the TSC at the pre-flip boundary
+/// and at termination. Machine `a` has the block engine on and is
+/// driven by [`Machine::run`] against those recorded TSCs
+/// ([`run_to_reference`]) — instruction-boundary TSCs are bit-identical
+/// across the two modes, so a cycle deadline stops `a` exactly where
+/// the flip (or the comparison point) belongs.
 ///
 /// The comparison uses [`StateMask::full`]: unlike the cache-on/off
 /// pair, the block engine keeps the decode-cache *and* TLB statistics
@@ -360,137 +460,30 @@ pub fn pair_restore(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
 /// vacuous.
 pub fn pair_block_engine(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
     let off = MachineConfig { block_engine: false, sanitizer: false, ..base };
-    let on = MachineConfig { block_engine: true, sanitizer: false, ..base };
-
-    // Reference pass: single-step, recording where the flip lands.
-    let mut b = install(prog, off);
-    let mut flip_tsc = None;
-    let mut step = 0u64;
-    let terminated = loop {
-        if let Some(f) = prog.mid_flip.filter(|f| f.step == step) {
-            flip_tsc = Some(b.cpu.tsc);
-            apply_mid_flip(&mut b, &f);
-        }
-        let ev = b.step();
-        step += 1;
-        if terminal(ev) {
-            break true;
-        }
-        if step >= MAX_STEPS {
-            break false;
-        }
-    };
-    let end_tsc = b.cpu.tsc;
-
-    // Block pass: run to the recorded TSCs.
-    let mut a = install(prog, on);
-    if let Some(f) = prog.mid_flip {
-        if let Some(t) = flip_tsc {
-            a.run(t - a.cpu.tsc);
-            apply_mid_flip(&mut a, &f);
-        }
-    }
-    if terminated {
-        // The reference halted or triple-faulted at `end_tsc`; the
-        // block side must reach the same terminal state. Slack covers
-        // the halted-side TSC not advancing past the terminal event.
-        a.run(end_tsc.saturating_sub(a.cpu.tsc).saturating_add(100_000));
-    } else {
-        a.run(end_tsc - a.cpu.tsc);
-    }
-
-    let sa = ArchState::capture(&a, &StateMask::full());
-    let sb = ArchState::capture(&b, &StateMask::full());
-    let divergence = if sa != sb {
-        Some(Divergence {
-            step,
-            detail: format!(
-                "block-engine state != single-step state:\n    {}",
-                sa.diff(&sb).join("\n    ")
-            ),
-            context: disasm_context(&mut a),
-        })
-    } else {
-        None
-    };
-    let mut violations = Vec::new();
-    collect_violations("a", &a, &mut violations);
-    collect_violations("b", &b, &mut violations);
-    PairOutcome { steps: step, divergence, violations }
+    let r = reference_pass(prog, off);
+    let mut a = run_to_reference(prog, MachineConfig { block_engine: true, ..off }, &r);
+    let what = "block-engine state != single-step state";
+    final_outcome(&mut a, &r.machine, &StateMask::full(), r.steps, what)
 }
 
 /// Pair: block chaining on vs off, both under the block engine and both
-/// driven by [`Machine::run`]. A single-step pass first records the TSC
-/// at the pre-flip boundary and at termination (instruction-boundary
-/// TSCs are bit-identical across all execution modes); each block
-/// machine is then run against those recorded TSCs — so a mid-run flip
-/// lands *inside* chained segments, the case where a stale chain link
-/// or a skipped re-translation would show — and the two are compared
-/// under [`StateMask::full`]: chaining must keep even the TLB and
-/// decode-cache statistics identical to unchained block execution,
-/// which is what keeps golden corpora byte-identical with chaining on.
+/// driven by [`Machine::run`] against the TSCs a [`reference_pass`]
+/// recorded at the pre-flip boundary and at termination
+/// (instruction-boundary TSCs are bit-identical across all execution
+/// modes) — so a mid-run flip lands *inside* chained segments, the case
+/// where a stale chain link or a skipped re-translation would show —
+/// and the two are compared under [`StateMask::full`]: chaining must
+/// keep even the TLB and decode-cache statistics identical to unchained
+/// block execution, which is what keeps golden corpora byte-identical
+/// with chaining on.
 ///
 /// Both sides force the sanitizer off, as in [`pair_block_engine`].
 pub fn pair_chain(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
     let off = MachineConfig { block_engine: true, block_chain: false, sanitizer: false, ..base };
-    let on = MachineConfig { block_chain: true, ..off };
-
-    // Reference pass: single-step, recording where the flip lands.
-    let mut r = install(prog, MachineConfig { block_engine: false, ..off });
-    let mut flip_tsc = None;
-    let mut step = 0u64;
-    let terminated = loop {
-        if let Some(f) = prog.mid_flip.filter(|f| f.step == step) {
-            flip_tsc = Some(r.cpu.tsc);
-            apply_mid_flip(&mut r, &f);
-        }
-        let ev = r.step();
-        step += 1;
-        if terminal(ev) {
-            break true;
-        }
-        if step >= MAX_STEPS {
-            break false;
-        }
-    };
-    let end_tsc = r.cpu.tsc;
-
-    let run_side = |config: MachineConfig| -> Machine {
-        let mut m = install(prog, config);
-        if let Some(f) = prog.mid_flip {
-            if let Some(t) = flip_tsc {
-                m.run(t - m.cpu.tsc);
-                apply_mid_flip(&mut m, &f);
-            }
-        }
-        if terminated {
-            m.run(end_tsc.saturating_sub(m.cpu.tsc).saturating_add(100_000));
-        } else {
-            m.run(end_tsc - m.cpu.tsc);
-        }
-        m
-    };
-    let mut a = run_side(on);
-    let b = run_side(off);
-
-    let sa = ArchState::capture(&a, &StateMask::full());
-    let sb = ArchState::capture(&b, &StateMask::full());
-    let divergence = if sa != sb {
-        Some(Divergence {
-            step,
-            detail: format!(
-                "chained state != unchained state:\n    {}",
-                sa.diff(&sb).join("\n    ")
-            ),
-            context: disasm_context(&mut a),
-        })
-    } else {
-        None
-    };
-    let mut violations = Vec::new();
-    collect_violations("a", &a, &mut violations);
-    collect_violations("b", &b, &mut violations);
-    PairOutcome { steps: step, divergence, violations }
+    let r = reference_pass(prog, MachineConfig { block_engine: false, ..off });
+    let mut a = run_to_reference(prog, MachineConfig { block_chain: true, ..off }, &r);
+    let b = run_to_reference(prog, off, &r);
+    final_outcome(&mut a, &b, &StateMask::full(), r.steps, "chained state != unchained state")
 }
 
 /// Pair: shared-snapshot fork vs fresh boot, in two legs.
@@ -557,6 +550,24 @@ pub fn pair_fork(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
     PairOutcome { steps: second, divergence, violations }
 }
 
+/// The bare single-step interpreter: no decode cache, no block engine.
+fn bare(base: MachineConfig) -> MachineConfig {
+    MachineConfig { decode_cache: false, block_engine: false, block_chain: false, ..base }
+}
+
+/// The full execution pipeline campaigns run with: decode cache, block
+/// engine and chaining, with the sanitizer off so [`Machine::run`]
+/// actually engages blocks.
+fn full(base: MachineConfig) -> MachineConfig {
+    MachineConfig {
+        decode_cache: true,
+        block_engine: true,
+        block_chain: true,
+        sanitizer: false,
+        ..base
+    }
+}
+
 /// Pair: the full execution pipeline (decode cache + block engine +
 /// block chaining) vs the bare single-step interpreter, on a
 /// *ring-transition* program from
@@ -566,104 +577,46 @@ pub fn pair_fork(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
 /// transitions every campaign run crosses thousands of times, under the
 /// exact machinery stack campaigns run with.
 ///
-/// The bare side single-steps as the reference, recording the TSC at
-/// the pre-flip boundary and at termination; the full side is driven by
-/// [`Machine::run`] against those TSCs (instruction-boundary TSCs are
-/// bit-identical across execution modes — and trap delivery costs are
-/// charged at instruction boundaries too). Decode-cache statistics are
-/// masked (the bare side has no cache); TLB statistics must still
-/// match, gate crossings and CR3-rooted walks included.
+/// The bare side single-steps as the [`reference_pass`]; the full side
+/// is driven by [`Machine::run`] against the TSCs it recorded
+/// (instruction-boundary TSCs are bit-identical across execution modes
+/// — and trap delivery costs are charged at instruction boundaries
+/// too). Decode-cache statistics are masked (the bare side has no
+/// cache); TLB statistics must still match, gate crossings and
+/// CR3-rooted walks included.
 ///
 /// Both sides force the sanitizer off, as in [`pair_block_engine`].
 pub fn pair_ring(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
-    let bare = MachineConfig {
-        decode_cache: false,
-        block_engine: false,
-        block_chain: false,
-        sanitizer: false,
-        ..base
-    };
-    let full = MachineConfig {
-        decode_cache: true,
-        block_engine: true,
-        block_chain: true,
-        sanitizer: false,
-        ..base
-    };
-
-    // Reference pass: single-step, recording where the flip lands.
-    let mut b = install(prog, bare);
-    let mut flip_tsc = None;
-    let mut step = 0u64;
-    let terminated = loop {
-        if let Some(f) = prog.mid_flip.filter(|f| f.step == step) {
-            flip_tsc = Some(b.cpu.tsc);
-            apply_mid_flip(&mut b, &f);
-        }
-        let ev = b.step();
-        step += 1;
-        if terminal(ev) {
-            break true;
-        }
-        if step >= MAX_STEPS {
-            break false;
-        }
-    };
-    let end_tsc = b.cpu.tsc;
-
-    // Full-pipeline pass: run to the recorded TSCs.
-    let mut a = install(prog, full);
-    if let Some(f) = prog.mid_flip {
-        if let Some(t) = flip_tsc {
-            a.run(t - a.cpu.tsc);
-            apply_mid_flip(&mut a, &f);
-        }
-    }
-    if terminated {
-        a.run(end_tsc.saturating_sub(a.cpu.tsc).saturating_add(100_000));
-    } else {
-        a.run(end_tsc - a.cpu.tsc);
-    }
-
+    let r = reference_pass(prog, bare(MachineConfig { sanitizer: false, ..base }));
+    let mut a = run_to_reference(prog, full(base), &r);
     let mask = StateMask { decode_stats: false, tlb_stats: true, smp_digest: true };
-    let sa = ArchState::capture(&a, &mask);
-    let sb = ArchState::capture(&b, &mask);
-    let divergence = if sa != sb {
-        Some(Divergence {
-            step,
-            detail: format!(
-                "full-pipeline state != single-step state across ring transitions:\n    {}",
-                sa.diff(&sb).join("\n    ")
-            ),
-            context: disasm_context(&mut a),
-        })
-    } else {
-        None
-    };
-    let mut violations = Vec::new();
-    collect_violations("a", &a, &mut violations);
-    collect_violations("b", &b, &mut violations);
-    PairOutcome { steps: step, divergence, violations }
+    let what = "full-pipeline state != single-step state across ring transitions";
+    final_outcome(&mut a, &r.machine, &mask, r.steps, what)
 }
 
-/// Pair: decode cache on vs off on a *two-CPU* machine running a
+/// Pair: the full execution pipeline driven by [`Machine::run`] vs the
+/// bare single-step interpreter on a *two-CPU* machine running a
 /// [`generate_smp`](crate::gen::generate_smp) program — startup IPI,
 /// interleaved execution under the round-robin scheduler, cross-CPU
-/// stores to a shared word, and a reschedule doorbell. The decode cache
-/// is shared plumbing over [`PhysMem`](kfi_machine::PhysMem) while the
-/// TLB is swapped per CPU, so this is the pair that would catch a
-/// context swap leaking cached translations across CPUs. Lockstep with
-/// [`StateMask::smp_digest`] on: both CPUs' full state (and in-flight
-/// IPIs) are compared at every checkpoint, not just the active one's.
+/// stores to a shared word, and a reschedule doorbell. The run loop
+/// executes blocks while the active CPU runs alone and settles the
+/// scheduler's slice and jitter state afterwards; an IPI send must end
+/// the block so the next step goes through the scheduler. The bare side
+/// is the [`reference_pass`] (it keeps the base's sanitizer); the full
+/// side runs to the campaign-clock readings it recorded, as in
+/// [`pair_ring`]. The decode cache is shared plumbing over
+/// [`PhysMem`](kfi_machine::PhysMem) while the TLB is swapped per CPU,
+/// so this pair would also catch a context swap leaking cached
+/// translations across CPUs. Decode-cache statistics are masked (the
+/// bare side has none); TLB statistics and [`StateMask::smp_digest`] —
+/// both CPUs' full state, the scheduler position and in-flight IPIs —
+/// must match.
 pub fn pair_smp(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
-    let mut a = install(prog, MachineConfig { decode_cache: true, ..base });
-    let mut b = install(prog, MachineConfig { decode_cache: false, ..base });
-    run_lockstep(
-        &mut a,
-        &mut b,
-        prog,
-        &StateMask { decode_stats: false, tlb_stats: true, smp_digest: true },
-    )
+    let r = reference_pass(prog, bare(base));
+    let mut a = run_to_reference(prog, full(base), &r);
+    let mask = StateMask { decode_stats: false, tlb_stats: true, smp_digest: true };
+    let what = "full-pipeline state != single-step state on two CPUs";
+    final_outcome(&mut a, &r.machine, &mask, r.steps, what)
 }
 
 /// Pair: a two-CPU machine whose secondary is never woken vs the plain
@@ -791,6 +744,22 @@ mod tests {
                 let out = pair_smp_parked(&prog, base());
                 assert!(out.clean(), "seed {seed} {variant:?} pair smp-parked failed:\n{out:#?}");
             }
+        }
+    }
+
+    #[test]
+    fn smp_pair_runs_blocks_between_single_steps() {
+        // The smp pair is only worth its runtime if the run-driven side
+        // really executes blocks while a CPU runs alone *and* steps
+        // while both are live. Only a step can switch CPUs, so CPU 1
+        // having run proves the second half.
+        for seed in 0..8u64 {
+            let prog = crate::gen::generate_smp(seed, Variant::Clean);
+            let r = reference_pass(&prog, bare(MachineConfig::default()));
+            let m = run_to_reference(&prog, full(MachineConfig::default()), &r);
+            let (hits, misses, _) = m.block_stats();
+            assert!(hits + misses > 0, "seed {seed}: no block ran");
+            assert!(m.cpu_state(1).tsc > 0, "seed {seed}: CPU 1 never ran");
         }
     }
 

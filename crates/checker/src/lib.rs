@@ -22,8 +22,9 @@
 //!   on vs off, ring/null trace sink, snapshot-restore vs fresh boot,
 //!   shared-snapshot copy-on-write fork vs fresh boot, the full
 //!   pipeline vs the bare interpreter across ring transitions
-//!   ([`diff::pair_ring`]), decode cache on/off on a two-CPU machine
-//!   ([`diff::pair_smp`]), a two-CPU machine with a never-woken
+//!   ([`diff::pair_ring`]), the same on a two-CPU machine whose run
+//!   loop mixes blocks and scheduler steps ([`diff::pair_smp`]), a
+//!   two-CPU machine with a never-woken
 //!   secondary vs the plain uniprocessor ([`diff::pair_smp_parked`]) —
 //!   and, at the campaign level, 1 vs N workers — comparing the full
 //!   architectural state (every CPU's, via
@@ -70,7 +71,8 @@ pub mod gen;
 
 pub use diff::{
     pair_block_engine, pair_chain, pair_decode_cache, pair_fork, pair_restore, pair_ring, pair_smp,
-    pair_smp_parked, pair_trace_sink, run_lockstep, ArchState, Divergence, PairOutcome, StateMask,
+    pair_smp_parked, pair_trace_sink, reference_pass, run_lockstep, run_to_reference, ArchState,
+    Divergence, PairOutcome, Reference, StateMask,
 };
 pub use gen::{
     generate, generate_ring, generate_smp, install, GenProgram, MidFlip, RingSetup, SmpSetup,

@@ -10,9 +10,12 @@
 //! of the promise that golden corpora captured at `cpus = 1` never
 //! need re-blessing. These properties sweep seeded two-CPU programs
 //! (startup IPIs, interleaved shared-memory stores, reschedule
-//! doorbells, in clean and corrupted variants) against both.
+//! doorbells, in clean and corrupted variants) against both, under
+//! single-stepping and under `Machine::run`'s block engine.
 
-use kfi_checker::diff::{pair_smp, pair_smp_parked, ArchState, StateMask, MAX_STEPS};
+use kfi_checker::diff::{
+    pair_smp, pair_smp_parked, reference_pass, run_to_reference, ArchState, StateMask, MAX_STEPS,
+};
 use kfi_checker::gen::{generate, generate_smp, install, Variant};
 use kfi_machine::{MachineConfig, StepEvent};
 use proptest::prelude::*;
@@ -65,18 +68,24 @@ proptest! {
         prop_assert_eq!(a.0, b.0, "final state diverged (seed {})", seed);
     }
 
-    /// The decode cache stays invisible on a two-CPU machine: shared
-    /// cached decode over per-CPU contexts, startup IPIs flushing the
-    /// TLB, and cross-CPU stores to a shared word must all behave
-    /// bit-identically with the cache off.
+    /// The full pipeline stays invisible on a two-CPU machine at any
+    /// quantum and scheduler seed: shared cached decode over per-CPU
+    /// contexts, blocks while one CPU runs alone (with the slice and its
+    /// jitter draws settled afterwards), startup IPIs flushing the TLB,
+    /// and cross-CPU stores to a shared word must all behave
+    /// bit-identically to the bare single-step interpreter.
     #[test]
-    fn decode_cache_is_invisible_under_smp(
+    fn full_pipeline_is_invisible_under_smp(
         seed in 0u64..4096,
         vidx in 0usize..3,
+        quantum in 1u32..160,
+        smp_seed in any::<u64>(),
     ) {
         let prog = generate_smp(seed, variant(vidx));
-        let out = pair_smp(&prog, MachineConfig::default());
-        prop_assert!(out.clean(), "seed {} {:?}: {:?}", seed, variant(vidx), out);
+        let cfg = MachineConfig { smp_quantum: quantum, smp_seed, ..MachineConfig::default() };
+        let out = pair_smp(&prog, cfg);
+        let v = variant(vidx);
+        prop_assert!(out.clean(), "seed {} {:?} q {} s {}: {:?}", seed, v, quantum, smp_seed, out);
     }
 
     /// A never-woken secondary CPU is free: `cpus = 2` runs ordinary
@@ -90,5 +99,27 @@ proptest! {
         let prog = generate(seed, variant(vidx));
         let out = pair_smp_parked(&prog, MachineConfig::default());
         prop_assert!(out.clean(), "seed {} {:?}: {:?}", seed, variant(vidx), out);
+    }
+
+    /// The same invisibility under `Machine::run`: with the secondary
+    /// parked, the bootstrap CPU always runs alone, so the two-CPU
+    /// machine executes through the block engine exactly where the
+    /// uniprocessor does, and both stop where the single-step reference
+    /// did.
+    #[test]
+    fn parked_secondary_cpu_is_invisible_to_run(
+        seed in 0u64..4096,
+        vidx in 0usize..3,
+    ) {
+        let prog = generate(seed, variant(vidx));
+        let cfg = MachineConfig::default();
+        let r = reference_pass(&prog, cfg);
+        let smp = run_to_reference(&prog, MachineConfig { cpus: 2, ..cfg }, &r);
+        let up = run_to_reference(&prog, cfg, &r);
+        let mask = StateMask { decode_stats: true, tlb_stats: true, smp_digest: false };
+        let (s, u) = (ArchState::capture(&smp, &mask), ArchState::capture(&up, &mask));
+        prop_assert_eq!(s.diff(&u), Vec::<String>::new(), "seed {} {:?}", seed, variant(vidx));
+        let reference = ArchState::capture(&r.machine, &mask);
+        prop_assert_eq!(u.diff(&reference), Vec::<String>::new(), "seed {}", seed);
     }
 }

@@ -3,26 +3,65 @@
 //! counts and across a torn-journal resume. The guest interleaving is
 //! a pure function of `(smp_seed, smp_quantum)` — the host scheduler
 //! never enters it — so adding a second guest CPU must not cost any of
-//! the reproducibility guarantees the uniprocessor campaigns have.
+//! the reproducibility guarantees the uniprocessor campaigns have. Nor
+//! may the execution tier: the block engine runs while one CPU runs
+//! alone, and must yield the dataset single-stepping does.
 
 use kfi_core::supervisor::{run_campaign_supervised, SupervisorConfig};
-use kfi_core::{Experiment, ExperimentConfig};
+use kfi_core::{metrics_to_csv, Experiment, ExperimentConfig};
 use kfi_injector::{Campaign, RigConfig};
 use kfi_kernel::KernelBuildOptions;
 use kfi_profiler::ProfilerConfig;
+use kfi_trace::Metrics;
 use std::path::PathBuf;
 
 fn smp_experiment(threads: usize) -> Experiment {
+    smp_experiment_with(threads, RigConfig { cpus: 2, ..RigConfig::default() })
+}
+
+fn smp_experiment_with(threads: usize, rig: RigConfig) -> Experiment {
     Experiment::prepare(ExperimentConfig {
         seed: 23,
         max_per_function: Some(1),
         threads,
         kernel: KernelBuildOptions { smp: true, ..KernelBuildOptions::default() },
-        rig: RigConfig { cpus: 2, ..RigConfig::default() },
+        rig,
         profiler: ProfilerConfig { period: 997, budget: 200_000_000 },
         ..Default::default()
     })
     .expect("prepare")
+}
+
+/// Zeroes the journal-only counters that describe the block tier
+/// itself — the only fields allowed to differ between the tiers.
+fn without_block_counters(m: &Metrics) -> Metrics {
+    Metrics {
+        block_hits: 0,
+        block_misses: 0,
+        block_invalidations: 0,
+        block_chain_links: 0,
+        block_chain_follows: 0,
+        block_chain_breaks: 0,
+        ..m.clone()
+    }
+}
+
+#[test]
+fn smp_campaign_is_bit_identical_on_the_block_tier_and_single_stepped() {
+    let blocks = smp_experiment(2).run_campaign(Campaign::A);
+    let rig =
+        RigConfig { cpus: 2, block_engine: false, block_chain: false, ..RigConfig::default() };
+    let stepped = smp_experiment_with(2, rig).run_campaign(Campaign::A);
+
+    // Anti-vacuity: the two-CPU rig really replays chained blocks, and
+    // the reference really single-steps.
+    assert!(blocks.metrics.block_hits > 0, "the block tier must run on two CPUs");
+    assert!(blocks.metrics.block_chain_follows > 0, "chaining must run on two CPUs");
+    assert_eq!(stepped.metrics.block_hits + stepped.metrics.block_misses, 0);
+
+    assert_eq!(blocks.records, stepped.records);
+    assert_eq!(metrics_to_csv([('A', &blocks.metrics)]), metrics_to_csv([('A', &stepped.metrics)]));
+    assert_eq!(without_block_counters(&blocks.metrics), without_block_counters(&stepped.metrics));
 }
 
 fn tmp(name: &str) -> PathBuf {

@@ -56,18 +56,22 @@
 //!   original, and any surprise (EIP divergence, generation bump,
 //!   conflict eviction, translation change) falls back to the careful
 //!   per-instruction path or exits to the full fetch machinery.
-//! * **Fallback conditions.** [`Machine::run`] only enters block mode
-//!   when the decode cache is on, the sanitizer is off (the
-//!   sanitizer's contract is *per-step* validation), and the machine
-//!   is a uniprocessor — on a `cpus > 1` machine `run` routes to the
-//!   single-stepping SMP scheduler loop instead, where quantum
-//!   boundaries, IPI delivery and per-CPU timers need per-step
-//!   precision; within block mode,
-//!   a pending timer tick, a halted CPU, a latched triple fault, or a
-//!   breakpoint match at the block head all route through the ordinary
-//!   [`Machine::step`] machinery. [`Machine::step`] itself never uses
-//!   blocks, so lockstep tools (the checker, golden-trace capture) see
-//!   unchanged per-step semantics.
+//! * **Fallback conditions.** [`Machine::run`] only uses blocks when
+//!   the decode cache is on and the sanitizer is off (the sanitizer's
+//!   contract is *per-step* validation). Even then a pending timer
+//!   tick, a halted CPU, a latched triple fault, or a breakpoint match
+//!   at the block head routes through the ordinary [`Machine::step`]
+//!   machinery. On a `cpus > 1` machine so does every step the active
+//!   CPU does not run *alone*: while another CPU is live or an IPI is
+//!   pending, quantum boundaries, rotations and IPI delivery need
+//!   per-step precision. Alone, the scheduler can do nothing but renew
+//!   the active CPU's own slice, so blocks ignore the quantum and `run`
+//!   settles the slice (and its jitter draws) by the steps each block
+//!   retired. Only an IPI send can end that state, so on SMP machines
+//!   an `out` that may write the IPI port ends blocks and traces like
+//!   a terminator. [`Machine::step`] itself never uses blocks, so
+//!   lockstep tools (the checker, golden-trace capture) see unchanged
+//!   per-step semantics.
 //!
 //! [`Machine::run`]: crate::Machine::run
 //! [`Machine::step`]: crate::Machine::step
@@ -76,7 +80,7 @@ use crate::machine::{Fault, Machine};
 use crate::mem::{PhysMem, PAGE_SIZE};
 use crate::mmu::Access;
 use crate::trap::Vector;
-use kfi_isa::{Insn, Op};
+use kfi_isa::{Insn, Op, PortArg};
 use std::sync::Arc;
 
 const PAGE_MASK: u32 = PAGE_SIZE - 1;
@@ -142,6 +146,19 @@ fn chain_stops(op: &Op) -> bool {
             | Op::Hlt
             | Op::MovToCr { .. }
     )
+}
+
+/// True when `op` may write [`ports::MON_IPI`](crate::ports::MON_IPI):
+/// an `out` to that immediate port or to a port in DX. On an SMP
+/// machine such a write can wake another CPU or queue an IPI for the
+/// active one, after which the scheduler needs per-step precision, so
+/// there it ends blocks and traces.
+fn may_send_ipi(op: &Op) -> bool {
+    match op {
+        Op::Out { port: PortArg::Dx, .. } => true,
+        Op::Out { port: PortArg::Imm(p), .. } => u16::from(*p) == crate::ports::MON_IPI,
+        _ => false,
+    }
 }
 
 /// True when `op` must end a basic block: it writes EIP itself, can
@@ -432,7 +449,8 @@ enum ChainExit {
 /// *computed* successor (`ret`, indirect branch, a repeating string
 /// op's own address) is as chainable as a static one. Everything
 /// privilege- or regime-changing (`int`, `iret`, `lret`, `mov %cr`),
-/// plus halt and the trap instructions, goes back to the dispatcher.
+/// plus halt and the trap instructions, goes back to the dispatcher, as
+/// does a possible IPI send on an SMP machine.
 fn chain_exit(m: &Machine, insn: &Insn, eip: u32) -> ChainExit {
     match insn.op {
         Op::Jmp { .. }
@@ -446,6 +464,7 @@ fn chain_exit(m: &Machine, insn: &Insn, eip: u32) -> ChainExit {
             let fallthrough = eip.wrapping_add(u32::from(insn.len));
             ChainExit::Chain { dir: usize::from(m.cpu.eip == fallthrough) }
         }
+        ref op if m.smp.is_some() && may_send_ipi(op) => ChainExit::Stop,
         ref op if !ends_block(op) => ChainExit::Chain { dir: 1 },
         _ => ChainExit::Stop,
     }
@@ -488,9 +507,10 @@ impl Machine {
     /// or, with chaining enabled, a whole segment of blocks linked by
     /// statically-known exits.
     ///
-    /// The caller — the block-mode run loop — guarantees on entry: no
-    /// latched triple fault, CPU not halted, no pending timer tick, no
-    /// breakpoint match at the current EIP, and `tsc < deadline`.
+    /// The caller — [`Machine::run`] — guarantees on entry: no latched
+    /// triple fault, CPU not halted, no pending timer tick, no
+    /// breakpoint match at the current EIP, `tsc < deadline`, and on an
+    /// SMP machine that the active CPU runs alone.
     pub(crate) fn exec_block(&mut self, deadline: u64) {
         // Mid-block boundaries must stop wherever the single-step loop
         // would have intervened: the run deadline or the next timer
@@ -993,6 +1013,7 @@ impl Machine {
     /// before trusting it.
     fn record_block(&mut self, eip0: u32, pa0: u32, limit: u64) {
         let traces = self.block_cache.chain_enabled();
+        let smp = self.smp.is_some();
         let paging = self.cpu.paging();
         let page = eip0 & !PAGE_MASK;
         let page_pa = pa0 & !PAGE_MASK;
@@ -1049,9 +1070,12 @@ impl Machine {
             // iteration is one recorded step, exactly as single-step
             // counts them): the replay's per-step physical-address
             // compare verifies live control flow still follows the
-            // recorded path. Only privilege/regime changes, halts, and
-            // traps end a trace. Plain blocks keep the PR 5 rule.
-            let stop = if traces { chain_stops(&insn.op) } else { ends_block(&insn.op) };
+            // recorded path. Only privilege/regime changes, halts,
+            // traps and, on SMP machines, possible IPI sends end a
+            // trace. Plain blocks stop at every control transfer, and at
+            // the same IPI sends.
+            let stop = if traces { chain_stops(&insn.op) } else { ends_block(&insn.op) }
+                || (smp && may_send_ipi(&insn.op));
             if faulted || !recordable || stop || steps.len() >= MAX_BLOCK_INSNS {
                 break;
             }

@@ -96,10 +96,11 @@ pub enum RunExit {
     CycleLimit,
 }
 
-/// How many executed steps may pass between polls of the wall-clock
-/// [abort flag](Machine::set_abort_flag) inside [`Machine::run`]. Small
-/// enough that a livelocked run is reaped promptly, large enough that
-/// the atomic load stays invisible in the exec-loop benchmarks.
+/// The most executed steps that may pass between polls of the
+/// wall-clock [abort flag](Machine::set_abort_flag) inside
+/// [`Machine::run`]. The run loop polls once per iteration, and an
+/// iteration is one step or one chained block segment of at most half
+/// this many instructions, so a livelocked run is reaped promptly.
 pub const ABORT_CHECK_STEPS: u32 = 4096;
 
 /// Machine configuration.
@@ -154,10 +155,11 @@ pub struct MachineConfig {
     /// Number of guest CPUs (default 1). With `cpus = 1` the machine
     /// allocates no SMP state at all and executes exactly the
     /// uniprocessor code path. With `cpus > 1`, secondary CPUs start
-    /// parked (halted, interrupts off) until a startup IPI, the CPUs
+    /// parked (halted, interrupts off) until a startup IPI, and the CPUs
     /// interleave round-robin at [`MachineConfig::smp_quantum`]-step
-    /// slices over the shared physical memory, and [`Machine::run`]
-    /// single-steps (the block engine is a uniprocessor fast path).
+    /// slices over the shared physical memory. [`Machine::run`] uses the
+    /// block engine while the active CPU runs alone and single-steps
+    /// while another CPU is live or an IPI is pending.
     pub cpus: u32,
     /// Round-robin slice length in steps for `cpus > 1` (default 64).
     /// Together with [`MachineConfig::smp_seed`] this fully determines
@@ -324,7 +326,7 @@ pub struct Machine {
     blk_status: u32,
     /// Parked per-CPU contexts + IPI queues; allocated iff
     /// `config.cpus > 1`, so uniprocessor machines pay one pointer.
-    smp: Option<Box<crate::smp::SmpState>>,
+    pub(crate) smp: Option<Box<crate::smp::SmpState>>,
     delivering: u32,
     triple_faulted: bool,
     /// Cooperative wall-clock abort: when the supervisor's watchdog
@@ -1179,6 +1181,39 @@ impl Machine {
         smp.slice_left = smp.slice_left.saturating_sub(1);
     }
 
+    /// Whether the active CPU runs alone: it is not halted, no IPI waits
+    /// for it, and no other CPU is [live](Machine::cpu_live). Then
+    /// [`Machine::smp_schedule`] can only renew the active CPU's own
+    /// slice (its rotation scan finds no other live CPU) and
+    /// [`Machine::smp_take_ipi`] has nothing to deliver. Parked CPUs
+    /// never change on their own, so only an IPI send can end this.
+    fn smp_alone(&self) -> bool {
+        let smp = self.smp.as_ref().unwrap();
+        !self.cpu.halted
+            && smp.pending[smp.active].is_empty()
+            && (0..smp.ctxs.len()).all(|j| j == smp.active || !self.cpu_live(j))
+    }
+
+    /// Settles the scheduler after a block in which the active CPU
+    /// retired `steps` steps alone. Before each of them
+    /// [`Machine::smp_schedule`] would have renewed the slice if it was
+    /// exhausted and then consumed one step, with no rotation (see
+    /// [`Machine::smp_alone`]); this applies that rule `steps` times. A
+    /// renewal draws the jitter `rng` exactly as often as stepping
+    /// would, so a seeded schedule comes out identical.
+    fn smp_settle(&mut self, mut steps: u64) {
+        let quantum = self.config.smp_quantum;
+        let smp = self.smp.as_mut().unwrap();
+        while steps > 0 {
+            if smp.slice_left == 0 {
+                smp.slice_left = smp.next_quantum(quantum);
+            }
+            let k = steps.min(u64::from(smp.slice_left));
+            smp.slice_left -= k as u32;
+            steps -= k;
+        }
+    }
+
     /// Delivers at most one pending IPI to the active CPU (startup
     /// unconditionally, reschedule only once IF is set), consuming the
     /// step like a timer delivery does. Returns `None` when nothing is
@@ -1496,107 +1531,69 @@ impl Machine {
     /// Runs until a breakpoint, halt, triple fault, the cycle budget is
     /// exhausted, or the [abort flag](Machine::set_abort_flag) is set
     /// (also reported as [`RunExit::CycleLimit`] — the watchdog's view).
-    pub fn run(&mut self, max_cycles: u64) -> RunExit {
-        if self.smp.is_some() {
-            return self.run_smp(max_cycles);
-        }
-        let deadline = self.cpu.tsc.saturating_add(max_cycles);
-        if self.block_cache.enabled() && self.san.is_none() {
-            return self.run_block_mode(deadline);
-        }
-        let mut steps: u32 = 0;
-        loop {
-            if self.cpu.tsc >= deadline {
-                return RunExit::CycleLimit;
-            }
-            steps = steps.wrapping_add(1);
-            if steps % ABORT_CHECK_STEPS == 0 {
-                if let Some(flag) = &self.abort {
-                    if flag.load(std::sync::atomic::Ordering::Relaxed) {
-                        return RunExit::CycleLimit;
-                    }
-                }
-            }
-            match self.step() {
-                StepEvent::Executed => {}
-                StepEvent::DebugBreak { index } => return RunExit::DebugBreak { index },
-                StepEvent::Halted => return RunExit::Halted,
-                StepEvent::TripleFault => return RunExit::TripleFault,
-            }
-        }
-    }
-
-    /// Block-at-a-time body of [`Machine::run`]. Anything that needs
-    /// per-step precision — pending timer tick, halted CPU, latched
-    /// triple fault, breakpoint match at the block head — is routed
-    /// through one ordinary [`Machine::step`]; the straight-line rest
-    /// executes via the block engine with the abort flag polled once
-    /// per dispatch — a single block (at most 64 instructions) without
-    /// chaining, or one chained segment (bounded at half of
-    /// [`ABORT_CHECK_STEPS`] retired instructions) with it, so either
-    /// way the poll cadence stays inside the single-step contract.
-    fn run_block_mode(&mut self, deadline: u64) -> RunExit {
-        loop {
-            if self.cpu.tsc >= deadline {
-                return RunExit::CycleLimit;
-            }
-            if let Some(flag) = &self.abort {
-                if flag.load(std::sync::atomic::Ordering::Relaxed) {
-                    return RunExit::CycleLimit;
-                }
-            }
-            let needs_step = self.triple_faulted
-                || self.cpu.halted
-                || (self.config.timer_enabled && self.cpu.tsc >= self.next_tick)
-                || (self.cpu.dr7 != 0 && self.cpu.breakpoint_match(self.cpu.eip).is_some());
-            if needs_step {
-                match self.step() {
-                    StepEvent::Executed => continue,
-                    StepEvent::DebugBreak { index } => return RunExit::DebugBreak { index },
-                    StepEvent::Halted => return RunExit::Halted,
-                    StepEvent::TripleFault => return RunExit::TripleFault,
-                }
-            }
-            self.exec_block(deadline);
-            // A fault cascade inside the block can latch a triple
-            // fault; report it before the deadline, as the single-step
-            // loop would.
-            if self.triple_faulted {
-                return RunExit::TripleFault;
-            }
-        }
-    }
-
-    /// Multi-CPU body of [`Machine::run`]: always single-steps (the
-    /// block engine is a uniprocessor fast path), so every quantum
-    /// boundary, IPI delivery and per-CPU timer is exact. The cycle
-    /// budget counts against the machine-wide maximum TSC — per-CPU
+    ///
+    /// The budget counts against the machine-wide clock
+    /// [`Machine::max_tsc`] (just the TSC on a uniprocessor): per-CPU
     /// TSCs drift under interleaving, and budgeting the laggard would
     /// stretch the watchdog by the drift.
-    fn run_smp(&mut self, max_cycles: u64) -> RunExit {
-        let mut hi = self.max_tsc();
-        let deadline = hi.saturating_add(max_cycles);
-        let mut steps: u32 = 0;
+    ///
+    /// Each iteration takes one [`Machine::step`] when the next step
+    /// needs per-step precision, and otherwise executes through the
+    /// block engine. A step is needed when the engine is off or the
+    /// sanitizer (whose contract is per-step validation) is on, a triple
+    /// fault is latched, the CPU is halted, a timer tick is due, a
+    /// breakpoint matches at EIP, or, on an SMP machine, the active CPU
+    /// does not run alone: another CPU is live, an IPI is pending for
+    /// it, or it is halted. A uniprocessor is the case with no
+    /// scheduler. While the active CPU runs alone, a quantum boundary
+    /// only renews its own slice, so blocks are not cut there; the slice
+    /// and the jitter state are advanced afterwards by the steps each
+    /// block retired, and a port write that may send an IPI ends the
+    /// block.
+    pub fn run(&mut self, max_cycles: u64) -> RunExit {
+        let mut now = self.max_tsc();
+        let deadline = now.saturating_add(max_cycles);
+        let blocks = self.block_cache.enabled() && self.san.is_none();
         loop {
-            hi = hi.max(self.cpu.tsc);
-            if hi >= deadline {
+            // Parked CPUs' TSCs do not move, so this running maximum
+            // stays equal to `max_tsc()` without rescanning them.
+            now = now.max(self.cpu.tsc);
+            if now >= deadline || self.abort_requested() {
                 return RunExit::CycleLimit;
             }
-            steps = steps.wrapping_add(1);
-            if steps % ABORT_CHECK_STEPS == 0 {
-                if let Some(flag) = &self.abort {
-                    if flag.load(std::sync::atomic::Ordering::Relaxed) {
-                        return RunExit::CycleLimit;
-                    }
+            let event = if blocks && !self.needs_step() {
+                let retired = self.counters.instructions;
+                self.exec_block(deadline);
+                if self.smp.is_some() {
+                    self.smp_settle(self.counters.instructions - retired);
                 }
-            }
-            match self.step() {
+                // A fault cascade inside the block can latch a triple
+                // fault; report it before the deadline, as a step would.
+                if self.triple_faulted {
+                    StepEvent::TripleFault
+                } else {
+                    StepEvent::Executed
+                }
+            } else {
+                self.step()
+            };
+            match event {
                 StepEvent::Executed => {}
                 StepEvent::DebugBreak { index } => return RunExit::DebugBreak { index },
                 StepEvent::Halted => return RunExit::Halted,
                 StepEvent::TripleFault => return RunExit::TripleFault,
             }
         }
+    }
+
+    /// Whether [`Machine::run`] must take the next step through
+    /// [`Machine::step`] rather than the block engine (see there).
+    fn needs_step(&self) -> bool {
+        self.triple_faulted
+            || self.cpu.halted
+            || (self.config.timer_enabled && self.cpu.tsc >= self.next_tick)
+            || (self.cpu.dr7 != 0 && self.cpu.breakpoint_match(self.cpu.eip).is_some())
+            || (self.smp.is_some() && !self.smp_alone())
     }
 }
 
@@ -2208,6 +2205,128 @@ mod smp_tests {
         smp.cpu.eip = 0x1000;
         assert_eq!(smp.run(10_000), RunExit::Halted);
         assert_eq!(smp.console_string(), "03");
+    }
+
+    /// Runs `mk`'s program to its halt twice — single-stepping, and
+    /// through [`Machine::run`] — and requires identical full states:
+    /// every CPU, the scheduler position and jitter state (the smp
+    /// digest), memory, logs, counters, and cache and TLB statistics.
+    fn assert_run_matches_stepping(mk: impl Fn() -> Machine) -> Machine {
+        let mut stepped = mk();
+        let mut steps = 0u32;
+        while stepped.step() != StepEvent::Halted {
+            steps += 1;
+            assert!(steps < 1_000_000, "the stepped reference never halted");
+        }
+        let mut ran = mk();
+        assert_eq!(ran.run(10_000_000), RunExit::Halted);
+        assert!(ran.block_stats().0 > 0, "run must have replayed blocks");
+        assert_eq!(ran.smp_digest(), stepped.smp_digest());
+        for i in 0..ran.cpus() as usize {
+            assert_eq!(ran.cpu_state(i), stepped.cpu_state(i), "CPU {i}");
+        }
+        assert_eq!(ran.counters(), stepped.counters());
+        assert_eq!(ran.console(), stepped.console());
+        assert_eq!(ran.monitor_events(), stepped.monitor_events());
+        assert_eq!(ran.trap_log(), stepped.trap_log());
+        assert_eq!(ran.tlb_stats(), stepped.tlb_stats());
+        assert_eq!(ran.decode_stats(), stepped.decode_stats());
+        assert!(ran.mem.slice(0, ran.mem.size()) == stepped.mem.slice(0, stepped.mem.size()));
+        ran
+    }
+
+    fn jittered_smp_machine(smp_seed: u64) -> Machine {
+        Machine::new(MachineConfig {
+            timer_enabled: false,
+            cpus: 2,
+            smp_quantum: 7,
+            smp_seed,
+            ..Default::default()
+        })
+    }
+
+    #[test]
+    fn self_ipi_mid_trace_runs_like_single_stepping() {
+        // A 1000-iteration loop whose 951st iteration rings CPU 0's own
+        // reschedule doorbell from the middle of a hot trace. The
+        // handler logs the iteration count (EBX) it interrupted, so an
+        // IPI delivered even one instruction late shows.
+        for smp_seed in [0, 0x5eed_f00d] {
+            let ran = assert_run_matches_stepping(|| {
+                let mut m = jittered_smp_machine(smp_seed);
+                m.cpu.idt_base = 0x3000;
+                m.mem.write_u32(0x3000 + 0x21 * 8, 0x4000);
+                m.mem.write_u32(0x3000 + 0x21 * 8 + 4, 1);
+                // mov %ebx,%eax; out %eax,$0xf1; iret
+                m.mem.load(0x4000, &[0x89, 0xd8, 0xe7, 0xf1, 0xcf]);
+                m.mem.load(
+                    0x1000,
+                    &[
+                        0xfb, // sti
+                        0xb9, 0xe8, 0x03, 0, 0,    // mov $1000,%ecx
+                        0x43, // loop: inc %ebx
+                        0x83, 0xf9, 50, // cmp $50,%ecx
+                        0x75, 0x07, // jne skip
+                        0xb8, 0, 0, 0, 0, // mov $0,%eax (reschedule -> CPU 0)
+                        0xe7, 0xf7, // out %eax,$0xf7
+                        0x42, // skip: inc %edx
+                        0x49, // dec %ecx
+                        0x75, 0xef, // jne loop
+                        0xfa, 0xf4, // cli; hlt
+                    ],
+                );
+                m.cpu.eip = 0x1000;
+                m.cpu.set_reg(4, 0x8000);
+                m
+            });
+            assert_eq!(ran.counters().ipis, 1);
+            assert!(matches!(ran.monitor_events(), [(_, MonitorEvent::Result(951))]));
+        }
+    }
+
+    #[test]
+    fn waking_the_other_cpu_mid_trace_runs_like_single_stepping() {
+        // CPU 0 sums a shared counter over a 1000-iteration loop and,
+        // in its 951st iteration, starts CPU 1, which bumps that counter
+        // 20 times and halts. The sum depends on every interleaving
+        // decision, and CPU 0 runs alone both before and after.
+        for smp_seed in [0, 0x5eed_f00d] {
+            let ran = assert_run_matches_stepping(|| {
+                let mut m = jittered_smp_machine(smp_seed);
+                m.mem.load(
+                    0x1000,
+                    &[
+                        0xb9, 0xe8, 0x03, 0, 0, // mov $1000,%ecx
+                        0x03, 0x35, 0x00, 0x90, 0, 0, // loop: add 0x9000,%esi
+                        0x83, 0xf9, 50, // cmp $50,%ecx
+                        0x75, 0x0e, // jne skip
+                        0xb8, 0x00, 0x20, 0, 0, // mov $0x2000,%eax
+                        0xe7, 0xf9, // out %eax,$0xf9 (latch entry)
+                        0xb8, 0x00, 0x01, 0x01, 0x00, // mov $0x10100,%eax
+                        0xe7, 0xf7, // out %eax,$0xf7 (startup -> CPU 1)
+                        0x42, // skip: inc %edx
+                        0x49, // dec %ecx
+                        0x75, 0xe3, // jne loop
+                        0xfa, 0xf4, // cli; hlt
+                    ],
+                );
+                m.mem.load(
+                    0x2000,
+                    &[
+                        0xb9, 20, 0, 0, 0, // mov $20,%ecx
+                        0xff, 0x05, 0x00, 0x90, 0, 0,    // loop: incl 0x9000
+                        0x49, // dec %ecx
+                        0x75, 0xf7, // jne loop
+                        0xfa, 0xf4, // cli; hlt
+                    ],
+                );
+                m.cpu.eip = 0x1000;
+                m.cpu.set_reg(4, 0x8000);
+                m
+            });
+            assert!(ran.cpu_state(1).halted && ran.cpu_state(1).tsc > 0, "CPU 1 ran");
+            assert_eq!(ran.mem.read_u32(0x9000), 20);
+        }
     }
 
     #[test]
