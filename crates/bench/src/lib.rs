@@ -145,9 +145,29 @@ fn number_arg<T: std::str::FromStr>(args: &[String], i: usize) -> T {
     }
 }
 
+/// The names in a comma list, trimmed, empty ones dropped.
+fn name_list(s: &str) -> Vec<String> {
+    s.split(',').map(|w| w.trim().to_string()).filter(|w| !w.is_empty()).collect()
+}
+
+/// Exits 2 with the usage text when the comma list given to `flag`
+/// names anything outside `valid`, listing the valid names.
+fn check_names(flag: &str, list: Option<&str>, valid: &[&str]) {
+    let Some(bad) = list.into_iter().flat_map(name_list).find(|n| !valid.contains(&n.as_str()))
+    else {
+        return;
+    };
+    eprintln!("{flag}: unknown name `{bad}` (valid: {})\n", valid.join(", "));
+    eprint!("{USAGE}");
+    std::process::exit(2);
+}
+
 fn parse_index_list(s: &str) -> std::collections::BTreeSet<usize> {
     s.split(',').filter_map(|v| v.trim().parse().ok()).collect()
 }
+
+/// The kernel variants `--matrix-kernels` can name.
+const MATRIX_KERNELS: [&str; 2] = ["base", "server"];
 
 /// The `--help` text shared by the repro binaries (they differ only in
 /// which outputs they print, not in which knobs they accept).
@@ -228,8 +248,9 @@ impl ReproOptions {
     /// matrix RNG derivation — and exits. A missing or malformed value
     /// of any numeric flag (`--cap`, `--seed`, `--threads`, `--cpus`,
     /// `--wall-budget-ms`, `--dist-workers`, `--chaos`, `--dist-hb-ms`,
-    /// `--dist-hb-budget-ms`, `--dist-handshake-ms`), and any unknown
-    /// argument, prints the usage text to stderr and exits 2.
+    /// `--dist-hb-budget-ms`, `--dist-handshake-ms`), any unknown
+    /// argument, and an unknown name in a matrix axis list print the
+    /// usage text to stderr and exit 2.
     pub fn from_args() -> ReproOptions {
         let mut o = ReproOptions::default();
         let args: Vec<String> = std::env::args().collect();
@@ -331,6 +352,17 @@ impl ReproOptions {
             }
             i += 1;
         }
+        check_names("--matrix-kernels", o.matrix_kernels.as_deref(), &MATRIX_KERNELS);
+        check_names(
+            "--matrix-workloads",
+            o.matrix_workloads.as_deref(),
+            &kfi_workloads::Suite::Traffic.workloads(),
+        );
+        check_names(
+            "--matrix-subsystems",
+            o.matrix_subsystems.as_deref(),
+            &kfi_trace::subsystem::NAMES,
+        );
         o
     }
 
@@ -357,14 +389,10 @@ impl ReproOptions {
     ///
     /// # Panics
     ///
-    /// Panics on an unknown `--matrix-kernels` name (only `base` and
-    /// `server` kernels exist).
+    /// Panics on a `--matrix-kernels` name other than `base` and
+    /// `server`, which [`ReproOptions::from_args`] already refuses.
     pub fn matrix_config(&self) -> kfi_core::MatrixConfig {
-        let list = |s: &Option<String>| -> Option<Vec<String>> {
-            s.as_ref().map(|v| {
-                v.split(',').map(|w| w.trim().to_string()).filter(|w| !w.is_empty()).collect()
-            })
-        };
+        let list = |s: &Option<String>| s.as_deref().map(name_list);
         let defaults = kfi_core::MatrixConfig::default();
         let kernel_names = list(&self.matrix_kernels)
             .unwrap_or_else(|| defaults.kernels.iter().map(|(n, _)| n.clone()).collect());
@@ -785,6 +813,9 @@ pub fn run_study_supervised(
             t.activated,
             t.crash_or_hang()
         );
+    }
+    if let Some(stats) = exp.severity_stats() {
+        eprintln!("[kfi] severity: {stats}");
     }
     let rep = &supervised.report;
     if cfg.journal.is_some() {

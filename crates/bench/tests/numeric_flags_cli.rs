@@ -2,7 +2,9 @@
 //! whose value is not a number (or is missing) exits 2 with the usage
 //! text, before any campaign runs, instead of silently falling back to
 //! a default, an uncapped study, an in-process run or a disabled
-//! watchdog; so does an argument the binaries do not know.
+//! watchdog; so does an argument the binaries do not know, and a
+//! matrix axis list naming a kernel, workload or subsystem that does not
+//! exist (the error lists the valid names).
 
 use std::process::Command;
 
@@ -46,5 +48,25 @@ fn malformed_numbers_exit_2_with_the_usage() {
             assert!(stderr.contains("usage: repro_all"), "{args:?}: {stderr}");
             assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
         }
+    }
+}
+
+#[test]
+fn unknown_matrix_axis_names_exit_2_with_the_valid_names() {
+    for (flag, list, bad, valid) in [
+        ("--matrix-kernels", "base,bogus", "bogus", "base, server"),
+        ("--matrix-workloads", "echo,bogus", "bogus", "echo, netstorm, sysstorm, forkflood"),
+        ("--matrix-subsystems", "bogus", "bogus", "arch, drivers, fs, init, ipc, kernel"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro_all"))
+            .args(["--matrix", "--cap", "1", flag, list])
+            .output()
+            .expect("spawn repro_all");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(stderr.contains(&format!("{flag}: unknown name `{bad}`")), "{flag}: {stderr}");
+        assert!(stderr.contains(valid), "{flag}: {stderr}");
+        assert!(stderr.contains("usage: repro_all"), "{flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag}: nothing may run");
     }
 }

@@ -272,6 +272,14 @@ impl Experiment {
         Some(shared.store().captures())
     }
 
+    /// How the shared base's crashes got their severity verdicts so far
+    /// ([`RigShared::severity_stats`]). `None` when the base has not been
+    /// booted (memoization off, or no rig made yet).
+    pub fn severity_stats(&self) -> Option<kfi_injector::SeverityStats> {
+        let shared = self.shared_base.get()?.as_ref().ok()?;
+        Some(shared.severity_stats())
+    }
+
     /// Runs one campaign, fanning the planned targets across
     /// supervised worker threads (each with its own machine + rig).
     ///

@@ -6,8 +6,8 @@ use crate::target::InjectionTarget;
 use kfi_kernel::layout::{causes, events};
 use kfi_kernel::{boot, fsck, mkfs::FileSpec, BootConfig, FsckReport, KernelImage};
 use kfi_machine::{
-    Machine, MachineConfig, MonitorEvent, Ramdisk, ResetResidue, RunExit, Snapshot, StepEvent,
-    TrapRecord, Vector,
+    Machine, MachineConfig, MonitorEvent, Ramdisk, ResetResidue, ResidueFootprint, RunExit,
+    Snapshot, StepEvent, TrapRecord, Vector, SECTOR_SIZE,
 };
 use kfi_trace::{outcome as trace_outcome, subsystem as trace_subsystem};
 use kfi_trace::{Event, EventKind, Metrics, TraceSink};
@@ -164,11 +164,12 @@ fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
 /// next asker captures again. A poisoned slot (a capture that panicked)
 /// is empty in the same way.
 ///
-/// Two memos use it:
+/// Three memos use it:
 /// * [`GoldenStore`]: golden runs by `(kernel-config fingerprint,
 ///   workload mode)`;
+/// * [`PowerOnStore`]: power-on severity reboots by crash disk;
 /// * [`SeverityStore`]: post-crash severity verdicts by
-///   [`SeverityKey`].
+///   [`SeverityKey`], for residues the power-on reboot read.
 pub struct OnceStore<K, V> {
     #[allow(clippy::type_complexity)]
     entries: Mutex<BTreeMap<K, Arc<Mutex<Option<V>>>>>,
@@ -240,23 +241,61 @@ impl<K: Ord, V: Clone> OnceStore<K, V> {
 /// [`RigError`].
 pub type GoldenStore = OnceStore<(u64, u32), Result<Arc<GoldenRun>, RigError>>;
 
+/// A post-crash disk as `(lba, bytes)` of the sectors that differ from
+/// the post-boot image ([`Ramdisk::delta_from`]).
+pub type DiskDelta = Vec<(u32, Vec<u8>)>;
+
 /// Everything the post-crash severity assessment reads that can differ
 /// between crashes of one [`RigShared`] (whose image, manifest, post-boot
 /// disk and configuration are fixed): the disk and the machine state the
 /// reboot inherits.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SeverityKey {
-    /// The post-crash disk as `(lba, bytes)` of the sectors that differ
-    /// from the post-boot image ([`Ramdisk::delta_from`]).
-    disk: Vec<(u32, Vec<u8>)>,
+    /// The post-crash disk.
+    disk: DiskDelta,
     /// The machine state the reboot does not reset
     /// ([`Machine::reset_residue`]).
     residue: ResetResidue,
 }
 
-/// The memo of post-crash severity verdicts: one fsck and reboot per
+/// The memo of post-crash severity verdicts for residues the power-on
+/// reboot of their disk read ([`PowerOnStore`]): one fsck and reboot per
 /// distinct [`SeverityKey`].
 pub type SeverityStore = OnceStore<SeverityKey, (Severity, FsckReport)>;
+
+/// The memo of power-on severity reboots: per distinct crash disk, one
+/// fsck and one reboot from the [power-on residue](ResetResidue::power_on)
+/// under the residue observer. Its verdict holds for every crash with
+/// that disk whose residue the footprint admits. `None` for the
+/// footprint means the fsck found the disk unrecoverable: there was no
+/// reboot, and the verdict holds for every residue.
+pub type PowerOnStore = OnceStore<DiskDelta, (Severity, FsckReport, Option<ResidueFootprint>)>;
+
+/// How a [`RigShared`]'s crashes got their severity verdicts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SeverityStats {
+    /// Severity assessments (one per crash run on a fork).
+    pub crashes: u64,
+    /// Reboots from the power-on residue: captures in the
+    /// [`PowerOnStore`] whose fsck found the disk recoverable.
+    pub power_on_reboots: u64,
+    /// Reboots with a crash's own residue: captures in the
+    /// [`SeverityStore`] (an unrecoverable disk never gets there).
+    pub exact_reboots: u64,
+    /// Assessments answered from the stores without an fsck or reboot.
+    pub hits: u64,
+}
+
+impl std::fmt::Display for SeverityStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let SeverityStats { crashes, power_on_reboots, exact_reboots, hits } = self;
+        write!(
+            f,
+            "crashes={crashes} power_on_reboots={power_on_reboots} \
+             exact_reboots={exact_reboots} hits={hits}"
+        )
+    }
+}
 
 /// Everything produced by booting a workload once, before any golden
 /// run or injection: the post-boot machine, its snapshot, and the
@@ -320,8 +359,8 @@ fn boot_base(
 
 /// The shared, immutable post-boot base of a campaign: one boot's worth
 /// of state ([`Snapshot`] with `Arc`-shared memory, post-boot disk,
-/// filesystem manifest) plus the campaign-wide [`GoldenStore`] and
-/// [`SeverityStore`].
+/// filesystem manifest) plus the campaign-wide [`GoldenStore`],
+/// [`PowerOnStore`] and [`SeverityStore`].
 ///
 /// Boot once with [`RigShared::boot`], then hand the `Arc` to every
 /// worker; each [`InjectorRig::fork`] builds a private copy-on-write
@@ -342,7 +381,13 @@ pub struct RigShared {
     n_modes: u32,
     fingerprint: u64,
     store: GoldenStore,
+    power_on: PowerOnStore,
     severity: SeverityStore,
+    /// Severity assessments, those answered without a capture, and
+    /// power-on captures that rebooted.
+    assessments: AtomicU64,
+    assessment_hits: AtomicU64,
+    power_on_reboots: AtomicU64,
 }
 
 impl RigShared {
@@ -393,7 +438,11 @@ impl RigShared {
             n_modes,
             fingerprint: fp,
             store: GoldenStore::default(),
+            power_on: PowerOnStore::default(),
             severity: SeverityStore::default(),
+            assessments: AtomicU64::new(0),
+            assessment_hits: AtomicU64::new(0),
+            power_on_reboots: AtomicU64::new(0),
         }))
     }
 
@@ -402,9 +451,14 @@ impl RigShared {
         &self.store
     }
 
-    /// The campaign-wide severity store.
-    pub fn severity_store(&self) -> &SeverityStore {
-        &self.severity
+    /// How this base's crashes got their severity verdicts so far.
+    pub fn severity_stats(&self) -> SeverityStats {
+        SeverityStats {
+            crashes: self.assessments.load(Ordering::Relaxed),
+            power_on_reboots: self.power_on_reboots.load(Ordering::Relaxed),
+            exact_reboots: self.severity.captures(),
+            hits: self.assessment_hits.load(Ordering::Relaxed),
+        }
     }
 
     /// Boot duration in cycles (identical for every fork).
@@ -1052,37 +1106,93 @@ impl InjectorRig {
     /// inconsistencies → severe; else normal. Returns the fsck report
     /// for the record.
     ///
-    /// A forked rig asks its base's [`SeverityStore`] first, keyed by
-    /// everything the assessment reads ([`SeverityKey`]), and runs fsck
-    /// and the reboot only for an input no rig has assessed yet. A
-    /// stored answer leaves the machine in its post-crash state; a
-    /// computed one leaves it rebooted.
+    /// A standalone rig reboots every crash with its own residue. A
+    /// forked rig first asks its base's [`PowerOnStore`] for the crash
+    /// disk, rebooting once per distinct disk from the power-on residue
+    /// under the residue observer; when the footprint admits the crash's
+    /// residue, that verdict is the one its own reboot would give. Any
+    /// other residue goes through the [`SeverityStore`], keyed by
+    /// everything the assessment reads ([`SeverityKey`]). A stored
+    /// answer leaves the machine in its post-crash state; a computed one
+    /// leaves it rebooted.
     pub fn assess_severity(&mut self) -> (Severity, FsckReport) {
+        let residue = self.machine.reset_residue();
         let Some(shared) = self.shared.clone() else {
-            return self.reboot_severity().0;
+            let disk = self.machine.disk.take().expect("disk").into_bytes();
+            let ((severity, report, _), _) = self.reboot(disk, &residue, false);
+            return (severity, report);
         };
+        shared.assessments.fetch_add(1, Ordering::Relaxed);
         let disk = self.machine.disk.as_ref().expect("disk");
-        let key = SeverityKey {
-            disk: disk.delta_from(&self.post_boot_disk, self.snapshot.id()),
-            residue: self.machine.reset_residue(),
+        let delta = disk.delta_from(&self.post_boot_disk, self.snapshot.id());
+        let mut captured = false;
+        let (severity, report, footprint) =
+            shared.power_on.get_or_capture_if(delta.clone(), || {
+                captured = true;
+                let disk = self.machine.disk.take().expect("disk").into_bytes();
+                let power_on = ResetResidue::power_on(self.machine.config());
+                let ((severity, report, footprint), keep) = self.reboot(disk, &power_on, true);
+                // Only a reboot leaves a footprint.
+                if footprint.is_some() {
+                    shared.power_on_reboots.fetch_add(1, Ordering::Relaxed);
+                }
+                ((severity, report, footprint), keep)
+            });
+        let verdict = if footprint.as_ref().is_none_or(|f| f.admits(&residue)) {
+            (severity, report)
+        } else {
+            // After a power-on reboot in this call the machine holds that
+            // reboot's disk, so the crash disk is rebuilt from its delta.
+            let rebooted = captured;
+            let key = SeverityKey { disk: delta.clone(), residue: residue.clone() };
+            shared.severity.get_or_capture_if(key, || {
+                captured = true;
+                let disk = if rebooted {
+                    let mut disk = self.post_boot_disk.to_vec();
+                    for (lba, sector) in &delta {
+                        let at = *lba as usize * SECTOR_SIZE;
+                        disk[at..at + SECTOR_SIZE].copy_from_slice(sector);
+                    }
+                    disk
+                } else {
+                    self.machine.disk.take().expect("disk").into_bytes()
+                };
+                let ((severity, report, _), keep) = self.reboot(disk, &residue, false);
+                ((severity, report), keep)
+            })
         };
-        shared.severity.get_or_capture_if(key, || self.reboot_severity())
+        if !captured {
+            shared.assessment_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        verdict
     }
 
-    /// The uncached assessment behind [`InjectorRig::assess_severity`],
-    /// plus whether its verdict may be stored: not when the wall-clock
-    /// abort flag may have cut the reboot short.
-    fn reboot_severity(&mut self) -> ((Severity, FsckReport), bool) {
-        let report = fsck(self.machine.disk.as_ref().expect("disk").bytes(), &self.manifest);
+    /// The one reboot routine behind [`InjectorRig::assess_severity`]:
+    /// fsck of the crash disk `disk`, then — unless it is unrecoverable —
+    /// a reboot of the rig's machine on it from `residue`, under the
+    /// residue observer when `observe` is set (the footprint is `None`
+    /// otherwise, and after an unrecoverable fsck). Also returns whether
+    /// the verdict may be stored: not when the wall-clock abort flag may
+    /// have cut the reboot short.
+    fn reboot(
+        &mut self,
+        disk: Vec<u8>,
+        residue: &ResetResidue,
+        observe: bool,
+    ) -> ((Severity, FsckReport, Option<ResidueFootprint>), bool) {
+        let report = fsck(&disk, &self.manifest);
+        let m = &mut self.machine;
+        m.disk = Some(Ramdisk::from_bytes(disk));
         if let FsckReport::Unrecoverable { .. } = report {
-            return ((Severity::MostSevere, report), true);
+            return ((Severity::MostSevere, report, None), true);
         }
         // Reboot test on the (possibly damaged) disk, as a fresh disk
         // over the same bytes.
-        let m = &mut self.machine;
-        let disk = m.disk.take().expect("disk").into_bytes();
-        m.disk = Some(Ramdisk::from_bytes(disk));
         kfi_kernel::load_into(m, &self.image, &BootConfig::default());
+        m.install_residue(residue);
+        if observe {
+            m.observe_residue();
+        }
         let budget = self.boot_cycles * 4 + 1_000_000;
         let boots = match m.run(budget) {
             RunExit::Halted | RunExit::CycleLimit => {
@@ -1090,13 +1200,14 @@ impl InjectorRig {
             }
             _ => false,
         };
+        let footprint = m.take_residue_footprint();
         let keep = !m.abort_requested();
         let severity = match report {
             _ if !boots => Severity::MostSevere,
             FsckReport::Fixed { .. } => Severity::Severe,
             _ => Severity::Normal,
         };
-        ((severity, report), keep)
+        ((severity, report, footprint), keep)
     }
 
     /// Borrow the machine (post-run inspection, e.g. crash dumps). After

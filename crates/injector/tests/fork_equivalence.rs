@@ -4,9 +4,11 @@
 //! planned injections — bit-identical run records, metrics deltas, and
 //! full post-run architectural state including a digest of all guest
 //! memory. After a crash, a fork whose severity verdict came from its
-//! base's store keeps the crash state instead of rebooting, so the state
-//! is compared whenever the fork's assessment was a store miss: it then
-//! rebooted from the same input as the fresh rig. Every injection run
+//! base's stores keeps the crash state instead of rebooting, so the state
+//! is compared whenever the fork's assessment captured: it then rebooted
+//! the same disk as the fresh rig, either from the crash's own residue
+//! or from the power-on residue when that reboot's footprint admitted
+//! the crash's — and those two reboots must end alike. Every injection run
 //! exercises the fork's snapshot-restore path (each run resets to the
 //! shared snapshot) and its bit flips are
 //! self-modifying-code writes into pages shared copy-on-write with the
@@ -152,8 +154,8 @@ fn forked_goldens_match_fresh_boot_goldens() {
 
 #[test]
 fn a_second_fork_is_fresh_not_contaminated() {
-    // Held throughout: the proptest reads the capture counter of the
-    // shared severity store, so no other run may use that store meanwhile.
+    // Held throughout: the proptest reads the capture counters of the
+    // shared severity stores, so no other run may use them meanwhile.
     let _store = forked_rig().lock().unwrap();
     // Dirty a fork with runs, then fork again: the new fork's record
     // for the same target matches a run on the long-lived fresh rig.
@@ -186,7 +188,8 @@ fn a_second_fork_is_fresh_not_contaminated() {
     let base = RigShared::boot(image, &files, N_MODES, RigConfig::default()).expect("base boots");
     let mut cold = InjectorRig::fork(&base).expect("fork");
     assert_eq!(cold.run_one(t, 0), r3, "fork of a new base == fresh-booted rig");
-    assert_eq!(base.severity_store().captures(), 1, "an empty store misses");
+    let stats = base.severity_stats();
+    assert_eq!((stats.crashes, stats.power_on_reboots, stats.hits), (1, 1, 0), "empty stores miss");
     assert_eq!(
         capture(cold.machine_mut()),
         capture(fresh.machine_mut()),
@@ -210,11 +213,12 @@ proptest! {
 
         let mut forked = forked_rig().lock().unwrap();
         let _ = forked.take_metrics();
-        let captures = setup.shared.severity_store().captures();
+        let reboots = |s: kfi_injector::SeverityStats| s.power_on_reboots + s.exact_reboots;
+        let before = reboots(setup.shared.severity_stats());
         let r_fork = forked.run_one(t, mode);
-        // A capture means the fork's assessment missed the store and
-        // rebooted, exactly as the fresh rig does after every crash.
-        let rebooted = setup.shared.severity_store().captures() > captures;
+        // A capture means the fork's assessment missed the stores and
+        // rebooted like the fresh rig does after every crash.
+        let rebooted = reboots(setup.shared.severity_stats()) > before;
         let d_fork = forked.take_metrics();
         let s_fork = capture(forked.machine_mut());
         drop(forked);

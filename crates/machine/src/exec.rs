@@ -695,6 +695,7 @@ impl Machine {
                 self.require_kernel()?;
                 let a = self.ea(&mem);
                 let base = self.read_mem(a, Width::D)?;
+                self.observe_lidt();
                 self.cpu.idt_base = base;
             }
             Op::Cli => {

@@ -270,13 +270,109 @@ static NEXT_SNAPSHOT_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::Atomi
 
 /// The machine state a reboot inherits: see [`Machine::reset_residue`].
 ///
-/// Opaque on purpose — it exists to be compared (a memo key), not read.
+/// Opaque on purpose — it exists to be compared (a memo key) and
+/// installed ([`Machine::install_residue`]), not read.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ResetResidue {
     next_tick: u64,
     idt_base: u32,
     tlb: Vec<crate::mmu::TlbEntry>,
     blk: [u32; 3],
+}
+
+impl ResetResidue {
+    /// The residue of a machine that was just powered on with `config`:
+    /// what [`Machine::new`] leaves — the first timer deadline one
+    /// period out, IDT base 0, an empty TLB and zeroed block latches.
+    pub fn power_on(config: &MachineConfig) -> ResetResidue {
+        ResetResidue { next_tick: config.timer_period, idt_base: 0, tlb: Vec::new(), blk: [0; 3] }
+    }
+
+    #[doc(hidden)]
+    /// Test-only: this residue with the given parts replaced — timer
+    /// deadline, IDT base, block latches `(lba, dma, status)` — for
+    /// building perturbed residues around real crashes. The TLB part is
+    /// perturbed through the machine instead (a probe makes a
+    /// translation resident).
+    pub fn with_scalars(
+        mut self,
+        next_tick: Option<u64>,
+        idt_base: Option<u32>,
+        blk: [Option<u32>; 3],
+    ) -> ResetResidue {
+        self.next_tick = next_tick.unwrap_or(self.next_tick);
+        self.idt_base = idt_base.unwrap_or(self.idt_base);
+        for (latch, new) in self.blk.iter_mut().zip(blk) {
+            *latch = new.unwrap_or(*latch);
+        }
+        self
+    }
+}
+
+/// What a reboot from the power-on residue read of the residue, one
+/// channel per [`ResetResidue`] field, recorded by the residue observer
+/// ([`Machine::observe_residue`]). [`ResidueFootprint::admits`] tells
+/// which other residues that reboot could not have told apart from the
+/// power-on one: rebooting the same image and disk from any of them
+/// ends in the same memory, CPU state, console, monitor events, trap
+/// log and disk.
+#[derive(Debug, Clone)]
+pub struct ResidueFootprint {
+    timer_period: u64,
+    /// The largest multiple of the timer period not above
+    /// `max(tsc, deadline)` at CPU 0's first timer event that changed
+    /// guest state; `None` when there was none.
+    timer_bound: Option<u64>,
+    /// Whether CPU 0's IDT base was read before its first `lidt`, and
+    /// whether that `lidt` happened.
+    idt_read: bool,
+    idt_loaded: bool,
+    /// Per block latch `(lba, dma, status)`: read before the guest
+    /// wrote it.
+    blk_read: [bool; 3],
+    /// CPU 0's TLB log.
+    tlb: crate::mmu::TlbLog,
+}
+
+impl ResidueFootprint {
+    /// Whether rebooting from `residue` would run exactly like the
+    /// observed power-on reboot.
+    ///
+    /// * **Timer deadline.** Deadlines are positive multiples of the
+    ///   period, and a tick lost with IF clear only advances the
+    ///   deadline to the next multiple above the TSC. So until the first
+    ///   state-changing event (a tick delivered with IF set, or a halted
+    ///   fast-forward) a multiple `d` of the period never fires earlier
+    ///   than the power-on deadline, and at that event it agrees iff
+    ///   `d` is at most the recorded bound.
+    /// * **IDT base.** Admitted when equal to the power-on 0, or
+    ///   replaced by an `lidt` before anything read it. (A base never
+    ///   replaced would outlive the reboot in the CPU state even if
+    ///   unread.)
+    /// * **TLB.** Each resident entry must be one the log admits (see
+    ///   its docs); entries are gone after the first flush.
+    /// * **Block latches.** A latch read before it was written must
+    ///   hold the power-on 0.
+    pub fn admits(&self, residue: &ResetResidue) -> bool {
+        let ResetResidue { next_tick, idt_base, tlb, blk } = residue;
+        let timer = *next_tick != 0
+            && next_tick.checked_rem(self.timer_period) == Some(0)
+            && self.timer_bound.is_none_or(|k| *next_tick <= k);
+        let idt = *idt_base == 0 || (self.idt_loaded && !self.idt_read);
+        let latches = blk.iter().zip(self.blk_read).all(|(v, read)| !read || *v == 0);
+        timer && idt && latches && tlb.iter().all(|e| self.tlb.admits(e))
+    }
+}
+
+/// The residue observer's machine-level channels (the TLB channel lives
+/// in CPU 0's [`Tlb`], so it travels with CPU 0's context on SMP).
+#[derive(Debug, Default)]
+struct ResidueObserver {
+    timer_bound: Option<u64>,
+    idt_read: bool,
+    idt_written: bool,
+    blk_read: [bool; 3],
+    blk_written: [bool; 3],
 }
 
 pub(crate) enum Fault {
@@ -334,6 +430,9 @@ pub struct Machine {
     /// at its next check, degrading the run to the watchdog's view of a
     /// hang. Host-side only — never part of snapshots.
     abort: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
+    /// The residue observer ([`Machine::observe_residue`]); `None` (the
+    /// default) costs one branch on each slow path it hooks.
+    observer: Option<Box<ResidueObserver>>,
 }
 
 impl Machine {
@@ -370,6 +469,7 @@ impl Machine {
             delivering: 0,
             triple_faulted: false,
             abort: None,
+            observer: None,
         }
     }
 
@@ -430,6 +530,7 @@ impl Machine {
             trace: _,
             san: _,
             abort: _,
+            observer: _,
             // Fixed for the machine's life.
             config: _,
         } = self;
@@ -473,6 +574,160 @@ impl Machine {
             idt_base: *idt_base,
             tlb: tlb0.resident(),
             blk: [*blk_lba, *blk_dma, *blk_status],
+        }
+    }
+
+    /// Makes `residue` this machine's [reset residue](Machine::reset_residue):
+    /// the inverse of that method, so that after the boot loader's reset
+    /// (`kfi_kernel::load_into`) a machine reboots exactly like one that
+    /// crashed with `residue`. TLB statistics are untouched.
+    pub fn install_residue(&mut self, residue: &ResetResidue) {
+        // Exhaustive on purpose, mirroring `reset_residue`.
+        let Machine {
+            cpu,
+            tlb,
+            next_tick,
+            blk_lba,
+            blk_dma,
+            blk_status,
+            smp,
+            mem: _,
+            decode_cache: _,
+            block_cache: _,
+            disk: _,
+            console: _,
+            monitor: _,
+            trap_log: _,
+            counters: _,
+            delivering: _,
+            triple_faulted: _,
+            trace: _,
+            san: _,
+            abort: _,
+            observer: _,
+            config: _,
+        } = self;
+        let (cpu0, tlb0, next_tick0) = match smp.as_deref_mut() {
+            Some(crate::smp::SmpState {
+                ctxs,
+                active,
+                slice_left: _,
+                rng: _,
+                ipi_arg: _,
+                pending: _,
+            }) if *active != 0 => {
+                let crate::smp::CpuCtx { cpu, tlb, next_tick } = &mut ctxs[0];
+                (cpu, tlb, next_tick)
+            }
+            _ => (cpu, tlb, next_tick),
+        };
+        let Cpu {
+            idt_base,
+            regs: _,
+            eip: _,
+            eflags: _,
+            cs: _,
+            cr0: _,
+            cr2: _,
+            cr3: _,
+            esp0: _,
+            dr7: _,
+            tsc: _,
+            halted: _,
+            dr: _,
+        } = cpu0;
+        let ResetResidue { next_tick: r_tick, idt_base: r_idt, tlb: r_tlb, blk } = residue;
+        *next_tick0 = *r_tick;
+        *idt_base = *r_idt;
+        tlb0.install(r_tlb);
+        [*blk_lba, *blk_dma, *blk_status] = *blk;
+    }
+
+    /// Arms the residue observer over CPU 0, which from now on records
+    /// each read of reset-residue state until
+    /// [`Machine::take_residue_footprint`]. Arm it right after installing
+    /// the [power-on residue](ResetResidue::power_on): the footprint
+    /// describes a run that started from it. Off by default; its hooks
+    /// sit only on slow paths (the miss walk, TLB insert and flush, the
+    /// timer crossing, trap delivery, a startup IPI send, `lidt` and
+    /// port I/O), and the timer and IDT channels fire only while CPU 0
+    /// is active.
+    ///
+    /// Two reads need no hook of their own. A halted fast-forward is
+    /// always followed, in the same step, by a tick delivered with IF
+    /// set at `max(tsc, deadline)`, which records the same bound; and
+    /// the `int n` privilege check reads the IDT base only in a step
+    /// that goes on to deliver a trap through it.
+    pub fn observe_residue(&mut self) {
+        self.observer = Some(Box::default());
+        self.cpu0_tlb_mut().set_log(Some(Box::default()));
+    }
+
+    /// Disarms the residue observer and returns what it recorded since
+    /// [`Machine::observe_residue`] (`None` when it was not armed).
+    pub fn take_residue_footprint(&mut self) -> Option<ResidueFootprint> {
+        let obs = self.observer.take()?;
+        let tlb = self.cpu0_tlb_mut().set_log(None).map(|log| *log).unwrap_or_default();
+        Some(ResidueFootprint {
+            timer_period: self.config.timer_period,
+            timer_bound: obs.timer_bound,
+            idt_read: obs.idt_read,
+            idt_loaded: obs.idt_written,
+            blk_read: obs.blk_read,
+            tlb,
+        })
+    }
+
+    /// CPU 0's TLB, live or parked.
+    fn cpu0_tlb_mut(&mut self) -> &mut Tlb {
+        match self.smp.as_deref_mut() {
+            Some(smp) if smp.active != 0 => &mut smp.ctxs[0].tlb,
+            _ => &mut self.tlb,
+        }
+    }
+
+    /// The observer, while armed and CPU 0 is active: the per-CPU
+    /// channels (timer, IDT) watch CPU 0 only.
+    fn cpu0_observer(&mut self) -> Option<&mut ResidueObserver> {
+        let cpu0 = self.smp.as_ref().is_none_or(|smp| smp.active == 0);
+        self.observer.as_deref_mut().filter(|_| cpu0)
+    }
+
+    /// Observer hook: CPU 0's IDT base is about to be read.
+    pub(crate) fn observe_idt_read(&mut self) {
+        if let Some(obs) = self.cpu0_observer() {
+            obs.idt_read |= !obs.idt_written;
+        }
+    }
+
+    /// Observer hook: CPU 0 loads a new IDT base.
+    pub(crate) fn observe_lidt(&mut self) {
+        if let Some(obs) = self.cpu0_observer() {
+            obs.idt_written = true;
+        }
+    }
+
+    /// Observer hook: CPU 0's timer delivers a tick with IF set, the
+    /// first timer event that changes guest state (a halted
+    /// fast-forward comes with one). The first one fixes the bound.
+    fn observe_timer_event(&mut self) {
+        let (tsc, next_tick, period) = (self.cpu.tsc, self.next_tick, self.config.timer_period);
+        if let Some(obs) = self.cpu0_observer() {
+            let t = tsc.max(next_tick);
+            obs.timer_bound.get_or_insert(t - t % period.max(1));
+        }
+    }
+
+    /// Observer hook: block latch `i` (0 = lba, 1 = dma, 2 = status) is
+    /// read (`write == false`) or written. The latches are machine-wide,
+    /// so any CPU's access counts.
+    fn observe_latch(&mut self, i: usize, write: bool) {
+        if let Some(obs) = self.observer.as_deref_mut() {
+            if write {
+                obs.blk_written[i] = true;
+            } else {
+                obs.blk_read[i] |= !obs.blk_written[i];
+            }
         }
     }
 
@@ -875,6 +1130,7 @@ impl Machine {
             delivering: 0,
             triple_faulted: false,
             abort: None,
+            observer: None,
         }
     }
 
@@ -1038,7 +1294,10 @@ impl Machine {
 
     pub(crate) fn port_in(&mut self, port: u16) -> u32 {
         match port {
-            ports::BLK_STATUS => self.blk_status,
+            ports::BLK_STATUS => {
+                self.observe_latch(2, false);
+                self.blk_status
+            }
             ports::CONSOLE => 0,
             ports::MON_CPU_ID => self.active_cpu() as u32,
             ports::MON_NCPUS => self.cpus(),
@@ -1062,14 +1321,27 @@ impl Machine {
                     smp.ipi_arg = value;
                 }
             }
-            ports::BLK_LBA => self.blk_lba = value,
-            ports::BLK_DMA => self.blk_dma = value,
-            ports::BLK_CMD => self.block_command(value),
+            ports::BLK_LBA => {
+                self.observe_latch(0, true);
+                self.blk_lba = value;
+            }
+            ports::BLK_DMA => {
+                self.observe_latch(1, true);
+                self.blk_dma = value;
+            }
+            ports::BLK_CMD => {
+                self.block_command(value);
+                self.observe_latch(2, true);
+            }
             _ => {}
         }
     }
 
     fn block_command(&mut self, cmd: u32) {
+        if self.disk.is_some() && (cmd == 1 || cmd == 2) {
+            self.observe_latch(0, false);
+            self.observe_latch(1, false);
+        }
         let Some(disk) = self.disk.as_mut() else {
             self.blk_status = 1;
             return;
@@ -1261,6 +1533,7 @@ impl Machine {
         if value & (1 << 16) != 0 {
             let entry = smp.ipi_arg;
             smp.pending[target].push_back(crate::smp::Ipi::Startup { entry, cr0, cr3, idt_base });
+            self.observe_idt_read();
         } else if !drop_resched {
             smp.pending[target].push_back(crate::smp::Ipi::Resched);
         }
@@ -1324,6 +1597,7 @@ impl Machine {
         return_eip: u32,
         from_user: bool,
     ) -> XResult<()> {
+        self.observe_idt_read();
         let base = self.cpu.idt_base.wrapping_add(vector.number() as u32 * 8);
         let handler = self.read_kernel_u32(base)?;
         let flags = self.read_kernel_u32(base.wrapping_add(4))?;
@@ -1472,7 +1746,8 @@ impl Machine {
 
         if self.cpu.halted {
             if self.config.timer_enabled && self.cpu.eflags.if_() {
-                // Fast-forward to the next tick.
+                // Fast-forward to the next tick (the crossing below, in
+                // this same step, is the residue observer's timer event).
                 self.cpu.tsc = self.cpu.tsc.max(self.next_tick);
             } else {
                 return StepEvent::Halted;
@@ -1489,6 +1764,9 @@ impl Machine {
 
         // Timer.
         if self.config.timer_enabled && self.cpu.tsc >= self.next_tick {
+            if self.cpu.eflags.if_() {
+                self.observe_timer_event();
+            }
             while self.next_tick <= self.cpu.tsc {
                 self.next_tick += self.config.timer_period;
             }

@@ -65,6 +65,45 @@ pub(crate) struct TlbEntry {
 
 const TLB_SLOTS: usize = 512;
 
+impl TlbEntry {
+    /// The direct-mapped slot this entry occupies.
+    fn slot(&self) -> usize {
+        self.vpn as usize % TLB_SLOTS
+    }
+}
+
+/// The TLB channel of the residue observer
+/// ([`crate::Machine::observe_residue`]): until the first flush, the
+/// first walk of each page number looked up on a slot that no walk has
+/// filled since the log was armed. Armed over an empty TLB, so every
+/// such lookup is a miss that walks.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TlbLog {
+    /// Bitset over slots: filled by a walk since the log was armed.
+    filled: [u64; TLB_SLOTS / 64],
+    /// Set by the first flush, which ends the log: from then on no
+    /// entry resident before it can answer a lookup.
+    flushed: bool,
+    /// Page number → its first logged walk: the entry it inserted, or
+    /// `None` when it faulted.
+    first: std::collections::BTreeMap<u32, Option<TlbEntry>>,
+}
+
+impl TlbLog {
+    fn slot_filled(&self, slot: usize) -> bool {
+        self.filled[slot / 64] & (1 << (slot % 64)) != 0
+    }
+
+    /// Whether an entry resident in the slot at arming could not have
+    /// changed a lookup: the first logged lookup of its page walked to
+    /// exactly it, or its page was never looked up before a walk of
+    /// another page filled the slot. A hit on such an entry returns what
+    /// the walk returns and leaves the slot as the walk leaves it.
+    pub(crate) fn admits(&self, e: &TlbEntry) -> bool {
+        self.first.get(&e.vpn).is_none_or(|walk| *walk == Some(*e))
+    }
+}
+
 /// A direct-mapped software TLB keyed by virtual page number.
 ///
 /// The guest kernel must reload CR3 after modifying page tables (our
@@ -83,18 +122,41 @@ pub struct Tlb {
     /// leans on this: one generation compare per instruction stands in
     /// for a full (and identically-counted) re-translation.
     generation: u64,
+    /// The residue observer's log; `None` (the default) costs one
+    /// branch per walk, insert and flush.
+    log: Option<Box<TlbLog>>,
 }
 
 impl Tlb {
     /// Creates an empty TLB.
     pub fn new() -> Tlb {
-        Tlb { entries: vec![None; TLB_SLOTS], hits: 0, misses: 0, generation: 1 }
+        Tlb { entries: vec![None; TLB_SLOTS], hits: 0, misses: 0, generation: 1, log: None }
     }
 
     /// Drops all cached translations (CR3 reload / paging toggle).
     pub fn flush(&mut self) {
         self.entries.fill(None);
         self.generation += 1;
+        if let Some(log) = self.log.as_mut() {
+            log.flushed = true;
+        }
+    }
+
+    /// Replaces the entry array with `entries` (one per slot, as
+    /// [`Tlb::resident`] lists them): the TLB half of
+    /// [`crate::Machine::install_residue`]. Statistics are untouched.
+    pub(crate) fn install(&mut self, entries: &[TlbEntry]) {
+        self.entries.fill(None);
+        for e in entries {
+            self.entries[e.slot()] = Some(*e);
+        }
+        self.generation += 1;
+    }
+
+    /// Arms (`Some`) or disarms the residue observer's log, returning
+    /// the previous one.
+    pub(crate) fn set_log(&mut self, log: Option<Box<TlbLog>>) -> Option<Box<TlbLog>> {
+        std::mem::replace(&mut self.log, log)
     }
 
     /// (hits, misses) since construction.
@@ -109,7 +171,7 @@ impl Tlb {
         // Exhaustive so a new field must be classified here too. The
         // statistics never steer execution, and the generation is only
         // compared within one block-engine dispatch.
-        let Tlb { entries, hits: _, misses: _, generation: _ } = self;
+        let Tlb { entries, hits: _, misses: _, generation: _, log: _ } = self;
         entries.iter().flatten().copied().collect()
     }
 
@@ -170,9 +232,24 @@ impl Tlb {
 
     #[inline]
     fn insert(&mut self, e: TlbEntry) {
-        let slot = (e.vpn as usize) % TLB_SLOTS;
+        let slot = e.slot();
         self.entries[slot] = Some(e);
         self.generation += 1;
+        if let Some(log) = self.log.as_mut() {
+            log.filled[slot / 64] |= 1 << (slot % 64);
+        }
+    }
+
+    /// Logs a miss walk of `vpn` for the residue observer: the first one
+    /// per page on a slot no walk has filled since arming, until the
+    /// first flush.
+    #[inline]
+    fn log_walk(&mut self, vpn: u32, walk: Option<TlbEntry>) {
+        if let Some(log) = self.log.as_mut() {
+            if !log.flushed && !log.slot_filled(vpn as usize % TLB_SLOTS) {
+                log.first.entry(vpn).or_insert(walk);
+            }
+        }
     }
 }
 
@@ -243,27 +320,32 @@ fn translate_walk(
 ) -> Result<u32, PageFault> {
     let offset = addr & (PAGE_SIZE - 1);
     let vpn = addr >> 12;
-    let fault = |present: bool| PageFault { addr, present, write: access == Access::Write, user };
+    let fault = |tlb: &mut Tlb, present: bool| {
+        tlb.log_walk(vpn, None);
+        Err(PageFault { addr, present, write: access == Access::Write, user })
+    };
     let dir = addr >> 22;
     let table = (addr >> 12) & 0x3ff;
     let pde = mem.read_u32((cr3 & !0xfff).wrapping_add(dir * 4));
     if pde & pte::P == 0 {
-        return Err(fault(false));
+        return fault(tlb, false);
     }
     let pte_addr = (pde & !0xfff).wrapping_add(table * 4);
     let entry = mem.read_u32(pte_addr);
     if entry & pte::P == 0 {
-        return Err(fault(false));
+        return fault(tlb, false);
     }
     let writable = pde & pte::RW != 0 && entry & pte::RW != 0;
     let user_ok = pde & pte::US != 0 && entry & pte::US != 0;
     if user && !user_ok {
-        return Err(fault(true));
+        return fault(tlb, true);
     }
     if access == Access::Write && !writable {
-        return Err(fault(true));
+        return fault(tlb, true);
     }
-    tlb.insert(TlbEntry { vpn, pfn: entry >> 12, writable, user: user_ok });
+    let e = TlbEntry { vpn, pfn: entry >> 12, writable, user: user_ok };
+    tlb.log_walk(vpn, Some(e));
+    tlb.insert(e);
     Ok((entry & !0xfff) | offset)
 }
 

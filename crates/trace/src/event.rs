@@ -40,7 +40,9 @@ pub mod outcome {
 /// Stable small ids for guest kernel subsystems, for the propagation
 /// events of paper §7 (Figure 8).
 pub mod subsystem {
-    const NAMES: [&str; 9] = ["arch", "drivers", "fs", "init", "ipc", "kernel", "lib", "mm", "net"];
+    /// The guest kernel's subsystems, in id order.
+    pub const NAMES: [&str; 9] =
+        ["arch", "drivers", "fs", "init", "ipc", "kernel", "lib", "mm", "net"];
 
     /// Id for unknown/unresolvable subsystems.
     pub const UNKNOWN: u8 = 0xff;
