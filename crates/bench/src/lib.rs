@@ -131,18 +131,38 @@ impl Default for ReproOptions {
     }
 }
 
-/// The number given as `args[i]`, the value of flag `args[i - 1]`. A
-/// missing or malformed value prints the usage text and exits 2.
-fn number_arg<T: std::str::FromStr>(args: &[String], i: usize) -> T {
-    match args.get(i).and_then(|v| v.parse().ok()) {
-        Some(n) => n,
-        None => {
-            let got = args.get(i).map_or("nothing".to_string(), |v| format!("`{v}`"));
-            eprintln!("{}: expected a number, got {got}\n", args[i - 1]);
-            eprint!("{USAGE}");
-            std::process::exit(2);
-        }
+/// The value `args[i]` of flag `args[i - 1]`, converted by `parse`. A
+/// missing value, or one `parse` rejects, prints what was expected and
+/// the usage text and exits 2.
+fn flag_value<T>(
+    args: &[String],
+    i: usize,
+    expected: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> T {
+    if let Some(v) = args.get(i).and_then(|v| parse(v)) {
+        return v;
     }
+    let got = args.get(i).map_or("nothing".to_string(), |v| format!("`{v}`"));
+    eprintln!("{}: expected {expected}, got {got}\n", args[i - 1]);
+    eprint!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// The number given as the value of flag `args[i - 1]` ([`flag_value`]).
+fn number_arg<T: std::str::FromStr>(args: &[String], i: usize) -> T {
+    flag_value(args, i, "a number", |v| v.parse().ok())
+}
+
+/// The text given as the value of flag `args[i - 1]` ([`flag_value`]).
+fn text_arg(args: &[String], i: usize) -> String {
+    flag_value(args, i, "a value", |v| Some(v.to_string()))
+}
+
+/// A count that must be at least 1 ([`flag_value`]): zero CPUs, threads
+/// or workers is an error, not a request for the default.
+fn count_arg<T: std::str::FromStr + Default + PartialEq>(args: &[String], i: usize) -> T {
+    flag_value(args, i, "a number above 0", |v| v.parse().ok().filter(|n| *n != T::default()))
 }
 
 /// The names in a comma list, trimmed, empty ones dropped.
@@ -162,8 +182,10 @@ fn check_names(flag: &str, list: Option<&str>, valid: &[&str]) {
     std::process::exit(2);
 }
 
-fn parse_index_list(s: &str) -> std::collections::BTreeSet<usize> {
-    s.split(',').filter_map(|v| v.trim().parse().ok()).collect()
+/// The run indices in a comma list (empty items dropped), or `None` when
+/// an item is not a number.
+fn parse_index_list(s: &str) -> Option<std::collections::BTreeSet<usize>> {
+    name_list(s).iter().map(|v| v.parse().ok()).collect()
 }
 
 /// The kernel variants `--matrix-kernels` can name.
@@ -245,12 +267,14 @@ impl ReproOptions {
     /// test-only `--inject-panic I,J,...` /
     /// `--inject-panic-persistent I,J,...` from the process arguments.
     /// `--help`/`-h` prints the usage text — including the per-cell
-    /// matrix RNG derivation — and exits. A missing or malformed value
-    /// of any numeric flag (`--cap`, `--seed`, `--threads`, `--cpus`,
-    /// `--wall-budget-ms`, `--dist-workers`, `--chaos`, `--dist-hb-ms`,
-    /// `--dist-hb-budget-ms`, `--dist-handshake-ms`), any unknown
-    /// argument, and an unknown name in a matrix axis list print the
-    /// usage text to stderr and exit 2.
+    /// matrix RNG derivation — and exits. A missing value of any flag
+    /// that takes one, a malformed value of any numeric flag (`--cap`,
+    /// `--seed`, `--threads`, `--cpus`, `--wall-budget-ms`,
+    /// `--dist-workers`, `--chaos`, `--dist-hb-ms`,
+    /// `--dist-hb-budget-ms`, `--dist-handshake-ms`), zero `--cpus`,
+    /// `--threads` or `--dist-workers`, a non-number in an
+    /// `--inject-panic` list, any unknown argument, and an unknown name
+    /// in a matrix axis list print the usage text to stderr and exit 2.
     pub fn from_args() -> ReproOptions {
         let mut o = ReproOptions::default();
         let args: Vec<String> = std::env::args().collect();
@@ -268,12 +292,12 @@ impl ReproOptions {
                 }
                 "--threads" => {
                     i += 1;
-                    o.threads = number_arg(&args, i);
+                    o.threads = count_arg(&args, i);
                 }
                 "--no-assertions" => o.no_assertions = true,
                 "--cpus" => {
                     i += 1;
-                    o.cpus = number_arg::<u32>(&args, i).max(1);
+                    o.cpus = count_arg(&args, i);
                 }
                 "--help" | "-h" => {
                     print!("{USAGE}");
@@ -281,32 +305,32 @@ impl ReproOptions {
                 }
                 "--journal" => {
                     i += 1;
-                    o.journal = args.get(i).map(PathBuf::from);
+                    o.journal = Some(text_arg(&args, i).into());
                 }
                 "--resume" => o.resume = true,
                 "--quarantine" => {
                     i += 1;
-                    o.quarantine = args.get(i).map(PathBuf::from);
+                    o.quarantine = Some(text_arg(&args, i).into());
                 }
                 "--sanitize" => o.sanitize = true,
                 "--no-memo" => o.no_memo = true,
                 "--matrix" => o.matrix = true,
                 "--matrix-kernels" => {
                     i += 1;
-                    o.matrix_kernels = args.get(i).cloned();
+                    o.matrix_kernels = Some(text_arg(&args, i));
                 }
                 "--matrix-workloads" => {
                     i += 1;
-                    o.matrix_workloads = args.get(i).cloned();
+                    o.matrix_workloads = Some(text_arg(&args, i));
                 }
                 "--matrix-subsystems" => {
                     i += 1;
-                    o.matrix_subsystems = args.get(i).cloned();
+                    o.matrix_subsystems = Some(text_arg(&args, i));
                 }
                 "--check" => o.check = true,
                 "--dist-workers" => {
                     i += 1;
-                    o.dist_workers = Some(number_arg(&args, i));
+                    o.dist_workers = Some(count_arg(&args, i));
                 }
                 "--chaos" => {
                     i += 1;
@@ -333,15 +357,13 @@ impl ReproOptions {
                 }
                 "--inject-panic" => {
                     i += 1;
-                    if let Some(list) = args.get(i) {
-                        o.inject_panic = PanicInjection::Transient(parse_index_list(list));
-                    }
+                    let list = flag_value(&args, i, "a list of run indices", parse_index_list);
+                    o.inject_panic = PanicInjection::Transient(list);
                 }
                 "--inject-panic-persistent" => {
                     i += 1;
-                    if let Some(list) = args.get(i) {
-                        o.inject_panic = PanicInjection::Persistent(parse_index_list(list));
-                    }
+                    let list = flag_value(&args, i, "a list of run indices", parse_index_list);
+                    o.inject_panic = PanicInjection::Persistent(list);
                 }
                 "--csv" => {} // handled by the binaries themselves
                 other => {
@@ -816,6 +838,9 @@ pub fn run_study_supervised(
     }
     if let Some(stats) = exp.severity_stats() {
         eprintln!("[kfi] severity: {stats}");
+    }
+    if let Some(stats) = exp.checkpoint_stats() {
+        eprintln!("[kfi] checkpoints: {stats}");
     }
     let rep = &supervised.report;
     if cfg.journal.is_some() {

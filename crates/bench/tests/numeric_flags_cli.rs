@@ -70,3 +70,50 @@ fn unknown_matrix_axis_names_exit_2_with_the_valid_names() {
         assert!(out.stdout.is_empty(), "{flag}: nothing may run");
     }
 }
+
+/// Runs `repro_all` with `args`, asserting it exits 2 with the usage
+/// text and a message containing `want`, before anything runs.
+fn rejected(args: &[&str], want: &str) {
+    let out =
+        Command::new(env!("CARGO_BIN_EXE_repro_all")).args(args).output().expect("spawn repro_all");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains(want), "{args:?}: {stderr}");
+    assert!(stderr.contains("usage: repro_all"), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
+}
+
+#[test]
+fn missing_values_exit_2_with_the_usage() {
+    for flag in [
+        "--journal",
+        "--quarantine",
+        "--matrix-kernels",
+        "--matrix-workloads",
+        "--matrix-subsystems",
+        "--inject-panic",
+        "--inject-panic-persistent",
+    ] {
+        rejected(&["--cap", "1", flag], &format!("{flag}: expected "));
+    }
+}
+
+#[test]
+fn zero_counts_exit_2_with_the_usage() {
+    for flag in ["--cpus", "--threads", "--dist-workers"] {
+        rejected(
+            &["--cap", "1", flag, "0"],
+            &format!("{flag}: expected a number above 0, got `0`"),
+        );
+    }
+}
+
+#[test]
+fn a_non_number_in_a_panic_list_exits_2_with_the_usage() {
+    for flag in ["--inject-panic", "--inject-panic-persistent"] {
+        rejected(
+            &["--cap", "1", flag, "1,x"],
+            &format!("{flag}: expected a list of run indices, got `1,x`"),
+        );
+    }
+}

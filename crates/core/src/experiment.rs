@@ -280,6 +280,14 @@ impl Experiment {
         Some(shared.severity_stats())
     }
 
+    /// How the shared base's injection runs used prefix checkpoints so
+    /// far ([`RigShared::checkpoint_stats`]). `None` when the base has
+    /// not been booted (memoization off, or no rig made yet).
+    pub fn checkpoint_stats(&self) -> Option<kfi_injector::CheckpointStats> {
+        let shared = self.shared_base.get()?.as_ref().ok()?;
+        Some(shared.checkpoint_stats())
+    }
+
     /// Runs one campaign, fanning the planned targets across
     /// supervised worker threads (each with its own machine + rig).
     ///

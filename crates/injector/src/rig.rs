@@ -6,8 +6,8 @@ use crate::target::InjectionTarget;
 use kfi_kernel::layout::{causes, events};
 use kfi_kernel::{boot, fsck, mkfs::FileSpec, BootConfig, FsckReport, KernelImage};
 use kfi_machine::{
-    Machine, MachineConfig, MonitorEvent, Ramdisk, ResetResidue, ResidueFootprint, RunExit,
-    Snapshot, StepEvent, TrapRecord, Vector, SECTOR_SIZE,
+    Checkpoint, Machine, MachineConfig, MonitorEvent, Ramdisk, ResetResidue, ResidueFootprint,
+    RunExit, Snapshot, StepEvent, TrapRecord, Vector, SECTOR_SIZE,
 };
 use kfi_trace::{outcome as trace_outcome, subsystem as trace_subsystem};
 use kfi_trace::{Event, EventKind, Metrics, TraceSink};
@@ -100,16 +100,29 @@ pub struct GoldenRun {
     pub results: Vec<u32>,
     /// Cycles from snapshot to halt.
     pub cycles: u64,
-    /// Bitset over kernel text: which instruction addresses executed.
-    coverage: Vec<u64>,
+    /// `(offset into kernel text, first-hit tick)` of every instruction
+    /// address the run reached in kernel mode, ascending by offset. The
+    /// first-hit tick of an address is the number of tick cuts
+    /// ([`Machine::tick_due`] at a step boundary) at or before the first
+    /// step boundary where some CPU was about to execute it.
+    first_hits: Vec<(u32, u32)>,
 }
 
 impl GoldenRun {
     /// True when the golden run executed the instruction at `addr`.
     pub fn covers(&self, addr: u32, text_base: u32) -> bool {
-        let Some(off) = addr.checked_sub(text_base) else { return false };
-        let (w, b) = ((off / 64) as usize, off % 64);
-        self.coverage.get(w).map(|x| x & (1 << b) != 0).unwrap_or(false)
+        self.first_hit(addr, text_base).is_some()
+    }
+
+    /// The first-hit tick of the instruction at `addr` (see the field
+    /// docs), or `None` when the golden run never executed it. A run
+    /// with a breakpoint at `addr` cannot stop before the tick cut of
+    /// that index, which is where a forked rig resumes it from
+    /// ([`InjectorRig::run_one`]).
+    pub fn first_hit(&self, addr: u32, text_base: u32) -> Option<u32> {
+        let off = addr.checked_sub(text_base)?;
+        let i = self.first_hits.binary_search_by_key(&off, |&(o, _)| o).ok()?;
+        Some(self.first_hits[i].1)
     }
 }
 
@@ -164,9 +177,10 @@ fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
 /// next asker captures again. A poisoned slot (a capture that panicked)
 /// is empty in the same way.
 ///
-/// Three memos use it:
+/// Four memos use it:
 /// * [`GoldenStore`]: golden runs by `(kernel-config fingerprint,
 ///   workload mode)`;
+/// * [`CheckpointStore`]: prefix checkpoints by `(workload mode, tick)`;
 /// * [`PowerOnStore`]: power-on severity reboots by crash disk;
 /// * [`SeverityStore`]: post-crash severity verdicts by
 ///   [`SeverityKey`], for residues the power-on reboot read.
@@ -214,6 +228,20 @@ impl<K: Ord, V: Clone> OnceStore<K, V> {
             *slot = Some(v.clone());
         }
         v
+    }
+
+    /// The greatest key at or below `key` whose value is stored, with
+    /// that value. A slot whose capture is still running reads as empty
+    /// (this never blocks on one).
+    pub fn floor(&self, key: &K) -> Option<(K, V)>
+    where
+        K: Clone,
+    {
+        let entries = self.entries.lock().expect("once store lock");
+        entries.range(..=key).rev().find_map(|(k, slot)| {
+            let v = slot.try_lock().ok()?.clone()?;
+            Some((k.clone(), v))
+        })
     }
 
     /// Number of captures actually executed (one per distinct key,
@@ -297,6 +325,36 @@ impl std::fmt::Display for SeverityStats {
     }
 }
 
+/// The memo of prefix checkpoints: by `(workload mode, tick k)`, the
+/// golden run's state at its `k`-th tick cut ([`Machine::run_to_tick`]),
+/// for resuming injection runs whose target's first-hit tick is `k`.
+/// Filled lazily during the campaign; a capture cut short is not stored.
+pub type CheckpointStore = OnceStore<(u32, u32), Option<Arc<Checkpoint>>>;
+
+/// How a [`RigShared`]'s injection runs used prefix checkpoints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CheckpointStats {
+    /// Checkpoints captured and stored.
+    pub captured: u64,
+    /// Injection runs resumed from a checkpoint instead of the snapshot.
+    pub resumed: u64,
+    /// Golden-prefix cycles those runs did not execute.
+    pub skipped_cycles: u64,
+    /// Heap bytes the stored checkpoints hold beyond what they share
+    /// ([`Checkpoint::fresh_bytes`]).
+    pub bytes: u64,
+}
+
+impl std::fmt::Display for CheckpointStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let CheckpointStats { captured, resumed, skipped_cycles, bytes } = self;
+        write!(
+            f,
+            "captured={captured} resumed={resumed} skipped_cycles={skipped_cycles} bytes={bytes}"
+        )
+    }
+}
+
 /// Everything produced by booting a workload once, before any golden
 /// run or injection: the post-boot machine, its snapshot, and the
 /// filesystem state.
@@ -360,7 +418,7 @@ fn boot_base(
 /// The shared, immutable post-boot base of a campaign: one boot's worth
 /// of state ([`Snapshot`] with `Arc`-shared memory, post-boot disk,
 /// filesystem manifest) plus the campaign-wide [`GoldenStore`],
-/// [`PowerOnStore`] and [`SeverityStore`].
+/// [`CheckpointStore`], [`PowerOnStore`] and [`SeverityStore`].
 ///
 /// Boot once with [`RigShared::boot`], then hand the `Arc` to every
 /// worker; each [`InjectorRig::fork`] builds a private copy-on-write
@@ -388,6 +446,13 @@ pub struct RigShared {
     assessments: AtomicU64,
     assessment_hits: AtomicU64,
     power_on_reboots: AtomicU64,
+    checkpoints: CheckpointStore,
+    /// Stored checkpoints and their fresh bytes; resumed runs and the
+    /// prefix cycles they skipped.
+    checkpoints_stored: AtomicU64,
+    checkpoint_bytes: AtomicU64,
+    resumed_runs: AtomicU64,
+    skipped_cycles: AtomicU64,
 }
 
 impl RigShared {
@@ -443,6 +508,11 @@ impl RigShared {
             assessments: AtomicU64::new(0),
             assessment_hits: AtomicU64::new(0),
             power_on_reboots: AtomicU64::new(0),
+            checkpoints: CheckpointStore::default(),
+            checkpoints_stored: AtomicU64::new(0),
+            checkpoint_bytes: AtomicU64::new(0),
+            resumed_runs: AtomicU64::new(0),
+            skipped_cycles: AtomicU64::new(0),
         }))
     }
 
@@ -458,6 +528,16 @@ impl RigShared {
             power_on_reboots: self.power_on_reboots.load(Ordering::Relaxed),
             exact_reboots: self.severity.captures(),
             hits: self.assessment_hits.load(Ordering::Relaxed),
+        }
+    }
+
+    /// How this base's injection runs used prefix checkpoints so far.
+    pub fn checkpoint_stats(&self) -> CheckpointStats {
+        CheckpointStats {
+            captured: self.checkpoints_stored.load(Ordering::Relaxed),
+            resumed: self.resumed_runs.load(Ordering::Relaxed),
+            skipped_cycles: self.skipped_cycles.load(Ordering::Relaxed),
+            bytes: self.checkpoint_bytes.load(Ordering::Relaxed),
         }
     }
 
@@ -665,8 +745,9 @@ impl InjectorRig {
         std::mem::take(&mut self.metrics)
     }
 
-    fn reset_to_snapshot(&mut self, mode: u32) {
-        self.machine.restore(&self.snapshot);
+    /// Restores the machine to the post-boot snapshot and its disk to
+    /// the post-boot image.
+    fn restore_snapshot(&mut self) {
         // Reset the disk to the post-boot image, copying only the
         // sectors written since the last reset when the baseline is
         // already established (a severity-assessment reboot swaps in a
@@ -680,28 +761,89 @@ impl InjectorRig {
                     Some(Ramdisk::fork_from(&self.post_boot_disk, self.snapshot.id()));
             }
         }
+        self.machine.restore(&self.snapshot);
+    }
+
+    /// [`InjectorRig::restore_snapshot`], then selects the run mode.
+    fn reset_to_snapshot(&mut self, mode: u32) {
+        self.restore_snapshot();
         kfi_kernel::set_run_mode(&mut self.machine, mode);
         let tsc = self.machine.max_tsc();
         self.machine.trace_sink_mut().emit(tsc, EventKind::SnapshotRestore { mode });
+    }
+
+    /// The checkpoint at tick cut `tick` (≥ 1) of `mode`'s golden run,
+    /// from the base's [`CheckpointStore`]. A capture resumes from the
+    /// stored checkpoint of the greatest lower tick of the mode (or the
+    /// snapshot) with no breakpoint armed, runs on to the cut on this
+    /// rig's machine, and shares unchanged pages with where it resumed.
+    /// `None` when the capture was cut short (the abort flag, or a run
+    /// that never reached the cut): then nothing is stored and the
+    /// caller starts from the snapshot.
+    fn checkpoint_at(
+        &mut self,
+        shared: &RigShared,
+        mode: u32,
+        tick: u32,
+    ) -> Option<Arc<Checkpoint>> {
+        shared.checkpoints.get_or_capture_if((mode, tick), || {
+            let from = shared.checkpoints.floor(&(mode, tick - 1));
+            let (mut at, from) = match from {
+                Some(((m, at), Some(c))) if m == mode => (at, Some(c)),
+                _ => (0, None),
+            };
+            match &from {
+                Some(c) => {
+                    self.restore_snapshot();
+                    self.machine.install(c);
+                }
+                None => self.reset_to_snapshot(mode),
+            }
+            // The snapshot itself is cut 1 when a tick is already due.
+            if at == 0 && self.machine.tick_due() {
+                at = 1;
+            }
+            let end = self.snapshot_tsc() + self.golden[mode as usize].cycles;
+            while at < tick {
+                let left = end.saturating_sub(self.machine.max_tsc());
+                if self.machine.run_to_tick(left).is_some() {
+                    return (None, false);
+                }
+                at += 1;
+            }
+            let c = self.machine.checkpoint(from.as_deref());
+            shared.checkpoints_stored.fetch_add(1, Ordering::Relaxed);
+            shared.checkpoint_bytes.fetch_add(c.fresh_bytes() as u64, Ordering::Relaxed);
+            (Some(Arc::new(c)), true)
+        })
     }
 
     fn capture_golden(&mut self, mode: u32) -> Result<GoldenRun, RigError> {
         self.reset_to_snapshot(mode);
         let text_base = self.image.program.text.base;
         let text_len = self.image.program.text.bytes.len() as u32;
-        let mut coverage = vec![0u64; (text_len as usize).div_ceil(64)];
+        // A bitset of the offsets seen so far keeps the per-step check
+        // cheap; each first hit is appended once, and sorted at the end.
+        let mut seen = vec![0u64; (text_len as usize).div_ceil(64)];
+        let mut first_hits = Vec::new();
+        let mut ticks = 0u32;
         let budget = self.snapshot_tsc() + self.config.golden_budget;
         loop {
             let m = &mut self.machine;
             if m.max_tsc() > budget {
                 return Err(RigError::GoldenFailed { mode, console: m.console_string() });
             }
-            // Record coverage before executing.
+            // Count the tick cut, then record the first hit before
+            // executing: an address reached on a tick-due boundary is
+            // hit at that cut.
+            ticks += u32::from(m.tick_due());
             let eip = m.cpu.eip;
             if m.cpu.cs == kfi_machine::KERNEL_CS {
-                if let Some(off) = eip.checked_sub(text_base) {
-                    if off < text_len {
-                        coverage[(off / 64) as usize] |= 1 << (off % 64);
+                if let Some(off) = eip.checked_sub(text_base).filter(|&o| o < text_len) {
+                    let (w, bit) = ((off / 64) as usize, 1 << (off % 64));
+                    if seen[w] & bit == 0 {
+                        seen[w] |= bit;
+                        first_hits.push((off, ticks));
                     }
                 }
             }
@@ -720,12 +862,13 @@ impl InjectorRig {
         if !has_event(m, events::SHUTDOWN) || has_event(m, events::PANIC) {
             return Err(RigError::GoldenFailed { mode, console: m.console_string() });
         }
+        first_hits.sort_unstable();
         Ok(GoldenRun {
             mode,
             console: m.console_string(),
             results: results_of(m),
             cycles: m.max_tsc() - self.snapshot_tsc(),
-            coverage,
+            first_hits,
         })
     }
 
@@ -736,17 +879,28 @@ impl InjectorRig {
     /// Whether the golden run of `mode` ever executes the instruction —
     /// the deterministic pre-check that lets non-activated injections
     /// skip the full run (the paper likewise proceeds to the next error
-    /// without a reboot when the target is not activated).
+    /// without a reboot when the target is not activated). It reads the
+    /// golden run's first-hit index ([`GoldenRun::first_hit`]), which
+    /// also tells a forked rig where in the golden prefix to resume.
     pub fn would_activate(&self, addr: u32, mode: u32) -> bool {
         self.golden[mode as usize].covers(addr, self.image.program.text.base)
     }
 
     /// Executes one injection run and classifies the outcome.
+    ///
+    /// Everything before the breakpoint fires is the golden run, so a
+    /// forked rig without a trace ring or sanitizer resumes from the
+    /// checkpoint at the target's first-hit tick instead of the
+    /// snapshot ([`CheckpointStore`]) and runs to the same absolute
+    /// deadline. A standalone rig always starts at the snapshot — the
+    /// reference that the resumed runs equal record for record, metric
+    /// for metric.
     pub fn run_one(&mut self, target: &InjectionTarget, mode: u32) -> RunRecord {
         self.metrics.runs += 1;
 
         // Fast path: provably never executed under this workload.
-        if !self.would_activate(target.insn_addr, mode) {
+        let text_base = self.image.program.text.base;
+        let Some(tick) = self.golden[mode as usize].first_hit(target.insn_addr, text_base) else {
             self.metrics.record_outcome(trace_outcome::NOT_ACTIVATED);
             self.metrics.run_cycles.record(0);
             return RunRecord {
@@ -757,12 +911,22 @@ impl InjectorRig {
                 run_cycles: 0,
                 sanitizer_violations: 0,
             };
-        }
+        };
 
-        self.reset_to_snapshot(mode);
+        let resumable =
+            tick > 0 && !self.config.sanitizer && !self.machine.trace_sink().is_enabled();
+        let shared = self.shared.clone().filter(|_| resumable);
+        let checkpoint = shared.as_ref().and_then(|s| self.checkpoint_at(s, mode, tick));
+        match &checkpoint {
+            Some(_) => self.restore_snapshot(),
+            None => self.reset_to_snapshot(mode),
+        }
         self.metrics.snapshot_restores += 1;
+        // The breakpoint goes on the CPU that was active at the snapshot.
+        let bp_cpu = self.machine.active_cpu();
         // TLB and decode-cache stats are cumulative across restores;
-        // diff around the run (sanitizer violations likewise).
+        // diff around the run (sanitizer violations likewise). A
+        // checkpoint install adds its prefix's share.
         let tlb_0 = self.machine.tlb_stats();
         let dec_0 = self.machine.decode_stats();
         let blk_0 = self.machine.block_stats();
@@ -771,12 +935,18 @@ impl InjectorRig {
         let golden_cycles = self.golden[mode as usize].cycles;
         let budget = golden_cycles * self.config.budget_factor + self.config.budget_slack;
         let start = self.snapshot_tsc();
-        self.machine.cpu.arm_breakpoint(0, target.insn_addr);
+        if let (Some(c), Some(shared)) = (&checkpoint, &shared) {
+            self.machine.install(c);
+            shared.resumed_runs.fetch_add(1, Ordering::Relaxed);
+            shared.skipped_cycles.fetch_add(c.max_tsc() - start, Ordering::Relaxed);
+        }
+        self.machine.cpu_state_mut(bp_cpu).arm_breakpoint(0, target.insn_addr);
         self.machine
             .trace_sink_mut()
             .emit(start, EventKind::InjectionArmed { addr: target.insn_addr });
 
-        let exit1 = self.machine.run(budget);
+        // The deadline counts from the snapshot wherever the run starts.
+        let exit1 = self.machine.run((start + budget).saturating_sub(self.machine.max_tsc()));
         let activation_tsc = match exit1 {
             RunExit::DebugBreak { .. } => {
                 let t = self.machine.max_tsc();
@@ -796,8 +966,8 @@ impl InjectorRig {
                     .emit(t, EventKind::BitFlipApplied { addr, mask: target.bit_mask });
                 t
             }
-            // The breakpoint never fired even though coverage said it
-            // would — only possible if coverage and run diverge, which
+            // The breakpoint never fired even though the golden run says
+            // it would — only possible if golden and run diverge, which
             // determinism forbids; classify conservatively.
             _ => {
                 let run_cycles = self.machine.max_tsc().saturating_sub(start);
@@ -1231,7 +1401,7 @@ mod tests {
             console: format!("mode {mode}"),
             results: vec![mode],
             cycles: 1000 + mode as u64,
-            coverage: Vec::new(),
+            first_hits: Vec::new(),
         })
     }
 

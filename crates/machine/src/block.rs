@@ -265,6 +265,16 @@ struct Slot {
     links: [Option<u32>; 2],
 }
 
+/// One live block-cache entry, as a checkpoint holds it: the block is
+/// shared, not copied.
+#[derive(Debug, Clone)]
+pub(crate) struct LiveBlock {
+    pa: u32,
+    gen: u64,
+    block: Arc<Block>,
+    links: [Option<u32>; 2],
+}
+
 /// A direct-mapped basic-block cache with hit/miss/invalidation
 /// counters. Counters are cumulative for the life of the machine (like
 /// TLB and decode-cache stats); callers wanting per-run numbers diff
@@ -325,6 +335,45 @@ impl BlockCache {
     /// Drops every entry in O(1) by advancing the epoch.
     pub(crate) fn flush(&mut self) {
         self.epoch += 1;
+    }
+
+    /// The live entries, in slot order. Between dispatches every taken
+    /// block is back in its slot.
+    pub(crate) fn live(&self) -> Vec<LiveBlock> {
+        let epoch = self.epoch;
+        self.slots
+            .iter()
+            .filter(|s| s.epoch == epoch)
+            .map(|s| LiveBlock {
+                pa: s.pa,
+                gen: s.gen,
+                block: s.block.clone().expect("block back in its slot between dispatches"),
+                links: s.links,
+            })
+            .collect()
+    }
+
+    /// Makes `live` (as [`BlockCache::live`] lists them) the cache's
+    /// entries and adds the `(hits, misses, invalidations)` and `(links,
+    /// follows, breaks)` deltas to the counters. The cache must have been
+    /// flushed since its last insert.
+    pub(crate) fn install(
+        &mut self,
+        live: &[LiveBlock],
+        stats: (u64, u64, u64),
+        chain: (u64, u64, u64),
+    ) {
+        let epoch = self.epoch;
+        for b in live {
+            self.slots[b.pa as usize & (SLOTS - 1)] =
+                Slot { pa: b.pa, gen: b.gen, epoch, block: Some(b.block.clone()), links: b.links };
+        }
+        self.hits += stats.0;
+        self.misses += stats.1;
+        self.invalidations += stats.2;
+        self.links += chain.0;
+        self.follows += chain.1;
+        self.breaks += chain.2;
     }
 
     /// Looks up the block starting at physical address `pa`, validating
@@ -643,10 +692,12 @@ impl Machine {
     ///   `dr7 == 0` at entry means no mid-block check could match.
     /// * **Instruction counter / quantum.** Nothing observes the
     ///   counters mid-block (trap records carry TSC, the sanitizer is
-    ///   never active in block mode), so both are batched: the counter
-    ///   is bumped for the whole block up front and walked back on an
-    ///   early exit; the quantum is debited for the whole block, which
-    ///   can only *shorten* a segment (more frequent abort polls).
+    ///   never active in block mode), so both are batched: each chunk
+    ///   is counted and debited up front, and both are walked back when
+    ///   the careful path takes over mid-chunk. The quantum must come
+    ///   out exact: where a segment ends decides which block entries are
+    ///   chain follows, so the chain counters of a hot replay equal
+    ///   those of a careful one only if both end their segments alike.
     /// * **Fetch translation.** Proven *once per entry*: every `(vpn,
     ///   pfn)` pair the trace fetches from is checked TLB-resident with
     ///   fetch permission ([`Machine::trace_pages_mapped`]). Because
@@ -771,6 +822,11 @@ impl Machine {
             }
             let k = n.min(start + ((slack - 1) / MAX_TSC_PER_INSN) as usize + 1);
             self.counters.instructions += (k - start) as u64;
+            // A hand-over to the careful path at step `i` walks the
+            // quantum back to `i - start` debits, as it does the
+            // instruction count, so the segment ends where careful
+            // replay alone would end it.
+            let chunk_quantum = *quantum;
             *quantum = quantum.saturating_sub((k - start) as u32);
             for (i, st) in block.steps[..k.min(n - 1)].iter().enumerate().skip(start) {
                 let eip = self.cpu.eip;
@@ -783,6 +839,7 @@ impl Machine {
                     // translation (which counts itself — walk back its
                     // pre-count too).
                     self.counters.instructions -= (k - i) as u64;
+                    *quantum = chunk_quantum.saturating_sub((i - start) as u32);
                     flush_hits!(i as u64, i as u64 - 1);
                     return self.replay_block_careful(block, i, pa0, limit, quantum, ctx);
                 }
@@ -796,6 +853,7 @@ impl Machine {
                         // any mapping moved.
                         if !self.trace_pages_mapped(block) {
                             self.counters.instructions -= (k - i) as u64;
+                            *quantum = chunk_quantum.saturating_sub((i - start) as u32);
                             flush_hits!(i as u64, i as u64 - 1);
                             return self.replay_block_careful(block, i, pa0, limit, quantum, ctx);
                         }
@@ -842,11 +900,13 @@ impl Machine {
             let eip = self.cpu.eip;
             if eip != st.eip {
                 self.counters.instructions -= 1;
+                *quantum = chunk_quantum.saturating_sub((i - start) as u32);
                 flush_hits!(i as u64, i as u64 - 1);
                 return self.replay_block_careful(block, i, pa0, limit, quantum, ctx);
             }
             if paging && self.tlb.generation() != tlb_gen && !self.trace_pages_mapped(block) {
                 self.counters.instructions -= 1;
+                *quantum = chunk_quantum.saturating_sub((i - start) as u32);
                 flush_hits!(i as u64, i as u64 - 1);
                 return self.replay_block_careful(block, i, pa0, limit, quantum, ctx);
             }

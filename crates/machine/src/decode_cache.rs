@@ -76,6 +76,25 @@ impl DecodeCache {
         self.epoch += 1;
     }
 
+    /// The live entries as `(pa, generation, insn)`, in slot order.
+    pub(crate) fn live(&self) -> Vec<(u32, u64, Insn)> {
+        let epoch = self.epoch;
+        self.slots.iter().filter(|s| s.epoch == epoch).map(|s| (s.pa, s.gen, s.insn)).collect()
+    }
+
+    /// Makes `live` (as [`DecodeCache::live`] lists them) the cache's
+    /// entries and adds `stats` to the counters. The cache must have
+    /// been flushed since its last insert.
+    pub(crate) fn install(&mut self, live: &[(u32, u64, Insn)], stats: (u64, u64, u64)) {
+        let epoch = self.epoch;
+        for &(pa, gen, insn) in live {
+            self.slots[pa as usize & (SLOTS - 1)] = Slot { pa, gen, epoch, insn };
+        }
+        self.hits += stats.0;
+        self.misses += stats.1;
+        self.invalidations += stats.2;
+    }
+
     /// Looks up the instruction at physical address `pa`, validating the
     /// entry against the page's current write generation.
     #[inline]

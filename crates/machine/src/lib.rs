@@ -68,8 +68,8 @@ mod trap;
 
 pub use cpu::{Cpu, CR0_PG, KERNEL_CS, USER_CS};
 pub use machine::{
-    ports, Counters, Machine, MachineConfig, MonitorEvent, ResetResidue, ResidueFootprint, RunExit,
-    Snapshot, StepEvent, ABORT_CHECK_STEPS,
+    ports, Checkpoint, Counters, Machine, MachineConfig, MonitorEvent, ResetResidue,
+    ResidueFootprint, RunExit, Snapshot, StepEvent, ABORT_CHECK_STEPS,
 };
 pub use mem::{PhysMem, PAGE_SIZE};
 pub use mmu::{pte, Access, PageFault, Tlb};

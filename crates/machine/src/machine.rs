@@ -7,6 +7,9 @@ use crate::ramdisk::{Ramdisk, SECTOR_SIZE};
 use crate::trap::{TrapRecord, Vector};
 use kfi_trace::{EventKind, TraceSink};
 
+mod checkpoint;
+pub use checkpoint::Checkpoint;
+
 /// Well-known I/O port numbers.
 pub mod ports {
     /// Console byte output (like the Bochs/QEMU 0xE9 debug port).
@@ -433,6 +436,9 @@ pub struct Machine {
     /// The residue observer ([`Machine::observe_residue`]); `None` (the
     /// default) costs one branch on each slow path it hooks.
     observer: Option<Box<ResidueObserver>>,
+    /// The cumulative cache statistics at the last [`Machine::restore`],
+    /// so that a [`Checkpoint`] can hold the ones since.
+    stats_base: checkpoint::CacheStats,
 }
 
 impl Machine {
@@ -470,6 +476,7 @@ impl Machine {
             triple_faulted: false,
             abort: None,
             observer: None,
+            stats_base: checkpoint::CacheStats::default(),
         }
     }
 
@@ -531,6 +538,7 @@ impl Machine {
             san: _,
             abort: _,
             observer: _,
+            stats_base: _,
             // Fixed for the machine's life.
             config: _,
         } = self;
@@ -605,6 +613,7 @@ impl Machine {
             san: _,
             abort: _,
             observer: _,
+            stats_base: _,
             config: _,
         } = self;
         let (cpu0, tlb0, next_tick0) = match smp.as_deref_mut() {
@@ -804,6 +813,23 @@ impl Machine {
             }
             Some(smp) if index == smp.active => &self.cpu,
             Some(smp) => &smp.ctxs[index].cpu,
+        }
+    }
+
+    /// Mutable architectural state of CPU `index`, live or parked (e.g.
+    /// to arm a debug register on a CPU that is not active).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.cpus()`.
+    pub fn cpu_state_mut(&mut self, index: usize) -> &mut Cpu {
+        match &mut self.smp {
+            None => {
+                assert_eq!(index, 0, "uniprocessor machine has only CPU 0");
+                &mut self.cpu
+            }
+            Some(smp) if index == smp.active => &mut self.cpu,
+            Some(smp) => &mut smp.ctxs[index].cpu,
         }
     }
 
@@ -1014,12 +1040,16 @@ impl Machine {
     /// the pages dirtied in between are copied back. The decode cache is
     /// flushed either way — entries for untouched pages would still be
     /// valid, but carrying cache warmth across runs would make per-run
-    /// hit/miss counts depend on worker scheduling.
+    /// hit/miss counts depend on worker scheduling. With every cache
+    /// empty, page generations restart at zero, so from here on they
+    /// count writes since the restore on any machine (what lets a
+    /// [`Checkpoint`] carry them from one machine to another).
     pub fn restore(&mut self, s: &Snapshot) {
         self.cpu = s.cpu.clone();
         self.mem.restore_from(&s.mem, s.id);
         self.decode_cache.flush();
         self.block_cache.flush();
+        self.mem.zero_gens();
         self.next_tick = s.next_tick;
         self.blk_lba = s.blk_lba;
         self.blk_dma = s.blk_dma;
@@ -1052,6 +1082,7 @@ impl Machine {
         self.counters = Counters::default();
         self.delivering = 0;
         self.triple_faulted = false;
+        self.stats_base = checkpoint::CacheStats::of(self);
     }
 
     /// Builds a new machine directly in the state captured by `s`: a
@@ -1131,6 +1162,7 @@ impl Machine {
             triple_faulted: false,
             abort: None,
             observer: None,
+            stats_base: checkpoint::CacheStats::default(),
         }
     }
 
@@ -1829,16 +1861,41 @@ impl Machine {
     /// block retired, and a port write that may send an IPI ends the
     /// block.
     pub fn run(&mut self, max_cycles: u64) -> RunExit {
+        self.run_loop(max_cycles, false).expect("an uncut run ends only with an exit")
+    }
+
+    /// [`Machine::run`], but also stopping at the top of the next loop
+    /// iteration where the active CPU's tick is [due](Machine::tick_due),
+    /// not counting one the call starts at: a *tick cut*, where it
+    /// returns `None`. The uncut loop passes through the same state —
+    /// the tick is due only at a loop top, because a block's limit is
+    /// `min(deadline, next_tick)` — so a cut changes nothing about the
+    /// run that continues from it (see [`Checkpoint`]).
+    pub fn run_to_tick(&mut self, max_cycles: u64) -> Option<RunExit> {
+        self.run_loop(max_cycles, true)
+    }
+
+    /// The one run loop behind [`Machine::run`] and
+    /// [`Machine::run_to_tick`]; inlined so the uncut loop pays nothing
+    /// for the cut.
+    #[inline(always)]
+    fn run_loop(&mut self, max_cycles: u64, cut: bool) -> Option<RunExit> {
         let mut now = self.max_tsc();
         let deadline = now.saturating_add(max_cycles);
         let blocks = self.block_cache.enabled() && self.san.is_none();
+        // A cut call never stops at the loop top it starts at.
+        let mut started = !cut;
         loop {
             // Parked CPUs' TSCs do not move, so this running maximum
             // stays equal to `max_tsc()` without rescanning them.
             now = now.max(self.cpu.tsc);
             if now >= deadline || self.abort_requested() {
-                return RunExit::CycleLimit;
+                return Some(RunExit::CycleLimit);
             }
+            if cut && started && self.tick_due() {
+                return None;
+            }
+            started = true;
             let event = if blocks && !self.needs_step() {
                 let retired = self.counters.instructions;
                 self.exec_block(deadline);
@@ -1857,9 +1914,9 @@ impl Machine {
             };
             match event {
                 StepEvent::Executed => {}
-                StepEvent::DebugBreak { index } => return RunExit::DebugBreak { index },
-                StepEvent::Halted => return RunExit::Halted,
-                StepEvent::TripleFault => return RunExit::TripleFault,
+                StepEvent::DebugBreak { index } => return Some(RunExit::DebugBreak { index }),
+                StepEvent::Halted => return Some(RunExit::Halted),
+                StepEvent::TripleFault => return Some(RunExit::TripleFault),
             }
         }
     }
@@ -1869,7 +1926,7 @@ impl Machine {
     fn needs_step(&self) -> bool {
         self.triple_faulted
             || self.cpu.halted
-            || (self.config.timer_enabled && self.cpu.tsc >= self.next_tick)
+            || self.tick_due()
             || (self.cpu.dr7 != 0 && self.cpu.breakpoint_match(self.cpu.eip).is_some())
             || (self.smp.is_some() && !self.smp_alone())
     }

@@ -1,0 +1,385 @@
+//! Checkpoints: the full machine state at a tick cut, held as a delta
+//! against the snapshot the machine was restored from.
+//!
+//! A *tick cut* is the top of a [`Machine::run`] loop iteration where
+//! the active CPU's timer tick is due ([`Machine::tick_due`]). The
+//! unstopped loop passes through every such state too (its block limit
+//! is `min(deadline, next_tick)`), so stopping there with
+//! [`Machine::run_to_tick`], capturing with [`Machine::checkpoint`] and
+//! later resuming with [`Machine::install`] is invisible: the resumed
+//! machine runs on exactly as the uncut one would, caches and
+//! statistics included.
+
+use super::{Counters, Machine, MachineConfig, MonitorEvent};
+use crate::cpu::Cpu;
+use crate::mmu::TlbEntry;
+use crate::smp::{CpuCtx, Ipi, SmpState};
+use crate::trap::TrapRecord;
+use kfi_isa::Insn;
+use std::collections::VecDeque;
+use std::sync::Arc;
+
+/// Cumulative cache statistics: the TLB `(hits, misses)` summed over
+/// every CPU, and the decode, block and chain triples.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(super) struct CacheStats {
+    tlb: (u64, u64),
+    decode: (u64, u64, u64),
+    block: (u64, u64, u64),
+    chain: (u64, u64, u64),
+}
+
+impl CacheStats {
+    pub(super) fn of(m: &Machine) -> CacheStats {
+        CacheStats {
+            tlb: m.tlb_stats(),
+            decode: m.decode_stats(),
+            block: m.block_stats(),
+            chain: m.chain_stats(),
+        }
+    }
+
+    /// `self - base`, per counter.
+    fn since(&self, base: &CacheStats) -> CacheStats {
+        let d2 = |a: (u64, u64), b: (u64, u64)| (a.0 - b.0, a.1 - b.1);
+        let d3 = |a: (u64, u64, u64), b: (u64, u64, u64)| (a.0 - b.0, a.1 - b.1, a.2 - b.2);
+        CacheStats {
+            tlb: d2(self.tlb, base.tlb),
+            decode: d3(self.decode, base.decode),
+            block: d3(self.block, base.block),
+            chain: d3(self.chain, base.chain),
+        }
+    }
+}
+
+/// A parked CPU's context: architectural state, resident TLB entries
+/// and timer deadline.
+#[derive(Debug, Clone)]
+struct ParkedCpu {
+    cpu: Cpu,
+    tlb: Vec<TlbEntry>,
+    next_tick: u64,
+}
+
+/// The SMP half of a checkpoint. `ctxs[active]` is `None`: that slot is
+/// stale while its CPU runs inline, and nothing reads it.
+#[derive(Debug, Clone)]
+struct SmpCheckpoint {
+    ctxs: Vec<Option<ParkedCpu>>,
+    active: usize,
+    slice_left: u32,
+    rng: u64,
+    ipi_arg: u32,
+    pending: Vec<VecDeque<Ipi>>,
+}
+
+/// The disk as the sectors written since its last restore.
+#[derive(Debug, Clone)]
+struct DiskCheckpoint {
+    /// The baseline id the capturing disk was restored from.
+    base: Option<u64>,
+    sectors: Vec<(u32, Arc<[u8]>)>,
+    io: (u64, u64),
+}
+
+/// The full state of a machine at a tick cut, as a delta against the
+/// [`Snapshot`](super::Snapshot) it was restored from: every CPU's
+/// context, the pages and disk sectors written since the restore with
+/// their page generations, the decode cache, the block cache with its
+/// chain links, the TLBs, the counters, the cache statistics since the restore, and the
+/// console, monitor and trap logs. Host-side state (trace sink, abort
+/// flag) is not part of it.
+///
+/// Captured by [`Machine::checkpoint`] and installed by
+/// [`Machine::install`]; both destructure the machine exhaustively, so
+/// a new machine field fails to compile there until it is classified.
+///
+/// Page versions and disk sectors are shared (`Arc`) with the
+/// checkpoint a capture was resumed from wherever their contents are
+/// unchanged, and cached blocks are shared with the capturing machine's
+/// block cache, so consecutive checkpoints of one run cost little more
+/// than what changed between them.
+#[derive(Debug, Clone)]
+pub struct Checkpoint {
+    base: u64,
+    config: MachineConfig,
+    cpu: Cpu,
+    tlb: Vec<TlbEntry>,
+    next_tick: u64,
+    smp: Option<SmpCheckpoint>,
+    /// `(page, generation, contents)` of each page written since the
+    /// restore, ascending. Generations count writes since the restore
+    /// ([`Machine::restore`] zeroes them), so they mean the same on
+    /// every machine restored from the same snapshot.
+    pages: Vec<(u32, u64, Arc<[u8]>)>,
+    dropped_writes: u64,
+    disk: Option<DiskCheckpoint>,
+    decode: Vec<(u32, u64, Insn)>,
+    blocks: Vec<crate::block::LiveBlock>,
+    /// Cache statistics accumulated since the restore.
+    stats: CacheStats,
+    console: Vec<u8>,
+    monitor: Vec<(u64, MonitorEvent)>,
+    trap_log: Vec<TrapRecord>,
+    counters: Counters,
+    blk: [u32; 3],
+    triple_faulted: bool,
+    tsc: u64,
+    fresh_bytes: usize,
+}
+
+impl Checkpoint {
+    /// The machine-wide clock ([`Machine::max_tsc`]) at the cut.
+    pub fn max_tsc(&self) -> u64 {
+        self.tsc
+    }
+
+    /// Heap bytes this checkpoint holds that it does not share with the
+    /// checkpoint it was captured against: fresh page and sector
+    /// versions, cache entry lists and logs (cached block bodies, which
+    /// the capturing machine's block cache shares, are not counted).
+    pub fn fresh_bytes(&self) -> usize {
+        self.fresh_bytes
+    }
+}
+
+/// `new`, sharing `prev`'s version when the contents are equal. `prev`
+/// is ascending by key and `cursor` walks it alongside ascending keys.
+fn share(
+    key: u32,
+    new: &[u8],
+    prev: &[(u32, Arc<[u8]>)],
+    cursor: &mut usize,
+    fresh: &mut usize,
+) -> Arc<[u8]> {
+    while prev.get(*cursor).is_some_and(|(k, _)| *k < key) {
+        *cursor += 1;
+    }
+    match prev.get(*cursor) {
+        Some((k, old)) if *k == key && **old == *new => old.clone(),
+        _ => {
+            *fresh += new.len();
+            Arc::from(new)
+        }
+    }
+}
+
+impl Machine {
+    /// Whether the active CPU's timer tick is due: [`Machine::run`]
+    /// then takes its next iteration as one step, and
+    /// [`Machine::run_to_tick`] stops there.
+    pub fn tick_due(&self) -> bool {
+        self.config.timer_enabled && self.cpu.tsc >= self.next_tick
+    }
+
+    /// Captures the machine's state as a [`Checkpoint`] against the
+    /// snapshot it was last restored from. Meant for a tick cut (see
+    /// [`Machine::run_to_tick`]), where no block is mid-replay. Page and
+    /// sector versions equal to `prev`'s are shared with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine was never restored from a snapshot, or if
+    /// the sanitizer or the residue observer is on (their per-step
+    /// state is not captured).
+    pub fn checkpoint(&self, prev: Option<&Checkpoint>) -> Checkpoint {
+        // Exhaustive on purpose: a new field fails to compile here until
+        // it is classified as checkpointed or host-side.
+        let Machine {
+            cpu,
+            mem,
+            disk,
+            tlb,
+            decode_cache,
+            block_cache,
+            config,
+            console,
+            monitor,
+            trap_log,
+            counters,
+            next_tick,
+            blk_lba,
+            blk_dma,
+            blk_status,
+            smp,
+            delivering,
+            triple_faulted,
+            san,
+            observer,
+            stats_base,
+            // Host-side: what the host watches, not what the guest ran.
+            trace: _,
+            abort: _,
+        } = self;
+        assert!(san.is_none(), "checkpoint of a sanitized machine");
+        assert!(observer.is_none() && !tlb.logging(), "checkpoint under the residue observer");
+        assert_eq!(*delivering, 0, "checkpoint inside a trap delivery");
+        let base = mem.synced_to().expect("checkpoint of a machine never restored");
+        let mut fresh = 0;
+        let no_pages = Vec::new();
+        let prev_pages: Vec<(u32, Arc<[u8]>)> = prev.map_or(no_pages, |p| {
+            p.pages.iter().map(|(page, _, bytes)| (*page, bytes.clone())).collect()
+        });
+        let mut cursor = 0;
+        let pages = mem
+            .dirty_pages()
+            .map(|(p, gen, bytes)| (p, gen, share(p, bytes, &prev_pages, &mut cursor, &mut fresh)))
+            .collect();
+        let disk = disk.as_ref().map(|d| {
+            let prev_sectors = prev.and_then(|p| p.disk.as_ref()).map_or(&[][..], |d| &d.sectors);
+            let mut cursor = 0;
+            DiskCheckpoint {
+                base: d.synced_to(),
+                sectors: d
+                    .written_sectors()
+                    .map(|(s, b)| (s, share(s, b, prev_sectors, &mut cursor, &mut fresh)))
+                    .collect(),
+                io: d.io_stats(),
+            }
+        });
+        let smp = smp.as_deref().map(|smp| {
+            let SmpState { ctxs, active, slice_left, rng, ipi_arg, pending } = smp;
+            SmpCheckpoint {
+                ctxs: ctxs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, CpuCtx { cpu, tlb, next_tick })| {
+                        (i != *active).then(|| ParkedCpu {
+                            cpu: cpu.clone(),
+                            tlb: tlb.resident(),
+                            next_tick: *next_tick,
+                        })
+                    })
+                    .collect(),
+                active: *active,
+                slice_left: *slice_left,
+                rng: *rng,
+                ipi_arg: *ipi_arg,
+                pending: pending.clone(),
+            }
+        });
+        let decode = decode_cache.live();
+        let blocks = block_cache.live();
+        fresh += decode.len() * std::mem::size_of::<(u32, u64, Insn)>()
+            + blocks.len() * std::mem::size_of::<crate::block::LiveBlock>()
+            + console.len()
+            + monitor.len() * std::mem::size_of::<(u64, MonitorEvent)>()
+            + trap_log.len() * std::mem::size_of::<TrapRecord>();
+        Checkpoint {
+            base,
+            config: *config,
+            cpu: cpu.clone(),
+            tlb: tlb.resident(),
+            next_tick: *next_tick,
+            smp,
+            pages,
+            dropped_writes: mem.dropped_writes(),
+            disk,
+            decode,
+            blocks,
+            stats: CacheStats::of(self).since(stats_base),
+            console: console.clone(),
+            monitor: monitor.clone(),
+            trap_log: trap_log.clone(),
+            counters: *counters,
+            blk: [*blk_lba, *blk_dma, *blk_status],
+            triple_faulted: *triple_faulted,
+            tsc: self.max_tsc(),
+            fresh_bytes: fresh,
+        }
+    }
+
+    /// Installs `c`, leaving the machine in the state it was captured
+    /// in: the inverse of [`Machine::checkpoint`]. The cache statistics
+    /// accumulated before the cut are added to this machine's cumulative
+    /// ones, so a caller that diffs them around a run started here sees
+    /// the same totals as one that ran from the restore.
+    ///
+    /// The machine must have just been [restored](Machine::restore) from
+    /// the checkpoint's snapshot, with its disk (if the checkpoint has
+    /// one) reset to the image the capturing machine's disk was.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine is not freshly restored from that
+    /// snapshot, its configuration differs, or the disks do not match.
+    pub fn install(&mut self, c: &Checkpoint) {
+        assert_eq!(self.mem.synced_to(), Some(c.base), "checkpoint of another snapshot");
+        assert!(
+            self.mem.dirty_page_count() == 0 && self.counters == Counters::default(),
+            "checkpoint install on a machine that ran since its restore"
+        );
+        assert_eq!(self.config, c.config, "checkpoint of another machine configuration");
+        // Move the active CPU's TLB into place the way the scheduler
+        // does, so that the stale parked slot stays the uncounted one
+        // and the summed TLB statistics are unchanged by the move.
+        if let Some(sc) = &c.smp {
+            self.smp_switch(sc.active);
+        }
+        // Exhaustive on purpose, mirroring `checkpoint`.
+        let Machine {
+            cpu,
+            mem,
+            disk,
+            tlb,
+            decode_cache,
+            block_cache,
+            config: _,
+            console,
+            monitor,
+            trap_log,
+            counters,
+            next_tick,
+            blk_lba,
+            blk_dma,
+            blk_status,
+            smp,
+            delivering,
+            triple_faulted,
+            san: _,
+            observer: _,
+            stats_base: _,
+            trace: _,
+            abort: _,
+        } = self;
+        cpu.clone_from(&c.cpu);
+        tlb.install(&c.tlb);
+        tlb.add_stats(c.stats.tlb);
+        *next_tick = c.next_tick;
+        if let (Some(smp), Some(sc)) = (smp.as_deref_mut(), &c.smp) {
+            let SmpState { ctxs, active, slice_left, rng, ipi_arg, pending } = smp;
+            for (ctx, parked) in ctxs.iter_mut().zip(&sc.ctxs) {
+                if let Some(p) = parked {
+                    ctx.cpu.clone_from(&p.cpu);
+                    ctx.tlb.install(&p.tlb);
+                    ctx.next_tick = p.next_tick;
+                }
+            }
+            debug_assert_eq!(*active, sc.active);
+            (*slice_left, *rng, *ipi_arg) = (sc.slice_left, sc.rng, sc.ipi_arg);
+            pending.clone_from(&sc.pending);
+        }
+        for (p, gen, bytes) in &c.pages {
+            mem.install_page(*p, *gen, bytes);
+        }
+        mem.set_dropped_writes(c.dropped_writes);
+        if let Some(cd) = &c.disk {
+            let d = disk.as_mut().expect("checkpoint with a disk installed on a diskless machine");
+            assert_eq!(d.synced_to(), cd.base, "checkpoint disk of another image");
+            assert_eq!(d.dirty_sector_count(), 0, "checkpoint disk written since its reset");
+            for (s, bytes) in &cd.sectors {
+                d.install_sector(*s, bytes);
+            }
+            d.set_io_stats(cd.io);
+        }
+        decode_cache.install(&c.decode, c.stats.decode);
+        block_cache.install(&c.blocks, c.stats.block, c.stats.chain);
+        console.clone_from(&c.console);
+        monitor.clone_from(&c.monitor);
+        trap_log.clone_from(&c.trap_log);
+        *counters = c.counters;
+        [*blk_lba, *blk_dma, *blk_status] = c.blk;
+        *delivering = 0;
+        *triple_faulted = c.triple_faulted;
+    }
+}

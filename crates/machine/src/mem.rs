@@ -247,6 +247,45 @@ impl PhysMem {
         copied
     }
 
+    /// Sets every page's write generation to zero. Sound only when no
+    /// cache holds a generation of this memory (the machine calls it on
+    /// restore, right after flushing its caches); from then on a
+    /// generation counts the writes since that restore.
+    pub(crate) fn zero_gens(&mut self) {
+        self.page_gens.fill(0);
+    }
+
+    /// The snapshot id the dirty set tracks divergence from.
+    pub(crate) fn synced_to(&self) -> Option<u64> {
+        self.synced_to
+    }
+
+    /// The pages dirtied since the last restore, ascending, as `(page,
+    /// generation, contents)`.
+    pub(crate) fn dirty_pages(&self) -> impl Iterator<Item = (u32, u64, &[u8])> + '_ {
+        let page = PAGE_SIZE as usize;
+        self.dirty.iter().enumerate().flat_map(move |(w, &word)| {
+            (0..64).filter(move |b| word & (1 << b) != 0).map(move |b| {
+                let p = w * 64 + b;
+                (p as u32, self.page_gens[p], &self.bytes[p * page..(p + 1) * page])
+            })
+        })
+    }
+
+    /// Overwrites page `p` with `bytes` at generation `gen` and marks it
+    /// dirty: one page of a checkpoint install.
+    pub(crate) fn install_page(&mut self, p: u32, gen: u64, bytes: &[u8]) {
+        let (p, page) = (p as usize, PAGE_SIZE as usize);
+        self.bytes[p * page..(p + 1) * page].copy_from_slice(bytes);
+        self.page_gens[p] = gen;
+        self.dirty[p / 64] |= 1 << (p % 64);
+    }
+
+    /// Sets the count of dropped out-of-range writes (checkpoint install).
+    pub(crate) fn set_dropped_writes(&mut self, n: u64) {
+        self.dropped_writes = n;
+    }
+
     /// Clones the raw contents for a snapshot.
     pub fn snapshot(&self) -> Vec<u8> {
         self.bytes.clone()

@@ -164,6 +164,17 @@ impl Tlb {
         (self.hits, self.misses)
     }
 
+    /// Adds `(hits, misses)` to the statistics (checkpoint install).
+    pub(crate) fn add_stats(&mut self, (hits, misses): (u64, u64)) {
+        self.hits += hits;
+        self.misses += misses;
+    }
+
+    /// Whether the residue observer's log is armed.
+    pub(crate) fn logging(&self) -> bool {
+        self.log.is_some()
+    }
+
     /// The resident translations in slot order — everything a lookup
     /// can answer. A slot is a function of its entry's page number, so
     /// the list pins the entry array exactly.

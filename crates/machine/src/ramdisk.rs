@@ -147,6 +147,30 @@ impl Ramdisk {
         }
     }
 
+    /// The baseline id the dirty set tracks divergence from.
+    pub(crate) fn synced_to(&self) -> Option<u64> {
+        self.synced_to
+    }
+
+    /// The sectors written since the last restore, ascending, as `(lba,
+    /// contents)`.
+    pub(crate) fn written_sectors(&self) -> impl Iterator<Item = (u32, &[u8])> + '_ {
+        set_bits(&self.dirty).map(|s| (s as u32, &self.bytes[s * SECTOR_SIZE..][..SECTOR_SIZE]))
+    }
+
+    /// Overwrites sector `lba` with `bytes` and marks it written: one
+    /// sector of a checkpoint install. I/O statistics are untouched.
+    pub(crate) fn install_sector(&mut self, lba: u32, bytes: &[u8]) {
+        let s = lba as usize;
+        self.bytes[s * SECTOR_SIZE..][..SECTOR_SIZE].copy_from_slice(bytes);
+        self.dirty[s / 64] |= 1 << (s % 64);
+    }
+
+    /// Sets the `(reads, writes)` statistics (checkpoint install).
+    pub(crate) fn set_io_stats(&mut self, (reads, writes): (u64, u64)) {
+        (self.reads, self.writes) = (reads, writes);
+    }
+
     /// Unwraps the image bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.bytes

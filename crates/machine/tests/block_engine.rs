@@ -326,3 +326,64 @@ proptest! {
         prop_assert_eq!(on.console(), off.console());
     }
 }
+
+#[test]
+fn an_armed_breakpoint_changes_no_counter_before_it_fires() {
+    // An armed debug register sends every block to the careful replay
+    // path; until it fires, that must be invisible, chain counters
+    // included. The loop's load hits the code page's direct-mapped TLB
+    // slot, so each pass evicts the code translation mid-trace and the
+    // hot path hands the rest of the trace to the careful path — where
+    // the chained segment ends depends on the quantum both paths debit.
+    let prog = kfi_asm::assemble(
+        "
+        movl $4000, %ecx
+    top:
+        movl 0x201000, %eax
+        incl %ebx
+        incl %ebx
+        incl %ebx
+        incl %ebx
+        incl %ebx
+        incl %ebx
+        incl %ebx
+        incl %ebx
+        decl %ecx
+        jnz top
+        cli
+        hlt
+        ",
+        &kfi_asm::AsmOptions { text_base: 0x1000, data_base: None },
+    )
+    .expect("guest assembles");
+    let run = |armed: bool| {
+        let mut m = Machine::new(MachineConfig {
+            phys_mem: 4 << 20,
+            timer_enabled: false,
+            ..Default::default()
+        });
+        m.mem.load(0x1000, &prog.text.bytes);
+        // Identity-map the low 4 MiB.
+        m.mem.write_u32(0x10000, 0x11000 | 3);
+        for i in 0..1024u32 {
+            m.mem.write_u32(0x11000 + i * 4, (i << 12) | 3);
+        }
+        m.cpu.cr3 = 0x10000;
+        m.cpu.cr0 |= kfi_machine::CR0_PG;
+        m.cpu.eip = 0x1000;
+        m.cpu.set_reg(4, 0x8000);
+        if armed {
+            m.cpu.arm_breakpoint(0, 0x3f_f000); // never reached
+        }
+        assert_eq!(m.run(10_000_000), RunExit::Halted);
+        m
+    };
+    let (careful, hot) = (run(true), run(false));
+    assert_eq!(careful.counters(), hot.counters());
+    assert_eq!(careful.tlb_stats(), hot.tlb_stats());
+    assert_eq!(careful.decode_stats(), hot.decode_stats());
+    assert_eq!(careful.block_stats(), hot.block_stats());
+    assert_eq!(careful.chain_stats(), hot.chain_stats(), "(links, follows, breaks)");
+    assert!(hot.chain_stats().1 > 0, "the loop chains");
+    assert_eq!(careful.cpu.tsc, hot.cpu.tsc);
+}
