@@ -269,7 +269,7 @@ fn main() {
         seed: 2003,
         max_per_function: Some(cap),
         threads: 1,
-        profiler: ProfilerConfig { period: 501, budget: 200_000_000 },
+        profiler: ProfilerConfig { period: 501 },
         ..Default::default()
     })
     .expect("experiment prepares");

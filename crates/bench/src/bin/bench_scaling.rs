@@ -90,7 +90,7 @@ fn main() {
         seed: 2003,
         max_per_function: Some(cap),
         threads: 1,
-        profiler: ProfilerConfig { period: 501, budget: 200_000_000 },
+        profiler: ProfilerConfig { period: 501 },
         ..Default::default()
     })
     .expect("experiment prepares");
@@ -108,7 +108,7 @@ fn main() {
         threads: 1,
         kernel: KernelBuildOptions { smp: true, ..KernelBuildOptions::default() },
         rig: RigConfig { cpus: 2, ..RigConfig::default() },
-        profiler: ProfilerConfig { period: 501, budget: 200_000_000 },
+        profiler: ProfilerConfig { period: 501 },
         ..Default::default()
     })
     .expect("smp experiment prepares");

@@ -539,16 +539,18 @@ impl ReproOptions {
 
 /// Prepares the experiment (kernel build + profile), printing progress.
 ///
-/// # Panics
-///
-/// Panics when the guest sources fail to assemble or the baseline
-/// system is unhealthy — nothing can be measured in that case.
+/// Exits the process with status 1, after printing `[kfi] setup failed:`
+/// and the reason, when the guest sources fail to assemble or the
+/// baseline system is unhealthy — nothing can be measured in that case.
 pub fn prepare(opts: &ReproOptions) -> Experiment {
     eprintln!(
         "[kfi] building kernel (assertions: {}) and profiling workloads...",
         !opts.no_assertions
     );
-    let exp = Experiment::prepare(opts.to_config()).expect("experiment prepares");
+    let exp = Experiment::prepare(opts.to_config()).unwrap_or_else(|e| {
+        eprintln!("[kfi] setup failed: {e}");
+        std::process::exit(1)
+    });
     eprintln!(
         "[kfi] profiled {} functions, {} targets cover 95% of activity",
         exp.profile.functions.len(),

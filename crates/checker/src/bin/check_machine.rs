@@ -211,7 +211,7 @@ fn campaign_sweep(opts: &Options) -> (u64, u64) {
     let mut exp = match Experiment::prepare(ExperimentConfig {
         max_per_function: Some(1),
         threads: 1,
-        profiler: ProfilerConfig { period: 997, budget: 200_000_000 },
+        profiler: ProfilerConfig { period: 997 },
         ..Default::default()
     }) {
         Ok(e) => e,

@@ -170,8 +170,9 @@ pub struct DistConfig {
     /// Chaos-harness seed; `Some` enables random worker failures.
     pub chaos: Option<u64>,
     /// Budget for a freshly-spawned worker to complete its handshake
-    /// (it builds the kernel and profiles the workloads first). A
-    /// wedged worker is reaped and respawned when this expires.
+    /// (it builds and boots the kernel and captures, and profiles, the
+    /// golden runs first). A wedged worker is reaped and respawned when
+    /// this expires.
     pub handshake_budget: Duration,
     /// Silence budget after which a handshaken worker's lease expires.
     /// Workers heartbeat every ~100 ms even mid-run, so this bounds

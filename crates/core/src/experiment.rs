@@ -6,7 +6,7 @@ use kfi_injector::{
     plan_function, Campaign, InjectionTarget, InjectorRig, RigConfig, RigShared, RunRecord,
 };
 use kfi_kernel::{build_kernel, mkfs::FileSpec, KernelBuildOptions, KernelImage};
-use kfi_profiler::{profile, KernelProfile, ProfilerConfig};
+use kfi_profiler::{profile_golden_runs, KernelProfile, ProfilerConfig};
 use kfi_trace::Metrics;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,9 +41,11 @@ pub struct ExperimentConfig {
     /// Whether workers share one post-boot snapshot, one memoized set of
     /// golden runs and one memo of post-crash severity verdicts
     /// ([`kfi_injector::RigShared`]) instead of each booting, re-running
-    /// the goldens and rebooting after every crash privately. Default `true`;
-    /// the `false` position is the recompute-per-rig reference path —
-    /// results are bit-identical either way (`tests/golden_memo.rs`).
+    /// the goldens and rebooting after every crash privately. With one
+    /// guest CPU the shared base is the one [`Experiment::prepare`]
+    /// profiled. Default `true`; the `false` position is the
+    /// recompute-per-rig reference path — results are bit-identical
+    /// either way (`tests/golden_memo.rs`).
     pub memoize: bool,
 }
 
@@ -81,10 +83,12 @@ pub struct Experiment {
     /// `top_fraction` of samples, restricted to the four subsystems) —
     /// the paper's "top 32".
     pub target_functions: Vec<String>,
-    /// Lazily-booted shared post-boot base for the memoized rig path:
-    /// booted once by the first [`Experiment::make_rig`], then forked
-    /// by every later rig (including supervisor rebuild-on-panic).
-    /// Boot failures are memoized the same way. Untouched when
+    /// Shared post-boot base for the memoized rig path, forked by
+    /// every rig (including supervisor rebuild-on-panic). With one
+    /// guest CPU it is the base [`Experiment::prepare`] profiled, whose
+    /// golden store is already full; otherwise the first
+    /// [`Experiment::make_rig`] boots it, and boot failures are
+    /// memoized the same way. Untouched when
     /// [`ExperimentConfig::memoize`] is off.
     shared_base: OnceLock<Result<Arc<RigShared>, String>>,
 }
@@ -117,29 +121,37 @@ impl Experiment {
     /// Builds the kernel + workloads and profiles the kernel, selecting
     /// the top functions (paper Section 4).
     ///
+    /// The profile samples the golden runs of a uniprocessor base
+    /// ([`profile_golden_runs`]), also for SMP rigs. With
+    /// [`ExperimentConfig::memoize`] on and one guest CPU, that base is
+    /// the shared base every rig forks, so the kernel boots once and
+    /// each golden run executes once per experiment.
+    ///
     /// # Errors
     ///
     /// Returns a description when the kernel or a workload fails to
-    /// assemble (programming error in the guest sources).
+    /// assemble (programming error in the guest sources), or when the
+    /// boot or a golden run fails (naming the mode and the console).
     pub fn prepare(config: ExperimentConfig) -> Result<Experiment, String> {
         let image = build_kernel(config.kernel).map_err(|e| e.to_string())?;
         let files = config.suite.files().map_err(|e| e.to_string())?;
         let workloads = config.suite.workloads();
-        let profile = profile(&image, &files, &workloads, &config.profiler);
+        let rig = RigConfig { cpus: 1, ..config.rig };
+        let (base, profile) =
+            profile_golden_runs(&image, &files, &workloads, &config.profiler, rig)
+                .map_err(|e| format!("profiling the golden runs: {e}"))?;
+        let shared_base = if config.memoize && config.rig.cpus == 1 {
+            OnceLock::from(Ok(base))
+        } else {
+            OnceLock::new()
+        };
         let target_functions: Vec<String> = profile
             .top_covering(config.top_fraction)
             .into_iter()
             .filter(|f| INJECTED_SUBSYSTEMS.contains(&f.subsystem.as_str()))
             .map(|f| f.name.clone())
             .collect();
-        Ok(Experiment {
-            config,
-            image,
-            files,
-            profile,
-            target_functions,
-            shared_base: OnceLock::new(),
-        })
+        Ok(Experiment { config, image, files, profile, target_functions, shared_base })
     }
 
     /// A copy of this experiment with a different worker-thread count.
@@ -217,9 +229,10 @@ impl Experiment {
     ///
     /// With [`ExperimentConfig::memoize`] on (the default) this forks
     /// the shared post-boot base — booting it first if this is the
-    /// first rig — so the kernel boots once per experiment and each
-    /// golden run executes once campaign-wide. With it off, every call
-    /// boots and captures privately (the reference path). Either way a
+    /// first rig of an SMP experiment — so the kernel boots once per
+    /// rig configuration and each golden run executes once
+    /// campaign-wide. With it off, every call boots and captures
+    /// privately (the reference path). Either way a
     /// fresh, uncontaminated rig is returned: the supervisor's
     /// rebuild-on-panic path calls this and must never inherit state
     /// from the rig it is replacing.
@@ -242,9 +255,9 @@ impl Experiment {
         }
     }
 
-    /// The shared post-boot base, booting it on first call. Concurrent
-    /// first calls block until the one boot finishes; failures are
-    /// memoized.
+    /// The shared post-boot base, booting it on first call unless
+    /// [`Experiment::prepare`] already did. Concurrent first calls block
+    /// until the one boot finishes; failures are memoized.
     ///
     /// # Errors
     ///
@@ -266,7 +279,8 @@ impl Experiment {
     /// Number of golden captures the shared base actually executed so
     /// far — the memoization test pins this to the number of workload
     /// modes regardless of worker count. `None` when the base has not
-    /// been booted (memoization off, or no rig made yet).
+    /// been booted (memoization off, or an SMP experiment with no rig
+    /// made yet).
     pub fn golden_captures(&self) -> Option<u64> {
         let shared = self.shared_base.get()?.as_ref().ok()?;
         Some(shared.store().captures())
@@ -274,7 +288,8 @@ impl Experiment {
 
     /// How the shared base's crashes got their severity verdicts so far
     /// ([`RigShared::severity_stats`]). `None` when the base has not been
-    /// booted (memoization off, or no rig made yet).
+    /// booted (memoization off, or an SMP experiment with no rig made
+    /// yet).
     pub fn severity_stats(&self) -> Option<kfi_injector::SeverityStats> {
         let shared = self.shared_base.get()?.as_ref().ok()?;
         Some(shared.severity_stats())
@@ -282,7 +297,8 @@ impl Experiment {
 
     /// How the shared base's injection runs used prefix checkpoints so
     /// far ([`RigShared::checkpoint_stats`]). `None` when the base has
-    /// not been booted (memoization off, or no rig made yet).
+    /// not been booted (memoization off, or an SMP experiment with no
+    /// rig made yet).
     pub fn checkpoint_stats(&self) -> Option<kfi_injector::CheckpointStats> {
         let shared = self.shared_base.get()?.as_ref().ok()?;
         Some(shared.checkpoint_stats())

@@ -20,7 +20,7 @@
 //!     seed: 7,
 //!     max_per_function: Some(1), // one injection per target function
 //!     threads: 2,
-//!     profiler: ProfilerConfig { period: 997, budget: 200_000_000 },
+//!     profiler: ProfilerConfig { period: 997 },
 //!     ..Default::default()
 //! })?;
 //! let result = exp.run_campaign(Campaign::A);

@@ -68,8 +68,8 @@ pub struct MatrixConfig {
     pub max_per_function: Option<usize>,
     /// Cap on total planned injections per cell (None = all).
     pub max_per_cell: Option<usize>,
-    /// Profiler settings for experiment preparation (the matrix forces
-    /// modes, so profile quality only affects preparation time).
+    /// Profiler settings for experiment preparation. The matrix forces
+    /// each cell's run mode, so the profile never reaches its dataset.
     pub profiler: ProfilerConfig,
     /// Rig settings.
     pub rig: RigConfig,

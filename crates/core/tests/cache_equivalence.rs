@@ -14,7 +14,7 @@ fn campaign(decode_cache: bool, threads: usize) -> (Vec<kfi_injector::RunRecord>
         seed: 11,
         max_per_function: Some(2),
         threads,
-        profiler: ProfilerConfig { period: 997, budget: 200_000_000 },
+        profiler: ProfilerConfig { period: 997 },
         rig: RigConfig { decode_cache, ..Default::default() },
         ..Default::default()
     })

@@ -15,7 +15,7 @@ fn experiment(seed: u64, cap: usize, threads: usize) -> Experiment {
         seed,
         max_per_function: Some(cap),
         threads,
-        profiler: ProfilerConfig { period: 997, budget: 200_000_000 },
+        profiler: ProfilerConfig { period: 997 },
         ..Default::default()
     })
     .expect("prepare")

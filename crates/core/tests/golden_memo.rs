@@ -7,7 +7,7 @@
 
 use kfi_core::supervisor::{run_campaign_supervised, PanicInjection, SupervisorConfig};
 use kfi_core::{CampaignResult, Experiment, ExperimentConfig, RecordRow};
-use kfi_injector::Campaign;
+use kfi_injector::{Campaign, RigConfig};
 use kfi_profiler::ProfilerConfig;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -18,7 +18,7 @@ fn experiment(memoize: bool, threads: usize) -> Experiment {
         max_per_function: Some(2),
         threads,
         memoize,
-        profiler: ProfilerConfig { period: 997, budget: 200_000_000 },
+        profiler: ProfilerConfig { period: 997 },
         ..Default::default()
     })
     .expect("prepare")
@@ -39,6 +39,7 @@ fn csv_of(result: &CampaignResult) -> (String, String) {
 #[test]
 fn memoized_campaign_is_bit_identical_to_recompute_per_rig() {
     let reference = experiment(false, 1);
+    assert_eq!(reference.golden_captures(), None, "prepare must not share its profiling base");
     let base = reference.run_campaign(Campaign::A);
     assert_eq!(
         reference.golden_captures(),
@@ -69,6 +70,13 @@ fn memoized_campaign_is_bit_identical_to_recompute_per_rig() {
 #[test]
 fn retried_runs_get_fresh_uncontaminated_forks() {
     let exp = experiment(true, 2);
+    // Preparing profiled the golden runs of the base every rig forks.
+    let modes = Some(kfi_workloads::WORKLOADS.len() as u64);
+    assert_eq!(exp.golden_captures(), modes);
+    for _ in 0..3 {
+        drop(exp.make_rig().expect("fork"));
+    }
+    assert_eq!(exp.golden_captures(), modes);
     let base = exp.run_campaign(Campaign::A);
 
     // Panic the first attempt of a few jobs: the supervisor retries
@@ -89,7 +97,18 @@ fn retried_runs_get_fresh_uncontaminated_forks() {
     assert_eq!(cleaned, base.metrics);
     // Replacement forks reuse the memoized goldens: still one capture
     // per mode after the whole panic-and-retry storm.
-    assert_eq!(exp.golden_captures(), Some(kfi_workloads::WORKLOADS.len() as u64));
+    assert_eq!(exp.golden_captures(), modes);
+}
+
+#[test]
+fn a_failed_golden_run_fails_prepare_naming_its_mode() {
+    let err = Experiment::prepare(ExperimentConfig {
+        rig: RigConfig { golden_budget: 1_000, ..RigConfig::default() },
+        ..Default::default()
+    })
+    .err()
+    .expect("no golden run fits in 1000 cycles");
+    assert!(err.contains("golden run for mode 0 failed"), "{err}");
 }
 
 #[test]

@@ -16,7 +16,7 @@ fn config(threads: usize, journal_dir: Option<PathBuf>, resume: bool) -> MatrixC
         seed: 8,
         threads,
         max_per_function: Some(2),
-        profiler: ProfilerConfig { period: 997, budget: 30_000_000 },
+        profiler: ProfilerConfig { period: 997 },
         journal_dir,
         resume,
         ..Default::default()

@@ -20,7 +20,7 @@ fn exp() -> &'static Experiment {
             seed: 11,
             max_per_function: Some(2),
             threads: 1,
-            profiler: ProfilerConfig { period: 997, budget: 200_000_000 },
+            profiler: ProfilerConfig { period: 997 },
             ..Default::default()
         })
         .expect("prepare")

@@ -26,7 +26,7 @@ fn smp_experiment_with(threads: usize, rig: RigConfig) -> Experiment {
         threads,
         kernel: KernelBuildOptions { smp: true, ..KernelBuildOptions::default() },
         rig,
-        profiler: ProfilerConfig { period: 997, budget: 200_000_000 },
+        profiler: ProfilerConfig { period: 997 },
         ..Default::default()
     })
     .expect("prepare")
@@ -62,6 +62,23 @@ fn smp_campaign_is_bit_identical_on_the_block_tier_and_single_stepped() {
     assert_eq!(blocks.records, stepped.records);
     assert_eq!(metrics_to_csv([('A', &blocks.metrics)]), metrics_to_csv([('A', &stepped.metrics)]));
     assert_eq!(without_block_counters(&blocks.metrics), without_block_counters(&stepped.metrics));
+}
+
+#[test]
+fn smp_rigs_get_the_uniprocessor_profile_and_plans() {
+    let smp = smp_experiment(1);
+    let uni = smp_experiment_with(1, RigConfig::default());
+    // The profiling base of a two-CPU experiment is not its shared base.
+    assert_eq!(smp.golden_captures(), None);
+    assert_eq!(uni.golden_captures(), Some(kfi_workloads::WORKLOADS.len() as u64));
+    assert_eq!(smp.profile, uni.profile);
+    assert_eq!(smp.target_functions, uni.target_functions);
+    for c in [Campaign::A, Campaign::B, Campaign::C] {
+        let plan = smp.plan(c);
+        assert_eq!(plan, uni.plan(c), "campaign {}", c.letter());
+        let modes = |exp: &Experiment| plan.iter().map(|t| exp.mode_for(t)).collect::<Vec<_>>();
+        assert_eq!(modes(&smp), modes(&uni), "campaign {}", c.letter());
+    }
 }
 
 fn tmp(name: &str) -> PathBuf {

@@ -11,7 +11,7 @@ fn small_experiment() -> Experiment {
         seed: 7,
         max_per_function: Some(6),
         threads: 4,
-        profiler: ProfilerConfig { period: 501, budget: 200_000_000 },
+        profiler: ProfilerConfig { period: 501 },
         ..Default::default()
     })
     .expect("prepare")
@@ -76,7 +76,7 @@ fn threads_do_not_change_results() {
         seed: 11,
         max_per_function: Some(2),
         threads: 1,
-        profiler: ProfilerConfig { period: 997, budget: 200_000_000 },
+        profiler: ProfilerConfig { period: 997 },
         ..Default::default()
     };
     let exp1 = Experiment::prepare(cfg.clone()).unwrap();
@@ -101,7 +101,7 @@ fn threads_do_not_change_metrics() {
         seed: 11,
         max_per_function: Some(2),
         threads: 1,
-        profiler: ProfilerConfig { period: 997, budget: 200_000_000 },
+        profiler: ProfilerConfig { period: 997 },
         ..Default::default()
     };
     let mut results = Vec::new();

@@ -14,7 +14,7 @@ fn mini_experiment(threads: usize) -> Experiment {
         seed: 11,
         max_per_function: Some(2),
         threads,
-        profiler: ProfilerConfig { period: 997, budget: 200_000_000 },
+        profiler: ProfilerConfig { period: 997 },
         ..Default::default()
     })
     .expect("prepare")

@@ -366,12 +366,15 @@ struct BootedBase {
     manifest: BTreeMap<String, (u32, u32)>,
 }
 
-/// Boots the kernel to the RUNNER_START snapshot point. The common
-/// prefix of [`InjectorRig::new`] and [`RigShared::boot`].
+/// Boots the kernel to the RUNNER_START snapshot point, calling
+/// `observe` after every executed step (the one that announces the
+/// runner included). The common prefix of [`InjectorRig::new`],
+/// [`RigShared::boot`] and [`RigShared::boot_and_capture`].
 fn boot_base(
     image: &KernelImage,
     files: &[FileSpec],
     config: RigConfig,
+    mut observe: impl FnMut(&Machine),
 ) -> Result<BootedBase, RigError> {
     let fsimg = kfi_kernel::mkfs(2048, files);
     let manifest = fsimg.manifest.clone();
@@ -395,7 +398,7 @@ fn boot_base(
             return Err(RigError::BootFailed(m.console_string()));
         }
         match m.step() {
-            StepEvent::Executed => {}
+            StepEvent::Executed => observe(&m),
             _ => return Err(RigError::BootFailed(m.console_string())),
         }
         if let Some((_, MonitorEvent::Event(v))) = m.monitor_events().last() {
@@ -470,7 +473,49 @@ impl RigShared {
         n_modes: u32,
         config: RigConfig,
     ) -> Result<Arc<RigShared>, RigError> {
-        let base = boot_base(&image, files, config)?;
+        let base = boot_base(&image, files, config, |_| {})?;
+        Ok(Arc::new(RigShared::from_base(image, n_modes, config, &base)))
+    }
+
+    /// [`RigShared::boot`], then captures every mode's golden run into
+    /// the store, in mode order, so that forks only look them up. It
+    /// calls `observe` after every executed step: with `None` while
+    /// booting, up to and including the step that announces the
+    /// runner, and with `Some(mode)` while capturing `mode`'s run, up
+    /// to but excluding its halting step. `kfi_profiler` samples the
+    /// golden runs this way.
+    ///
+    /// # Errors
+    ///
+    /// [`RigError::BootFailed`] as for [`RigShared::boot`], and
+    /// [`RigError::GoldenFailed`] for the first mode whose run fails.
+    pub fn boot_and_capture(
+        image: KernelImage,
+        files: &[FileSpec],
+        n_modes: u32,
+        config: RigConfig,
+        mut observe: impl FnMut(Option<u32>, &Machine),
+    ) -> Result<Arc<RigShared>, RigError> {
+        let base = boot_base(&image, files, config, |m| observe(None, m))?;
+        let shared = Arc::new(RigShared::from_base(image.clone(), n_modes, config, &base));
+        // The booted machine is at the snapshot point, so it captures
+        // the golden runs as a standalone rig does, without a fork.
+        let mut rig = InjectorRig::from_base(image, config, base);
+        for mode in 0..n_modes {
+            shared.store.get_or_capture((shared.fingerprint, mode), || {
+                rig.capture_golden(mode, |m| observe(Some(mode), m)).map(Arc::new)
+            })?;
+        }
+        Ok(shared)
+    }
+
+    /// The shared base of a booted machine, with empty stores.
+    fn from_base(
+        image: KernelImage,
+        n_modes: u32,
+        config: RigConfig,
+        base: &BootedBase,
+    ) -> RigShared {
         // Fingerprint the kernel-config dimension of the golden key:
         // everything the golden run's outcome could depend on — the
         // kernel image, the post-boot filesystem, and the execution
@@ -491,15 +536,14 @@ impl RigShared {
         );
         fp = fnv1a(fp, &config.cpus.to_le_bytes());
         fp = fnv1a(fp, &n_modes.to_le_bytes());
-        let machine_config = *base.machine.config();
-        Ok(Arc::new(RigShared {
+        RigShared {
             image,
             config,
-            machine_config,
-            snapshot: base.snapshot,
+            machine_config: *base.machine.config(),
+            snapshot: base.snapshot.clone(),
             boot_cycles: base.boot_cycles,
-            post_boot_disk: base.post_boot_disk,
-            manifest: base.manifest,
+            post_boot_disk: base.post_boot_disk.clone(),
+            manifest: base.manifest.clone(),
             n_modes,
             fingerprint: fp,
             store: GoldenStore::default(),
@@ -513,7 +557,7 @@ impl RigShared {
             checkpoint_bytes: AtomicU64::new(0),
             resumed_runs: AtomicU64::new(0),
             skipped_cycles: AtomicU64::new(0),
-        }))
+        }
     }
 
     /// The campaign-wide golden store.
@@ -644,8 +688,18 @@ impl InjectorRig {
         n_modes: u32,
         config: RigConfig,
     ) -> Result<InjectorRig, RigError> {
-        let base = boot_base(&image, files, config)?;
-        let mut rig = InjectorRig {
+        let base = boot_base(&image, files, config, |_| {})?;
+        let mut rig = InjectorRig::from_base(image, config, base);
+        for mode in 0..n_modes {
+            let g = rig.capture_golden(mode, |_| {})?;
+            rig.golden.push(Arc::new(g));
+        }
+        Ok(rig)
+    }
+
+    /// A standalone rig on a booted machine, with no golden runs yet.
+    fn from_base(image: KernelImage, config: RigConfig, base: BootedBase) -> InjectorRig {
+        InjectorRig {
             image,
             config,
             machine: base.machine,
@@ -656,13 +710,7 @@ impl InjectorRig {
             golden: Vec::new(),
             metrics: Metrics::default(),
             shared: None,
-        };
-
-        for mode in 0..n_modes {
-            let g = rig.capture_golden(mode)?;
-            rig.golden.push(Arc::new(g));
         }
-        Ok(rig)
     }
 
     /// Forks a rig off a shared post-boot base: a private copy-on-write
@@ -699,7 +747,7 @@ impl InjectorRig {
         };
         for mode in 0..shared.n_modes {
             let g = shared.store.get_or_capture((shared.fingerprint, mode), || {
-                rig.capture_golden(mode).map(Arc::new)
+                rig.capture_golden(mode, |_| {}).map(Arc::new)
             })?;
             rig.golden.push(g);
         }
@@ -818,7 +866,13 @@ impl InjectorRig {
         })
     }
 
-    fn capture_golden(&mut self, mode: u32) -> Result<GoldenRun, RigError> {
+    /// Captures `mode`'s golden run from the snapshot, calling `observe`
+    /// after every executed step (the halting step is not one).
+    fn capture_golden(
+        &mut self,
+        mode: u32,
+        mut observe: impl FnMut(&Machine),
+    ) -> Result<GoldenRun, RigError> {
         self.reset_to_snapshot(mode);
         let text_base = self.image.program.text.base;
         let text_len = self.image.program.text.bytes.len() as u32;
@@ -848,7 +902,7 @@ impl InjectorRig {
                 }
             }
             match m.step() {
-                StepEvent::Executed => {}
+                StepEvent::Executed => observe(m),
                 StepEvent::Halted => break,
                 other => {
                     return Err(RigError::GoldenFailed {

@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 const N_MODES: u32 = 3;
 
@@ -102,8 +102,12 @@ fn reference(t: &InjectionTarget, mode: u32) -> (RunRecord, Metrics) {
 }
 
 /// Runs `t` on the fork and on the standalone rig, asserts they agree,
-/// and returns the record and whether the fork resumed.
+/// and returns the record and whether the fork resumed. The tests run
+/// on parallel threads and share one base, so one call runs at a time:
+/// otherwise another test's resumed runs would count as this one's.
 fn agree(fork: &mut InjectorRig, t: &InjectionTarget, mode: u32) -> (RunRecord, bool) {
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
     let resumed = setup().shared.checkpoint_stats().resumed;
     let record = fork.run_one(t, mode);
     let metrics = fork.take_metrics();

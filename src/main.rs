@@ -2,8 +2,9 @@
 //! inject errors, and regenerate the paper's artifacts.
 
 use kfi::injector::{plan_function, Campaign, InjectorRig, Outcome, RigConfig};
-use kfi::kernel::{boot, build_kernel, mkfs, BootConfig, KernelBuildOptions};
+use kfi::kernel::{boot, build_kernel, mkfs, BootConfig, KernelBuildOptions, KernelImage};
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 
 const USAGE: &str = "\
 kfi — Characterization of Linux Kernel Behavior under Errors (DSN 2003)
@@ -21,26 +22,108 @@ USAGE:
     kfi help                       this text
 ";
 
-fn arg_val(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
+/// Exits 2 with `msg` and the usage: malformed input is an error, never
+/// a silent fallback.
+fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("kfi: {msg}\n");
+    eprint!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// A command's arguments: its positional arguments in order, and the
+/// value of each flag given. Flags in `flags` take a value, flags in
+/// `switches` take none; any other `-` argument and a flag without its
+/// value are usage errors.
+struct Args {
+    positional: Vec<String>,
+    flags: BTreeMap<String, String>,
+}
+
+impl Args {
+    fn parse(args: &[String], flags: &[&str], switches: &[&str]) -> Args {
+        let mut out = Args { positional: Vec::new(), flags: BTreeMap::new() };
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            if flags.contains(&a.as_str()) {
+                let v = it.next().unwrap_or_else(|| usage_error(format!("{a}: missing value")));
+                out.flags.insert(a.clone(), v.clone());
+            } else if switches.contains(&a.as_str()) {
+                out.flags.insert(a.clone(), String::new());
+            } else if a.starts_with('-') {
+                usage_error(format!("unknown argument `{a}`"));
+            } else {
+                out.positional.push(a.clone());
+            }
+        }
+        out
+    }
+
+    /// The positional arguments, of which there must be `names.len()`.
+    fn positional(&self, names: &[&str]) -> &[String] {
+        if let Some(missing) = names.get(self.positional.len()) {
+            usage_error(format!("missing {missing}"));
+        }
+        if let Some(extra) = self.positional.get(names.len()) {
+            usage_error(format!("unexpected argument `{extra}`"));
+        }
+        &self.positional
+    }
+
+    fn get(&self, flag: &str) -> Option<&str> {
+        self.flags.get(flag).map(String::as_str)
+    }
+
+    /// The number given as `flag`'s value, if the flag was given.
+    fn number<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
+        let v = self.get(flag)?;
+        let n = v.parse().unwrap_or_else(|_| {
+            usage_error(format!("{flag}: expected a number, got `{v}`"));
+        });
+        Some(n)
+    }
+}
+
+/// The workload run mode `--mode` names.
+fn workload_mode(v: &str) -> u32 {
+    let n = kfi::workloads::WORKLOADS.len();
+    match v.parse::<u32>() {
+        Ok(mode) if (mode as usize) < n => mode,
+        _ => usage_error(format!("--mode: expected a workload number 0..={}, got `{v}`", n - 1)),
+    }
+}
+
+/// The kernel function `name` of `image`, or a usage error.
+fn kernel_function<'a>(image: &'a KernelImage, name: &str) -> &'a kfi::asm::Symbol {
+    image
+        .program
+        .symbols
+        .lookup(name)
+        .unwrap_or_else(|| usage_error(format!("unknown kernel function `{name}`")))
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("boot") => cmd_boot(&args),
-        Some("profile") => cmd_profile(),
-        Some("inject") => cmd_inject(&args),
-        Some("disasm") => cmd_disasm(&args),
-        Some("report") => cmd_report(&args),
-        _ => print!("{USAGE}"),
+    let Some((command, rest)) = args.split_first() else {
+        usage_error("missing command");
+    };
+    match command.as_str() {
+        "boot" => cmd_boot(&Args::parse(rest, &["--mode"], &[])),
+        "profile" => cmd_profile(&Args::parse(rest, &[], &[])),
+        "inject" => {
+            cmd_inject(&Args::parse(rest, &["--campaign", "--mode", "--count", "--seed"], &[]))
+        }
+        "disasm" => cmd_disasm(&Args::parse(rest, &[], &[])),
+        "report" => cmd_report(&Args::parse(rest, &["--cap"], &["--full"])),
+        "help" | "--help" | "-h" => print!("{USAGE}"),
+        other => usage_error(format!("unknown command `{other}`")),
     }
 }
 
-fn cmd_boot(args: &[String]) {
-    let mode = match arg_val(args, "--mode").as_deref() {
+fn cmd_boot(args: &Args) {
+    args.positional(&[]);
+    let mode = match args.get("--mode") {
         None | Some("all") => kfi::workloads::MODE_ALL,
-        Some(n) => n.parse().unwrap_or(kfi::workloads::MODE_ALL),
+        Some(v) => workload_mode(v),
     };
     let image = build_kernel(KernelBuildOptions::default()).expect("kernel assembles");
     let files = kfi::workloads::suite_files().expect("workloads assemble");
@@ -51,31 +134,28 @@ fn cmd_boot(args: &[String]) {
     println!("-- exit: {exit:?} after {} cycles", m.cpu.tsc);
 }
 
-fn cmd_profile() {
+fn cmd_profile(args: &Args) {
+    args.positional(&[]);
     let image = build_kernel(KernelBuildOptions::default()).expect("kernel assembles");
     let files = kfi::workloads::suite_files().expect("workloads assemble");
     let p = kfi::profiler::profile(&image, &files, kfi::workloads::WORKLOADS, &Default::default());
     println!("{}", kfi::report::table1(&p, 0.95));
 }
 
-fn cmd_inject(args: &[String]) {
-    let Some(function) = args.get(1).filter(|a| !a.starts_with("--")) else {
-        eprintln!("inject: missing function name");
-        return;
-    };
-    let campaign = match arg_val(args, "--campaign").as_deref() {
+fn cmd_inject(args: &Args) {
+    let function = args.positional(&["function name"])[0].as_str();
+    let campaign = match args.get("--campaign") {
+        None | Some("A") | Some("a") => Campaign::A,
         Some("B") | Some("b") => Campaign::B,
         Some("C") | Some("c") => Campaign::C,
-        _ => Campaign::A,
+        Some(v) => usage_error(format!("--campaign: expected A, B or C, got `{v}`")),
     };
-    let count: usize = arg_val(args, "--count").and_then(|v| v.parse().ok()).unwrap_or(20);
-    let seed: u64 = arg_val(args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(2003);
+    let mode = args.get("--mode").map(workload_mode);
+    let count: usize = args.number("--count").unwrap_or(20);
+    let seed: u64 = args.number("--seed").unwrap_or(2003);
 
     let image = build_kernel(KernelBuildOptions::default()).expect("kernel assembles");
-    if image.program.symbols.lookup(function).is_none() {
-        eprintln!("inject: unknown kernel function `{function}`");
-        return;
-    }
+    let faddr = kernel_function(&image, function).value;
     let files = kfi::workloads::suite_files().expect("workloads assemble");
     eprintln!("booting + golden runs...");
     let mut rig = InjectorRig::new(
@@ -87,9 +167,7 @@ fn cmd_inject(args: &[String]) {
     .expect("baseline system is healthy");
 
     // Pick the workload covering the function, preferring the first.
-    let faddr = rig.image.program.symbols.addr_of(function).expect("checked");
-    let mode = arg_val(args, "--mode")
-        .and_then(|v| v.parse().ok())
+    let mode = mode
         .or_else(|| {
             (0..kfi::workloads::WORKLOADS.len() as u32).find(|m| rig.would_activate(faddr, *m))
         })
@@ -125,16 +203,10 @@ fn cmd_inject(args: &[String]) {
     }
 }
 
-fn cmd_disasm(args: &[String]) {
-    let Some(function) = args.get(1) else {
-        eprintln!("disasm: missing function name");
-        return;
-    };
+fn cmd_disasm(args: &Args) {
+    let function = args.positional(&["function name"])[0].as_str();
     let image = build_kernel(KernelBuildOptions::default()).expect("kernel assembles");
-    let Some(sym) = image.program.symbols.lookup(function) else {
-        eprintln!("disasm: unknown function `{function}`");
-        return;
-    };
+    let sym = kernel_function(&image, function);
     let bytes = image.program.slice_at(sym.value, sym.size as usize).expect("function bytes");
     println!(
         "{} ({}), {} bytes at {:#010x}:",
@@ -146,11 +218,13 @@ fn cmd_disasm(args: &[String]) {
     print!("{}", kfi::asm::format_listing(&kfi::asm::disassemble(bytes, sym.value)));
 }
 
-fn cmd_report(args: &[String]) {
-    let cap = if args.iter().any(|a| a == "--full") {
-        None
-    } else {
-        Some(arg_val(args, "--cap").and_then(|v| v.parse().ok()).unwrap_or(12))
+fn cmd_report(args: &Args) {
+    args.positional(&[]);
+    let cap = args.number("--cap");
+    let cap = match args.get("--full") {
+        Some(_) if cap.is_some() => usage_error("--cap and --full exclude each other"),
+        Some(_) => None,
+        None => Some(cap.unwrap_or(12)),
     };
     let config = kfi::core::ExperimentConfig { max_per_function: cap, ..Default::default() };
     let exp = kfi::core::Experiment::prepare(config).expect("experiment prepares");

@@ -22,7 +22,7 @@ fn dataset() -> String {
         seed: 2003,
         max_per_function: Some(2),
         threads: 1,
-        profiler: ProfilerConfig { period: 997, budget: 200_000_000 },
+        profiler: ProfilerConfig { period: 997 },
         ..Default::default()
     })
     .expect("experiment prepares");
@@ -36,7 +36,7 @@ fn dataset() -> String {
         seed: 2003,
         max_per_function: Some(2),
         threads: 1,
-        profiler: ProfilerConfig { period: 997, budget: 200_000_000 },
+        profiler: ProfilerConfig { period: 997 },
         ..Default::default()
     })
     .expect("matrix runs");

@@ -17,7 +17,7 @@ fn transcript() -> String {
         seed: 2003,
         max_per_function: Some(4),
         threads: 1,
-        profiler: ProfilerConfig { period: 997, budget: 200_000_000 },
+        profiler: ProfilerConfig { period: 997 },
         ..Default::default()
     })
     .expect("experiment prepares");

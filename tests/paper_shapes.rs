@@ -14,7 +14,7 @@ fn study() -> &'static (Experiment, kfi::core::StudyResult) {
         let exp = Experiment::prepare(ExperimentConfig {
             seed: 2003,
             max_per_function: Some(10),
-            profiler: ProfilerConfig { period: 301, budget: 300_000_000 },
+            profiler: ProfilerConfig { period: 301 },
             ..Default::default()
         })
         .expect("prepare");
