@@ -87,7 +87,7 @@ fn bench_machine(c: &mut Criterion) {
     let snap = m.snapshot();
     let mut m2 = kfi_kernel::boot(&image, fsimg.disk.clone(), &Default::default());
     // After the first restore syncs the dirty tracking, back-to-back
-    // restores against the same snapshot copy only dirtied pages.
+    // restores against the same snapshot reset only dirtied pages.
     c.bench_function("snapshot_restore_8MiB", |b| {
         b.iter(|| {
             m2.restore(&snap);
@@ -95,7 +95,7 @@ fn bench_machine(c: &mut Criterion) {
         })
     });
     // Alternating two snapshots defeats the dirty tracking, so every
-    // restore pays the full O(memory) copy — the pre-optimization cost.
+    // restore resets all 2048 page references (no bytes are copied).
     let snap_b = m.snapshot();
     c.bench_function("snapshot_restore_8MiB_full", |b| {
         b.iter(|| {

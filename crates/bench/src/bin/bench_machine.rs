@@ -3,8 +3,9 @@
 //! basic-block engine on top; paged-guest kernel-replay MIPS with
 //! block chaining off vs on; two-CPU kernel-replay MIPS single-stepped
 //! vs through `Machine::run`; per-run snapshot restore cost full vs
-//! dirty-tracked; and small-campaign wall clock at 1 and 4 worker
-//! threads, both recompute-per-rig and with golden memoization +
+//! dirty-tracked; the cost of a `Machine::fork` of a booted kernel and
+//! the guest pages it owns; and small-campaign wall clock at 1 and 4
+//! worker threads, both recompute-per-rig and with golden memoization +
 //! copy-on-write rig forks).
 //!
 //! `--check` runs a scaled-down version of every measurement, prints
@@ -13,7 +14,7 @@
 
 use kfi_core::{Experiment, ExperimentConfig};
 use kfi_injector::Campaign;
-use kfi_machine::{Machine, MachineConfig, Ramdisk, RunExit, Snapshot, StepEvent};
+use kfi_machine::{Machine, MachineConfig, Ramdisk, RunExit, Snapshot, StepEvent, PAGE_SIZE};
 use kfi_profiler::ProfilerConfig;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -151,10 +152,10 @@ fn measure_smp(budget: u64, passes: u32) -> (f64, f64, u64) {
 }
 
 /// Measures per-restore cost in microseconds against a booted kernel
-/// snapshot: `full` alternates two snapshots (every restore copies all
-/// of physical memory), `dirty` reuses one snapshot with guest work in
-/// between (every restore copies only the pages that work dirtied).
-/// Returns (full_us, dirty_us, dirty_pages_per_run).
+/// snapshot: `full` alternates two snapshots (every restore resets
+/// every page of physical memory), `dirty` reuses one snapshot with
+/// guest work in between (every restore resets only the pages that work
+/// dirtied). Returns (full_us, dirty_us, dirty_pages_per_run).
 fn measure_restore(reps: u32) -> (f64, f64, u32) {
     let image = kfi_kernel::build_kernel(Default::default()).expect("kernel builds");
     let files = kfi_workloads::suite_files().expect("workloads build");
@@ -209,6 +210,34 @@ fn measure_campaign(exp: &Experiment, threads: usize, memoize: bool, passes: u32
         best = best.min(t.elapsed().as_secs_f64());
     }
     best
+}
+
+/// Mean cost in microseconds of a `Machine::fork` of a booted kernel at
+/// the snapshot point every rig forks from, and the private guest bytes
+/// a fork holds right after forking and after running mode 0's golden
+/// run to its halt. Returns (fork_us, golden_cycles, private_bytes_forked,
+/// private_bytes_after_run).
+fn measure_fork(exp: &Experiment, reps: u32) -> (f64, u64, u64, u64) {
+    let mut rig = exp.make_rig().expect("rig forks");
+    let golden_cycles = rig.golden(0).cycles;
+    let m = rig.machine_mut();
+    let (snap, config) = (m.snapshot(), *m.config());
+    let disk = m.disk.as_ref().expect("disk").bytes().to_vec();
+    let private_bytes = |f: &Machine| u64::from(f.mem.private_pages()) * u64::from(PAGE_SIZE);
+    let mut total = 0.0;
+    for _ in 0..reps {
+        let t = Instant::now();
+        let f = std::hint::black_box(Machine::fork(&snap, config));
+        total += t.elapsed().as_secs_f64();
+        assert_eq!(private_bytes(&f), 0, "a fresh fork owns a guest page");
+    }
+    let mut f = Machine::fork(&snap, config);
+    let forked = private_bytes(&f);
+    f.disk = Some(Ramdisk::fork_from(&disk, snap.id()));
+    kfi_kernel::set_run_mode(&mut f, 0);
+    // Run to the halt: the budget only bounds a run that would not end.
+    assert_eq!(f.run(2 * golden_cycles), RunExit::Halted, "mode 0 runs to its halt");
+    (total * 1e6 / f64::from(reps), golden_cycles, forked, private_bytes(&f))
 }
 
 /// Best-of-`reps` per-rig setup cost: a full boot + golden capture
@@ -284,6 +313,10 @@ fn main() {
     let (boot_ms, fork_ms) = measure_rig_setup(&exp, if check { 2 } else { 5 });
     let setup_speedup = boot_ms / fork_ms;
 
+    eprintln!("[bench_machine] machine fork ({restore_reps} reps)...");
+    let (machine_fork_us, golden_cycles, private_forked, private_run) =
+        measure_fork(&exp, restore_reps);
+
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"machine\",");
     let _ = writeln!(json, "  \"mode\": \"{}\",", if check { "check" } else { "full" });
@@ -315,6 +348,12 @@ fn main() {
     let _ = writeln!(json, "    \"dirty_restore_us\": {dirty_us:.1},");
     let _ = writeln!(json, "    \"dirty_pages_per_run\": {dirty_pages},");
     let _ = writeln!(json, "    \"speedup\": {restore_speedup:.2}");
+    let _ = writeln!(json, "  }},");
+    let _ = writeln!(json, "  \"fork\": {{");
+    let _ = writeln!(json, "    \"fork_us\": {machine_fork_us:.1},");
+    let _ = writeln!(json, "    \"private_bytes_after_fork\": {private_forked},");
+    let _ = writeln!(json, "    \"golden_cycles\": {golden_cycles},");
+    let _ = writeln!(json, "    \"private_bytes_after_golden_run\": {private_run}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"campaign\": {{");
     let _ = writeln!(json, "    \"seed\": 2003,");

@@ -118,7 +118,7 @@ impl ArchState {
             counters: m.counters(),
             tlb_stats: if mask.tlb_stats { m.tlb_stats() } else { (0, 0) },
             decode_stats: if mask.decode_stats { m.decode_stats() } else { (0, 0, 0) },
-            mem_digest: fnv1a(m.mem.slice(0, m.mem.size())),
+            mem_digest: m.mem.digest(),
             smp_digest: if mask.smp_digest { m.smp_digest() } else { 0 },
         }
     }
@@ -159,16 +159,6 @@ impl ArchState {
         cmp!(smp_digest);
         out
     }
-}
-
-/// 64-bit FNV-1a.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
 }
 
 /// The first observed disagreement between paired machines.
@@ -799,11 +789,5 @@ mod tests {
                 "seed {seed}: smp pair MISSED the seeded dropped-IPI bug"
             );
         }
-    }
-
-    #[test]
-    fn fnv_digest_distinguishes_memory() {
-        assert_ne!(fnv1a(&[0, 1, 2]), fnv1a(&[0, 1, 3]));
-        assert_eq!(fnv1a(&[]), 0xcbf2_9ce4_8422_2325);
     }
 }

@@ -363,7 +363,7 @@ struct BootedBase {
     snapshot: Snapshot,
     boot_cycles: u64,
     post_boot_disk: Arc<Vec<u8>>,
-    manifest: BTreeMap<String, (u32, u32)>,
+    manifest: Arc<BTreeMap<String, (u32, u32)>>,
 }
 
 /// Boots the kernel to the RUNNER_START snapshot point, calling
@@ -377,7 +377,7 @@ fn boot_base(
     mut observe: impl FnMut(&Machine),
 ) -> Result<BootedBase, RigError> {
     let fsimg = kfi_kernel::mkfs(2048, files);
-    let manifest = fsimg.manifest.clone();
+    let manifest = Arc::new(fsimg.manifest.clone());
     let boot_config = BootConfig {
         decode_cache: config.decode_cache,
         block_engine: config.block_engine,
@@ -419,8 +419,9 @@ fn boot_base(
 }
 
 /// The shared, immutable post-boot base of a campaign: one boot's worth
-/// of state ([`Snapshot`] with `Arc`-shared memory, post-boot disk,
-/// filesystem manifest) plus the campaign-wide [`GoldenStore`],
+/// of state (kernel image, [`Snapshot`] with shared memory pages,
+/// post-boot disk, filesystem manifest, each behind one `Arc` that every
+/// fork shares) plus the campaign-wide [`GoldenStore`],
 /// [`CheckpointStore`], [`PowerOnStore`] and [`SeverityStore`].
 ///
 /// Boot once with [`RigShared::boot`], then hand the `Arc` to every
@@ -432,13 +433,13 @@ fn boot_base(
 /// its private rig (panic, sanitizer violation) can be handed a fresh
 /// fork with no way to have contaminated the base.
 pub struct RigShared {
-    image: KernelImage,
+    image: Arc<KernelImage>,
     config: RigConfig,
     machine_config: MachineConfig,
     snapshot: Snapshot,
     boot_cycles: u64,
     post_boot_disk: Arc<Vec<u8>>,
-    manifest: BTreeMap<String, (u32, u32)>,
+    manifest: Arc<BTreeMap<String, (u32, u32)>>,
     n_modes: u32,
     fingerprint: u64,
     store: GoldenStore,
@@ -473,6 +474,7 @@ impl RigShared {
         n_modes: u32,
         config: RigConfig,
     ) -> Result<Arc<RigShared>, RigError> {
+        let image = Arc::new(image);
         let base = boot_base(&image, files, config, |_| {})?;
         Ok(Arc::new(RigShared::from_base(image, n_modes, config, &base)))
     }
@@ -496,6 +498,7 @@ impl RigShared {
         config: RigConfig,
         mut observe: impl FnMut(Option<u32>, &Machine),
     ) -> Result<Arc<RigShared>, RigError> {
+        let image = Arc::new(image);
         let base = boot_base(&image, files, config, |m| observe(None, m))?;
         let shared = Arc::new(RigShared::from_base(image.clone(), n_modes, config, &base));
         // The booted machine is at the snapshot point, so it captures
@@ -511,7 +514,7 @@ impl RigShared {
 
     /// The shared base of a booted machine, with empty stores.
     fn from_base(
-        image: KernelImage,
+        image: Arc<KernelImage>,
         n_modes: u32,
         config: RigConfig,
         base: &BootedBase,
@@ -600,14 +603,15 @@ impl RigShared {
 /// are observationally identical; `tests/fork_equivalence.rs` proves it
 /// run by run.
 pub struct InjectorRig {
-    /// The kernel image under test.
-    pub image: KernelImage,
+    /// The kernel image under test, shared with the base a fork came
+    /// from.
+    pub image: Arc<KernelImage>,
     config: RigConfig,
     machine: Machine,
     snapshot: Snapshot,
     boot_cycles: u64,
     post_boot_disk: Arc<Vec<u8>>,
-    manifest: BTreeMap<String, (u32, u32)>,
+    manifest: Arc<BTreeMap<String, (u32, u32)>>,
     golden: Vec<Arc<GoldenRun>>,
     metrics: Metrics,
     /// The base a fork came from, whose severity store it shares;
@@ -688,6 +692,7 @@ impl InjectorRig {
         n_modes: u32,
         config: RigConfig,
     ) -> Result<InjectorRig, RigError> {
+        let image = Arc::new(image);
         let base = boot_base(&image, files, config, |_| {})?;
         let mut rig = InjectorRig::from_base(image, config, base);
         for mode in 0..n_modes {
@@ -698,7 +703,7 @@ impl InjectorRig {
     }
 
     /// A standalone rig on a booted machine, with no golden runs yet.
-    fn from_base(image: KernelImage, config: RigConfig, base: BootedBase) -> InjectorRig {
+    fn from_base(image: Arc<KernelImage>, config: RigConfig, base: BootedBase) -> InjectorRig {
         InjectorRig {
             image,
             config,
@@ -714,9 +719,12 @@ impl InjectorRig {
     }
 
     /// Forks a rig off a shared post-boot base: a private copy-on-write
-    /// machine built from the shared snapshot, with golden runs
-    /// resolved through the base's [`GoldenStore`] (captured on first
-    /// request per `(kernel-config, mode)` key, shared afterwards).
+    /// machine built from the shared snapshot ([`Machine::fork`]: it
+    /// owns no guest page until it writes one), the base's kernel image
+    /// and manifest shared by reference, and golden runs resolved
+    /// through the base's [`GoldenStore`] (captured on first request
+    /// per `(kernel-config, mode)` key, shared afterwards). What a fork
+    /// copies is the post-boot disk, which keeps its flat image.
     ///
     /// Observationally identical to [`InjectorRig::new`] with the same
     /// image/files/config — same records, metrics, trace events — but
@@ -1131,7 +1139,7 @@ impl InjectorRig {
         self.metrics.block_chain_links += cl - chn_0.0;
         self.metrics.block_chain_follows += cf - chn_0.1;
         self.metrics.block_chain_breaks += cb - chn_0.2;
-        // The run's *own* footprint, not the pages copied at restore
+        // The run's *own* footprint, not the pages reset at restore
         // time: restore cost depends on what the previous run on this
         // worker touched, which would vary with scheduling, while the
         // dirty count here is a pure function of this run.

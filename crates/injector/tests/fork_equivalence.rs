@@ -123,7 +123,7 @@ fn capture(m: &mut Machine) -> PostRunState {
         tsc: m.cpu.tsc,
         halted: m.cpu.halted,
         console: m.console().to_vec(),
-        mem_digest: fnv1a(m.mem.slice(0, m.mem.size())),
+        mem_digest: m.mem.digest(),
         disk_digest: fnv1a(disk.bytes()),
         disk_io: disk.io_stats(),
     }

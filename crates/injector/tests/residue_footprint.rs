@@ -52,7 +52,7 @@ struct FullState {
 
 fn full_state(m: &Machine) -> FullState {
     FullState {
-        mem: fnv1a(m.mem.slice(0, m.mem.size())),
+        mem: m.mem.digest(),
         cpus: (0..m.cpus() as usize)
             .map(|i| Cpu { dr: [0; 4], ..m.cpu_state(i).clone() })
             .collect(),

@@ -71,7 +71,7 @@ pub use machine::{
     ports, Checkpoint, Counters, Machine, MachineConfig, MonitorEvent, ResetResidue,
     ResidueFootprint, RunExit, Snapshot, StepEvent, ABORT_CHECK_STEPS,
 };
-pub use mem::{PhysMem, PAGE_SIZE};
+pub use mem::{MemImage, PhysMem, PAGE_SIZE};
 pub use mmu::{pte, Access, PageFault, Tlb};
 pub use ramdisk::{Ramdisk, SECTOR_SIZE};
 pub use trap::{pf_err, TrapRecord, Vector};

@@ -1,7 +1,7 @@
 //! The simulated machine: CPU + memory + MMU + devices + trap delivery.
 
 use crate::cpu::{Cpu, KERNEL_CS, USER_CS};
-use crate::mem::PhysMem;
+use crate::mem::{MemImage, PhysMem};
 use crate::mmu::{translate, Access, PageFault, Tlb};
 use crate::ramdisk::{Ramdisk, SECTOR_SIZE};
 use crate::trap::{TrapRecord, Vector};
@@ -223,19 +223,22 @@ pub struct Counters {
 /// persistent medium that survives reboots.
 ///
 /// Each snapshot carries a process-unique `id` so [`Machine::restore`]
-/// can recognise "restoring the same baseline as last time" and copy
-/// back only the pages dirtied since — the identity is bookkeeping, not
+/// can recognise "restoring the same baseline as last time" and reset
+/// only the pages dirtied since — the identity is bookkeeping, not
 /// state, so equality compares contents only.
 ///
-/// The memory image is held behind an [`Arc`](std::sync::Arc), so
-/// cloning a snapshot — and handing clones to worker threads — shares
-/// one immutable copy of guest memory. [`Machine::fork`] builds a whole
-/// machine directly in snapshot state off that shared image.
+/// The memory is a [`MemImage`]: a shared table of immutable pages.
+/// Taking a snapshot shares every page the machine itself shares (the
+/// zero page, the pages of the snapshot it was restored from) and
+/// copies only the pages it wrote since; cloning a snapshot — and
+/// handing clones to worker threads — shares the whole table.
+/// [`Machine::fork`] builds a whole machine directly in snapshot state
+/// off those shared pages.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     id: u64,
     cpu: Cpu,
-    mem: std::sync::Arc<Vec<u8>>,
+    mem: MemImage,
     next_tick: u64,
     blk_lba: u32,
     blk_dma: u32,
@@ -518,9 +521,9 @@ impl Machine {
             blk_dma,
             blk_status,
             smp,
-            // `mem.clear()` rewrites every byte and bumps every page
-            // generation, which invalidates every decode- and block-cache
-            // entry (both validate against those generations).
+            // `mem.clear()` makes every page the zero page and bumps every
+            // page generation, which invalidates every decode- and
+            // block-cache entry (both validate against those generations).
             mem: _,
             decode_cache: _,
             block_cache: _,
@@ -963,7 +966,7 @@ impl Machine {
     }
 
     /// Number of physical pages dirtied since the last snapshot restore
-    /// (the copy footprint the next restore will pay).
+    /// (the pages the next restore resets).
     pub fn dirty_page_count(&self) -> u32 {
         self.mem.dirty_page_count()
     }
@@ -1012,7 +1015,7 @@ impl Machine {
         Snapshot {
             id: NEXT_SNAPSHOT_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             cpu: self.cpu.clone(),
-            mem: std::sync::Arc::new(self.mem.snapshot()),
+            mem: self.mem.snapshot(),
             next_tick: self.next_tick,
             blk_lba: self.blk_lba,
             blk_dma: self.blk_dma,
@@ -1036,8 +1039,11 @@ impl Machine {
     /// Restores a snapshot, clearing logs and counters. The disk is left
     /// untouched (swap it explicitly if the experiment needs a fresh one).
     ///
-    /// When restoring the same snapshot as the previous restore, only
-    /// the pages dirtied in between are copied back. The decode cache is
+    /// Restored pages share the snapshot's pages again, so a restore
+    /// copies no page bytes; when restoring the same snapshot as the
+    /// previous restore, only the pages dirtied in between are reset
+    /// (otherwise every page is, which is what a restore after a reboot
+    /// pays: one reference per page). The decode cache is
     /// flushed either way — entries for untouched pages would still be
     /// valid, but carrying cache warmth across runs would make per-run
     /// hit/miss counts depend on worker scheduling. With every cache
@@ -1089,14 +1095,15 @@ impl Machine {
     /// copy-on-write fork off a shared snapshot.
     ///
     /// Observationally this is `Machine::new(config)` followed by
-    /// `restore(s)`, but it pays one memcpy of the snapshot image
-    /// instead of two (allocate-zeroed + full restore), and the new
-    /// memory's dirty baseline is already synced to `s` — the fork's
-    /// very first [`Machine::restore`] of the same snapshot is
-    /// O(pages dirtied), not a baseline-establishing full copy. The
-    /// snapshot's [`Arc`](std::sync::Arc)-shared memory image is read,
-    /// never written: any number of threads may fork the same snapshot
-    /// concurrently.
+    /// `restore(s)`. The new memory shares every page of the snapshot
+    /// and owns none ([`PhysMem::private_pages`] is 0): a page is
+    /// copied only on the fork's first write to it, so a fork costs one
+    /// reference per page, not a copy of guest memory. Its dirty
+    /// baseline is already synced to `s` — the fork's very first
+    /// [`Machine::restore`] of the same snapshot is O(pages dirtied),
+    /// not a baseline-establishing reset of every page. The snapshot's
+    /// pages are read, never written: any number of threads may fork
+    /// the same snapshot concurrently.
     ///
     /// All caches (decode, block, TLB) start empty, matching what
     /// [`Machine::restore`] leaves behind; cumulative cache statistics
@@ -1112,7 +1119,7 @@ impl Machine {
     pub fn fork(s: &Snapshot, config: MachineConfig) -> Machine {
         assert_eq!(
             config.phys_mem.next_multiple_of(crate::mem::PAGE_SIZE),
-            s.mem.len() as u32,
+            s.mem.size(),
             "fork config memory size mismatch"
         );
         assert_eq!(
@@ -2566,7 +2573,7 @@ mod smp_tests {
         assert_eq!(ran.trap_log(), stepped.trap_log());
         assert_eq!(ran.tlb_stats(), stepped.tlb_stats());
         assert_eq!(ran.decode_stats(), stepped.decode_stats());
-        assert!(ran.mem.slice(0, ran.mem.size()) == stepped.mem.slice(0, stepped.mem.size()));
+        assert_eq!(ran.mem.digest(), stepped.mem.digest());
         ran
     }
 

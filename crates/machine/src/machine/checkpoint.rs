@@ -12,6 +12,7 @@
 
 use super::{Counters, Machine, MachineConfig, MonitorEvent};
 use crate::cpu::Cpu;
+use crate::mem::{SharedPage, Slot};
 use crate::mmu::TlbEntry;
 use crate::smp::{CpuCtx, Ipi, SmpState};
 use crate::trap::TrapRecord;
@@ -94,11 +95,15 @@ struct DiskCheckpoint {
 /// [`Machine::install`]; both destructure the machine exhaustively, so
 /// a new machine field fails to compile there until it is classified.
 ///
-/// Page versions and disk sectors are shared (`Arc`) with the
-/// checkpoint a capture was resumed from wherever their contents are
-/// unchanged, and cached blocks are shared with the capturing machine's
-/// block cache, so consecutive checkpoints of one run cost little more
-/// than what changed between them.
+/// Its pages are shared pages, as a snapshot's are: a page the
+/// capturing machine still shares goes in by reference, and one it wrote
+/// is shared with the checkpoint the capture was resumed from when the
+/// contents are unchanged, else copied once. Disk sectors are shared
+/// (`Arc`) the same way, and cached blocks are shared with the capturing
+/// machine's block cache, so consecutive checkpoints of one run cost
+/// little more than what changed between them. Installing one shares
+/// its pages with the machine, which copies a page only on its first
+/// write to it.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     base: u64,
@@ -107,11 +112,14 @@ pub struct Checkpoint {
     tlb: Vec<TlbEntry>,
     next_tick: u64,
     smp: Option<SmpCheckpoint>,
-    /// `(page, generation, contents)` of each page written since the
-    /// restore, ascending. Generations count writes since the restore
-    /// ([`Machine::restore`] zeroes them), so they mean the same on
-    /// every machine restored from the same snapshot.
-    pages: Vec<(u32, u64, Arc<[u8]>)>,
+    /// `(page, contents)` of each page written since the restore,
+    /// ascending.
+    pages: Vec<(u32, SharedPage)>,
+    /// Their write generations, in the same order. Generations count
+    /// writes since the restore ([`Machine::restore`] zeroes them), so
+    /// they mean the same on every machine restored from the same
+    /// snapshot.
+    page_gens: Vec<u64>,
     dropped_writes: u64,
     disk: Option<DiskCheckpoint>,
     decode: Vec<(u32, u64, Insn)>,
@@ -143,23 +151,25 @@ impl Checkpoint {
     }
 }
 
-/// `new`, sharing `prev`'s version when the contents are equal. `prev`
-/// is ascending by key and `cursor` walks it alongside ascending keys.
-fn share(
+/// `new`, sharing `prev`'s version when the contents are equal, else a
+/// fresh `copy` of it. `prev` is ascending by key and `cursor` walks it
+/// alongside ascending keys.
+fn share<V: Clone + AsRef<[u8]>>(
     key: u32,
     new: &[u8],
-    prev: &[(u32, Arc<[u8]>)],
+    prev: &[(u32, V)],
     cursor: &mut usize,
     fresh: &mut usize,
-) -> Arc<[u8]> {
+    copy: impl FnOnce(&[u8]) -> V,
+) -> V {
     while prev.get(*cursor).is_some_and(|(k, _)| *k < key) {
         *cursor += 1;
     }
     match prev.get(*cursor) {
-        Some((k, old)) if *k == key && **old == *new => old.clone(),
+        Some((k, old)) if *k == key && old.as_ref() == new => old.clone(),
         _ => {
             *fresh += new.len();
-            Arc::from(new)
+            copy(new)
         }
     }
 }
@@ -216,15 +226,19 @@ impl Machine {
         assert_eq!(*delivering, 0, "checkpoint inside a trap delivery");
         let base = mem.synced_to().expect("checkpoint of a machine never restored");
         let mut fresh = 0;
-        let no_pages = Vec::new();
-        let prev_pages: Vec<(u32, Arc<[u8]>)> = prev.map_or(no_pages, |p| {
-            p.pages.iter().map(|(page, _, bytes)| (*page, bytes.clone())).collect()
-        });
+        let prev_pages = prev.map_or(&[][..], |p| &p.pages);
         let mut cursor = 0;
-        let pages = mem
-            .dirty_pages()
-            .map(|(p, gen, bytes)| (p, gen, share(p, bytes, &prev_pages, &mut cursor, &mut fresh)))
-            .collect();
+        let (mut pages, mut page_gens) = (Vec::new(), Vec::new());
+        for (p, gen, slot) in mem.dirty_pages() {
+            let page = match slot {
+                Slot::Shared(page) => page.clone(),
+                Slot::Private(bytes) => {
+                    share(p, &bytes[..], prev_pages, &mut cursor, &mut fresh, SharedPage::copy_of)
+                }
+            };
+            pages.push((p, page));
+            page_gens.push(gen);
+        }
         let disk = disk.as_ref().map(|d| {
             let prev_sectors = prev.and_then(|p| p.disk.as_ref()).map_or(&[][..], |d| &d.sectors);
             let mut cursor = 0;
@@ -232,7 +246,9 @@ impl Machine {
                 base: d.synced_to(),
                 sectors: d
                     .written_sectors()
-                    .map(|(s, b)| (s, share(s, b, prev_sectors, &mut cursor, &mut fresh)))
+                    .map(|(s, b)| {
+                        (s, share(s, b, prev_sectors, &mut cursor, &mut fresh, |b| Arc::from(b)))
+                    })
                     .collect(),
                 io: d.io_stats(),
             }
@@ -273,6 +289,7 @@ impl Machine {
             next_tick: *next_tick,
             smp,
             pages,
+            page_gens,
             dropped_writes: mem.dropped_writes(),
             disk,
             decode,
@@ -359,8 +376,8 @@ impl Machine {
             (*slice_left, *rng, *ipi_arg) = (sc.slice_left, sc.rng, sc.ipi_arg);
             pending.clone_from(&sc.pending);
         }
-        for (p, gen, bytes) in &c.pages {
-            mem.install_page(*p, *gen, bytes);
+        for ((p, page), gen) in c.pages.iter().zip(&c.page_gens) {
+            mem.install_page(*p, *gen, page);
         }
         mem.set_dropped_writes(c.dropped_writes);
         if let Some(cd) = &c.disk {

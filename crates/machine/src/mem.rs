@@ -1,12 +1,146 @@
 //! Guest physical memory.
 
+use std::sync::Arc;
+
 /// Page size (4 KiB, as on IA-32).
 pub const PAGE_SIZE: u32 = 4096;
 
 const PAGE_SHIFT: u32 = 12;
+const PAGE: usize = PAGE_SIZE as usize;
+const OFFSET_MASK: u32 = PAGE_SIZE - 1;
 
-/// Guest physical memory: a flat byte array with open-bus semantics for
-/// out-of-range accesses.
+/// The bytes of one page.
+type PageBytes = [u8; PAGE];
+
+/// What every page nobody has written holds.
+static ZERO_PAGE: PageBytes = [0; PAGE];
+
+/// A page that any number of memories, snapshots and checkpoints hold
+/// at once, and so never change: a [`PhysMem`] copies one before its
+/// first write to it. Cloning moves a reference, not bytes; the zero
+/// page is a reference to nothing.
+#[derive(Clone, Default)]
+pub(crate) struct SharedPage(Option<Arc<PageBytes>>);
+
+impl SharedPage {
+    /// A new shared copy of `bytes`.
+    pub(crate) fn copy_of(bytes: &[u8]) -> SharedPage {
+        let page: Arc<[u8]> = Arc::from(bytes);
+        SharedPage(Some(page.try_into().expect("a whole page")))
+    }
+
+    /// The page's contents.
+    #[inline]
+    pub(crate) fn bytes(&self) -> &[u8; PAGE] {
+        self.0.as_deref().unwrap_or(&ZERO_PAGE)
+    }
+
+    /// Whether both are references to the same page.
+    fn same(&self, other: &SharedPage) -> bool {
+        match (&self.0, &other.0) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        }
+    }
+}
+
+impl AsRef<[u8]> for SharedPage {
+    fn as_ref(&self) -> &[u8] {
+        self.bytes()
+    }
+}
+
+/// Equal contents.
+impl PartialEq for SharedPage {
+    fn eq(&self, other: &SharedPage) -> bool {
+        self.same(other) || self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for SharedPage {}
+
+impl std::fmt::Debug for SharedPage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.0 {
+            None => f.write_str("ZeroPage"),
+            Some(page) => write!(f, "SharedPage({:p})", Arc::as_ptr(page)),
+        }
+    }
+}
+
+/// A frozen image of guest physical memory, one shared page per page
+/// ([`PhysMem::snapshot`]). Cloning it shares the whole table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MemImage(Arc<[SharedPage]>);
+
+impl MemImage {
+    /// Memory size in bytes.
+    pub fn size(&self) -> u32 {
+        (self.0.len() * PAGE) as u32
+    }
+}
+
+/// One page of a [`PhysMem`].
+#[derive(Clone)]
+pub(crate) enum Slot {
+    /// Held by others too: copied into a private page before a write.
+    Shared(SharedPage),
+    /// This memory's own: written in place.
+    Private(Box<PageBytes>),
+}
+
+impl Slot {
+    #[inline]
+    fn bytes(&self) -> &PageBytes {
+        match self {
+            Slot::Shared(page) => page.bytes(),
+            Slot::Private(bytes) => bytes,
+        }
+    }
+
+    /// The page's bytes for writing: a shared page becomes a private
+    /// copy first.
+    #[inline]
+    fn bytes_mut(&mut self) -> &mut PageBytes {
+        if let Slot::Shared(_) = self {
+            self.make_private();
+        }
+        match self {
+            Slot::Private(bytes) => bytes,
+            Slot::Shared(_) => unreachable!("made private above"),
+        }
+    }
+
+    #[cold]
+    fn make_private(&mut self) {
+        let copy = private_copy(self.bytes());
+        *self = Slot::Private(copy);
+    }
+
+    /// The page as one others may hold: a private page is copied.
+    fn share(&self) -> SharedPage {
+        match self {
+            Slot::Shared(page) => page.clone(),
+            Slot::Private(bytes) => SharedPage::copy_of(&bytes[..]),
+        }
+    }
+}
+
+impl std::fmt::Debug for Slot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Slot::Shared(page) => page.fmt(f),
+            Slot::Private(_) => f.write_str("Private"),
+        }
+    }
+}
+
+fn private_copy(bytes: &[u8]) -> Box<PageBytes> {
+    Box::<[u8]>::from(bytes).try_into().expect("a whole page")
+}
+
+/// Guest physical memory: a table of 4 KiB pages, shared copy-on-write,
+/// with open-bus semantics for out-of-range accesses.
 ///
 /// Reads beyond the installed memory return `0xFF` (open bus) and writes
 /// are dropped — the behaviour a real machine exhibits when a corrupted
@@ -14,6 +148,14 @@ const PAGE_SHIFT: u32 = 12;
 /// matters for fault injection: a flipped bit can produce a page-table
 /// walk through garbage physical addresses, and the machine must keep
 /// running (and crash *the guest*, not the simulator).
+///
+/// Each page is either shared — the zero page, or a page of a
+/// [`MemImage`] or checkpoint — or one this memory owns. Allocating,
+/// [clearing](PhysMem::clear), [snapshotting](PhysMem::snapshot),
+/// [forking](PhysMem::fork_from) and [restoring](PhysMem::restore_from)
+/// move page references, not bytes; the first write to a shared page
+/// copies it into a private one ([`PhysMem::private_pages`] counts
+/// them), and a write to a private page takes no atomic operation.
 ///
 /// Every mutation funnels through a per-page write hook that maintains
 /// two structures consumed by the machine's hot paths:
@@ -23,12 +165,11 @@ const PAGE_SHIFT: u32 = 12;
 ///   validates entries against it, so self-modifying code and the
 ///   injector's bit flip invalidate exactly the flipped page;
 /// * a **dirty bitset** of pages touched since the last snapshot restore
-///   ([`PhysMem::restore_from`]) — restoring copies back only those
-///   pages, turning the per-run reset from O(memory) into O(pages
-///   touched).
+///   ([`PhysMem::restore_from`]) — restoring resets only those pages,
+///   turning the per-run reset from O(memory) into O(pages touched).
 #[derive(Debug, Clone)]
 pub struct PhysMem {
-    bytes: Vec<u8>,
+    pages: Vec<Slot>,
     dropped_writes: u64,
     /// Per-page write generation (never reset; monotonically increasing).
     page_gens: Vec<u64>,
@@ -40,28 +181,39 @@ pub struct PhysMem {
 }
 
 impl PhysMem {
-    /// Allocates zeroed physical memory of `size` bytes (rounded up to a
-    /// page multiple).
+    /// Zeroed physical memory of `size` bytes (rounded up to a page
+    /// multiple), every page the shared zero page.
     pub fn new(size: u32) -> PhysMem {
-        let size = size.next_multiple_of(PAGE_SIZE);
-        let pages = (size / PAGE_SIZE) as usize;
+        let pages = size.div_ceil(PAGE_SIZE) as usize;
+        PhysMem::with_pages(vec![Slot::Shared(SharedPage::default()); pages], None)
+    }
+
+    fn with_pages(pages: Vec<Slot>, synced_to: Option<u64>) -> PhysMem {
+        let n = pages.len();
         PhysMem {
-            bytes: vec![0; size as usize],
+            pages,
             dropped_writes: 0,
-            page_gens: vec![0; pages],
-            dirty: vec![0; pages.div_ceil(64)],
-            synced_to: None,
+            page_gens: vec![0; n],
+            dirty: vec![0; n.div_ceil(64)],
+            synced_to,
         }
     }
 
     /// Installed memory size in bytes.
     pub fn size(&self) -> u32 {
-        self.bytes.len() as u32
+        (self.pages.len() * PAGE) as u32
     }
 
     /// Number of writes dropped on the floor (out-of-range).
     pub fn dropped_writes(&self) -> u64 {
         self.dropped_writes
+    }
+
+    /// Number of pages this memory holds a private copy of: pages
+    /// written since they were last shared. At most
+    /// [`PhysMem::dirty_page_count`] after a restore.
+    pub fn private_pages(&self) -> u32 {
+        self.pages.iter().filter(|s| matches!(s, Slot::Private(_))).count() as u32
     }
 
     /// The write generation of the page containing `addr`. Out-of-range
@@ -99,152 +251,177 @@ impl PhysMem {
     /// Reads a byte; out-of-range returns `0xFF`.
     #[inline]
     pub fn read_u8(&self, addr: u32) -> u8 {
-        self.bytes.get(addr as usize).copied().unwrap_or(0xff)
+        match self.pages.get((addr >> PAGE_SHIFT) as usize) {
+            Some(slot) => slot.bytes()[(addr & OFFSET_MASK) as usize],
+            None => 0xff,
+        }
     }
 
     /// Writes a byte; out-of-range writes are counted and dropped.
     #[inline]
     pub fn write_u8(&mut self, addr: u32, val: u8) {
-        match self.bytes.get_mut(addr as usize) {
-            Some(b) => {
-                *b = val;
-                self.touch((addr >> PAGE_SHIFT) as usize);
+        let page = (addr >> PAGE_SHIFT) as usize;
+        match self.pages.get_mut(page) {
+            Some(slot) => {
+                slot.bytes_mut()[(addr & OFFSET_MASK) as usize] = val;
+                self.touch(page);
             }
             None => self.dropped_writes += 1,
         }
     }
 
-    /// Reads a little-endian dword; may straddle the end of memory (the
-    /// missing bytes read as `0xFF`).
+    /// Reads a little-endian dword; may straddle pages and the end of
+    /// memory (the missing bytes read as `0xFF`).
+    #[inline]
     pub fn read_u32(&self, addr: u32) -> u32 {
-        let a = addr as usize;
-        if let Some(slice) = self.bytes.get(a..a + 4) {
-            u32::from_le_bytes(slice.try_into().expect("4 bytes"))
-        } else {
-            let mut v = [0xffu8; 4];
-            for (i, b) in v.iter_mut().enumerate() {
-                *b = self.read_u8(addr.wrapping_add(i as u32));
+        let off = (addr & OFFSET_MASK) as usize;
+        if let Some(slot) = self.pages.get((addr >> PAGE_SHIFT) as usize) {
+            if let Some(bytes) = slot.bytes().get(off..off + 4) {
+                return u32::from_le_bytes(bytes.try_into().expect("4 bytes"));
             }
-            u32::from_le_bytes(v)
+        }
+        self.read_u32_bytewise(addr)
+    }
+
+    /// [`PhysMem::read_u32`] across a page boundary or off the end.
+    #[cold]
+    fn read_u32_bytewise(&self, addr: u32) -> u32 {
+        let mut v = [0xffu8; 4];
+        for (i, b) in v.iter_mut().enumerate() {
+            *b = self.read_u8(addr.wrapping_add(i as u32));
+        }
+        u32::from_le_bytes(v)
+    }
+
+    /// Writes a little-endian dword. A dword inside installed memory
+    /// bumps each page it lands in once; one that runs off the end is
+    /// written a byte at a time.
+    #[inline]
+    pub fn write_u32(&mut self, addr: u32, val: u32) {
+        let (page, off) = ((addr >> PAGE_SHIFT) as usize, (addr & OFFSET_MASK) as usize);
+        match self.pages.get_mut(page) {
+            Some(slot) if off <= PAGE - 4 => {
+                slot.bytes_mut()[off..off + 4].copy_from_slice(&val.to_le_bytes());
+                self.touch(page);
+            }
+            _ => self.write_u32_split(addr, val),
         }
     }
 
-    /// Writes a little-endian dword.
-    pub fn write_u32(&mut self, addr: u32, val: u32) {
-        let a = addr as usize;
-        if let Some(slice) = self.bytes.get_mut(a..a + 4) {
-            slice.copy_from_slice(&val.to_le_bytes());
-            let p1 = (addr >> PAGE_SHIFT) as usize;
-            let p2 = ((addr + 3) >> PAGE_SHIFT) as usize;
-            self.touch(p1);
-            if p2 != p1 {
-                self.touch(p2);
-            }
+    /// [`PhysMem::write_u32`] across a page boundary or off the end.
+    #[cold]
+    fn write_u32_split(&mut self, addr: u32, val: u32) {
+        let (page, off) = ((addr >> PAGE_SHIFT) as usize, (addr & OFFSET_MASK) as usize);
+        let (bytes, split) = (val.to_le_bytes(), PAGE - off);
+        if split < 4 && page + 1 < self.pages.len() {
+            self.pages[page].bytes_mut()[off..].copy_from_slice(&bytes[..split]);
+            self.pages[page + 1].bytes_mut()[..4 - split].copy_from_slice(&bytes[split..]);
+            self.touch(page);
+            self.touch(page + 1);
         } else {
-            for (i, b) in val.to_le_bytes().iter().enumerate() {
+            for (i, b) in bytes.iter().enumerate() {
                 self.write_u8(addr.wrapping_add(i as u32), *b);
             }
         }
     }
 
-    /// Copies up to `buf.len()` bytes starting at `addr` into `buf` in
-    /// one slice operation; bytes beyond installed memory read as `0xFF`.
+    /// Copies `buf.len()` bytes starting at `addr` into `buf`, in one
+    /// slice operation when they lie in one installed page; bytes beyond
+    /// installed memory read as `0xFF`.
     #[inline]
     pub fn read_into(&self, addr: u32, buf: &mut [u8]) {
-        let a = addr as usize;
-        if let Some(src) = self.bytes.get(a..a + buf.len()) {
-            buf.copy_from_slice(src);
-        } else {
-            for (i, b) in buf.iter_mut().enumerate() {
-                *b = self.read_u8(addr.wrapping_add(i as u32));
+        let off = (addr & OFFSET_MASK) as usize;
+        let page = self.pages.get((addr >> PAGE_SHIFT) as usize);
+        match page.and_then(|slot| slot.bytes().get(off..off + buf.len())) {
+            Some(src) => buf.copy_from_slice(src),
+            None => {
+                for (i, b) in buf.iter_mut().enumerate() {
+                    *b = self.read_u8(addr.wrapping_add(i as u32));
+                }
             }
         }
     }
 
-    /// Copies `src` into physical memory at `addr`.
+    /// Copies `src` into physical memory at `addr`, bumping each page it
+    /// lands in once.
     ///
     /// # Panics
     ///
     /// Panics if the region does not fit in installed memory — this is a
     /// host-side loader operation, not a guest access.
     pub fn load(&mut self, addr: u32, src: &[u8]) {
-        let a = addr as usize;
-        self.bytes[a..a + src.len()].copy_from_slice(src);
-        if !src.is_empty() {
-            let first = a >> PAGE_SHIFT as usize;
-            let last = (a + src.len() - 1) >> PAGE_SHIFT as usize;
-            for page in first..=last {
-                self.touch(page);
+        let (mut at, mut rest) = (addr as usize, src);
+        assert!(at + src.len() <= self.size() as usize, "load beyond installed memory");
+        while !rest.is_empty() {
+            let (page, off) = (at / PAGE, at % PAGE);
+            let (chunk, tail) = rest.split_at(rest.len().min(PAGE - off));
+            if chunk.len() == PAGE {
+                self.pages[page] = Slot::Private(private_copy(chunk));
+            } else {
+                self.pages[page].bytes_mut()[off..off + chunk.len()].copy_from_slice(chunk);
             }
+            self.touch(page);
+            (at, rest) = (at + chunk.len(), tail);
         }
     }
 
-    /// Borrows a physical range for host-side inspection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn slice(&self, addr: u32, len: u32) -> &[u8] {
-        &self.bytes[addr as usize..(addr + len) as usize]
+    /// The contents page by page, in address order.
+    pub fn pages(&self) -> impl Iterator<Item = &[u8; PAGE]> + '_ {
+        self.pages.iter().map(Slot::bytes)
     }
 
-    /// Zeroes all memory (used on reboot).
+    /// 64-bit FNV-1a of the whole memory, in address order: the digest
+    /// that tests and the differential checker compare machines by.
+    pub fn digest(&self) -> u64 {
+        self.pages().flatten().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Zeroes all memory (used on reboot): every page becomes the shared
+    /// zero page again, and every page counts as written.
     pub fn clear(&mut self) {
-        self.bytes.fill(0);
+        self.pages.fill(Slot::Shared(SharedPage::default()));
         self.dropped_writes = 0;
         self.touch_all();
     }
 
-    /// Replaces the entire contents from a snapshot of unknown identity.
-    /// Always a full copy; the dirty baseline becomes unknown.
+    /// Restores from the image of the snapshot identified by `id`,
+    /// resetting only the pages dirtied since the last restore when the
+    /// baseline matches (otherwise every page, which establishes the new
+    /// baseline). A reset page shares the image's page again. Returns
+    /// the number of pages reset. Their write generations are bumped so
+    /// stale decoded-instruction cache entries die.
     ///
     /// # Panics
     ///
-    /// Panics if `snapshot` has a different length than installed memory.
-    pub fn restore(&mut self, snapshot: &[u8]) {
-        assert_eq!(snapshot.len(), self.bytes.len(), "snapshot size mismatch");
-        self.bytes.copy_from_slice(snapshot);
-        self.dropped_writes = 0;
-        self.touch_all();
-        self.dirty.fill(0);
-        self.synced_to = None;
-    }
-
-    /// Restores from a snapshot identified by `id`, copying only the
-    /// pages dirtied since the last restore when the baseline matches
-    /// (otherwise a full copy establishes the new baseline). Returns the
-    /// number of pages copied. Write generations of the copied pages are
-    /// bumped so stale decoded-instruction cache entries die.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snapshot` has a different length than installed memory.
-    pub fn restore_from(&mut self, snapshot: &[u8], id: u64) -> u32 {
-        assert_eq!(snapshot.len(), self.bytes.len(), "snapshot size mismatch");
-        let page = PAGE_SIZE as usize;
-        let copied = if self.synced_to == Some(id) {
+    /// Panics if `image` has a different size than installed memory.
+    pub fn restore_from(&mut self, image: &MemImage, id: u64) -> u32 {
+        assert_eq!(image.0.len(), self.pages.len(), "snapshot size mismatch");
+        let reset = if self.synced_to == Some(id) {
             let mut n = 0u32;
             for (w, word) in self.dirty.iter().enumerate() {
                 let mut bits = *word;
                 while bits != 0 {
                     let p = w * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let off = p * page;
-                    self.bytes[off..off + page].copy_from_slice(&snapshot[off..off + page]);
+                    self.pages[p] = Slot::Shared(image.0[p].clone());
                     self.page_gens[p] += 1;
                     n += 1;
                 }
             }
             n
         } else {
-            self.bytes.copy_from_slice(snapshot);
+            for (slot, page) in self.pages.iter_mut().zip(image.0.iter()) {
+                *slot = Slot::Shared(page.clone());
+            }
             self.touch_all();
             self.synced_to = Some(id);
             self.page_gens.len() as u32
         };
         self.dirty.fill(0);
         self.dropped_writes = 0;
-        copied
+        reset
     }
 
     /// Sets every page's write generation to zero. Sound only when no
@@ -261,22 +438,21 @@ impl PhysMem {
     }
 
     /// The pages dirtied since the last restore, ascending, as `(page,
-    /// generation, contents)`.
-    pub(crate) fn dirty_pages(&self) -> impl Iterator<Item = (u32, u64, &[u8])> + '_ {
-        let page = PAGE_SIZE as usize;
+    /// generation, slot)`.
+    pub(crate) fn dirty_pages(&self) -> impl Iterator<Item = (u32, u64, &Slot)> + '_ {
         self.dirty.iter().enumerate().flat_map(move |(w, &word)| {
             (0..64).filter(move |b| word & (1 << b) != 0).map(move |b| {
                 let p = w * 64 + b;
-                (p as u32, self.page_gens[p], &self.bytes[p * page..(p + 1) * page])
+                (p as u32, self.page_gens[p], &self.pages[p])
             })
         })
     }
 
-    /// Overwrites page `p` with `bytes` at generation `gen` and marks it
-    /// dirty: one page of a checkpoint install.
-    pub(crate) fn install_page(&mut self, p: u32, gen: u64, bytes: &[u8]) {
-        let (p, page) = (p as usize, PAGE_SIZE as usize);
-        self.bytes[p * page..(p + 1) * page].copy_from_slice(bytes);
+    /// Shares `page` as page `p` at generation `gen` and marks it dirty:
+    /// one page of a checkpoint install.
+    pub(crate) fn install_page(&mut self, p: u32, gen: u64, page: &SharedPage) {
+        let p = p as usize;
+        self.pages[p] = Slot::Shared(page.clone());
         self.page_gens[p] = gen;
         self.dirty[p / 64] |= 1 << (p % 64);
     }
@@ -286,32 +462,26 @@ impl PhysMem {
         self.dropped_writes = n;
     }
 
-    /// Clones the raw contents for a snapshot.
-    pub fn snapshot(&self) -> Vec<u8> {
-        self.bytes.clone()
+    /// The current contents as an image others can hold. Pages this
+    /// memory already shares are shared with the image too; private
+    /// ones are copied once, here.
+    pub fn snapshot(&self) -> MemImage {
+        MemImage(self.pages.iter().map(Slot::share).collect())
     }
 
-    /// Builds a new memory whose contents equal `base` and whose dirty
-    /// baseline is already synced to the snapshot identified by `id`: a
-    /// copy-on-write fork of a shared snapshot.
+    /// A new memory whose contents are `image` and whose dirty baseline
+    /// is already synced to the snapshot identified by `id`: a
+    /// copy-on-write fork of a shared snapshot, which owns no page until
+    /// it writes one.
     ///
-    /// The bytes are copied once, here; every later
-    /// [`PhysMem::restore_from`] against the same `(base, id)` pair is
-    /// O(pages dirtied) from the start, without the initial full-copy
-    /// round that `restore_from` pays to establish a baseline. Write
-    /// generations start at zero — a fork is a *new* memory, and any
-    /// caches layered on top of it must start empty (the machine-level
-    /// fork constructor guarantees this).
-    pub fn fork_from(base: &[u8], id: u64) -> PhysMem {
-        assert_eq!(base.len() % PAGE_SIZE as usize, 0, "snapshot not page-aligned");
-        let pages = base.len() / PAGE_SIZE as usize;
-        PhysMem {
-            bytes: base.to_vec(),
-            dropped_writes: 0,
-            page_gens: vec![0; pages],
-            dirty: vec![0; pages.div_ceil(64)],
-            synced_to: Some(id),
-        }
+    /// Every later [`PhysMem::restore_from`] against the same `(image,
+    /// id)` pair is O(pages dirtied) from the start, without the
+    /// all-pages round that `restore_from` pays to establish a baseline.
+    /// Write generations start at zero — a fork is a *new* memory, and
+    /// any caches layered on top of it must start empty (the
+    /// machine-level fork constructor guarantees this).
+    pub fn fork_from(image: &MemImage, id: u64) -> PhysMem {
+        PhysMem::with_pages(image.0.iter().cloned().map(Slot::Shared).collect(), Some(id))
     }
 }
 
@@ -369,16 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore() {
-        let mut m = PhysMem::new(PAGE_SIZE);
-        m.write_u32(0, 1234);
-        let snap = m.snapshot();
-        m.write_u32(0, 9999);
-        m.restore(&snap);
-        assert_eq!(m.read_u32(0), 1234);
-    }
-
-    #[test]
     fn writes_bump_generation_and_dirty_exactly_one_page() {
         let mut m = PhysMem::new(4 * PAGE_SIZE);
         let g0 = m.page_gen(PAGE_SIZE);
@@ -392,29 +552,30 @@ mod tests {
         assert_eq!(m.dirty_page_count(), 2);
         assert_eq!(m.page_gen(2 * PAGE_SIZE - 1), g0 + 2);
         assert_eq!(m.page_gen(2 * PAGE_SIZE), 1);
+        assert_eq!(m.read_u32(2 * PAGE_SIZE - 2), 0xaabbccdd);
     }
 
     #[test]
-    fn tracked_restore_copies_only_dirty_pages() {
+    fn tracked_restore_resets_only_dirty_pages() {
         let mut m = PhysMem::new(4 * PAGE_SIZE);
         m.write_u32(0, 0x1111_1111);
         let snap = m.snapshot();
-        // First restore against a new id is always a full copy.
+        // First restore against a new id always resets every page.
         assert_eq!(m.restore_from(&snap, 1), 4);
         assert_eq!(m.dirty_page_count(), 0);
-        // Touch one page; only it is copied back.
+        // Touch one page; only it is reset.
         m.write_u32(2 * PAGE_SIZE + 8, 0x2222_2222);
         assert_eq!(m.restore_from(&snap, 1), 1);
         assert_eq!(m.read_u32(2 * PAGE_SIZE + 8), 0);
         assert_eq!(m.read_u32(0), 0x1111_1111);
-        // Untouched machine: nothing to copy at all.
+        // Untouched machine: nothing to reset at all.
         assert_eq!(m.restore_from(&snap, 1), 0);
-        // A different snapshot id forces a full copy again.
+        // A different snapshot id resets every page again.
         assert_eq!(m.restore_from(&snap, 2), 4);
     }
 
     #[test]
-    fn restore_bumps_generations_of_copied_pages() {
+    fn restore_bumps_generations_of_reset_pages() {
         let mut m = PhysMem::new(2 * PAGE_SIZE);
         let snap = m.snapshot();
         m.restore_from(&snap, 7);
@@ -438,20 +599,22 @@ mod tests {
         assert_eq!(f.dirty_page_count(), 0);
         assert_eq!(f.page_gen(0), 0, "forks start with virgin generations");
         // The very first restore is already a dirty-page restore, not a
-        // baseline-establishing full copy.
+        // baseline-establishing reset of every page.
         f.write_u32(3 * PAGE_SIZE, 7);
         assert_eq!(f.restore_from(&snap, 42), 1);
         assert_eq!(f.read_u32(3 * PAGE_SIZE), 0);
-        // Writes in the fork never leak into the base bytes.
-        assert_eq!(m.read_u32(3 * PAGE_SIZE), 0);
+        // Writes in the fork never leak into the base.
+        f.write_u32(PAGE_SIZE, 1);
+        assert_eq!(m.read_u32(PAGE_SIZE), 0xcafe_f00d);
+        assert_eq!(snap.0[1].bytes()[..4], 0xcafe_f00du32.to_le_bytes());
     }
 
     #[test]
-    fn fork_with_foreign_id_falls_back_to_full_copy() {
+    fn fork_with_foreign_id_resets_every_page() {
         let m = PhysMem::new(2 * PAGE_SIZE);
         let snap = m.snapshot();
         let mut f = PhysMem::fork_from(&snap, 1);
-        assert_eq!(f.restore_from(&snap, 2), 2, "unknown baseline: full copy");
+        assert_eq!(f.restore_from(&snap, 2), 2, "unknown baseline: every page");
     }
 
     #[test]
@@ -460,5 +623,82 @@ mod tests {
         m.clear();
         assert_eq!(m.dirty_page_count(), 3);
         assert!(m.page_gen(0) > 0);
+    }
+
+    #[test]
+    fn a_fresh_fork_owns_no_page() {
+        let mut m = PhysMem::new(8 * PAGE_SIZE);
+        m.load(0x1ffe, &[1, 2, 3, 4, 5]);
+        assert_eq!(m.private_pages(), 2);
+        let f = PhysMem::fork_from(&m.snapshot(), 1);
+        assert_eq!(f.private_pages(), 0);
+        assert_eq!(PhysMem::new(8 * PAGE_SIZE).private_pages(), 0, "zero pages are shared");
+    }
+
+    #[test]
+    fn one_write_makes_exactly_one_page_private() {
+        let mut m = PhysMem::new(8 * PAGE_SIZE);
+        m.load(0, &[7; 3 * PAGE]);
+        let snap = m.snapshot();
+        let mut f = PhysMem::fork_from(&snap, 1);
+        f.write_u8(PAGE_SIZE + 5, 9);
+        assert_eq!(f.private_pages(), 1);
+        f.write_u32(PAGE_SIZE + 8, 9);
+        assert_eq!(f.private_pages(), 1, "a private page is written in place");
+        f.write_u8(8 * PAGE_SIZE, 1);
+        assert_eq!(f.private_pages(), 1, "an open-bus write owns nothing");
+        assert_eq!(snap.0[1].bytes()[5], 7, "the shared page is untouched");
+    }
+
+    #[test]
+    fn restore_and_clear_give_private_pages_back() {
+        let mut m = PhysMem::new(8 * PAGE_SIZE);
+        let snap = m.snapshot();
+        m.restore_from(&snap, 1);
+        for p in 0..4 {
+            m.write_u8(p * PAGE_SIZE, 1);
+        }
+        assert_eq!(m.private_pages(), 4);
+        m.restore_from(&snap, 1);
+        assert_eq!(m.private_pages(), 0);
+        m.write_u32(0, 1);
+        m.write_u32(5 * PAGE_SIZE, 1);
+        assert_eq!(m.private_pages(), 2);
+        m.clear();
+        assert_eq!(m.private_pages(), 0);
+    }
+
+    #[test]
+    fn a_snapshot_shares_the_pages_of_the_memory_that_took_it() {
+        let mut base = PhysMem::new(8 * PAGE_SIZE);
+        base.load(0, &[3; 4 * PAGE]);
+        let first = base.snapshot();
+        let mut m = PhysMem::fork_from(&first, 1);
+        m.write_u8(2 * PAGE_SIZE, 4);
+        let second = m.snapshot();
+        for (p, (a, b)) in first.0.iter().zip(second.0.iter()).enumerate() {
+            assert_eq!(a.same(b), p != 2, "page {p}");
+        }
+        // The written page's copy is the snapshot's own: later writes
+        // to the memory do not reach it.
+        m.write_u8(2 * PAGE_SIZE, 5);
+        assert_eq!(second.0[2].bytes()[0], 4);
+    }
+
+    #[test]
+    fn whole_page_loads_and_digests() {
+        let mut m = PhysMem::new(4 * PAGE_SIZE);
+        m.load(PAGE_SIZE - 1, &[9; PAGE + 2]);
+        assert_eq!((m.read_u8(PAGE_SIZE - 2), m.read_u8(PAGE_SIZE - 1)), (0, 9));
+        assert_eq!((m.read_u8(2 * PAGE_SIZE), m.read_u8(2 * PAGE_SIZE + 1)), (9, 0));
+        assert_eq!(m.dirty_page_count(), 3);
+        let flat: Vec<u8> = m.pages().flatten().copied().collect();
+        let fnv = flat.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(m.digest(), fnv);
+        m.write_u8(3 * PAGE_SIZE, 1);
+        assert_ne!(m.digest(), fnv, "the digest distinguishes memories");
+        assert_eq!(PhysMem::new(0).digest(), 0xcbf2_9ce4_8422_2325);
     }
 }

@@ -131,7 +131,7 @@ fn full_state(m: &Machine, exit: RunExit, stats_0: Stats) -> FullState {
     FullState {
         exit,
         cpus: (0..m.cpus() as usize).map(|i| m.cpu_state(i).clone()).collect(),
-        mem_digest: fnv1a(m.mem.slice(0, m.mem.size())),
+        mem_digest: m.mem.digest(),
         disk_digest: fnv1a(disk.bytes()),
         disk_io: disk.io_stats(),
         console: m.console().to_vec(),
@@ -311,7 +311,7 @@ fn run_cuts_plain(m: &mut Machine, k: u32) {
 type Diskless = (RunExit, Cpu, u64, Counters, Stats);
 
 fn full_state_diskless(m: &Machine, exit: RunExit, stats_0: Stats) -> Diskless {
-    let mem = fnv1a(m.mem.slice(0, m.mem.size()));
+    let mem = m.mem.digest();
     (exit, m.cpu.clone(), mem, m.counters(), since(stats(m), stats_0))
 }
 

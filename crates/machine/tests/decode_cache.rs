@@ -115,7 +115,7 @@ proptest! {
         let exit1 = m.run(50_000);
         let end1 = m.snapshot();
 
-        // First restore against this snapshot does the full copy and
+        // First restore against this snapshot resets every page and
         // arms the dirty tracking; the machine must equal the snapshot.
         m.restore(&snap);
         prop_assert_eq!(m.snapshot(), snap.clone());

@@ -20,7 +20,7 @@ const TIMER_PERIOD: u64 = 1000;
 /// later run on the machine, could observe.
 #[derive(Debug, PartialEq)]
 struct FullState {
-    mem: Vec<u8>,
+    mem: u64,
     cpus: Vec<Cpu>,
     console: Vec<u8>,
     monitor: Vec<(u64, MonitorEvent)>,
@@ -31,7 +31,7 @@ struct FullState {
 
 fn full_state(m: &Machine) -> FullState {
     FullState {
-        mem: m.mem.slice(0, m.mem.size()).to_vec(),
+        mem: m.mem.digest(),
         cpus: (0..m.cpus() as usize).map(|i| m.cpu_state(i).clone()).collect(),
         console: m.console().to_vec(),
         monitor: m.monitor_events().to_vec(),

@@ -141,8 +141,9 @@ pub struct Metrics {
     /// Chain links severed because the successor block was gone
     /// (evicted, invalidated, or re-pointed) at follow time.
     pub block_chain_breaks: u64,
-    /// Physical pages dirtied by measured runs — the copy footprint the
-    /// dirty-page snapshot restore pays instead of full memory.
+    /// Physical pages dirtied by measured runs — the pages the
+    /// dirty-page snapshot restore resets, and at most the pages the
+    /// runs copied on their first write.
     pub dirty_pages: u64,
     /// Post-boot snapshot restores (one per activated run).
     pub snapshot_restores: u64,
