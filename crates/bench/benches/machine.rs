@@ -1,12 +1,11 @@
 //! Machine core throughput: raw interpretation, boot, snapshot/restore.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use kfi_machine::{Machine, MachineConfig};
+use kfi_machine::{ExecTier, Machine, MachineConfig};
 
-fn tight_loop_machine_with(decode_cache: bool) -> Machine {
+fn tight_loop_machine_with(tier: ExecTier) -> Machine {
     // 1M-iteration dec/jnz loop + cli/hlt.
-    let mut m =
-        Machine::new(MachineConfig { timer_enabled: false, decode_cache, ..Default::default() });
+    let mut m = Machine::new(MachineConfig { timer_enabled: false, tier, ..Default::default() });
     m.mem.load(
         0x1000,
         &[
@@ -22,7 +21,7 @@ fn tight_loop_machine_with(decode_cache: bool) -> Machine {
 }
 
 fn tight_loop_machine() -> Machine {
-    tight_loop_machine_with(true)
+    tight_loop_machine_with(ExecTier::Chained)
 }
 
 fn bench_machine(c: &mut Criterion) {
@@ -36,10 +35,10 @@ fn bench_machine(c: &mut Criterion) {
             criterion::black_box(m.counters().instructions)
         })
     });
-    // The decode-cache ablation: every fetch pays the full decoder.
-    g.bench_function("interpret_2M_insns_no_decode_cache", |b| {
+    // The interpreter tier: every fetch pays the full decoder.
+    g.bench_function("interpret_2M_insns_interp_tier", |b| {
         b.iter(|| {
-            let mut m = tight_loop_machine_with(false);
+            let mut m = tight_loop_machine_with(ExecTier::Interp);
             assert_eq!(m.run(u64::MAX / 2), kfi_machine::RunExit::Halted);
             criterion::black_box(m.counters().instructions)
         })

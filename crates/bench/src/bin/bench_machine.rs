@@ -1,12 +1,11 @@
 //! Emits `BENCH_machine.json`: the machine-core performance baseline
-//! (exec-loop MIPS with the decode cache off, on, and with the
-//! basic-block engine on top; paged-guest kernel-replay MIPS with
-//! block chaining off vs on; two-CPU kernel-replay MIPS single-stepped
-//! vs through `Machine::run`; per-run snapshot restore cost full vs
-//! dirty-tracked; the cost of a `Machine::fork` of a booted kernel and
-//! the guest pages it owns; and small-campaign wall clock at 1 and 4
-//! worker threads, both recompute-per-rig and with golden memoization +
-//! copy-on-write rig forks).
+//! (exec-loop MIPS on each execution tier; paged-guest kernel-replay
+//! MIPS on the cached vs the chained tier; two-CPU kernel-replay MIPS
+//! single-stepped vs through `Machine::run`; per-run snapshot restore
+//! cost full vs dirty-tracked; the cost of a `Machine::fork` of a
+//! booted kernel and the guest pages it owns; and small-campaign wall
+//! clock at 1 and 4 worker threads, both recompute-per-rig and with
+//! golden memoization + copy-on-write rig forks).
 //!
 //! `--check` runs a scaled-down version of every measurement, prints
 //! the JSON to stdout and writes nothing — the CI smoke mode. Without
@@ -14,7 +13,9 @@
 
 use kfi_core::{Experiment, ExperimentConfig};
 use kfi_injector::Campaign;
-use kfi_machine::{Machine, MachineConfig, Ramdisk, RunExit, Snapshot, StepEvent, PAGE_SIZE};
+use kfi_machine::{
+    ExecTier, Machine, MachineConfig, Ramdisk, RunExit, Snapshot, StepEvent, PAGE_SIZE,
+};
 use kfi_profiler::ProfilerConfig;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -22,13 +23,8 @@ use std::time::Instant;
 /// The bench workload: a register-ALU loop heavy on multi-byte
 /// encodings (imm32 forms, modrm+sib+disp8), so per-fetch decode cost
 /// is a realistic share of the interpreter's work.
-fn alu_loop_machine(iters: u32, decode_cache: bool, block_engine: bool) -> Machine {
-    let mut m = Machine::new(MachineConfig {
-        timer_enabled: false,
-        decode_cache,
-        block_engine,
-        ..Default::default()
-    });
+fn alu_loop_machine(iters: u32, tier: ExecTier) -> Machine {
+    let mut m = Machine::new(MachineConfig { timer_enabled: false, tier, ..Default::default() });
     let mut code = vec![0xb9]; // mov ecx, iters
     code.extend_from_slice(&iters.to_le_bytes());
     code.extend_from_slice(&[
@@ -51,11 +47,11 @@ fn alu_loop_machine(iters: u32, decode_cache: bool, block_engine: bool) -> Machi
 /// Interprets the ALU loop and returns (MIPS, instructions retired).
 /// Best of `passes` — the loop is deterministic, so the fastest pass
 /// is the one least disturbed by the host scheduler.
-fn measure_mips(iters: u32, passes: u32, decode_cache: bool, block_engine: bool) -> (f64, u64) {
+fn measure_mips(iters: u32, passes: u32, tier: ExecTier) -> (f64, u64) {
     let mut best = f64::MAX;
     let mut insns = 0;
     for _ in 0..passes {
-        let mut m = alu_loop_machine(iters, decode_cache, block_engine);
+        let mut m = alu_loop_machine(iters, tier);
         let t = Instant::now();
         assert_eq!(m.run(u64::MAX / 2), RunExit::Halted);
         let dt = t.elapsed().as_secs_f64();
@@ -113,15 +109,16 @@ fn alternate(passes: u32, what: &str, mut pass: impl FnMut(bool) -> (f64, u64)) 
 }
 
 /// Paged-guest replay: where campaigns actually spend their cycles.
-/// Replays the base kernel's boot-plus-workload instruction window
-/// (block engine on) with block chaining off vs on, isolating the
-/// dispatch + per-instruction-translation cost that chaining and
+/// Replays the base kernel's boot-plus-workload instruction window on
+/// the cached tier vs the chained tier, isolating the dispatch +
+/// per-instruction-translation cost that chained block replay and
 /// once-per-entry translation validation remove. Returns
-/// `(mips_chain_off, mips_chain_on, instructions)`.
+/// `(mips_cached, mips_chained, instructions)`.
 fn measure_paged(budget: u64, passes: u32) -> (f64, f64, u64) {
     let boot = BootImage::new(Default::default(), 1);
-    alternate(passes, "chaining must not change the instruction count", |block_chain| {
-        let mut f = boot.fork(MachineConfig { block_chain, ..boot.config });
+    alternate(passes, "the tier must not change the instruction count", |chained| {
+        let tier = if chained { ExecTier::Chained } else { ExecTier::Cached };
+        let mut f = boot.fork(MachineConfig { tier, ..boot.config });
         let t = Instant::now();
         let _ = f.run(budget);
         (t.elapsed().as_secs_f64(), f.counters().instructions)
@@ -269,12 +266,12 @@ fn main() {
         if check { (20_000, 3, 8, 1) } else { (500_000, 5, 64, 4) };
 
     eprintln!("[bench_machine] exec loop ({loop_iters} iterations)...");
-    let (mips_off, insns) = measure_mips(loop_iters, passes, false, false);
-    let (mips_on, insns_on) = measure_mips(loop_iters, passes, true, false);
-    let (mips_block, insns_block) = measure_mips(loop_iters, passes, true, true);
-    assert_eq!(insns, insns_on, "cache must not change the instruction count");
-    assert_eq!(insns, insns_block, "block engine must not change the instruction count");
-    let exec_speedup = mips_block / mips_off;
+    let (mips_interp, insns) = measure_mips(loop_iters, passes, ExecTier::Interp);
+    let (mips_cached, insns_cached) = measure_mips(loop_iters, passes, ExecTier::Cached);
+    let (mips_chained, insns_chained) = measure_mips(loop_iters, passes, ExecTier::Chained);
+    assert_eq!(insns, insns_cached, "the cached tier must not change the instruction count");
+    assert_eq!(insns, insns_chained, "the chained tier must not change the instruction count");
+    let exec_speedup = mips_chained / mips_interp;
 
     let paged_budget: u64 = if check { 2_000_000 } else { 40_000_000 };
     // One paged pass is a single ~35 ms run — far more exposed to
@@ -282,8 +279,9 @@ fn main() {
     // samples to converge on the quiet-machine figure.
     let paged_passes = if check { 3 } else { 9 };
     eprintln!("[bench_machine] paged kernel replay (budget {paged_budget} cycles)...");
-    let (mips_paged_off, mips_paged_on, paged_insns) = measure_paged(paged_budget, paged_passes);
-    let paged_speedup = mips_paged_on / mips_paged_off;
+    let (mips_paged_cached, mips_paged_chained, paged_insns) =
+        measure_paged(paged_budget, paged_passes);
+    let paged_speedup = mips_paged_chained / mips_paged_cached;
 
     eprintln!("[bench_machine] two-CPU kernel replay (budget {paged_budget} cycles)...");
     let (mips_smp_step, mips_smp_run, smp_insns) = measure_smp(paged_budget, paged_passes);
@@ -322,18 +320,18 @@ fn main() {
     let _ = writeln!(json, "  \"mode\": \"{}\",", if check { "check" } else { "full" });
     let _ = writeln!(json, "  \"exec_loop\": {{");
     let _ = writeln!(json, "    \"instructions\": {insns},");
-    let _ = writeln!(json, "    \"mips_cache_off\": {mips_off:.1},");
-    let _ = writeln!(json, "    \"mips_cache_on\": {mips_on:.1},");
-    let _ = writeln!(json, "    \"mips_block_on\": {mips_block:.1},");
-    let _ = writeln!(json, "    \"speedup_cache\": {:.2},", mips_on / mips_off);
-    let _ = writeln!(json, "    \"speedup_block\": {:.2},", mips_block / mips_on);
+    let _ = writeln!(json, "    \"mips_interp\": {mips_interp:.1},");
+    let _ = writeln!(json, "    \"mips_cached\": {mips_cached:.1},");
+    let _ = writeln!(json, "    \"mips_chained\": {mips_chained:.1},");
+    let _ = writeln!(json, "    \"speedup_cache\": {:.2},", mips_cached / mips_interp);
+    let _ = writeln!(json, "    \"speedup_block\": {:.2},", mips_chained / mips_cached);
     let _ = writeln!(json, "    \"speedup\": {exec_speedup:.2}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"exec_loop_paged\": {{");
     let _ = writeln!(json, "    \"instructions\": {paged_insns},");
-    let _ = writeln!(json, "    \"mips_chain_off\": {mips_paged_off:.1},");
-    let _ = writeln!(json, "    \"mips_chain_on\": {mips_paged_on:.1},");
-    let _ = writeln!(json, "    \"speedup_chain\": {paged_speedup:.2}");
+    let _ = writeln!(json, "    \"mips_cached\": {mips_paged_cached:.1},");
+    let _ = writeln!(json, "    \"mips_chained\": {mips_paged_chained:.1},");
+    let _ = writeln!(json, "    \"speedup\": {paged_speedup:.2}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"exec_loop_smp\": {{");
     let _ = writeln!(json, "    \"cpus\": 2,");

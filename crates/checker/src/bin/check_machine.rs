@@ -2,8 +2,8 @@
 //!
 //! For each seed, generates a guest program in three corruption
 //! variants (clean, pre-run bit flips, mid-run bit flip) and runs it
-//! through the nine machine-level differential pairs (decode cache
-//! on/off, block engine vs single-step, block chaining on/off,
+//! through the eight machine-level differential pairs (cached vs
+//! interpreter tier, chained block engine vs single-step,
 //! ring/null trace sink, snapshot-restore/fresh-boot,
 //! shared-snapshot-fork/fresh-boot, on a separately generated
 //! two-ring program crossing `int $0x80`/`iret`/timer gates under
@@ -11,10 +11,10 @@
 //! generated two-CPU program exchanging startup and reschedule IPIs —
 //! full pipeline vs bare interpreter at `cpus = 2` plus
 //! parked-secondary vs plain uniprocessor). The architectural-state
-//! sanitizer is enabled on every machine except in the block-engine,
-//! chain, and ring pairs and on the full-pipeline side of the smp
-//! pair, which force it off so block execution actually engages (the
-//! engine falls back to single-stepping under the sanitizer). A smaller sweep
+//! sanitizer is enabled on every machine except in the block-engine
+//! and ring pairs and on the full-pipeline side of the smp pair, which
+//! force it off so block execution actually engages (the engine falls
+//! back to single-stepping under the sanitizer). A smaller sweep
 //! of full injection campaigns compares 1-worker vs 2-worker execution
 //! record-for-record. Before any of that, three self-tests seed known
 //! bugs through test-only machine hooks — a broken ALU flag writer the
@@ -27,7 +27,7 @@
 //! self-test failure occurred.
 
 use kfi_checker::diff::{
-    pair_block_engine, pair_chain, pair_decode_cache, pair_fork, pair_restore, pair_ring, pair_smp,
+    pair_block_engine, pair_decode_cache, pair_fork, pair_restore, pair_ring, pair_smp,
     pair_smp_parked, pair_trace_sink, run_lockstep, PairOutcome, StateMask,
 };
 use kfi_checker::gen::{generate, generate_ring, generate_smp, install, Variant};
@@ -179,7 +179,6 @@ fn machine_sweep(opts: &Options) -> (u64, u64) {
             for (name, out) in [
                 ("decode-cache", pair_decode_cache(&prog, cfg)),
                 ("block-engine", pair_block_engine(&prog, cfg)),
-                ("chain", pair_chain(&prog, cfg)),
                 ("trace-sink", pair_trace_sink(&prog, cfg)),
                 ("restore", pair_restore(&prog, cfg)),
                 ("fork", pair_fork(&prog, cfg)),
@@ -279,7 +278,7 @@ fn main() {
 
     let (mpairs, mfail) = machine_sweep(&opts);
     println!(
-        "machine sweep: {} seeds x 3 variants x 9 pairs = {} pairs, {} failures",
+        "machine sweep: {} seeds x 3 variants x 8 pairs = {} pairs, {} failures",
         opts.seeds, mpairs, mfail
     );
     let (cpairs, cfail) = campaign_sweep(&opts);

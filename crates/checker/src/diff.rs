@@ -1,19 +1,21 @@
 //! Lockstep differential execution over paired machine configurations.
 //!
-//! Two machines running the same [`GenProgram`]
-//! under configurations that must be observationally equivalent (decode
-//! cache on/off, block engine vs single-step, block chaining on/off,
-//! ring/null trace sink, snapshot-restore vs fresh boot, shared-snapshot
-//! fork vs fresh boot, full pipeline vs bare interpreter across
-//! user/kernel ring transitions) are stepped together; their [`StepEvent`]s are compared after every
-//! step and the full architectural state — registers, flags, control
+//! Two machines running the same [`GenProgram`] under configurations
+//! that must be observationally equivalent (decode cache on/off,
+//! chained block engine vs single-step, ring/null trace sink,
+//! snapshot-restore vs fresh boot, shared-snapshot fork vs fresh boot,
+//! full pipeline vs bare interpreter across user/kernel ring
+//! transitions) are stepped together; their [`StepEvent`]s are compared
+//! after every step and the full architectural state — registers, flags, control
 //! registers, TSC, console, monitor, trap history, counters, and an
 //! FNV-1a digest of all of physical memory — at checkpoints and at
 //! termination. The first divergence is reported with a disassembly of
 //! the instruction stream around the diverging EIP.
 
 use crate::gen::{apply_mid_flip, install, GenProgram, CODE_BASE};
-use kfi_machine::{Counters, Machine, MachineConfig, MonitorEvent, StepEvent, TrapRecord};
+use kfi_machine::{
+    Counters, ExecTier, Machine, MachineConfig, MonitorEvent, StepEvent, TrapRecord,
+};
 
 /// How often (in steps) the full architectural state is compared during
 /// lockstep; step events are compared every step regardless.
@@ -268,10 +270,11 @@ pub fn run_lockstep(
     PairOutcome { steps: step, divergence, violations }
 }
 
-/// Pair: decode cache on vs off (lockstep; cache counters excluded).
+/// Pair: the cached tier vs the interpreter tier (lockstep; cache
+/// counters excluded).
 pub fn pair_decode_cache(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
-    let mut a = install(prog, MachineConfig { decode_cache: true, ..base });
-    let mut b = install(prog, MachineConfig { decode_cache: false, ..base });
+    let mut a = install(prog, MachineConfig { tier: ExecTier::Cached, ..base });
+    let mut b = install(prog, MachineConfig { tier: ExecTier::Interp, ..base });
     run_lockstep(
         &mut a,
         &mut b,
@@ -431,49 +434,32 @@ fn final_outcome(
     PairOutcome { steps, divergence, violations }
 }
 
-/// Pair: basic-block engine vs single-stepping. Machine `b` is the
-/// [`reference_pass`]: it single-steps (via [`Machine::step`], which
-/// never uses blocks) while recording the TSC at the pre-flip boundary
-/// and at termination. Machine `a` has the block engine on and is
-/// driven by [`Machine::run`] against those recorded TSCs
-/// ([`run_to_reference`]) — instruction-boundary TSCs are bit-identical
-/// across the two modes, so a cycle deadline stops `a` exactly where
-/// the flip (or the comparison point) belongs.
+/// Pair: the chained tier vs the cached tier, single-stepped. Machine
+/// `b` is the [`reference_pass`] on [`ExecTier::Cached`]: it
+/// single-steps (via [`Machine::step`], which never uses blocks) while
+/// recording the TSC at the pre-flip boundary and at termination.
+/// Machine `a` runs [`ExecTier::Chained`] and is driven by
+/// [`Machine::run`] against those recorded TSCs ([`run_to_reference`])
+/// — instruction-boundary TSCs are bit-identical across tiers, so a
+/// cycle deadline stops `a` exactly where the flip (or the comparison
+/// point) belongs, and a mid-run flip lands *inside* chained segments,
+/// the case where a stale chain link or a skipped re-translation would
+/// show.
 ///
 /// The comparison uses [`StateMask::full`]: unlike the cache-on/off
 /// pair, the block engine keeps the decode-cache *and* TLB statistics
 /// identical to single-stepping — that is the property that lets the
-/// golden campaign CSV stay byte-identical with the engine enabled.
+/// golden campaign CSV stay byte-identical on the chained tier.
 ///
 /// Both sides force the sanitizer off: `run` falls back to
 /// single-stepping under the sanitizer, which would make the pair
 /// vacuous.
 pub fn pair_block_engine(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
-    let off = MachineConfig { block_engine: false, sanitizer: false, ..base };
+    let off = MachineConfig { tier: ExecTier::Cached, sanitizer: false, ..base };
     let r = reference_pass(prog, off);
-    let mut a = run_to_reference(prog, MachineConfig { block_engine: true, ..off }, &r);
-    let what = "block-engine state != single-step state";
+    let mut a = run_to_reference(prog, MachineConfig { tier: ExecTier::Chained, ..off }, &r);
+    let what = "chained state != single-step state";
     final_outcome(&mut a, &r.machine, &StateMask::full(), r.steps, what)
-}
-
-/// Pair: block chaining on vs off, both under the block engine and both
-/// driven by [`Machine::run`] against the TSCs a [`reference_pass`]
-/// recorded at the pre-flip boundary and at termination
-/// (instruction-boundary TSCs are bit-identical across all execution
-/// modes) — so a mid-run flip lands *inside* chained segments, the case
-/// where a stale chain link or a skipped re-translation would show —
-/// and the two are compared under [`StateMask::full`]: chaining must
-/// keep even the TLB and decode-cache statistics identical to unchained
-/// block execution, which is what keeps golden corpora byte-identical
-/// with chaining on.
-///
-/// Both sides force the sanitizer off, as in [`pair_block_engine`].
-pub fn pair_chain(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
-    let off = MachineConfig { block_engine: true, block_chain: false, sanitizer: false, ..base };
-    let r = reference_pass(prog, MachineConfig { block_engine: false, ..off });
-    let mut a = run_to_reference(prog, MachineConfig { block_chain: true, ..off }, &r);
-    let b = run_to_reference(prog, off, &r);
-    final_outcome(&mut a, &b, &StateMask::full(), r.steps, "chained state != unchained state")
 }
 
 /// Pair: shared-snapshot fork vs fresh boot, in two legs.
@@ -540,26 +526,19 @@ pub fn pair_fork(prog: &GenProgram, base: MachineConfig) -> PairOutcome {
     PairOutcome { steps: second, divergence, violations }
 }
 
-/// The bare single-step interpreter: no decode cache, no block engine.
+/// The bare single-step interpreter.
 fn bare(base: MachineConfig) -> MachineConfig {
-    MachineConfig { decode_cache: false, block_engine: false, block_chain: false, ..base }
+    MachineConfig { tier: ExecTier::Interp, ..base }
 }
 
-/// The full execution pipeline campaigns run with: decode cache, block
-/// engine and chaining, with the sanitizer off so [`Machine::run`]
-/// actually engages blocks.
+/// The full execution pipeline campaigns run with: the chained tier,
+/// with the sanitizer off so [`Machine::run`] actually engages blocks.
 fn full(base: MachineConfig) -> MachineConfig {
-    MachineConfig {
-        decode_cache: true,
-        block_engine: true,
-        block_chain: true,
-        sanitizer: false,
-        ..base
-    }
+    MachineConfig { tier: ExecTier::Chained, sanitizer: false, ..base }
 }
 
-/// Pair: the full execution pipeline (decode cache + block engine +
-/// block chaining) vs the bare single-step interpreter, on a
+/// Pair: the full execution pipeline (the chained tier) vs the bare
+/// single-step interpreter, on a
 /// *ring-transition* program from
 /// [`generate_ring`](crate::gen::generate_ring): `int $0x80` through a
 /// user-callable IDT gate, the TSS.esp0 kernel-stack switch, `iret`
@@ -683,7 +662,7 @@ mod tests {
     }
 
     #[test]
-    fn all_seven_machine_pairs_agree_on_a_sample() {
+    fn all_six_machine_pairs_agree_on_a_sample() {
         for seed in [0, 1, 2, 5] {
             for variant in [Variant::Clean, Variant::PreFlip, Variant::MidRunFlip] {
                 let prog = generate(seed, variant);
@@ -691,7 +670,6 @@ mod tests {
                 for (name, out) in [
                     ("decode-cache", pair_decode_cache(&prog, base())),
                     ("block-engine", pair_block_engine(&prog, base())),
-                    ("chain", pair_chain(&prog, base())),
                     ("trace-sink", pair_trace_sink(&prog, base())),
                     ("restore", pair_restore(&prog, base())),
                     ("fork", pair_fork(&prog, base())),

@@ -17,9 +17,9 @@
 //!   interleaves with it under the deterministic round-robin
 //!   scheduler, and stops it with a reschedule doorbell;
 //! * a **lockstep differential executor** ([`diff`]) running each
-//!   program under paired configurations that must agree — decode
-//!   cache on/off, basic-block engine vs single-step, block chaining
-//!   on vs off, ring/null trace sink, snapshot-restore vs fresh boot,
+//!   program under paired configurations that must agree — the cached
+//!   vs the interpreter tier, the chained block engine vs
+//!   single-stepping, ring/null trace sink, snapshot-restore vs fresh boot,
 //!   shared-snapshot copy-on-write fork vs fresh boot, the full
 //!   pipeline vs the bare interpreter across ring transitions
 //!   ([`diff::pair_ring`]), the same on a two-CPU machine whose run
@@ -37,10 +37,10 @@
 //!   through `RigConfig::sanitizer` instead), which validates per-step
 //!   invariants no differential pair can see (canonical EFLAGS,
 //!   monotonic TSC, CR2-iff-#PF, decode-cache coherence, MMU walk
-//!   idempotence). The block-engine pair is the one sweep that runs
-//!   *without* it: [`Machine::run`](kfi_machine::Machine::run) falls
-//!   back to single-stepping under the sanitizer, which would make
-//!   that comparison vacuous.
+//!   idempotence). The pairs that drive the chained tier through
+//!   [`Machine::run`](kfi_machine::Machine::run) run that side
+//!   *without* it: `run` falls back to single-stepping under the
+//!   sanitizer, which would make those comparisons vacuous.
 //!
 //! The `check_machine` binary drives a bounded deterministic seed sweep
 //! suitable for CI, plus three self-tests that seed known bugs behind
@@ -70,7 +70,7 @@ pub mod diff;
 pub mod gen;
 
 pub use diff::{
-    pair_block_engine, pair_chain, pair_decode_cache, pair_fork, pair_restore, pair_ring, pair_smp,
+    pair_block_engine, pair_decode_cache, pair_fork, pair_restore, pair_ring, pair_smp,
     pair_smp_parked, pair_trace_sink, reference_pass, run_lockstep, run_to_reference, ArchState,
     Divergence, PairOutcome, Reference, StateMask,
 };

@@ -1,14 +1,14 @@
 //! Observational-equivalence properties across ring transitions.
 //!
-//! The golden corpora are captured with the full execution pipeline
-//! (decode cache + block engine + block chaining) enabled, and every
+//! The golden corpora are captured on the chained tier, and every
 //! campaign run crosses the user/kernel boundary thousands of times —
-//! so block chaining must stay bit-identical to the reference
-//! interpreter *across* `int $0x80` and `iret`, not just inside flat
-//! kernel code. These properties sweep seeded two-ring programs (clean
-//! and corrupted) through the chain and ring differential pairs.
+//! so the chained block engine must stay bit-identical to
+//! single-stepping *across* `int $0x80` and `iret`, not just inside
+//! flat kernel code. These properties sweep seeded two-ring programs
+//! (clean and corrupted) through the block-engine and ring differential
+//! pairs.
 
-use kfi_checker::diff::{pair_chain, pair_ring};
+use kfi_checker::diff::{pair_block_engine, pair_ring};
 use kfi_checker::gen::{generate_ring, Variant};
 use kfi_machine::MachineConfig;
 use proptest::prelude::*;
@@ -20,18 +20,18 @@ fn variant(idx: usize) -> Variant {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Block chaining is bit-identical to unchained block execution on
-    /// programs whose hot paths run at ring 3 and repeatedly transfer
-    /// through `int $0x80`/`iret` gates (and asynchronous timer
+    /// The chained tier is bit-identical to the single-stepped cached
+    /// tier on programs whose hot paths run at ring 3 and repeatedly
+    /// transfer through `int $0x80`/`iret` gates (and asynchronous timer
     /// interrupts) — including TLB and decode-cache statistics, which
-    /// is what keeps golden corpora byte-identical with chaining on.
+    /// is what keeps golden corpora byte-identical on the chained tier.
     #[test]
     fn chaining_is_bit_identical_across_ring_transitions(
         seed in 0u64..4096,
         vidx in 0usize..3,
     ) {
         let prog = generate_ring(seed, variant(vidx));
-        let out = pair_chain(&prog, MachineConfig::default());
+        let out = pair_block_engine(&prog, MachineConfig::default());
         prop_assert!(out.clean(), "seed {} {:?}: {:?}", seed, variant(vidx), out);
     }
 

@@ -11,6 +11,7 @@ use kfi_core::supervisor::{run_campaign_supervised, SupervisorConfig};
 use kfi_core::{metrics_to_csv, Experiment, ExperimentConfig};
 use kfi_injector::{Campaign, RigConfig};
 use kfi_kernel::KernelBuildOptions;
+use kfi_machine::ExecTier;
 use kfi_profiler::ProfilerConfig;
 use kfi_trace::Metrics;
 use std::path::PathBuf;
@@ -49,8 +50,7 @@ fn without_block_counters(m: &Metrics) -> Metrics {
 #[test]
 fn smp_campaign_is_bit_identical_on_the_block_tier_and_single_stepped() {
     let blocks = smp_experiment(2).run_campaign(Campaign::A);
-    let rig =
-        RigConfig { cpus: 2, block_engine: false, block_chain: false, ..RigConfig::default() };
+    let rig = RigConfig { cpus: 2, tier: ExecTier::Cached, ..RigConfig::default() };
     let stepped = smp_experiment_with(2, rig).run_campaign(Campaign::A);
 
     // Anti-vacuity: the two-CPU rig really replays chained blocks, and

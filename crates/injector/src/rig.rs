@@ -6,8 +6,8 @@ use crate::target::InjectionTarget;
 use kfi_kernel::layout::{causes, events};
 use kfi_kernel::{boot, fsck, mkfs::FileSpec, BootConfig, FsckReport, KernelImage};
 use kfi_machine::{
-    Checkpoint, Machine, MachineConfig, MonitorEvent, Ramdisk, ResetResidue, ResidueFootprint,
-    RunExit, Snapshot, StepEvent, TrapRecord, Vector, SECTOR_SIZE,
+    Checkpoint, ExecTier, Machine, MachineConfig, MonitorEvent, Ramdisk, ResetResidue,
+    ResidueFootprint, RunExit, Snapshot, StepEvent, TrapRecord, Vector, SECTOR_SIZE,
 };
 use kfi_trace::{outcome as trace_outcome, subsystem as trace_subsystem};
 use kfi_trace::{Event, EventKind, Metrics, TraceSink};
@@ -32,21 +32,10 @@ pub struct RigConfig {
     /// subtracted from raw crash latencies (paper §5.3). The trap
     /// delivery itself costs a fixed 40 cycles in the machine model.
     pub switch_overhead: u64,
-    /// Whether the machine's decoded-instruction cache is enabled
-    /// (default true; the off position is the reference path for the
-    /// cached-vs-uncached equivalence tests).
-    pub decode_cache: bool,
-    /// Whether the machine's basic-block execution engine is enabled
-    /// (default true; takes effect only together with `decode_cache` —
-    /// see [`kfi_machine::MachineConfig::block_engine`]). Campaign
-    /// results, including the golden CSV, are bit-identical either way.
-    pub block_engine: bool,
-    /// Whether the block engine chains block exits and validates
-    /// translations once per entry (default true; takes effect only
-    /// together with `block_engine` — see
-    /// [`kfi_machine::MachineConfig::block_chain`]). Campaign results,
-    /// including the golden CSV, are bit-identical either way.
-    pub block_chain: bool,
+    /// The machine's execution tier (default [`ExecTier::Chained`]; the
+    /// reference tiers are for equivalence tests). Campaign results,
+    /// including the golden CSV, are bit-identical on every tier.
+    pub tier: ExecTier,
     /// Cycle budget for reaching the post-boot snapshot point. Booting
     /// past this without the runner announcing itself is a clean
     /// [`RigError::BootFailed`], not a wedged rig.
@@ -78,9 +67,7 @@ impl Default for RigConfig {
             budget_factor: 6,
             budget_slack: 2_000_000,
             switch_overhead: 0,
-            decode_cache: true,
-            block_engine: true,
-            block_chain: true,
+            tier: ExecTier::Chained,
             boot_budget: 80_000_000,
             golden_budget: 400_000_000,
             sanitizer: false,
@@ -379,9 +366,7 @@ fn boot_base(
     let fsimg = kfi_kernel::mkfs(2048, files);
     let manifest = Arc::new(fsimg.manifest.clone());
     let boot_config = BootConfig {
-        decode_cache: config.decode_cache,
-        block_engine: config.block_engine,
-        block_chain: config.block_chain,
+        tier: config.tier,
         sanitizer: config.sanitizer,
         cpus: config.cpus,
         ..Default::default()
@@ -528,15 +513,7 @@ impl RigShared {
         fp = fnv1a(fp, &image.program.text.bytes);
         fp = fnv1a(fp, &image.program.data.bytes);
         fp = fnv1a(fp, &base.post_boot_disk);
-        fp = fnv1a(
-            fp,
-            &[
-                config.decode_cache as u8,
-                config.block_engine as u8,
-                config.block_chain as u8,
-                config.sanitizer as u8,
-            ],
-        );
+        fp = fnv1a(fp, &[config.tier as u8, config.sanitizer as u8]);
         fp = fnv1a(fp, &config.cpus.to_le_bytes());
         fp = fnv1a(fp, &n_modes.to_le_bytes());
         RigShared {

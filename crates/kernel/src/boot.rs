@@ -4,7 +4,7 @@
 
 use crate::image::KernelImage;
 use crate::layout::{self, boot_info};
-use kfi_machine::{Machine, MachineConfig, Ramdisk, CR0_PG, KERNEL_CS};
+use kfi_machine::{ExecTier, Machine, MachineConfig, Ramdisk, CR0_PG, KERNEL_CS};
 
 /// Boot configuration.
 #[derive(Debug, Clone, Copy)]
@@ -14,15 +14,8 @@ pub struct BootConfig {
     pub run_mode: u32,
     /// Timer period in cycles.
     pub timer_period: u64,
-    /// Whether the machine's decoded-instruction cache is enabled.
-    pub decode_cache: bool,
-    /// Whether the machine's basic-block execution engine is enabled
-    /// (see [`kfi_machine::MachineConfig::block_engine`]).
-    pub block_engine: bool,
-    /// Whether the block engine chains block exits and validates
-    /// translations once per entry
-    /// (see [`kfi_machine::MachineConfig::block_chain`]).
-    pub block_chain: bool,
+    /// The machine's execution tier (see [`ExecTier`]).
+    pub tier: ExecTier,
     /// Whether the machine's per-step architectural-state sanitizer is
     /// enabled (see [`kfi_machine::MachineConfig::sanitizer`]).
     pub sanitizer: bool,
@@ -39,9 +32,7 @@ impl Default for BootConfig {
         BootConfig {
             run_mode: 0xff,
             timer_period: 50_000,
-            decode_cache: true,
-            block_engine: true,
-            block_chain: true,
+            tier: ExecTier::Chained,
             sanitizer: false,
             cpus: 1,
         }
@@ -57,9 +48,7 @@ pub fn boot(image: &KernelImage, disk: Ramdisk, config: &BootConfig) -> Machine 
         phys_mem: layout::PHYS_MEM_SIZE,
         timer_period: config.timer_period,
         timer_enabled: true,
-        decode_cache: config.decode_cache,
-        block_engine: config.block_engine,
-        block_chain: config.block_chain,
+        tier: config.tier,
         sanitizer: config.sanitizer,
         cpus: config.cpus,
         ..MachineConfig::default()

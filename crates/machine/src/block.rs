@@ -1,29 +1,20 @@
-//! Basic-block execution engine with trace recording and block
-//! chaining.
+//! The chained block engine: trace recording, replay and block
+//! chaining, the execution tier [`ExecTier::Chained`].
 //!
 //! The per-instruction decode cache removed the variable-length decoder
 //! from the hot loop but still dispatches one instruction at a time:
 //! every step pays the full run-loop ritual — deadline compare, abort
 //! poll, halted/triple-fault/breakpoint/timer checks — before a single
 //! cached instruction executes. This module extends the cache one level
-//! up, in two tiers selected by
-//! [`MachineConfig::block_chain`](crate::MachineConfig):
-//!
-//! * **Plain blocks** (chaining off): a **basic block** is a
-//!   straight-line run of decoded instructions on one physical page,
-//!   ending at the first control-flow or serializing instruction.
-//!   [`Machine::run`] executes block-at-a-time, hoisting the
-//!   watchdog/abort/timer checks to block boundaries.
-//! * **Chained traces** (chaining on): recording continues *through*
-//!   branches of any kind — direct, computed, across page boundaries —
-//!   forming a trace of the path actually executed, bounded by
-//!   [`MAX_BLOCK_INSNS`] and [`MAX_TRACE_PAGES`]. Exited traces link to
-//!   their successors ([`BlockCache::chain_next`]) so hot paths
-//!   dispatch block-to-block without returning to the run loop, and
-//!   replay validates its fetch translations *once per entry* instead
-//!   of once per instruction (see below). A quantum
-//!   ([`CHAIN_QUANTUM`]) bounds every chained segment so the abort
-//!   flag is polled as promptly as the single-step loop promises.
+//! up. Recording runs through branches of any kind — direct, computed,
+//! across page boundaries — forming a trace of the path actually
+//! executed, bounded by [`MAX_BLOCK_INSNS`] and [`MAX_TRACE_PAGES`].
+//! Exited traces link to their successors ([`BlockCache::chain_next`])
+//! so hot paths dispatch block-to-block without returning to the run
+//! loop, and replay validates its fetch translations *once per entry*
+//! instead of once per instruction (see below). A quantum
+//! ([`CHAIN_QUANTUM`]) bounds every chained segment so the abort flag
+//! is polled as promptly as the single-step loop promises.
 //!
 //! # Correctness model
 //!
@@ -47,7 +38,7 @@
 //!   tick), armed debug registers, the fetch translation (when paging
 //!   is on — keeping TLB statistics and #PF behavior identical), and a
 //!   decode-cache probe proving the page generation is unchanged since
-//!   the bytes were decoded. The *hot* chained path discharges most of
+//!   the bytes were decoded. The *hot* replay path discharges most of
 //!   these wholesale rather than per instruction — the limit check by
 //!   bounded-TSC chunking, the translation by a once-per-entry
 //!   page-set proof extended by TLB-generation compares
@@ -56,11 +47,11 @@
 //!   original, and any surprise (EIP divergence, generation bump,
 //!   conflict eviction, translation change) falls back to the careful
 //!   per-instruction path or exits to the full fetch machinery.
-//! * **Fallback conditions.** [`Machine::run`] only uses blocks when
-//!   the decode cache is on and the sanitizer is off (the sanitizer's
-//!   contract is *per-step* validation). Even then a pending timer
-//!   tick, a halted CPU, a latched triple fault, or a breakpoint match
-//!   at the block head routes through the ordinary [`Machine::step`]
+//! * **Fallback conditions.** [`Machine::run`] only uses blocks on the
+//!   chained tier with the sanitizer off (the sanitizer's contract is
+//!   *per-step* validation). Even then a pending timer tick, a halted
+//!   CPU, a latched triple fault, or a breakpoint match at the block
+//!   head routes through the ordinary [`Machine::step`]
 //!   machinery. On a `cpus > 1` machine so does every step the active
 //!   CPU does not run *alone*: while another CPU is live or an IPI is
 //!   pending, quantum boundaries, rotations and IPI delivery need
@@ -68,11 +59,12 @@
 //!   the active CPU's own slice, so blocks ignore the quantum and `run`
 //!   settles the slice (and its jitter draws) by the steps each block
 //!   retired. Only an IPI send can end that state, so on SMP machines
-//!   an `out` that may write the IPI port ends blocks and traces like
-//!   a terminator. [`Machine::step`] itself never uses blocks, so
+//!   an `out` that may write the IPI port ends traces like a
+//!   terminator. [`Machine::step`] itself never uses blocks, so
 //!   lockstep tools (the checker, golden-trace capture) see unchanged
 //!   per-step semantics.
 //!
+//! [`ExecTier::Chained`]: crate::ExecTier::Chained
 //! [`Machine::run`]: crate::Machine::run
 //! [`Machine::step`]: crate::Machine::step
 
@@ -88,10 +80,8 @@ const PAGE_MASK: u32 = PAGE_SIZE - 1;
 /// Longest recorded block, in instructions. Blocks are bounded so one
 /// replay cannot run arbitrarily far from a boundary check: the bound
 /// caps both how much the batched quantum can over-subtract and how
-/// long a divergence-free stretch may defer the dispatcher. Chained
-/// traces routinely hit the cap (kernel code re-enters the same loops),
-/// so the cap is sized for the chained engine and plain blocks simply
-/// never reach it (a straight-line run ends at the page edge first).
+/// long a divergence-free stretch may defer the dispatcher. Traces
+/// routinely hit the cap (kernel code re-enters the same loops).
 const MAX_BLOCK_INSNS: usize = 128;
 
 /// Slot count (power of two). Blocks are sparser than instructions —
@@ -127,8 +117,7 @@ const MAX_TRACE_PAGES: usize = 8;
 /// ([`Machine::replay_block_fast`]).
 const MAX_TSC_PER_INSN: u64 = 151;
 
-/// True when `op` must end a *trace* (a chained-mode block): it can
-/// change the privilege level or paging regime (`int`, `iret`, `lret`,
+/// True when `op` must end a trace: it can change the privilege level or paging regime (`int`, `iret`, `lret`,
 /// `mov %cr`), halt, or trap to a handler. Everything else — including
 /// computed branches and `rep` string steps — may be recorded through:
 /// the replay's per-instruction physical-address compare verifies live
@@ -152,7 +141,7 @@ fn chain_stops(op: &Op) -> bool {
 /// an `out` to that immediate port or to a port in DX. On an SMP
 /// machine such a write can wake another CPU or queue an IPI for the
 /// active one, after which the scheduler needs per-step precision, so
-/// there it ends blocks and traces.
+/// there it ends traces.
 fn may_send_ipi(op: &Op) -> bool {
     match op {
         Op::Out { port: PortArg::Dx, .. } => true,
@@ -161,47 +150,19 @@ fn may_send_ipi(op: &Op) -> bool {
     }
 }
 
-/// True when `op` must end a basic block: it writes EIP itself, can
-/// trap to a handler, serializes paging state, or pins EIP for `rep`
-/// resumption. Everything else falls through to `eip + len` and may be
-/// followed within the same block.
-fn ends_block(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Jcc { .. }
-            | Op::Jmp { .. }
-            | Op::JmpInd(_)
-            | Op::Call { .. }
-            | Op::CallInd(_)
-            | Op::Ret
-            | Op::RetImm(_)
-            | Op::Lret
-            | Op::Int(_)
-            | Op::Int3
-            | Op::Into
-            | Op::Iret
-            | Op::Ud2
-            | Op::Hlt
-            | Op::Str { .. }
-            | Op::MovToCr { .. }
-    )
-}
-
-/// A recorded run of decoded instructions.
+/// A recorded trace of decoded instructions.
 ///
-/// Without chaining a block is strictly straight-line on one physical
-/// page (PR 5 semantics: it ends at the first control-flow or
-/// serializing instruction). With chaining enabled, recording continues
-/// through branches of any kind — direct, computed (`ret`, indirect
-/// `jmp`/`call`), across page boundaries, even pinned-EIP `rep` string
-/// iterations — forming a *trace* of the control-flow path actually
-/// taken. Each [`Step`] records the instruction's virtual and physical
-/// fetch addresses so a replay can verify that live control flow is
-/// still following the recorded path; the first divergence (a branch
-/// going the other way, a `ret` to a different caller) exits to the
-/// dispatcher exactly like any other discontinuity. Because a link is
-/// only ever an edge record and every step is re-verified, the
-/// *provenance* of the recorded path is irrelevant to soundness.
+/// Recording continues through branches of any kind — direct,
+/// computed (`ret`, indirect `jmp`/`call`), across page boundaries,
+/// even pinned-EIP `rep` string iterations — forming a *trace* of the
+/// control-flow path actually taken. Each [`Step`] records the
+/// instruction's virtual and physical fetch addresses so a replay can
+/// verify that live control flow is still following the recorded path;
+/// the first divergence (a branch going the other way, a `ret` to a
+/// different caller) exits to the dispatcher exactly like any other
+/// discontinuity. Because a link is only ever an edge record and every
+/// step is re-verified, the *provenance* of the recorded path is
+/// irrelevant to soundness.
 #[derive(Debug)]
 pub(crate) struct Block {
     steps: Vec<Step>,
@@ -283,8 +244,6 @@ pub(crate) struct LiveBlock {
 pub(crate) struct BlockCache {
     slots: Vec<Slot>,
     epoch: u64,
-    enabled: bool,
-    chain: bool,
     hits: u64,
     misses: u64,
     invalidations: u64,
@@ -294,13 +253,11 @@ pub(crate) struct BlockCache {
 }
 
 impl BlockCache {
-    pub(crate) fn new(enabled: bool, chain: bool) -> BlockCache {
+    pub(crate) fn new(enabled: bool) -> BlockCache {
         BlockCache {
             // No allocation when disabled: a disabled cache costs nothing.
             slots: if enabled { vec![Slot::default(); SLOTS] } else { Vec::new() },
             epoch: 1,
-            enabled,
-            chain: chain && enabled,
             hits: 0,
             misses: 0,
             invalidations: 0,
@@ -308,14 +265,6 @@ impl BlockCache {
             follows: 0,
             breaks: 0,
         }
-    }
-
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    pub(crate) fn chain_enabled(&self) -> bool {
-        self.chain
     }
 
     /// Cumulative `(hits, misses, invalidations)`. A hit replayed a
@@ -376,37 +325,26 @@ impl BlockCache {
         self.breaks += chain.2;
     }
 
-    /// Looks up the block starting at physical address `pa`, validating
-    /// the entry against the page's current write generation (a block's
-    /// instructions were decoded from the page as it was at generation
-    /// `gen`; replaying them is only sound while that generation holds —
-    /// mid-block writes are caught by the per-instruction decode-cache
-    /// probe).
-    fn lookup(&mut self, pa: u32, mem: &PhysMem) -> Option<Arc<Block>> {
-        let slot = &self.slots[pa as usize & (SLOTS - 1)];
-        if slot.epoch == self.epoch && slot.pa == pa {
-            if slot.gen == mem.page_gen(pa) {
-                self.hits += 1;
-                return slot.block.clone();
-            }
-            self.invalidations += 1;
-        }
-        self.misses += 1;
-        None
-    }
-
     fn insert(&mut self, pa: u32, gen: u64, block: Block) {
         self.slots[pa as usize & (SLOTS - 1)] =
             Slot { pa, gen, epoch: self.epoch, block: Some(Arc::new(block)), links: [None; 2] };
     }
 
-    /// [`BlockCache::lookup`], but *moving* the block out of its slot
-    /// instead of cloning the `Arc`. The chained dispatch loop runs a
-    /// take / [`BlockCache::put_back`] bracket around every replay,
-    /// trading two reference-count updates per block entry for two
-    /// plain moves — nothing can touch the slot while the block is out
-    /// (replay never inserts, and flushes only happen between runs).
-    /// Counter behavior is identical to `lookup`.
+    /// Takes the block starting at physical address `pa` out of its
+    /// slot, validating the entry against the page's current write
+    /// generation (a block's instructions were decoded from the page as
+    /// it was at generation `gen`; replaying them is only sound while
+    /// that generation holds — mid-block writes are caught by the
+    /// per-instruction decode-cache probe). A hit counts as one, a miss
+    /// as one, and a miss that found a matching entry killed by a write
+    /// also as an invalidation.
+    ///
+    /// Moving the block out instead of cloning the `Arc` trades two
+    /// reference-count updates per block entry for two plain moves: the
+    /// dispatch loop runs a take / [`BlockCache::put_back`] bracket
+    /// around every replay, and nothing can touch the slot while the
+    /// block is out (replay never inserts, and flushes only happen
+    /// between runs).
     fn take(&mut self, pa: u32, mem: &PhysMem) -> Option<Arc<Block>> {
         let slot = &mut self.slots[pa as usize & (SLOTS - 1)];
         if slot.epoch == self.epoch && slot.pa == pa {
@@ -514,7 +452,7 @@ fn chain_exit(m: &Machine, insn: &Insn, eip: u32) -> ChainExit {
             ChainExit::Chain { dir: usize::from(m.cpu.eip == fallthrough) }
         }
         ref op if m.smp.is_some() && may_send_ipi(op) => ChainExit::Stop,
-        ref op if !ends_block(op) => ChainExit::Chain { dir: 1 },
+        ref op if !chain_stops(op) => ChainExit::Chain { dir: 1 },
         _ => ChainExit::Stop,
     }
 }
@@ -552,9 +490,8 @@ impl FetchCtx {
 }
 
 impl Machine {
-    /// Executes one basic block (or records one while executing it) —
-    /// or, with chaining enabled, a whole segment of blocks linked by
-    /// statically-known exits.
+    /// Executes a segment of cached blocks linked by their exits, or
+    /// records one block while executing it.
     ///
     /// The caller — [`Machine::run`] — guarantees on entry: no latched
     /// triple fault, CPU not halted, no pending timer tick, no
@@ -583,14 +520,6 @@ impl Machine {
         } else {
             eip0
         };
-        if !self.block_cache.chain_enabled() {
-            match self.block_cache.lookup(pa0, &self.mem) {
-                Some(block) => self.replay_block(&block, pa0, limit),
-                None => self.record_block(eip0, pa0, limit),
-            }
-            return;
-        }
-
         // Chained dispatch. Each iteration replays one cached block and,
         // when it exits over a statically-known edge, performs the exact
         // per-entry protocol the dispatch loop would have (instruction
@@ -676,9 +605,8 @@ impl Machine {
         Ok(pa)
     }
 
-    /// Chained-mode replay of one cached block: identical boundary
-    /// checks and counting to [`Machine::replay_block`], with the exit
-    /// classified for chaining.
+    /// Replays one cached block with the boundary checks and counting
+    /// of single-stepping, and classifies its exit for chaining.
     ///
     /// The common case takes a *hot path* that hoists every
     /// per-instruction check it can prove vacuous up front:
@@ -934,12 +862,12 @@ impl Machine {
         block.pages.iter().all(|&(vpn, pfn)| self.tlb.fetch_maps_to(vpn, pfn, user))
     }
 
-    /// Reference-protocol chained replay, used when the hot path's
+    /// Reference-protocol replay, used when the hot path's
     /// preconditions fail (breakpoints armed) or its provably-safe
     /// prefix ends before the block does (the block could cross `limit`
-    /// mid-way): every boundary check runs per instruction from index
-    /// `start`, exactly like [`Machine::replay_block`]. Every path that
-    /// executes an instruction decrements `quantum`.
+    /// mid-way): every boundary check the single-step loop makes runs
+    /// per instruction from index `start`. Every path that executes an
+    /// instruction decrements `quantum`.
     #[cold]
     fn replay_block_careful(
         &mut self,
@@ -1011,72 +939,18 @@ impl Machine {
         ChainExit::Stop // unreachable: blocks are never empty
     }
 
-    /// Replays a cached block, revalidating each instruction boundary
-    /// against the same conditions the single-step loop checks.
-    fn replay_block(&mut self, block: &Block, pa0: u32, limit: u64) {
-        let paging = self.cpu.paging();
-        // No guest instruction writes the debug registers (there is no
-        // mov-to-DR op), so whether a breakpoint is armed is constant
-        // for the whole block.
-        let bp_armed = self.cpu.dr7 != 0;
-        let mut expected_pa = pa0;
-        for (i, st) in block.steps.iter().enumerate() {
-            let insn = st.insn;
-            let eip = self.cpu.eip;
-            let pa = if i == 0 {
-                pa0 // already translated and counted by exec_block
-            } else {
-                if self.cpu.tsc >= limit {
-                    return;
-                }
-                if bp_armed && self.cpu.breakpoint_match(eip).is_some() {
-                    return;
-                }
-                self.counters.instructions += 1;
-                if paging {
-                    match self.xlate(eip, Access::Exec) {
-                        Ok(pa) => pa,
-                        Err(f) => return self.exec_fault(f),
-                    }
-                } else {
-                    eip
-                }
-            };
-            if pa != expected_pa || !self.decode_cache.probe(pa, &self.mem) {
-                // Translation discontinuity, page-generation bump from
-                // a mid-block store, or a decode-cache conflict
-                // eviction: complete this one instruction on the full
-                // single-step fetch path (which counts the miss or
-                // invalidation exactly as uncached execution would),
-                // then leave the block.
-                return self.exec_uncached_at(eip, pa);
-            }
-            // The probe proved the page generation is unchanged since
-            // this physical address was decoded, so the block's copy of
-            // the instruction equals a fresh decode of the live bytes.
-            self.decode_cache.count_hit();
-            expected_pa = pa.wrapping_add(u32::from(insn.len));
-            if let Err(f) = self.exec_insn(insn) {
-                return self.exec_fault(f);
-            }
-        }
-    }
-
     /// Executes instructions on the single-step fetch path while
-    /// recording them, until a terminator, fault, page boundary, cycle
-    /// limit, breakpoint, or the length cap ends the block. With
-    /// chaining enabled, branches of any kind — direct, computed
+    /// recording them, until a terminator ([`chain_stops`]), fault,
+    /// cycle limit, breakpoint, full page set or the length cap ends the
+    /// trace. Branches of any kind — direct, computed
     /// (`ret`/`jmp*`/`call*`), cross-page, even pinned-EIP `rep` string
-    /// iterations — do *not* terminate recording: the block becomes a
-    /// trace of the path actually taken, and replays verify each step
-    /// against the recorded physical addresses and page generations
-    /// before trusting it.
+    /// iterations — do *not* end recording: the trace follows the path
+    /// actually taken, and replays verify each step against the
+    /// recorded physical addresses and page generations before trusting
+    /// it.
     fn record_block(&mut self, eip0: u32, pa0: u32, limit: u64) {
-        let traces = self.block_cache.chain_enabled();
         let smp = self.smp.is_some();
         let paging = self.cpu.paging();
-        let page = eip0 & !PAGE_MASK;
-        let page_pa = pa0 & !PAGE_MASK;
         let start_gen = self.mem.page_gen(pa0);
         let mut steps: Vec<Step> = Vec::with_capacity(MAX_BLOCK_INSNS);
         let mut pages: Vec<(u32, u32)> = Vec::new();
@@ -1099,7 +973,7 @@ impl Machine {
             // (the set is full) is executed but not recorded, ending
             // the trace like a page-straddler.
             let recordable = in_page
-                && (!traces || !paging || {
+                && (!paging || {
                     let pair = (eip >> 12, pa >> 12);
                     pages.contains(&pair)
                         || pages.len() < MAX_TRACE_PAGES && {
@@ -1132,22 +1006,16 @@ impl Machine {
             // compare verifies live control flow still follows the
             // recorded path. Only privilege/regime changes, halts,
             // traps and, on SMP machines, possible IPI sends end a
-            // trace. Plain blocks stop at every control transfer, and at
-            // the same IPI sends.
-            let stop = if traces { chain_stops(&insn.op) } else { ends_block(&insn.op) }
-                || (smp && may_send_ipi(&insn.op));
+            // trace.
+            let stop = chain_stops(&insn.op) || (smp && may_send_ipi(&insn.op));
             if faulted || !recordable || stop || steps.len() >= MAX_BLOCK_INSNS {
                 break;
             }
             // Next boundary: the same checks a cached replay performs.
-            // Plain blocks are single-virtual-page; traces may roam —
-            // the replay re-translates each step and compares against
-            // the recorded address, so the page is not a soundness
-            // boundary once per-step validation exists.
+            // Traces may roam across pages — the replay re-translates
+            // each step and compares against the recorded address, so
+            // the page is not a soundness boundary.
             let neip = self.cpu.eip;
-            if !traces && neip & !PAGE_MASK != page {
-                break;
-            }
             if self.cpu.tsc >= limit {
                 break;
             }
@@ -1166,14 +1034,6 @@ impl Machine {
             } else {
                 neip
             };
-            if !traces && npa != page_pa | (neip & PAGE_MASK) {
-                // The page's physical mapping changed under us (page
-                // tables edited mid-block): execute this instruction
-                // off-block and stop recording. (A trace just records
-                // the new address; replays verify it like any other.)
-                self.exec_uncached_at(neip, npa);
-                break;
-            }
             eip = neip;
             pa = npa;
         }
@@ -1229,75 +1089,82 @@ mod tests {
 
     #[test]
     fn terminator_classification() {
-        let term: &[&[u8]] = &[
-            &[0xeb, 0x00],       // jmp
-            &[0x74, 0x00],       // je
-            &[0xc3],             // ret
-            &[0xe8, 0, 0, 0, 0], // call
+        let stops: &[&[u8]] = &[
+            &[0xcb],             // lret
             &[0xcf],             // iret
             &[0xf4],             // hlt
             &[0x0f, 0x0b],       // ud2
             &[0xcd, 0x80],       // int $0x80
-            &[0xf3, 0xa4],       // rep movsb
+            &[0xcc],             // int3
             &[0x0f, 0x22, 0xd8], // mov %ebx,%cr3
         ];
-        for bytes in term {
+        for bytes in stops {
             let i = decode(bytes).unwrap();
-            assert!(ends_block(&i.op), "{:?} must terminate a block", i.op);
+            assert!(chain_stops(&i.op), "{:?} must end a trace", i.op);
         }
-        let fall: &[&[u8]] = &[
-            &[0x90],       // nop
-            &[0x40],       // inc %eax
-            &[0xfa],       // cli
-            &[0xfb],       // sti
-            &[0x89, 0xd8], // mov %ebx,%eax
-            &[0x50],       // push %eax
+        let through: &[&[u8]] = &[
+            &[0xeb, 0x00],       // jmp
+            &[0x74, 0x00],       // je
+            &[0xc3],             // ret
+            &[0xe8, 0, 0, 0, 0], // call
+            &[0xf3, 0xa4],       // rep movsb
+            &[0x90],             // nop
+            &[0x40],             // inc %eax
+            &[0xfa],             // cli
+            &[0xfb],             // sti
+            &[0x89, 0xd8],       // mov %ebx,%eax
+            &[0x50],             // push %eax
         ];
-        for bytes in fall {
+        for bytes in through {
             let i = decode(bytes).unwrap();
-            assert!(!ends_block(&i.op), "{:?} must not terminate a block", i.op);
+            assert!(!chain_stops(&i.op), "{:?} must not end a trace", i.op);
         }
     }
 
     #[test]
     fn cache_validates_generation_and_epoch() {
         let mem = &mut PhysMem::new(8192);
-        let mut c = BlockCache::new(true, true);
+        let mut c = BlockCache::new(true);
         let nop = decode(&[0x90]).unwrap();
         c.insert(0x1000, mem.page_gen(0x1000), test_block(nop));
-        assert!(c.lookup(0x1000, mem).is_some());
+        let b = c.take(0x1000, mem).expect("a live entry");
+        c.put_back(0x1000, b);
         // Any write in the page kills the block...
         mem.write_u8(0x1fff, 0);
-        assert!(c.lookup(0x1000, mem).is_none());
+        assert!(c.take(0x1000, mem).is_none());
         // ...counted as an invalidation, not a plain miss.
         assert_eq!(c.stats(), (1, 1, 1));
         c.insert(0x1000, mem.page_gen(0x1000), test_block(nop));
         c.flush();
-        assert!(c.lookup(0x1000, mem).is_none());
+        assert!(c.take(0x1000, mem).is_none());
         assert_eq!(c.stats(), (1, 2, 1));
     }
 
     #[test]
-    fn disabled_cache_allocates_nothing() {
-        let c = BlockCache::new(false, true);
-        assert!(!c.enabled());
-        assert!(!c.chain_enabled(), "chaining requires the block cache");
-        assert_eq!(c.slots.len(), 0);
-        assert_eq!(c.stats(), (0, 0, 0));
-        assert_eq!(c.chain_stats(), (0, 0, 0));
+    fn each_tier_allocates_only_its_tables() {
+        use crate::{ExecTier, MachineConfig};
+        for (tier, decode_table, block_table) in [
+            (ExecTier::Interp, false, false),
+            (ExecTier::Cached, true, false),
+            (ExecTier::Chained, true, true),
+        ] {
+            let m = Machine::new(MachineConfig { tier, ..MachineConfig::default() });
+            assert_eq!(m.decode_cache.allocated(), decode_table, "{tier:?}");
+            assert_eq!(!m.block_cache.slots.is_empty(), block_table, "{tier:?}");
+        }
     }
 
     #[test]
     fn chain_next_links_follows_and_breaks() {
         let mem = &mut PhysMem::new(8192);
-        let mut c = BlockCache::new(true, true);
+        let mut c = BlockCache::new(true);
         let nop = decode(&[0x90]).unwrap();
         c.insert(0x1000, mem.page_gen(0x1000), test_block(nop));
         c.insert(0x1100, mem.page_gen(0x1100), test_block(nop));
         // A hit moves the block out of its slot (the dispatch loop's
         // take / put_back bracket), so every successful step here puts
         // it back before the next, exactly as the loop does.
-        let mut step = |c: &mut BlockCache, mem: &PhysMem, to_eip: u32| {
+        let step = |c: &mut BlockCache, mem: &PhysMem, to_eip: u32| {
             let hit = c.chain_next(0x1000, 0, to_eip, 0x1100, mem);
             if let Some(b) = hit {
                 c.put_back(0x1100, b);

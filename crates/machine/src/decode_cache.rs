@@ -60,8 +60,10 @@ impl DecodeCache {
         }
     }
 
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled
+    /// Whether the table is allocated (a disabled cache has none).
+    #[cfg(test)]
+    pub(crate) fn allocated(&self) -> bool {
+        !self.slots.is_empty()
     }
 
     /// Cumulative `(hits, misses, invalidations)`. A hit returned a
@@ -136,7 +138,7 @@ impl DecodeCache {
     /// the live generation in the slot check (the conjunction is
     /// equivalent), turning the probe into three compares against
     /// constants with no second page-generation load. Callers guarantee
-    /// the cache is enabled (the block engine requires it).
+    /// the cache is enabled (the chained tier has it).
     #[inline]
     pub(crate) fn probe_at(&self, pa: u32, gen: u64) -> bool {
         let slot = &self.slots[pa as usize & (SLOTS - 1)];

@@ -68,7 +68,7 @@ mod trap;
 
 pub use cpu::{Cpu, CR0_PG, KERNEL_CS, USER_CS};
 pub use machine::{
-    ports, Checkpoint, Counters, Machine, MachineConfig, MonitorEvent, ResetResidue,
+    ports, Checkpoint, Counters, ExecTier, Machine, MachineConfig, MonitorEvent, ResetResidue,
     ResidueFootprint, RunExit, Snapshot, StepEvent, ABORT_CHECK_STEPS,
 };
 pub use mem::{MemImage, PhysMem, PAGE_SIZE};

@@ -106,6 +106,26 @@ pub enum RunExit {
 /// this many instructions, so a livelocked run is reaped promptly.
 pub const ABORT_CHECK_STEPS: u32 = 4096;
 
+/// How [`Machine::run`] executes guest code.
+///
+/// Every tier is observationally identical: registers, memory, traps,
+/// timing and the TLB statistics agree instruction for instruction,
+/// and the two cached tiers also agree on the decode-cache statistics
+/// (the checker's `pair_decode_cache` and `pair_block_engine` prove it
+/// in lockstep). [`Machine::step`] is one instruction on every tier, and
+/// the sanitizer makes [`Machine::run`] single-step on every tier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExecTier {
+    /// The reference interpreter: every fetch runs the decoder.
+    Interp,
+    /// The decoded-instruction cache, single-stepped.
+    Cached,
+    /// The decode cache plus the chained block engine, which replays
+    /// recorded traces of decoded instructions: what every campaign
+    /// runs.
+    Chained,
+}
+
 /// Machine configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineConfig {
@@ -115,27 +135,10 @@ pub struct MachineConfig {
     pub timer_period: u64,
     /// Whether the timer fires at all.
     pub timer_enabled: bool,
-    /// Whether fetch consults the decoded-instruction cache (default
-    /// true; turning it off is the reference path for equivalence tests
-    /// and benchmarks — execution must be observationally identical).
-    pub decode_cache: bool,
-    /// Whether [`Machine::run`] may execute basic-block-at-a-time
-    /// (default true; requires `decode_cache` and no sanitizer to take
-    /// effect, and [`Machine::step`] always single-steps). Execution
-    /// must be observationally identical either way, including decode
-    /// cache and TLB statistics; the checker's `pair_block_engine`
-    /// config proves it in lockstep against single-stepping.
-    pub block_engine: bool,
-    /// Whether the block engine may *chain* block exits: when a cached
-    /// block ends in a direct branch (or falls through), replay jumps
-    /// straight to the successor block without re-entering the
-    /// dispatch loop, and revalidates translations inside a chain with
-    /// one TLB-generation compare per instruction instead of a full
-    /// per-instruction translation (default true; only meaningful when
-    /// the block engine is active). Execution must be observationally
-    /// identical either way, including decode-cache and TLB statistics;
-    /// the checker's `pair_chain` config proves it in lockstep.
-    pub block_chain: bool,
+    /// The execution tier (default [`ExecTier::Chained`]). The other
+    /// tiers are the references that equivalence tests, the checker and
+    /// benchmarks compare it against.
+    pub tier: ExecTier,
     /// Per-step architectural-state sanitizer (default false). When on,
     /// every step validates the invariants listed in the crate docs
     /// (canonical EFLAGS, monotonic TSC, CR2-iff-#PF, decode-cache
@@ -188,9 +191,7 @@ impl Default for MachineConfig {
             phys_mem: 8 << 20,
             timer_period: 50_000,
             timer_enabled: true,
-            decode_cache: true,
-            block_engine: true,
-            block_chain: true,
+            tier: ExecTier::Chained,
             sanitizer: false,
             flag_update_bug: false,
             ring_switch_bug: false,
@@ -452,11 +453,8 @@ impl Machine {
             mem: PhysMem::new(config.phys_mem),
             disk: None,
             tlb: Tlb::new(),
-            decode_cache: crate::decode_cache::DecodeCache::new(config.decode_cache),
-            block_cache: crate::block::BlockCache::new(
-                config.block_engine && config.decode_cache,
-                config.block_chain,
-            ),
+            decode_cache: crate::decode_cache::DecodeCache::new(config.tier != ExecTier::Interp),
+            block_cache: crate::block::BlockCache::new(config.tier == ExecTier::Chained),
             trace: TraceSink::Null,
             san: config.sanitizer.then(|| Box::new(crate::sanitizer::Sanitizer::new())),
             config,
@@ -927,21 +925,15 @@ impl Machine {
     /// Cumulative decoded-instruction cache `(hits, misses,
     /// invalidations)` since construction. Like [`Machine::tlb_stats`],
     /// these survive [`Machine::restore`] — diff around a run for
-    /// per-run numbers. All zero when the cache is disabled.
+    /// per-run numbers. All zero on [`ExecTier::Interp`].
     pub fn decode_stats(&self) -> (u64, u64, u64) {
         self.decode_cache.stats()
-    }
-
-    /// Whether the decoded-instruction cache is enabled.
-    pub fn decode_cache_enabled(&self) -> bool {
-        self.decode_cache.enabled()
     }
 
     /// Cumulative basic-block cache `(hits, misses, invalidations)`
     /// since construction. Like [`Machine::decode_stats`], these
     /// survive [`Machine::restore`] — diff around a run for per-run
-    /// numbers. All zero when the block engine is disabled (or the
-    /// decode cache is off, which disables it transitively).
+    /// numbers. All zero below [`ExecTier::Chained`].
     pub fn block_stats(&self) -> (u64, u64, u64) {
         self.block_cache.stats()
     }
@@ -951,18 +943,10 @@ impl Machine {
     /// without re-entering the dispatch loop, and links torn down
     /// because the successor block was invalidated or evicted. Like
     /// [`Machine::block_stats`], these survive [`Machine::restore`] —
-    /// diff around a run for per-run numbers. All zero when chaining
-    /// (or the block engine) is disabled.
+    /// diff around a run for per-run numbers. All zero below
+    /// [`ExecTier::Chained`].
     pub fn chain_stats(&self) -> (u64, u64, u64) {
         self.block_cache.chain_stats()
-    }
-
-    /// Whether the basic-block engine is enabled (requires both
-    /// [`MachineConfig::block_engine`] and [`MachineConfig::decode_cache`];
-    /// even then, [`Machine::run`] still falls back to single-stepping
-    /// when the sanitizer is on).
-    pub fn block_engine_enabled(&self) -> bool {
-        self.block_cache.enabled()
     }
 
     /// Number of physical pages dirtied since the last snapshot restore
@@ -1092,18 +1076,17 @@ impl Machine {
     }
 
     /// Builds a new machine directly in the state captured by `s`: a
-    /// copy-on-write fork off a shared snapshot.
+    /// copy-on-write fork off a shared snapshot, which is
+    /// `Machine::new(config)` followed by `restore(s)`.
     ///
-    /// Observationally this is `Machine::new(config)` followed by
-    /// `restore(s)`. The new memory shares every page of the snapshot
-    /// and owns none ([`PhysMem::private_pages`] is 0): a page is
-    /// copied only on the fork's first write to it, so a fork costs one
-    /// reference per page, not a copy of guest memory. Its dirty
-    /// baseline is already synced to `s` — the fork's very first
-    /// [`Machine::restore`] of the same snapshot is O(pages dirtied),
-    /// not a baseline-establishing reset of every page. The snapshot's
-    /// pages are read, never written: any number of threads may fork
-    /// the same snapshot concurrently.
+    /// The new memory shares every page of the snapshot and owns none
+    /// ([`PhysMem::private_pages`] is 0): a page is copied only on the
+    /// fork's first write to it, so a fork costs one reference per
+    /// page, not a copy of guest memory. That restore syncs its dirty
+    /// baseline to `s`, so the fork's next [`Machine::restore`] of the
+    /// same snapshot is O(pages dirtied). The snapshot's pages are
+    /// read, never written: any number of threads may fork the same
+    /// snapshot concurrently.
     ///
     /// All caches (decode, block, TLB) start empty, matching what
     /// [`Machine::restore`] leaves behind; cumulative cache statistics
@@ -1127,50 +1110,9 @@ impl Machine {
             s.smp.as_ref().map(|smp| smp.cpus.len()).unwrap_or(1),
             "fork config CPU count mismatch"
         );
-        let smp = s.smp.as_ref().map(|snap| {
-            let mut smp =
-                crate::smp::SmpState::new(config.cpus, config.timer_period, config.smp_seed);
-            for (ctx, (cpu, next_tick)) in smp.ctxs.iter_mut().zip(&snap.cpus) {
-                ctx.cpu = cpu.clone();
-                ctx.next_tick = *next_tick;
-            }
-            smp.active = snap.active;
-            smp.slice_left = snap.slice_left;
-            smp.rng = snap.rng;
-            smp.ipi_arg = snap.ipi_arg;
-            for (q, p) in smp.pending.iter_mut().zip(&snap.pending) {
-                q.extend(p.iter().cloned());
-            }
-            Box::new(smp)
-        });
-        Machine {
-            cpu: s.cpu.clone(),
-            mem: PhysMem::fork_from(&s.mem, s.id),
-            disk: None,
-            tlb: Tlb::new(),
-            decode_cache: crate::decode_cache::DecodeCache::new(config.decode_cache),
-            block_cache: crate::block::BlockCache::new(
-                config.block_engine && config.decode_cache,
-                config.block_chain,
-            ),
-            trace: TraceSink::Null,
-            san: config.sanitizer.then(|| Box::new(crate::sanitizer::Sanitizer::new())),
-            config,
-            console: Vec::new(),
-            monitor: Vec::new(),
-            trap_log: Vec::new(),
-            counters: Counters::default(),
-            next_tick: s.next_tick,
-            blk_lba: s.blk_lba,
-            blk_dma: s.blk_dma,
-            blk_status: s.blk_status,
-            smp,
-            delivering: 0,
-            triple_faulted: false,
-            abort: None,
-            observer: None,
-            stats_base: checkpoint::CacheStats::default(),
-        }
+        let mut m = Machine::new(config);
+        m.restore(s);
+        m
     }
 
     /// Clears logs, counters and latched fault state (the reboot path:
@@ -1856,12 +1798,12 @@ impl Machine {
     ///
     /// Each iteration takes one [`Machine::step`] when the next step
     /// needs per-step precision, and otherwise executes through the
-    /// block engine. A step is needed when the engine is off or the
-    /// sanitizer (whose contract is per-step validation) is on, a triple
-    /// fault is latched, the CPU is halted, a timer tick is due, a
-    /// breakpoint matches at EIP, or, on an SMP machine, the active CPU
-    /// does not run alone: another CPU is live, an IPI is pending for
-    /// it, or it is halted. A uniprocessor is the case with no
+    /// block engine. A step is needed when the tier is below
+    /// [`ExecTier::Chained`] or the sanitizer (whose contract is
+    /// per-step validation) is on, a triple fault is latched, the CPU
+    /// is halted, a timer tick is due, a breakpoint matches at EIP, or,
+    /// on an SMP machine, the active CPU does not run alone: another CPU
+    /// is live, an IPI is pending for it, or it is halted. A uniprocessor is the case with no
     /// scheduler. While the active CPU runs alone, a quantum boundary
     /// only renews its own slice, so blocks are not cut there; the slice
     /// and the jitter state are advanced afterwards by the steps each
@@ -1889,7 +1831,7 @@ impl Machine {
     fn run_loop(&mut self, max_cycles: u64, cut: bool) -> Option<RunExit> {
         let mut now = self.max_tsc();
         let deadline = now.saturating_add(max_cycles);
-        let blocks = self.block_cache.enabled() && self.san.is_none();
+        let blocks = self.config.tier == ExecTier::Chained && self.san.is_none();
         // A cut call never stops at the loop top it starts at.
         let mut started = !cut;
         loop {

@@ -151,11 +151,11 @@ fn private_copy(bytes: &[u8]) -> Box<PageBytes> {
 ///
 /// Each page is either shared — the zero page, or a page of a
 /// [`MemImage`] or checkpoint — or one this memory owns. Allocating,
-/// [clearing](PhysMem::clear), [snapshotting](PhysMem::snapshot),
-/// [forking](PhysMem::fork_from) and [restoring](PhysMem::restore_from)
-/// move page references, not bytes; the first write to a shared page
-/// copies it into a private one ([`PhysMem::private_pages`] counts
-/// them), and a write to a private page takes no atomic operation.
+/// [clearing](PhysMem::clear), [snapshotting](PhysMem::snapshot) and
+/// [restoring](PhysMem::restore_from) move page references, not bytes;
+/// the first write to a shared page copies it into a private one
+/// ([`PhysMem::private_pages`] counts them), and a write to a private
+/// page takes no atomic operation.
 ///
 /// Every mutation funnels through a per-page write hook that maintains
 /// two structures consumed by the machine's hot paths:
@@ -184,18 +184,13 @@ impl PhysMem {
     /// Zeroed physical memory of `size` bytes (rounded up to a page
     /// multiple), every page the shared zero page.
     pub fn new(size: u32) -> PhysMem {
-        let pages = size.div_ceil(PAGE_SIZE) as usize;
-        PhysMem::with_pages(vec![Slot::Shared(SharedPage::default()); pages], None)
-    }
-
-    fn with_pages(pages: Vec<Slot>, synced_to: Option<u64>) -> PhysMem {
-        let n = pages.len();
+        let n = size.div_ceil(PAGE_SIZE) as usize;
         PhysMem {
-            pages,
+            pages: vec![Slot::Shared(SharedPage::default()); n],
             dropped_writes: 0,
             page_gens: vec![0; n],
             dirty: vec![0; n.div_ceil(64)],
-            synced_to,
+            synced_to: None,
         }
     }
 
@@ -468,21 +463,6 @@ impl PhysMem {
     pub fn snapshot(&self) -> MemImage {
         MemImage(self.pages.iter().map(Slot::share).collect())
     }
-
-    /// A new memory whose contents are `image` and whose dirty baseline
-    /// is already synced to the snapshot identified by `id`: a
-    /// copy-on-write fork of a shared snapshot, which owns no page until
-    /// it writes one.
-    ///
-    /// Every later [`PhysMem::restore_from`] against the same `(image,
-    /// id)` pair is O(pages dirtied) from the start, without the
-    /// all-pages round that `restore_from` pays to establish a baseline.
-    /// Write generations start at zero — a fork is a *new* memory, and
-    /// any caches layered on top of it must start empty (the
-    /// machine-level fork constructor guarantees this).
-    pub fn fork_from(image: &MemImage, id: u64) -> PhysMem {
-        PhysMem::with_pages(image.0.iter().cloned().map(Slot::Shared).collect(), Some(id))
-    }
 }
 
 #[cfg(test)]
@@ -589,16 +569,23 @@ mod tests {
         assert_eq!(m.page_gen(PAGE_SIZE), g, "clean page generation unchanged");
     }
 
+    /// A new memory restored from `image`: the memory half of
+    /// `Machine::fork`.
+    fn fork(image: &MemImage, id: u64) -> PhysMem {
+        let mut m = PhysMem::new(image.size());
+        m.restore_from(image, id);
+        m
+    }
+
     #[test]
     fn fork_is_synced_to_its_base_from_the_start() {
         let mut m = PhysMem::new(4 * PAGE_SIZE);
         m.write_u32(PAGE_SIZE, 0xcafe_f00d);
         let snap = m.snapshot();
-        let mut f = PhysMem::fork_from(&snap, 42);
+        let mut f = fork(&snap, 42);
         assert_eq!(f.read_u32(PAGE_SIZE), 0xcafe_f00d);
         assert_eq!(f.dirty_page_count(), 0);
-        assert_eq!(f.page_gen(0), 0, "forks start with virgin generations");
-        // The very first restore is already a dirty-page restore, not a
+        // The next restore is already a dirty-page restore, not a
         // baseline-establishing reset of every page.
         f.write_u32(3 * PAGE_SIZE, 7);
         assert_eq!(f.restore_from(&snap, 42), 1);
@@ -613,7 +600,7 @@ mod tests {
     fn fork_with_foreign_id_resets_every_page() {
         let m = PhysMem::new(2 * PAGE_SIZE);
         let snap = m.snapshot();
-        let mut f = PhysMem::fork_from(&snap, 1);
+        let mut f = fork(&snap, 1);
         assert_eq!(f.restore_from(&snap, 2), 2, "unknown baseline: every page");
     }
 
@@ -630,7 +617,7 @@ mod tests {
         let mut m = PhysMem::new(8 * PAGE_SIZE);
         m.load(0x1ffe, &[1, 2, 3, 4, 5]);
         assert_eq!(m.private_pages(), 2);
-        let f = PhysMem::fork_from(&m.snapshot(), 1);
+        let f = fork(&m.snapshot(), 1);
         assert_eq!(f.private_pages(), 0);
         assert_eq!(PhysMem::new(8 * PAGE_SIZE).private_pages(), 0, "zero pages are shared");
     }
@@ -640,7 +627,7 @@ mod tests {
         let mut m = PhysMem::new(8 * PAGE_SIZE);
         m.load(0, &[7; 3 * PAGE]);
         let snap = m.snapshot();
-        let mut f = PhysMem::fork_from(&snap, 1);
+        let mut f = fork(&snap, 1);
         f.write_u8(PAGE_SIZE + 5, 9);
         assert_eq!(f.private_pages(), 1);
         f.write_u32(PAGE_SIZE + 8, 9);
@@ -673,7 +660,7 @@ mod tests {
         let mut base = PhysMem::new(8 * PAGE_SIZE);
         base.load(0, &[3; 4 * PAGE]);
         let first = base.snapshot();
-        let mut m = PhysMem::fork_from(&first, 1);
+        let mut m = fork(&first, 1);
         m.write_u8(2 * PAGE_SIZE, 4);
         let second = m.snapshot();
         for (p, (a, b)) in first.0.iter().zip(second.0.iter()).enumerate() {

@@ -1,25 +1,26 @@
-//! The basic-block engine must be observationally invisible next to
-//! single-stepping: same exit, same architectural state, same console —
-//! and, stricter than that, the *same decode-cache and TLB statistics*,
-//! because the campaign golden CSV pins those counters and the engine
-//! must not force a re-bless. (The kfi-checker `pair_block_engine`
-//! config proves the same property in lockstep over generated kernels;
-//! these tests pin the targeted corner cases.)
+//! The chained tier must be observationally invisible next to the
+//! single-stepped cached tier: same exit, same architectural state, same
+//! console — and, stricter than that, the *same decode-cache and TLB
+//! statistics*, because the campaign golden CSV pins those counters and
+//! the block engine must not force a re-bless. (The kfi-checker
+//! `pair_block_engine` config proves the same property in lockstep over
+//! generated kernels; these tests pin the targeted corner cases.)
 //!
-//! Block chaining defaults on, so every "engine on" machine below also
-//! exercises the chained dispatch path; the chain-specific tests at the
-//! bottom additionally pin chain accounting, chain breakage under
-//! bit flips, and the abort-flag latency bound with chaining engaged.
+//! The chain-specific tests at the bottom additionally pin chain
+//! accounting, chain breakage under bit flips, and the abort-flag
+//! latency bound.
 
 use kfi_isa::Reg;
-use kfi_machine::{Machine, MachineConfig, RunExit};
+use kfi_machine::{ExecTier, Machine, MachineConfig, RunExit};
 use proptest::prelude::*;
 
-fn machine_cfg(code: &[u8], block_engine: bool, timer_enabled: bool) -> Machine {
+use ExecTier::{Cached, Chained};
+
+fn machine(code: &[u8], tier: ExecTier, timer_enabled: bool) -> Machine {
     let mut m = Machine::new(MachineConfig {
         phys_mem: 1 << 20,
         timer_enabled,
-        block_engine,
+        tier,
         ..Default::default()
     });
     m.mem.load(0x1000, code);
@@ -52,17 +53,15 @@ const LOOP_PROGRAM: &[u8] = &[
 
 #[test]
 fn loop_is_identical_and_blocks_hit() {
-    let mut on = machine_cfg(LOOP_PROGRAM, true, false);
-    let mut off = machine_cfg(LOOP_PROGRAM, false, false);
-    assert!(on.block_engine_enabled());
-    assert!(!off.block_engine_enabled());
+    let mut on = machine(LOOP_PROGRAM, Chained, false);
+    let mut off = machine(LOOP_PROGRAM, Cached, false);
     assert_eq!(on.run(100_000), RunExit::Halted);
     assert_eq!(off.run(100_000), RunExit::Halted);
     assert_identical(&mut on, &mut off);
     let (hits, misses, _) = on.block_stats();
     assert!(hits >= 60, "the hot loop should replay cached traces, got {hits}");
     assert!(misses >= 1, "the first pass records the trace");
-    assert_eq!(off.block_stats(), (0, 0, 0), "a disabled engine counts nothing");
+    assert_eq!(off.block_stats(), (0, 0, 0), "the cached tier counts no blocks");
 }
 
 #[test]
@@ -81,8 +80,8 @@ fn self_modifying_code_is_identical_with_blocks() {
         0x75, 0xf5, // jnz loop
         0xf4, // hlt
     ];
-    let mut on = machine_cfg(smc, true, false);
-    let mut off = machine_cfg(smc, false, false);
+    let mut on = machine(smc, Chained, false);
+    let mut off = machine(smc, Cached, false);
     assert_eq!(on.run(10_000), off.run(10_000));
     assert_identical(&mut on, &mut off);
     assert_eq!(on.cpu.get(Reg::Ebx), 1);
@@ -98,8 +97,8 @@ fn breakpoint_inside_a_recorded_block_fires_exactly() {
         0x40, 0x40, 0x40, 0x40, 0x40, 0x40, // 6x inc eax
         0xeb, 0xf8, // jmp .-6 (back to 0x1000)
     ];
-    for block_engine in [true, false] {
-        let mut m = machine_cfg(code, block_engine, false);
+    for tier in [Chained, Cached] {
+        let mut m = machine(code, tier, false);
         // Let the loop run a few iterations so the block is cached hot.
         m.cpu.arm_breakpoint(0, 0x1003);
         assert_eq!(m.run(100), RunExit::DebugBreak { index: 0 });
@@ -117,8 +116,8 @@ fn cycle_limit_lands_on_the_same_boundary() {
     // An odd budget must stop block replay at exactly the instruction
     // boundary single-stepping stops at, not at the block's end.
     for budget in [7u64, 23, 57, 101] {
-        let mut on = machine_cfg(LOOP_PROGRAM, true, false);
-        let mut off = machine_cfg(LOOP_PROGRAM, false, false);
+        let mut on = machine(LOOP_PROGRAM, Chained, false);
+        let mut off = machine(LOOP_PROGRAM, Cached, false);
         assert_eq!(on.run(budget), RunExit::CycleLimit);
         assert_eq!(off.run(budget), RunExit::CycleLimit);
         assert_identical(&mut on, &mut off);
@@ -130,8 +129,8 @@ fn timer_delivery_is_identical_across_blocks() {
     // With the timer on (and no IDT -> triple fault on first delivery),
     // both modes must reach the identical trap cascade at the identical
     // TSC: mid-block limits may not defer a due tick.
-    let mut on = machine_cfg(LOOP_PROGRAM, true, true);
-    let mut off = machine_cfg(LOOP_PROGRAM, false, true);
+    let mut on = machine(LOOP_PROGRAM, Chained, true);
+    let mut off = machine(LOOP_PROGRAM, Cached, true);
     // sti so the tick actually delivers (through a broken IDT).
     on.cpu.eflags.set_if(true);
     off.cpu.eflags.set_if(true);
@@ -142,22 +141,8 @@ fn timer_delivery_is_identical_across_blocks() {
 }
 
 #[test]
-fn block_engine_requires_the_decode_cache() {
-    let m = Machine::new(MachineConfig {
-        decode_cache: false,
-        block_engine: true,
-        ..Default::default()
-    });
-    assert!(
-        !m.block_engine_enabled(),
-        "without the decode cache there is nothing to validate replays against"
-    );
-    assert_eq!(m.block_stats(), (0, 0, 0));
-}
-
-#[test]
 fn restore_flushes_block_warmth() {
-    let mut m = machine_cfg(LOOP_PROGRAM, true, false);
+    let mut m = machine(LOOP_PROGRAM, Chained, false);
     let snap = m.snapshot();
     assert_eq!(m.run(100_000), RunExit::Halted);
     let (_, misses1, _) = m.block_stats();
@@ -172,32 +157,17 @@ fn restore_flushes_block_warmth() {
     assert_eq!(after.1 - before.1, misses1, "restore must flush cached blocks");
 }
 
-fn chain_cfg(code: &[u8], block_chain: bool) -> Machine {
-    let mut m = Machine::new(MachineConfig {
-        phys_mem: 1 << 20,
-        timer_enabled: false,
-        block_engine: true,
-        block_chain,
-        ..Default::default()
-    });
-    m.mem.load(0x1000, code);
-    m.cpu.eip = 0x1000;
-    m.cpu.set_reg(4, 0x8000);
-    m
-}
-
 #[test]
 fn chaining_links_and_follows_on_a_hot_loop() {
-    let mut on = chain_cfg(LOOP_PROGRAM, true);
-    let mut off = chain_cfg(LOOP_PROGRAM, false);
+    let mut on = machine(LOOP_PROGRAM, Chained, false);
+    let mut off = machine(LOOP_PROGRAM, Cached, false);
     assert_eq!(on.run(100_000), RunExit::Halted);
     assert_eq!(off.run(100_000), RunExit::Halted);
     assert_identical(&mut on, &mut off);
     let (links, follows, _) = on.chain_stats();
     assert!(links >= 1, "the loop back-edge must install a chain link, got {links}");
     assert!(follows >= 50, "the hot back-edge should be followed, got {follows}");
-    assert_eq!(off.chain_stats(), (0, 0, 0), "chain off must count nothing");
-    assert!(off.block_stats().0 > 0, "chain off still replays blocks");
+    assert_eq!(off.chain_stats(), (0, 0, 0), "the cached tier chains nothing");
 }
 
 #[test]
@@ -225,7 +195,7 @@ fn flip_into_chained_code_breaks_the_chain() {
         0x90, // 0x2001: nop
         0xe9, 0xfe, 0xef, 0xff, 0xff, // 0x2002: jmp 0x1005
     ];
-    let mut m = chain_cfg(&page1, true);
+    let mut m = machine(&page1, Chained, false);
     m.mem.load(0x2000, page2);
     // 131 instructions per iteration and a 128-instruction cap are
     // coprime, so trace heads rotate through every phase; warm long
@@ -250,12 +220,12 @@ fn flip_into_chained_code_breaks_the_chain() {
 fn abort_flag_set_mid_run_reaps_a_chained_self_loop() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
-    // jmp .-0: with chaining on, the block chains to itself, so the
-    // run only ever returns because the chain-step quantum keeps the
-    // abort poll cadence bounded. A flag set *while* the machine spins
+    // jmp .-0: the block chains to itself, so the run only ever
+    // returns because the chain-step quantum keeps the abort poll
+    // cadence bounded. A flag set *while* the machine spins
     // must still end the run — the supervisor's wall-clock watchdog
     // depends on it.
-    let mut m = chain_cfg(&[0xeb, 0xfe], true);
+    let mut m = machine(&[0xeb, 0xfe], Chained, false);
     let flag = Arc::new(AtomicBool::new(false));
     m.set_abort_flag(Some(flag.clone()));
     let setter = {
@@ -284,8 +254,8 @@ proptest! {
         bit in 0u32..8,
         pause in 20u64..400,
     ) {
-        let mut on = machine_cfg(LOOP_PROGRAM, true, false);
-        let mut off = machine_cfg(LOOP_PROGRAM, false, false);
+        let mut on = machine(LOOP_PROGRAM, Chained, false);
+        let mut off = machine(LOOP_PROGRAM, Cached, false);
         // Warm the chain, stopping both at the same boundary.
         prop_assert_eq!(on.run(pause), off.run(pause));
         prop_assert_eq!(on.cpu.tsc, off.cpu.tsc);
@@ -311,8 +281,8 @@ proptest! {
         code in proptest::collection::vec(any::<u8>(), 1..512),
         timer in any::<bool>(),
     ) {
-        let mut on = machine_cfg(&code, true, timer);
-        let mut off = machine_cfg(&code, false, timer);
+        let mut on = machine(&code, Chained, timer);
+        let mut off = machine(&code, Cached, timer);
         on.cpu.eflags.set_if(true);
         off.cpu.eflags.set_if(true);
         let exit_on = on.run(200_000);

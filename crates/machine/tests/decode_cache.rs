@@ -5,14 +5,16 @@
 //! snapshot restores.
 
 use kfi_isa::Reg;
-use kfi_machine::{Machine, MachineConfig, RunExit};
+use kfi_machine::{ExecTier, Machine, MachineConfig, RunExit};
 use proptest::prelude::*;
 
-fn machine(code: &[u8], decode_cache: bool) -> Machine {
+use ExecTier::{Chained, Interp};
+
+fn machine(code: &[u8], tier: ExecTier) -> Machine {
     let mut m = Machine::new(MachineConfig {
         phys_mem: 1 << 20,
         timer_enabled: false,
-        decode_cache,
+        tier,
         ..Default::default()
     });
     m.mem.load(0x1000, code);
@@ -38,7 +40,7 @@ const SMC_PROGRAM: &[u8] = &[
 
 #[test]
 fn self_modifying_code_executes_new_bytes() {
-    let mut m = machine(SMC_PROGRAM, true);
+    let mut m = machine(SMC_PROGRAM, Chained);
     assert_eq!(m.run(10_000), RunExit::Halted);
     assert_eq!(m.cpu.get(Reg::Ebx), 1, "first pass ran the old instruction");
     assert_eq!(m.cpu.get(Reg::Edx), 1, "second pass must run the rewritten instruction");
@@ -59,7 +61,7 @@ fn unwritten_code_page_hits_in_the_cache() {
         0x75, 0xfd, // jnz loop
         0xf4, // hlt
     ];
-    let mut m = machine(code, true);
+    let mut m = machine(code, Chained);
     assert_eq!(m.run(10_000), RunExit::Halted);
     let (hits, misses, invalidations) = m.decode_stats();
     assert!(hits > 100, "63 loop iterations re-execute cached instructions, got {hits}");
@@ -69,10 +71,8 @@ fn unwritten_code_page_hits_in_the_cache() {
 
 #[test]
 fn self_modifying_code_is_identical_without_cache() {
-    let mut on = machine(SMC_PROGRAM, true);
-    let mut off = machine(SMC_PROGRAM, false);
-    assert!(on.decode_cache_enabled());
-    assert!(!off.decode_cache_enabled());
+    let mut on = machine(SMC_PROGRAM, Chained);
+    let mut off = machine(SMC_PROGRAM, Interp);
     assert_eq!(on.run(10_000), off.run(10_000));
     assert_eq!(on.cpu.tsc, off.cpu.tsc);
     assert_eq!(on.snapshot(), off.snapshot());
@@ -89,10 +89,10 @@ proptest! {
     fn cache_on_and_off_are_observationally_identical(
         code in proptest::collection::vec(any::<u8>(), 1..512),
     ) {
-        let mut on = machine(&code, true);
+        let mut on = machine(&code, Chained);
         let exit_on = on.run(200_000);
 
-        let mut off = machine(&code, false);
+        let mut off = machine(&code, Interp);
         let exit_off = off.run(200_000);
 
         prop_assert_eq!(exit_on, exit_off);
@@ -109,7 +109,7 @@ proptest! {
     fn dirty_restore_roundtrips_and_reruns_deterministically(
         code in proptest::collection::vec(any::<u8>(), 1..256),
     ) {
-        let mut m = machine(&code, true);
+        let mut m = machine(&code, Chained);
         let snap = m.snapshot();
 
         let exit1 = m.run(50_000);

@@ -240,9 +240,11 @@ proptest! {
                 }
                 11 if !images.is_empty() => {
                     let (image, id, bytes) = &images[a as usize % images.len()];
-                    m.mem = PhysMem::fork_from(image, *id);
+                    m.mem = PhysMem::new(SIZE);
+                    m.mem.restore_from(image, *id);
                     prop_assert_eq!(m.mem.private_pages(), 0, "{}: a fresh fork owns a page", op);
-                    model = Model::of(bytes.clone(), Some(*id));
+                    model = Model::new();
+                    model.restore_from(bytes, *id);
                 }
                 12 => {
                     // Capture against the snapshot the machine was last

@@ -124,7 +124,7 @@ pub struct Metrics {
     /// Basic-block cache replays during measured runs. Like
     /// `journal_flushes`, the block counters are *excluded* from the
     /// CSV/report surfaces: the golden CSV must stay byte-identical
-    /// whether the block engine is on or off.
+    /// on any tier with the decode cache, chained or not.
     pub block_hits: u64,
     /// Basic-block cache misses (blocks recorded) during measured runs.
     pub block_misses: u64,
@@ -134,7 +134,7 @@ pub struct Metrics {
     /// Block-exit chain links installed during measured runs. Like
     /// `journal_flushes`, the chain counters are *excluded* from the
     /// CSV/report surfaces: the golden CSV must stay byte-identical
-    /// whether block chaining is on or off.
+    /// on any tier with the decode cache, chained or not.
     pub block_chain_links: u64,
     /// Block exits that followed an installed chain link.
     pub block_chain_follows: u64,
