@@ -605,12 +605,9 @@ impl Layout {
                     self.sizes[i] = 5;
                 }
                 _ => {
-                    let equs = self.equs.clone();
-                    let mut resolver = move |e: &Expr| -> Result<i64, String> {
-                        match e.eval(&equs, 0) {
-                            Ok(v) => Ok(v),
-                            Err(_) => Ok(PLACEHOLDER),
-                        }
+                    let equs = &self.equs;
+                    let mut resolver = |e: &Expr| -> Result<i64, String> {
+                        Ok(e.eval(equs, 0).unwrap_or(PLACEHOLDER))
                     };
                     let real = realize(insn, &mut resolver).map_err(|m| err_at(insn, m))?;
                     let bytes = emit_real(&real, 0, false).map_err(|f| emit_err(insn, f))?;

@@ -44,11 +44,10 @@ fn bench_ablation(c: &mut Criterion) {
     });
 
     let img = kfi_kernel::mkfs(2048, &files);
-    let bytes = img.disk.bytes().to_vec();
     c.bench_function("fsck_clean_image", |b| {
         b.iter(|| {
             assert!(matches!(
-                kfi_kernel::fsck(&bytes, &img.manifest),
+                kfi_kernel::fsck(&img.disk, &img.manifest),
                 kfi_kernel::FsckReport::Clean
             ))
         })

@@ -2,10 +2,11 @@
 //! (exec-loop MIPS on each execution tier; paged-guest kernel-replay
 //! MIPS on the cached vs the chained tier; two-CPU kernel-replay MIPS
 //! single-stepped vs through `Machine::run`; per-run snapshot restore
-//! cost full vs dirty-tracked; the cost of a `Machine::fork` of a
-//! booted kernel and the guest pages it owns; and small-campaign wall
-//! clock at 1 and 4 worker threads, both recompute-per-rig and with
-//! golden memoization + copy-on-write rig forks).
+//! cost full vs dirty-tracked; the cost of forking a booted kernel's
+//! machine and disk as a rig fork does, and the guest and disk pages
+//! the fork owns; and small-campaign wall clock at 1 and 4 worker
+//! threads, both recompute-per-rig and with golden memoization +
+//! copy-on-write rig forks).
 //!
 //! `--check` runs a scaled-down version of every measurement, prints
 //! the JSON to stdout and writes nothing — the CI smoke mode. Without
@@ -14,7 +15,7 @@
 use kfi_core::{Experiment, ExperimentConfig};
 use kfi_injector::Campaign;
 use kfi_machine::{
-    ExecTier, Machine, MachineConfig, Ramdisk, RunExit, Snapshot, StepEvent, PAGE_SIZE,
+    DiskImage, ExecTier, Machine, MachineConfig, Ramdisk, RunExit, Snapshot, StepEvent, PAGE_SIZE,
 };
 use kfi_profiler::ProfilerConfig;
 use std::fmt::Write as _;
@@ -66,7 +67,7 @@ fn measure_mips(iters: u32, passes: u32, tier: ExecTier) -> (f64, u64) {
 struct BootImage {
     snap: Snapshot,
     config: MachineConfig,
-    disk: Vec<u8>,
+    disk: DiskImage,
 }
 
 impl BootImage {
@@ -74,7 +75,7 @@ impl BootImage {
         let image = kfi_kernel::build_kernel(kernel).expect("kernel builds");
         let files = kfi_workloads::suite_files().expect("workloads build");
         let fsimg = kfi_kernel::mkfs(2048, &files);
-        let disk = fsimg.disk.bytes().to_vec();
+        let disk = fsimg.disk.snapshot();
         let boot = kfi_kernel::BootConfig { cpus, ..Default::default() };
         let m = kfi_kernel::boot(&image, fsimg.disk, &boot);
         BootImage { snap: m.snapshot(), config: *m.config(), disk }
@@ -82,7 +83,7 @@ impl BootImage {
 
     fn fork(&self, config: MachineConfig) -> Machine {
         let mut f = Machine::fork(&self.snap, config);
-        f.disk = Some(Ramdisk::fork_from(&self.disk, self.snap.id()));
+        f.disk = Some(Ramdisk::fork(&self.disk));
         f
     }
 }
@@ -209,28 +210,38 @@ fn measure_campaign(exp: &Experiment, threads: usize, memoize: bool, passes: u32
     best
 }
 
-/// Mean cost in microseconds of a `Machine::fork` of a booted kernel at
-/// the snapshot point every rig forks from, and the private guest bytes
-/// a fork holds right after forking and after running mode 0's golden
-/// run to its halt. Returns (fork_us, golden_cycles, private_bytes_forked,
-/// private_bytes_after_run).
-fn measure_fork(exp: &Experiment, reps: u32) -> (f64, u64, u64, u64) {
+/// What a fork owns: its private guest and disk bytes.
+fn private_bytes(f: &Machine) -> (u64, u64) {
+    let bytes = |pages: u32| u64::from(pages) * u64::from(PAGE_SIZE);
+    (bytes(f.mem.private_pages()), bytes(f.disk.as_ref().map_or(0, Ramdisk::private_pages)))
+}
+
+/// Mean cost in microseconds of forking a booted kernel's machine and
+/// disk at the snapshot point every rig forks from, as
+/// `InjectorRig::fork` does, and the private guest and disk bytes a fork
+/// holds right after forking and after running mode 0's golden run to
+/// its halt. Returns (fork_us, golden_cycles, private bytes forked,
+/// private bytes after the run).
+fn measure_fork(exp: &Experiment, reps: u32) -> (f64, u64, (u64, u64), (u64, u64)) {
     let mut rig = exp.make_rig().expect("rig forks");
     let golden_cycles = rig.golden(0).cycles;
     let m = rig.machine_mut();
     let (snap, config) = (m.snapshot(), *m.config());
-    let disk = m.disk.as_ref().expect("disk").bytes().to_vec();
-    let private_bytes = |f: &Machine| u64::from(f.mem.private_pages()) * u64::from(PAGE_SIZE);
+    let disk = m.disk.as_ref().expect("disk").snapshot();
+    let fork = || {
+        let mut f = Machine::fork(&snap, config);
+        f.disk = Some(Ramdisk::fork(&disk));
+        f
+    };
     let mut total = 0.0;
     for _ in 0..reps {
         let t = Instant::now();
-        let f = std::hint::black_box(Machine::fork(&snap, config));
+        let f = std::hint::black_box(fork());
         total += t.elapsed().as_secs_f64();
-        assert_eq!(private_bytes(&f), 0, "a fresh fork owns a guest page");
+        assert_eq!(private_bytes(&f), (0, 0), "a fresh fork owns a guest or disk page");
     }
-    let mut f = Machine::fork(&snap, config);
+    let mut f = fork();
     let forked = private_bytes(&f);
-    f.disk = Some(Ramdisk::fork_from(&disk, snap.id()));
     kfi_kernel::set_run_mode(&mut f, 0);
     // Run to the halt: the budget only bounds a run that would not end.
     assert_eq!(f.run(2 * golden_cycles), RunExit::Halted, "mode 0 runs to its halt");
@@ -349,9 +360,11 @@ fn main() {
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"fork\": {{");
     let _ = writeln!(json, "    \"fork_us\": {machine_fork_us:.1},");
-    let _ = writeln!(json, "    \"private_bytes_after_fork\": {private_forked},");
+    let _ = writeln!(json, "    \"private_bytes_after_fork\": {},", private_forked.0);
+    let _ = writeln!(json, "    \"disk_private_bytes_after_fork\": {},", private_forked.1);
     let _ = writeln!(json, "    \"golden_cycles\": {golden_cycles},");
-    let _ = writeln!(json, "    \"private_bytes_after_golden_run\": {private_run}");
+    let _ = writeln!(json, "    \"private_bytes_after_golden_run\": {},", private_run.0);
+    let _ = writeln!(json, "    \"disk_private_bytes_after_golden_run\": {}", private_run.1);
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"campaign\": {{");
     let _ = writeln!(json, "    \"seed\": 2003,");

@@ -188,6 +188,22 @@ fn parse_index_list(s: &str) -> Option<std::collections::BTreeSet<usize>> {
     name_list(s).iter().map(|v| v.parse().ok()).collect()
 }
 
+/// Flags that only mean something in one mode, each with the flags that
+/// select it: at least one of those must be given too.
+const MODE_FLAGS: [(&str, &[&str]); 11] = [
+    ("--resume", &["--journal"]),
+    ("--chaos", &["--dist-workers"]),
+    ("--dist-hb-budget-ms", &["--dist-workers"]),
+    ("--dist-handshake-ms", &["--dist-workers"]),
+    ("--wedge-first-handshake", &["--dist-workers"]),
+    ("--dist-hb-ms", &["--dist-workers", "--worker"]),
+    ("--worker-wedge-handshake", &["--worker"]),
+    ("--matrix-kernels", &["--matrix"]),
+    ("--matrix-workloads", &["--matrix"]),
+    ("--matrix-subsystems", &["--matrix"]),
+    ("--check", &["--matrix"]),
+];
+
 /// The kernel variants `--matrix-kernels` can name.
 const MATRIX_KERNELS: [&str; 2] = ["base", "server"];
 
@@ -273,31 +289,41 @@ impl ReproOptions {
     /// `--dist-workers`, `--chaos`, `--dist-hb-ms`,
     /// `--dist-hb-budget-ms`, `--dist-handshake-ms`), zero `--cpus`,
     /// `--threads` or `--dist-workers`, a non-number in an
-    /// `--inject-panic` list, any unknown argument, and an unknown name
-    /// in a matrix axis list print the usage text to stderr and exit 2.
+    /// `--inject-panic` list, any unknown argument, a flag given without
+    /// the flag that selects its mode (`--resume` without `--journal`,
+    /// a matrix flag without `--matrix`, a distributed-runner flag
+    /// without `--dist-workers` or `--worker`), and an unknown name in a
+    /// matrix axis list print the usage text to stderr and exit 2.
     pub fn from_args() -> ReproOptions {
+        ReproOptions::parse(&std::env::args().collect::<Vec<_>>())
+    }
+
+    /// [`ReproOptions::from_args`] over `args`, whose first element is
+    /// the program name.
+    pub fn parse(args: &[String]) -> ReproOptions {
         let mut o = ReproOptions::default();
-        let args: Vec<String> = std::env::args().collect();
+        let mut given = Vec::new();
         let mut i = 1;
         while i < args.len() {
+            given.push(args[i].clone());
             match args[i].as_str() {
                 "--full" => o.cap = None,
                 "--cap" => {
                     i += 1;
-                    o.cap = Some(number_arg(&args, i));
+                    o.cap = Some(number_arg(args, i));
                 }
                 "--seed" => {
                     i += 1;
-                    o.seed = number_arg(&args, i);
+                    o.seed = number_arg(args, i);
                 }
                 "--threads" => {
                     i += 1;
-                    o.threads = count_arg(&args, i);
+                    o.threads = count_arg(args, i);
                 }
                 "--no-assertions" => o.no_assertions = true,
                 "--cpus" => {
                     i += 1;
-                    o.cpus = count_arg(&args, i);
+                    o.cpus = count_arg(args, i);
                 }
                 "--help" | "-h" => {
                     print!("{USAGE}");
@@ -305,64 +331,64 @@ impl ReproOptions {
                 }
                 "--journal" => {
                     i += 1;
-                    o.journal = Some(text_arg(&args, i).into());
+                    o.journal = Some(text_arg(args, i).into());
                 }
                 "--resume" => o.resume = true,
                 "--quarantine" => {
                     i += 1;
-                    o.quarantine = Some(text_arg(&args, i).into());
+                    o.quarantine = Some(text_arg(args, i).into());
                 }
                 "--sanitize" => o.sanitize = true,
                 "--no-memo" => o.no_memo = true,
                 "--matrix" => o.matrix = true,
                 "--matrix-kernels" => {
                     i += 1;
-                    o.matrix_kernels = Some(text_arg(&args, i));
+                    o.matrix_kernels = Some(text_arg(args, i));
                 }
                 "--matrix-workloads" => {
                     i += 1;
-                    o.matrix_workloads = Some(text_arg(&args, i));
+                    o.matrix_workloads = Some(text_arg(args, i));
                 }
                 "--matrix-subsystems" => {
                     i += 1;
-                    o.matrix_subsystems = Some(text_arg(&args, i));
+                    o.matrix_subsystems = Some(text_arg(args, i));
                 }
                 "--check" => o.check = true,
                 "--dist-workers" => {
                     i += 1;
-                    o.dist_workers = Some(count_arg(&args, i));
+                    o.dist_workers = Some(count_arg(args, i));
                 }
                 "--chaos" => {
                     i += 1;
-                    o.chaos = Some(number_arg(&args, i));
+                    o.chaos = Some(number_arg(args, i));
                 }
                 "--worker" => o.worker = true,
                 "--worker-wedge-handshake" => o.worker_wedge_handshake = true,
                 "--wedge-first-handshake" => o.wedge_first_handshake = true,
                 "--dist-hb-ms" => {
                     i += 1;
-                    o.dist_hb_ms = number_arg(&args, i);
+                    o.dist_hb_ms = number_arg(args, i);
                 }
                 "--dist-hb-budget-ms" => {
                     i += 1;
-                    o.dist_hb_budget_ms = number_arg(&args, i);
+                    o.dist_hb_budget_ms = number_arg(args, i);
                 }
                 "--dist-handshake-ms" => {
                     i += 1;
-                    o.dist_handshake_ms = number_arg(&args, i);
+                    o.dist_handshake_ms = number_arg(args, i);
                 }
                 "--wall-budget-ms" => {
                     i += 1;
-                    o.wall_budget_ms = Some(number_arg(&args, i));
+                    o.wall_budget_ms = Some(number_arg(args, i));
                 }
                 "--inject-panic" => {
                     i += 1;
-                    let list = flag_value(&args, i, "a list of run indices", parse_index_list);
+                    let list = flag_value(args, i, "a list of run indices", parse_index_list);
                     o.inject_panic = PanicInjection::Transient(list);
                 }
                 "--inject-panic-persistent" => {
                     i += 1;
-                    let list = flag_value(&args, i, "a list of run indices", parse_index_list);
+                    let list = flag_value(args, i, "a list of run indices", parse_index_list);
                     o.inject_panic = PanicInjection::Persistent(list);
                 }
                 "--csv" => {} // handled by the binaries themselves
@@ -373,6 +399,14 @@ impl ReproOptions {
                 }
             }
             i += 1;
+        }
+        for (flag, modes) in MODE_FLAGS {
+            let has = |f: &str| given.iter().any(|g| g == f);
+            if has(flag) && !modes.iter().any(|m| has(m)) {
+                eprintln!("{flag} needs {}\n", modes.join(" or "));
+                eprint!("{USAGE}");
+                std::process::exit(2);
+            }
         }
         check_names("--matrix-kernels", o.matrix_kernels.as_deref(), &MATRIX_KERNELS);
         check_names(

@@ -4,8 +4,10 @@
 //! a default, an uncapped study, an in-process run or a disabled
 //! watchdog; so does an argument the binaries do not know, and a
 //! matrix axis list naming a kernel, workload or subsystem that does not
-//! exist (the error lists the valid names).
+//! exist (the error lists the valid names), and a flag given outside the
+//! mode it belongs to.
 
+use kfi_bench::ReproOptions;
 use std::process::Command;
 
 const NUMERIC_FLAGS: [&str; 10] = [
@@ -116,4 +118,48 @@ fn a_non_number_in_a_panic_list_exits_2_with_the_usage() {
             &format!("{flag}: expected a list of run indices, got `1,x`"),
         );
     }
+}
+
+#[test]
+fn flags_outside_their_mode_exit_2_with_the_usage() {
+    for (args, want) in [
+        (&["--resume"][..], "--resume needs --journal"),
+        (&["--chaos", "1"], "--chaos needs --dist-workers"),
+        (&["--dist-hb-budget-ms", "9"], "--dist-hb-budget-ms needs --dist-workers"),
+        (&["--dist-handshake-ms", "9"], "--dist-handshake-ms needs --dist-workers"),
+        (&["--wedge-first-handshake"], "--wedge-first-handshake needs --dist-workers"),
+        (&["--dist-hb-ms", "9"], "--dist-hb-ms needs --dist-workers or --worker"),
+        (&["--worker-wedge-handshake"], "--worker-wedge-handshake needs --worker"),
+        (&["--matrix-kernels", "base"], "--matrix-kernels needs --matrix"),
+        (&["--matrix-workloads", "echo"], "--matrix-workloads needs --matrix"),
+        (&["--matrix-subsystems", "ipc"], "--matrix-subsystems needs --matrix"),
+        (&["--check"], "--check needs --matrix"),
+    ] {
+        rejected(&[&["--cap", "1"], args].concat(), want);
+    }
+    // A malformed number is reported as such, before its mode is checked.
+    rejected(&["--chaos", "x"], "--chaos: expected a number, got `x`");
+}
+
+#[test]
+fn the_worker_arguments_parse_back() {
+    let o = ReproOptions {
+        cap: Some(3),
+        seed: 7,
+        cpus: 2,
+        no_memo: true,
+        wall_budget_ms: Some(250),
+        dist_hb_ms: 40,
+        ..ReproOptions::default()
+    };
+    let args: Vec<String> =
+        std::iter::once("repro_all".to_string()).chain(o.to_worker_args()).collect();
+    let back = ReproOptions::parse(&args);
+    assert!(back.worker, "{args:?}");
+    assert_eq!(back.threads, 1, "{args:?}");
+    assert_eq!(
+        (back.cap, back.seed, back.cpus, back.no_memo, back.wall_budget_ms, back.dist_hb_ms),
+        (o.cap, o.seed, o.cpus, o.no_memo, o.wall_budget_ms, o.dist_hb_ms),
+        "{args:?}"
+    );
 }

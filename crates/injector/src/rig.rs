@@ -6,8 +6,8 @@ use crate::target::InjectionTarget;
 use kfi_kernel::layout::{causes, events};
 use kfi_kernel::{boot, fsck, mkfs::FileSpec, BootConfig, FsckReport, KernelImage};
 use kfi_machine::{
-    Checkpoint, ExecTier, Machine, MachineConfig, MonitorEvent, Ramdisk, ResetResidue,
-    ResidueFootprint, RunExit, Snapshot, StepEvent, TrapRecord, Vector, SECTOR_SIZE,
+    Checkpoint, DiskImage, ExecTier, Machine, MachineConfig, MonitorEvent, Ramdisk, ResetResidue,
+    ResidueFootprint, RunExit, Snapshot, StepEvent, TrapRecord, Vector,
 };
 use kfi_trace::{outcome as trace_outcome, subsystem as trace_subsystem};
 use kfi_trace::{Event, EventKind, Metrics, TraceSink};
@@ -257,7 +257,7 @@ impl<K: Ord, V: Clone> OnceStore<K, V> {
 pub type GoldenStore = OnceStore<(u64, u32), Result<Arc<GoldenRun>, RigError>>;
 
 /// A post-crash disk as `(lba, bytes)` of the sectors that differ from
-/// the post-boot image ([`Ramdisk::delta_from`]).
+/// the post-boot [`DiskImage`] ([`Ramdisk::delta_from`]).
 pub type DiskDelta = Vec<(u32, Vec<u8>)>;
 
 /// Everything the post-crash severity assessment reads that can differ
@@ -349,7 +349,7 @@ struct BootedBase {
     machine: Machine,
     snapshot: Snapshot,
     boot_cycles: u64,
-    post_boot_disk: Arc<Vec<u8>>,
+    post_boot_disk: DiskImage,
     manifest: Arc<BTreeMap<String, (u32, u32)>>,
 }
 
@@ -399,14 +399,14 @@ fn boot_base(
     // own tsc can sit far behind.
     let boot_cycles = m.max_tsc();
     let snapshot = m.snapshot();
-    let post_boot_disk = Arc::new(m.disk.as_ref().expect("disk attached").bytes().to_vec());
+    let post_boot_disk = m.disk.as_ref().expect("disk attached").snapshot();
     Ok(BootedBase { machine: m, snapshot, boot_cycles, post_boot_disk, manifest })
 }
 
 /// The shared, immutable post-boot base of a campaign: one boot's worth
 /// of state (kernel image, [`Snapshot`] with shared memory pages,
-/// post-boot disk, filesystem manifest, each behind one `Arc` that every
-/// fork shares) plus the campaign-wide [`GoldenStore`],
+/// [`DiskImage`] of the post-boot disk, filesystem manifest, each shared
+/// by every fork) plus the campaign-wide [`GoldenStore`],
 /// [`CheckpointStore`], [`PowerOnStore`] and [`SeverityStore`].
 ///
 /// Boot once with [`RigShared::boot`], then hand the `Arc` to every
@@ -423,7 +423,7 @@ pub struct RigShared {
     machine_config: MachineConfig,
     snapshot: Snapshot,
     boot_cycles: u64,
-    post_boot_disk: Arc<Vec<u8>>,
+    post_boot_disk: DiskImage,
     manifest: Arc<BTreeMap<String, (u32, u32)>>,
     n_modes: u32,
     fingerprint: u64,
@@ -512,7 +512,8 @@ impl RigShared {
         fp = fnv1a(fp, &image.program.text.base.to_le_bytes());
         fp = fnv1a(fp, &image.program.text.bytes);
         fp = fnv1a(fp, &image.program.data.bytes);
-        fp = fnv1a(fp, &base.post_boot_disk);
+        let disk = base.machine.disk.as_ref().expect("disk attached");
+        fp = (0..).map_while(|p| disk.page(p)).fold(fp, fnv1a);
         fp = fnv1a(fp, &[config.tier as u8, config.sanitizer as u8]);
         fp = fnv1a(fp, &config.cpus.to_le_bytes());
         fp = fnv1a(fp, &n_modes.to_le_bytes());
@@ -587,7 +588,7 @@ pub struct InjectorRig {
     machine: Machine,
     snapshot: Snapshot,
     boot_cycles: u64,
-    post_boot_disk: Arc<Vec<u8>>,
+    post_boot_disk: DiskImage,
     manifest: Arc<BTreeMap<String, (u32, u32)>>,
     golden: Vec<Arc<GoldenRun>>,
     metrics: Metrics,
@@ -696,12 +697,12 @@ impl InjectorRig {
     }
 
     /// Forks a rig off a shared post-boot base: a private copy-on-write
-    /// machine built from the shared snapshot ([`Machine::fork`]: it
-    /// owns no guest page until it writes one), the base's kernel image
-    /// and manifest shared by reference, and golden runs resolved
-    /// through the base's [`GoldenStore`] (captured on first request
-    /// per `(kernel-config, mode)` key, shared afterwards). What a fork
-    /// copies is the post-boot disk, which keeps its flat image.
+    /// machine and disk built from the shared snapshot and disk image
+    /// ([`Machine::fork`], [`Ramdisk::fork`]: neither owns a page until
+    /// it writes one), the base's kernel image and manifest shared by
+    /// reference, and golden runs resolved through the base's
+    /// [`GoldenStore`] (captured on first request per `(kernel-config,
+    /// mode)` key, shared afterwards).
     ///
     /// Observationally identical to [`InjectorRig::new`] with the same
     /// image/files/config — same records, metrics, trace events — but
@@ -714,10 +715,7 @@ impl InjectorRig {
     /// every fork sharing the store sees the same error).
     pub fn fork(shared: &Arc<RigShared>) -> Result<InjectorRig, RigError> {
         let mut machine = Machine::fork(&shared.snapshot, shared.machine_config);
-        // The disk forks copy-on-write off the shared post-boot image,
-        // just like physical memory forks off the snapshot: per-run
-        // resets then copy only the sectors the run wrote.
-        machine.disk = Some(Ramdisk::fork_from(&shared.post_boot_disk, shared.snapshot.id()));
+        machine.disk = Some(Ramdisk::fork(&shared.post_boot_disk));
         let mut rig = InjectorRig {
             image: shared.image.clone(),
             config: shared.config,
@@ -779,21 +777,13 @@ impl InjectorRig {
     }
 
     /// Restores the machine to the post-boot snapshot and its disk to
-    /// the post-boot image.
+    /// the post-boot image. Both share the image's pages again, resetting
+    /// only the pages written since the last restore: a severity reboot
+    /// keeps the crash disk it took over, and its writes are tracked
+    /// like the run's.
     fn restore_snapshot(&mut self) {
-        // Reset the disk to the post-boot image, copying only the
-        // sectors written since the last reset when the baseline is
-        // already established (a severity-assessment reboot swaps in a
-        // foreign disk, which forces — and survives — a full copy).
-        match self.machine.disk.as_mut() {
-            Some(d) => {
-                d.restore_from(&self.post_boot_disk, self.snapshot.id());
-            }
-            None => {
-                self.machine.disk =
-                    Some(Ramdisk::fork_from(&self.post_boot_disk, self.snapshot.id()));
-            }
-        }
+        let image = &self.post_boot_disk;
+        self.machine.disk.get_or_insert_with(|| Ramdisk::fork(image)).restore_from(image);
         self.machine.restore(&self.snapshot);
     }
 
@@ -1199,7 +1189,7 @@ impl InjectorRig {
         // Everything looked right — but did the run silently corrupt
         // the disk?
         let disk = self.machine.disk.as_ref().expect("disk");
-        match fsck(disk.bytes(), &self.manifest) {
+        match fsck(disk, &self.manifest) {
             FsckReport::Clean => Outcome::NotManifested,
             FsckReport::Fixed { notes, .. } => {
                 Outcome::FailSilenceViolation(FsvKind::SilentCorruption {
@@ -1327,18 +1317,21 @@ impl InjectorRig {
     pub fn assess_severity(&mut self) -> (Severity, FsckReport) {
         let residue = self.machine.reset_residue();
         let Some(shared) = self.shared.clone() else {
-            let disk = self.machine.disk.take().expect("disk").into_bytes();
+            let disk = self.machine.disk.take().expect("disk");
             let ((severity, report, _), _) = self.reboot(disk, &residue, false);
             return (severity, report);
         };
         shared.assessments.fetch_add(1, Ordering::Relaxed);
         let disk = self.machine.disk.as_ref().expect("disk");
-        let delta = disk.delta_from(&self.post_boot_disk, self.snapshot.id());
+        let delta = disk.delta_from(&self.post_boot_disk);
         let mut captured = false;
+        // The crash disk, kept while a power-on reboot writes to a copy.
+        let mut crash_disk = None;
         let (severity, report, footprint) =
             shared.power_on.get_or_capture_if(delta.clone(), || {
                 captured = true;
-                let disk = self.machine.disk.take().expect("disk").into_bytes();
+                let disk = self.machine.disk.take().expect("disk");
+                crash_disk = Some(disk.clone());
                 let power_on = ResetResidue::power_on(self.machine.config());
                 let ((severity, report, footprint), keep) = self.reboot(disk, &power_on, true);
                 // Only a reboot leaves a footprint.
@@ -1351,21 +1344,11 @@ impl InjectorRig {
             (severity, report)
         } else {
             // After a power-on reboot in this call the machine holds that
-            // reboot's disk, so the crash disk is rebuilt from its delta.
-            let rebooted = captured;
-            let key = SeverityKey { disk: delta.clone(), residue: residue.clone() };
+            // reboot's disk, and the crash disk is the one kept aside.
+            let key = SeverityKey { disk: delta, residue: residue.clone() };
             shared.severity.get_or_capture_if(key, || {
                 captured = true;
-                let disk = if rebooted {
-                    let mut disk = self.post_boot_disk.to_vec();
-                    for (lba, sector) in &delta {
-                        let at = *lba as usize * SECTOR_SIZE;
-                        disk[at..at + SECTOR_SIZE].copy_from_slice(sector);
-                    }
-                    disk
-                } else {
-                    self.machine.disk.take().expect("disk").into_bytes()
-                };
+                let disk = crash_disk.unwrap_or_else(|| self.machine.disk.take().expect("disk"));
                 let ((severity, report, _), keep) = self.reboot(disk, &residue, false);
                 ((severity, report), keep)
             })
@@ -1380,23 +1363,23 @@ impl InjectorRig {
     /// fsck of the crash disk `disk`, then — unless it is unrecoverable —
     /// a reboot of the rig's machine on it from `residue`, under the
     /// residue observer when `observe` is set (the footprint is `None`
-    /// otherwise, and after an unrecoverable fsck). Also returns whether
-    /// the verdict may be stored: not when the wall-clock abort flag may
-    /// have cut the reboot short.
+    /// otherwise, and after an unrecoverable fsck). The machine takes the
+    /// disk over as it is, pages and all. Also returns whether the
+    /// verdict may be stored: not when the wall-clock abort flag may have
+    /// cut the reboot short.
     fn reboot(
         &mut self,
-        disk: Vec<u8>,
+        disk: Ramdisk,
         residue: &ResetResidue,
         observe: bool,
     ) -> ((Severity, FsckReport, Option<ResidueFootprint>), bool) {
         let report = fsck(&disk, &self.manifest);
         let m = &mut self.machine;
-        m.disk = Some(Ramdisk::from_bytes(disk));
+        m.disk = Some(disk);
         if let FsckReport::Unrecoverable { .. } = report {
             return ((Severity::MostSevere, report, None), true);
         }
-        // Reboot test on the (possibly damaged) disk, as a fresh disk
-        // over the same bytes.
+        // Reboot test on the (possibly damaged) disk.
         kfi_kernel::load_into(m, &self.image, &BootConfig::default());
         m.install_residue(residue);
         if observe {

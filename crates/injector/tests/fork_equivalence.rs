@@ -124,7 +124,7 @@ fn capture(m: &mut Machine) -> PostRunState {
         halted: m.cpu.halted,
         console: m.console().to_vec(),
         mem_digest: m.mem.digest(),
-        disk_digest: fnv1a(disk.bytes()),
+        disk_digest: fnv1a(&disk.bytes()),
         disk_io: disk.io_stats(),
     }
 }

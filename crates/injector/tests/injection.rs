@@ -159,7 +159,8 @@ fn severity_assessment_levels() {
     {
         let m = rig.machine_mut();
         let disk = m.disk.as_mut().unwrap();
-        disk.bytes_mut()[1024] ^= 0xff;
+        let magic = disk.bytes()[1024];
+        disk.load(1024, &[magic ^ 0xff]);
     }
     let (sev, report) = rig.assess_severity();
     assert_eq!(sev, kfi_injector::Severity::MostSevere, "{report:?}");
@@ -174,7 +175,9 @@ fn severity_fixable_corruption_is_severe() {
         let m = rig.machine_mut();
         let disk = m.disk.as_mut().unwrap();
         let blk = 2000u32;
-        disk.bytes_mut()[2 * 1024 + (blk / 8) as usize] |= 1 << (blk % 8);
+        let at = 2 * 1024 + (blk / 8) as usize;
+        let bits = disk.bytes()[at];
+        disk.load(at, &[bits | 1 << (blk % 8)]);
     }
     let (sev, report) = rig.assess_severity();
     assert_eq!(sev, kfi_injector::Severity::Severe, "{report:?}");
@@ -189,11 +192,11 @@ fn corrupted_init_binary_is_most_severe() {
         let m = rig.machine_mut();
         let disk = m.disk.as_mut().unwrap();
         // /init's first data block: find the KBIN magic "KBIN".
-        let bytes = disk.bytes_mut();
+        let bytes = disk.bytes();
         let pos = (12 * 1024..bytes.len() - 4)
             .find(|&i| &bytes[i..i + 4] == b"KBIN")
             .expect("a KBIN header on disk");
-        bytes[pos + 20] ^= 1; // corrupt payload, not the header
+        disk.load(pos + 20, &[bytes[pos + 20] ^ 1]); // corrupt payload, not the header
     }
     let (sev, _) = rig.assess_severity();
     assert_eq!(sev, kfi_injector::Severity::MostSevere);

@@ -59,7 +59,7 @@ fn full_state(m: &Machine) -> FullState {
         console: m.console().to_vec(),
         monitor: m.monitor_events().to_vec(),
         trap_log: m.trap_log().to_vec(),
-        disk: fnv1a(m.disk.as_ref().expect("disk").bytes()),
+        disk: fnv1a(&m.disk.as_ref().expect("disk").bytes()),
         smp_digest: m.smp_digest(),
     }
 }

@@ -136,9 +136,10 @@ fn reference_reboot(m: &Machine, image: &KernelImage, boot_cycles: u64) -> (Seve
 
 /// Writes the disk's last sector: a disk no store has seen.
 fn new_disk(rig: &mut InjectorRig) {
-    let disk = rig.machine_mut().disk.as_mut().expect("disk").bytes_mut();
-    let last = disk.len() - 1;
-    disk[last] ^= 0x5a;
+    let disk = rig.machine_mut().disk.as_mut().expect("disk");
+    let bytes = disk.bytes();
+    let last = bytes.len() - 1;
+    disk.load(last, &[bytes[last] ^ 0x5a]);
 }
 
 #[test]

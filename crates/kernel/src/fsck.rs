@@ -11,7 +11,50 @@ use crate::mkfs::{
     checksum, sb, BITMAP_BLOCK, BLOCK_SIZE, DATA_START, EXT2_MAGIC, IBITMAP_BLOCK, IMODE_DIR,
     IMODE_REG, ITABLE_BLOCK, NR_DIRECT, NR_INODES, ROOT_INO, SB_BLOCK,
 };
+use kfi_machine::{Ramdisk, PAGE_SIZE};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Where [`fsck`] reads the filesystem's blocks from: a flat image, or a
+/// [`Ramdisk`] read in place through its page table.
+pub trait Blocks {
+    /// Image size in bytes.
+    fn size(&self) -> usize;
+    /// Block `n`'s bytes, or `None` when it lies past the end.
+    fn block(&self, n: u32) -> Option<&[u8]>;
+}
+
+impl Blocks for [u8] {
+    fn size(&self) -> usize {
+        self.len()
+    }
+
+    fn block(&self, n: u32) -> Option<&[u8]> {
+        let start = n as usize * BLOCK_SIZE;
+        self.get(start..start + BLOCK_SIZE)
+    }
+}
+
+impl Blocks for Vec<u8> {
+    fn size(&self) -> usize {
+        self.len()
+    }
+
+    fn block(&self, n: u32) -> Option<&[u8]> {
+        self[..].block(n)
+    }
+}
+
+impl Blocks for Ramdisk {
+    fn size(&self) -> usize {
+        self.sectors() as usize * kfi_machine::SECTOR_SIZE
+    }
+
+    fn block(&self, n: u32) -> Option<&[u8]> {
+        let at = n as usize * BLOCK_SIZE;
+        let off = at % PAGE_SIZE as usize;
+        self.page(at / PAGE_SIZE as usize)?.get(off..off + BLOCK_SIZE)
+    }
+}
 
 /// The verdict of a filesystem check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,15 +83,14 @@ impl FsckReport {
     }
 }
 
-struct Fs<'a> {
-    bytes: &'a [u8],
+struct Fs<'a, D: ?Sized> {
+    disk: &'a D,
     nblocks: u32,
 }
 
-impl<'a> Fs<'a> {
+impl<'a, D: Blocks + ?Sized> Fs<'a, D> {
     fn block(&self, n: u32) -> Option<&'a [u8]> {
-        let start = n as usize * BLOCK_SIZE;
-        self.bytes.get(start..start + BLOCK_SIZE)
+        self.disk.block(n)
     }
 
     fn u32_at(&self, block: u32, off: usize) -> u32 {
@@ -150,21 +192,22 @@ struct Inode {
     indirect: u32,
 }
 
-/// Runs a full consistency check of `image` (raw disk bytes).
+/// Runs a full consistency check of the filesystem on `disk`: raw image
+/// bytes or a [`Ramdisk`].
 ///
 /// `manifest` maps critical file paths to their expected FNV checksums
 /// (from [`crate::mkfs::FsImage::manifest`]); content mismatches on these
 /// are unrecoverable (the "reinstall the OS" scenario — the paper's
 /// Table 5 cases 1 and 9 are exactly corrupted `/lib/.../libc.so.6` and
 /// corrupted executables).
-pub fn fsck(image: &[u8], manifest: &BTreeMap<String, (u32, u32)>) -> FsckReport {
+pub fn fsck<D: Blocks + ?Sized>(disk: &D, manifest: &BTreeMap<String, (u32, u32)>) -> FsckReport {
     let mut problems: Vec<String> = Vec::new();
 
     // 1. Superblock.
-    if image.len() < 2 * BLOCK_SIZE {
+    if disk.size() < 2 * BLOCK_SIZE {
         return FsckReport::Unrecoverable { reason: "image truncated".into() };
     }
-    let fs = Fs { bytes: image, nblocks: (image.len() / BLOCK_SIZE) as u32 };
+    let fs = Fs { disk, nblocks: (disk.size() / BLOCK_SIZE) as u32 };
     let magic = fs.u32_at(SB_BLOCK, sb::MAGIC);
     if magic != EXT2_MAGIC {
         return FsckReport::Unrecoverable { reason: format!("bad superblock magic {magic:#x}") };

@@ -21,7 +21,7 @@ pub mod layout;
 pub mod mkfs;
 
 pub use boot::{boot, load_into, set_run_mode, BootConfig};
-pub use fsck::{fsck, FsckReport};
+pub use fsck::{fsck, Blocks, FsckReport};
 pub use image::{build_kernel, KernelBuildOptions, KernelImage};
 pub use kbin::{build_with_runtime, UserProgram};
 pub use mkfs::{mkfs, standard_fixtures, FileSpec, FsImage};

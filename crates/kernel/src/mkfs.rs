@@ -5,7 +5,7 @@
 //! 4..11 inode table (128 × 64-byte inodes), 12.. data.
 //! Directory entries are fixed 32 bytes: `{ino: u32, name: [u8; 28]}`.
 
-use kfi_machine::Ramdisk;
+use kfi_machine::{Ramdisk, SECTOR_SIZE};
 use std::collections::BTreeMap;
 
 /// Filesystem block size.
@@ -85,7 +85,8 @@ pub fn checksum(data: &[u8]) -> u32 {
 }
 
 struct Builder {
-    blocks: Vec<[u8; BLOCK_SIZE]>,
+    /// The blocks written so far; every other block is zero.
+    blocks: BTreeMap<u32, [u8; BLOCK_SIZE]>,
     nblocks: u32,
     next_block: u32,
     next_ino: u32,
@@ -96,7 +97,7 @@ struct Builder {
 impl Builder {
     fn new(nblocks: u32) -> Builder {
         let mut b = Builder {
-            blocks: vec![[0; BLOCK_SIZE]; nblocks as usize],
+            blocks: BTreeMap::new(),
             nblocks,
             next_block: DATA_START,
             next_ino: 3, // 0 invalid, 1 reserved, 2 root
@@ -118,6 +119,11 @@ impl Builder {
             b.inode_bitmap[i as usize] = true;
         }
         b
+    }
+
+    /// Block `n`, for writing.
+    fn block(&mut self, n: u32) -> &mut [u8; BLOCK_SIZE] {
+        self.blocks.entry(n).or_insert([0; BLOCK_SIZE])
     }
 
     fn alloc_block(&mut self) -> u32 {
@@ -152,17 +158,17 @@ impl Builder {
             let ind = self.alloc_block();
             inode[56..60].copy_from_slice(&ind.to_le_bytes());
             for (i, b) in blocks[NR_DIRECT..].iter().enumerate() {
-                self.blocks[ind as usize][i * 4..i * 4 + 4].copy_from_slice(&b.to_le_bytes());
+                self.block(ind)[i * 4..i * 4 + 4].copy_from_slice(&b.to_le_bytes());
             }
         }
-        self.blocks[blk as usize][off..off + 64].copy_from_slice(&inode);
+        self.block(blk)[off..off + 64].copy_from_slice(&inode);
     }
 
     fn store_data(&mut self, data: &[u8]) -> Vec<u32> {
         let mut blocks = Vec::new();
         for chunk in data.chunks(BLOCK_SIZE) {
             let blk = self.alloc_block();
-            self.blocks[blk as usize][..chunk.len()].copy_from_slice(chunk);
+            self.block(blk)[..chunk.len()].copy_from_slice(chunk);
             blocks.push(blk);
         }
         blocks
@@ -235,19 +241,19 @@ pub fn mkfs(nblocks: u32, files: &[FileSpec]) -> FsImage {
     // Bitmaps.
     for (i, used) in b.block_bitmap.clone().iter().enumerate() {
         if *used {
-            b.blocks[BITMAP_BLOCK as usize][i / 8] |= 1 << (i % 8);
+            b.block(BITMAP_BLOCK)[i / 8] |= 1 << (i % 8);
         }
     }
     for (i, used) in b.inode_bitmap.clone().iter().enumerate() {
         if *used {
-            b.blocks[IBITMAP_BLOCK as usize][i / 8] |= 1 << (i % 8);
+            b.block(IBITMAP_BLOCK)[i / 8] |= 1 << (i % 8);
         }
     }
 
     // Superblock.
     let free_blocks = (DATA_START..nblocks).filter(|x| !b.block_bitmap[*x as usize]).count() as u32;
     let free_inodes = (1..=NR_INODES).filter(|x| !b.inode_bitmap[*x as usize]).count() as u32;
-    let sb_data = &mut b.blocks[SB_BLOCK as usize];
+    let sb_data = b.block(SB_BLOCK);
     sb_data[sb::MAGIC..sb::MAGIC + 4].copy_from_slice(&EXT2_MAGIC.to_le_bytes());
     sb_data[sb::BLOCKS..sb::BLOCKS + 4].copy_from_slice(&nblocks.to_le_bytes());
     sb_data[sb::INODES..sb::INODES + 4].copy_from_slice(&NR_INODES.to_le_bytes());
@@ -256,12 +262,12 @@ pub fn mkfs(nblocks: u32, files: &[FileSpec]) -> FsImage {
     sb_data[sb::STATE..sb::STATE + 4].copy_from_slice(&1u32.to_le_bytes()); // clean
     sb_data[sb::MOUNTS..sb::MOUNTS + 4].copy_from_slice(&0u32.to_le_bytes());
 
-    // Flatten to a Ramdisk.
-    let mut bytes = Vec::with_capacity(nblocks as usize * BLOCK_SIZE);
-    for blk in &b.blocks {
-        bytes.extend_from_slice(blk);
+    // Lay the written blocks onto a disk; the rest stays zero pages.
+    let mut disk = Ramdisk::new(nblocks * (BLOCK_SIZE / SECTOR_SIZE) as u32);
+    for (n, block) in &b.blocks {
+        disk.load(*n as usize * BLOCK_SIZE, block);
     }
-    FsImage { disk: Ramdisk::from_bytes(bytes), manifest, nblocks }
+    FsImage { disk, manifest, nblocks }
 }
 
 fn encode_dir(entries: &[(String, u32)]) -> Vec<u8> {

@@ -153,7 +153,7 @@ fn filesystem_is_clean_after_shutdown() {
     let mut m = boot(&image, fsimg.disk, &BootConfig::default());
     assert_eq!(m.run(BUDGET), RunExit::Halted, "console:\n{}", m.console_string());
     let disk = m.disk.take().unwrap();
-    assert_eq!(fsck(disk.bytes(), &manifest), FsckReport::Clean);
+    assert_eq!(fsck(&disk, &manifest), FsckReport::Clean);
     // clean shutdown resets the dirty flag
     let state = u32::from_le_bytes(disk.bytes()[1024 + 20..1024 + 24].try_into().unwrap());
     assert_eq!(state, 1, "superblock should be clean");
@@ -618,7 +618,8 @@ fn corrupt_superblock_panics_at_mount() {
     files.push(FileSpec { path: "/init".into(), data: minimal_init(INIT_HELLO) });
     let fsimg = mkfs(2048, &files);
     let mut disk = fsimg.disk;
-    disk.bytes_mut()[1024] ^= 0xff; // break the magic
+    let magic = disk.bytes()[1024];
+    disk.load(1024, &[magic ^ 0xff]); // break the magic
     let mut m = boot(&image, disk, &BootConfig::default());
     let exit = m.run(BUDGET);
     assert_eq!(exit, RunExit::Halted);

@@ -30,7 +30,7 @@ proptest! {
     #[test]
     fn fresh_images_are_clean(files in arb_files()) {
         let img = mkfs(2048, &files);
-        prop_assert_eq!(fsck(img.disk.bytes(), &img.manifest), FsckReport::Clean);
+        prop_assert_eq!(fsck(&img.disk, &img.manifest), FsckReport::Clean);
     }
 
     /// fsck is total: arbitrary single-byte corruption anywhere in the

@@ -73,5 +73,5 @@ pub use machine::{
 };
 pub use mem::{MemImage, PhysMem, PAGE_SIZE};
 pub use mmu::{pte, Access, PageFault, Tlb};
-pub use ramdisk::{Ramdisk, SECTOR_SIZE};
+pub use ramdisk::{DiskImage, Ramdisk, SECTOR_SIZE};
 pub use trap::{pf_err, TrapRecord, Vector};

@@ -221,7 +221,8 @@ pub struct Counters {
 /// A point-in-time machine snapshot (CPU + memory + timer/device latches).
 ///
 /// The disk is deliberately *not* part of the snapshot: it models the
-/// persistent medium that survives reboots.
+/// persistent medium that survives reboots, and freezes into a
+/// [`DiskImage`](crate::DiskImage) of its own ([`Ramdisk::snapshot`]).
 ///
 /// Each snapshot carries a process-unique `id` so [`Machine::restore`]
 /// can recognise "restoring the same baseline as last time" and reset
@@ -251,9 +252,8 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// The snapshot's globally unique identity — also the baseline key
-    /// for copy-on-write resets of state captured alongside it, such as
-    /// a post-boot disk image handed to [`crate::Ramdisk::fork_from`].
+    /// The snapshot's process-unique identity, drawn from the counter
+    /// that also numbers [`DiskImage`](crate::DiskImage)s.
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -273,7 +273,8 @@ impl PartialEq for Snapshot {
 
 impl Eq for Snapshot {}
 
-static NEXT_SNAPSHOT_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
+pub(crate) static NEXT_SNAPSHOT_ID: std::sync::atomic::AtomicU64 =
+    std::sync::atomic::AtomicU64::new(1);
 
 /// The machine state a reboot inherits: see [`Machine::reset_residue`].
 ///

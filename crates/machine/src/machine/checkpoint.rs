@@ -12,13 +12,12 @@
 
 use super::{Counters, Machine, MachineConfig, MonitorEvent};
 use crate::cpu::Cpu;
-use crate::mem::{SharedPage, Slot};
+use crate::mem::{PhysMem, SharedPage, Slot};
 use crate::mmu::TlbEntry;
 use crate::smp::{CpuCtx, Ipi, SmpState};
 use crate::trap::TrapRecord;
 use kfi_isa::Insn;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Cumulative cache statistics: the TLB `(hits, misses)` summed over
 /// every CPU, and the decode, block and chain triples.
@@ -74,18 +73,56 @@ struct SmpCheckpoint {
     pending: Vec<VecDeque<Ipi>>,
 }
 
-/// The disk as the sectors written since its last restore.
+/// The pages of a [`PhysMem`] — guest memory or a disk's — written
+/// since its last restore.
 #[derive(Debug, Clone)]
-struct DiskCheckpoint {
-    /// The baseline id the capturing disk was restored from.
+struct PageDelta {
+    /// The id of the image the capturing pages were restored from.
     base: Option<u64>,
-    sectors: Vec<(u32, Arc<[u8]>)>,
-    io: (u64, u64),
+    /// `(page, contents)` of each page written since the restore,
+    /// ascending.
+    pages: Vec<(u32, SharedPage)>,
+    /// Their write generations, in the same order. Memory generations
+    /// count writes since the restore ([`Machine::restore`] zeroes
+    /// them), so they mean the same on every machine restored from the
+    /// same snapshot.
+    gens: Vec<u64>,
+}
+
+impl PageDelta {
+    /// The pages `mem` wrote since its restore. A page it still shares
+    /// goes in by reference; one it owns is shared with `prev`'s version
+    /// when the contents are unchanged, else copied once (counted in
+    /// `fresh`).
+    fn capture(mem: &PhysMem, prev: Option<&PageDelta>, fresh: &mut usize) -> PageDelta {
+        let prev = prev.map_or(&[][..], |p| &p.pages);
+        let mut cursor = 0;
+        let (mut pages, mut gens) = (Vec::new(), Vec::new());
+        for (p, gen, slot) in mem.dirty_pages() {
+            let page = match slot {
+                Slot::Shared(page) => page.clone(),
+                Slot::Private(bytes) => share(p, &bytes[..], prev, &mut cursor, fresh),
+            };
+            pages.push((p, page));
+            gens.push(gen);
+        }
+        PageDelta { base: mem.synced_to(), pages, gens }
+    }
+
+    /// Shares the pages with `mem`, which must have just been restored
+    /// from the same image and not written since.
+    fn install(&self, mem: &mut PhysMem, what: &str) {
+        assert_eq!(mem.synced_to(), self.base, "checkpoint {what} of another image");
+        assert_eq!(mem.dirty_page_count(), 0, "checkpoint {what} written since its restore");
+        for ((p, page), gen) in self.pages.iter().zip(&self.gens) {
+            mem.install_page(*p, *gen, page);
+        }
+    }
 }
 
 /// The full state of a machine at a tick cut, as a delta against the
 /// [`Snapshot`](super::Snapshot) it was restored from: every CPU's
-/// context, the pages and disk sectors written since the restore with
+/// context, the memory and disk pages written since the restore with
 /// their page generations, the decode cache, the block cache with its
 /// chain links, the TLBs, the counters, the cache statistics since the restore, and the
 /// console, monitor and trap logs. Host-side state (trace sink, abort
@@ -95,33 +132,25 @@ struct DiskCheckpoint {
 /// [`Machine::install`]; both destructure the machine exhaustively, so
 /// a new machine field fails to compile there until it is classified.
 ///
-/// Its pages are shared pages, as a snapshot's are: a page the
-/// capturing machine still shares goes in by reference, and one it wrote
-/// is shared with the checkpoint the capture was resumed from when the
-/// contents are unchanged, else copied once. Disk sectors are shared
-/// (`Arc`) the same way, and cached blocks are shared with the capturing
-/// machine's block cache, so consecutive checkpoints of one run cost
-/// little more than what changed between them. Installing one shares
-/// its pages with the machine, which copies a page only on its first
-/// write to it.
+/// Its memory and disk pages are shared pages, as a snapshot's are: a
+/// page the capturing machine still shares goes in by reference, and one
+/// it wrote is shared with the checkpoint the capture was resumed from
+/// when the contents are unchanged, else copied once. Cached blocks are
+/// shared with the capturing machine's block cache, so consecutive
+/// checkpoints of one run cost little more than what changed between
+/// them. Installing one shares its pages with the machine and its disk,
+/// which copy a page only on their first write to it.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
-    base: u64,
     config: MachineConfig,
     cpu: Cpu,
     tlb: Vec<TlbEntry>,
     next_tick: u64,
     smp: Option<SmpCheckpoint>,
-    /// `(page, contents)` of each page written since the restore,
-    /// ascending.
-    pages: Vec<(u32, SharedPage)>,
-    /// Their write generations, in the same order. Generations count
-    /// writes since the restore ([`Machine::restore`] zeroes them), so
-    /// they mean the same on every machine restored from the same
-    /// snapshot.
-    page_gens: Vec<u64>,
+    mem: PageDelta,
     dropped_writes: u64,
-    disk: Option<DiskCheckpoint>,
+    /// The disk's pages and `(reads, writes)` statistics.
+    disk: Option<(PageDelta, (u64, u64))>,
     decode: Vec<(u32, u64, Insn)>,
     blocks: Vec<crate::block::LiveBlock>,
     /// Cache statistics accumulated since the restore.
@@ -143,7 +172,7 @@ impl Checkpoint {
     }
 
     /// Heap bytes this checkpoint holds that it does not share with the
-    /// checkpoint it was captured against: fresh page and sector
+    /// checkpoint it was captured against: fresh memory and disk page
     /// versions, cache entry lists and logs (cached block bodies, which
     /// the capturing machine's block cache shares, are not counted).
     pub fn fresh_bytes(&self) -> usize {
@@ -151,25 +180,24 @@ impl Checkpoint {
     }
 }
 
-/// `new`, sharing `prev`'s version when the contents are equal, else a
-/// fresh `copy` of it. `prev` is ascending by key and `cursor` walks it
-/// alongside ascending keys.
-fn share<V: Clone + AsRef<[u8]>>(
+/// Page `key` holding `new`, sharing `prev`'s version when the contents
+/// are equal, else a fresh copy. `prev` is ascending by key and `cursor`
+/// walks it alongside ascending keys.
+fn share(
     key: u32,
     new: &[u8],
-    prev: &[(u32, V)],
+    prev: &[(u32, SharedPage)],
     cursor: &mut usize,
     fresh: &mut usize,
-    copy: impl FnOnce(&[u8]) -> V,
-) -> V {
+) -> SharedPage {
     while prev.get(*cursor).is_some_and(|(k, _)| *k < key) {
         *cursor += 1;
     }
     match prev.get(*cursor) {
-        Some((k, old)) if *k == key && old.as_ref() == new => old.clone(),
+        Some((k, old)) if *k == key && old.bytes()[..] == *new => old.clone(),
         _ => {
             *fresh += new.len();
-            copy(new)
+            SharedPage::copy_of(new)
         }
     }
 }
@@ -184,8 +212,8 @@ impl Machine {
 
     /// Captures the machine's state as a [`Checkpoint`] against the
     /// snapshot it was last restored from. Meant for a tick cut (see
-    /// [`Machine::run_to_tick`]), where no block is mid-replay. Page and
-    /// sector versions equal to `prev`'s are shared with it.
+    /// [`Machine::run_to_tick`]), where no block is mid-replay. Memory
+    /// and disk page versions equal to `prev`'s are shared with it.
     ///
     /// # Panics
     ///
@@ -224,34 +252,12 @@ impl Machine {
         assert!(san.is_none(), "checkpoint of a sanitized machine");
         assert!(observer.is_none() && !tlb.logging(), "checkpoint under the residue observer");
         assert_eq!(*delivering, 0, "checkpoint inside a trap delivery");
-        let base = mem.synced_to().expect("checkpoint of a machine never restored");
+        assert!(mem.synced_to().is_some(), "checkpoint of a machine never restored");
         let mut fresh = 0;
-        let prev_pages = prev.map_or(&[][..], |p| &p.pages);
-        let mut cursor = 0;
-        let (mut pages, mut page_gens) = (Vec::new(), Vec::new());
-        for (p, gen, slot) in mem.dirty_pages() {
-            let page = match slot {
-                Slot::Shared(page) => page.clone(),
-                Slot::Private(bytes) => {
-                    share(p, &bytes[..], prev_pages, &mut cursor, &mut fresh, SharedPage::copy_of)
-                }
-            };
-            pages.push((p, page));
-            page_gens.push(gen);
-        }
+        let mem = PageDelta::capture(mem, prev.map(|p| &p.mem), &mut fresh);
         let disk = disk.as_ref().map(|d| {
-            let prev_sectors = prev.and_then(|p| p.disk.as_ref()).map_or(&[][..], |d| &d.sectors);
-            let mut cursor = 0;
-            DiskCheckpoint {
-                base: d.synced_to(),
-                sectors: d
-                    .written_sectors()
-                    .map(|(s, b)| {
-                        (s, share(s, b, prev_sectors, &mut cursor, &mut fresh, |b| Arc::from(b)))
-                    })
-                    .collect(),
-                io: d.io_stats(),
-            }
+            let prev = prev.and_then(|p| p.disk.as_ref()).map(|(pages, _)| pages);
+            (PageDelta::capture(&d.pages, prev, &mut fresh), d.io_stats())
         });
         let smp = smp.as_deref().map(|smp| {
             let SmpState { ctxs, active, slice_left, rng, ipi_arg, pending } = smp;
@@ -282,15 +288,13 @@ impl Machine {
             + monitor.len() * std::mem::size_of::<(u64, MonitorEvent)>()
             + trap_log.len() * std::mem::size_of::<TrapRecord>();
         Checkpoint {
-            base,
             config: *config,
             cpu: cpu.clone(),
             tlb: tlb.resident(),
             next_tick: *next_tick,
             smp,
-            pages,
-            page_gens,
-            dropped_writes: mem.dropped_writes(),
+            dropped_writes: self.mem.dropped_writes(),
+            mem,
             disk,
             decode,
             blocks,
@@ -321,11 +325,7 @@ impl Machine {
     /// Panics if the machine is not freshly restored from that
     /// snapshot, its configuration differs, or the disks do not match.
     pub fn install(&mut self, c: &Checkpoint) {
-        assert_eq!(self.mem.synced_to(), Some(c.base), "checkpoint of another snapshot");
-        assert!(
-            self.mem.dirty_page_count() == 0 && self.counters == Counters::default(),
-            "checkpoint install on a machine that ran since its restore"
-        );
+        assert_eq!(self.counters, Counters::default(), "checkpoint install on a machine that ran");
         assert_eq!(self.config, c.config, "checkpoint of another machine configuration");
         // Move the active CPU's TLB into place the way the scheduler
         // does, so that the stale parked slot stays the uncounted one
@@ -376,18 +376,12 @@ impl Machine {
             (*slice_left, *rng, *ipi_arg) = (sc.slice_left, sc.rng, sc.ipi_arg);
             pending.clone_from(&sc.pending);
         }
-        for ((p, page), gen) in c.pages.iter().zip(&c.page_gens) {
-            mem.install_page(*p, *gen, page);
-        }
+        c.mem.install(mem, "memory");
         mem.set_dropped_writes(c.dropped_writes);
-        if let Some(cd) = &c.disk {
+        if let Some((pages, io)) = &c.disk {
             let d = disk.as_mut().expect("checkpoint with a disk installed on a diskless machine");
-            assert_eq!(d.synced_to(), cd.base, "checkpoint disk of another image");
-            assert_eq!(d.dirty_sector_count(), 0, "checkpoint disk written since its reset");
-            for (s, bytes) in &cd.sectors {
-                d.install_sector(*s, bytes);
-            }
-            d.set_io_stats(cd.io);
+            pages.install(&mut d.pages, "disk");
+            d.set_io_stats(*io);
         }
         decode_cache.install(&c.decode, c.stats.decode);
         block_cache.install(&c.blocks, c.stats.block, c.stats.chain);

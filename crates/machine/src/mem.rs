@@ -44,12 +44,6 @@ impl SharedPage {
     }
 }
 
-impl AsRef<[u8]> for SharedPage {
-    fn as_ref(&self) -> &[u8] {
-        self.bytes()
-    }
-}
-
 /// Equal contents.
 impl PartialEq for SharedPage {
     fn eq(&self, other: &SharedPage) -> bool {
@@ -338,7 +332,7 @@ impl PhysMem {
     }
 
     /// Copies `src` into physical memory at `addr`, bumping each page it
-    /// lands in once.
+    /// lands in once. A whole page of zeroes becomes the shared zero page.
     ///
     /// # Panics
     ///
@@ -351,7 +345,10 @@ impl PhysMem {
             let (page, off) = (at / PAGE, at % PAGE);
             let (chunk, tail) = rest.split_at(rest.len().min(PAGE - off));
             if chunk.len() == PAGE {
-                self.pages[page] = Slot::Private(private_copy(chunk));
+                self.pages[page] = match chunk.iter().all(|&b| b == 0) {
+                    true => Slot::Shared(SharedPage::default()),
+                    false => Slot::Private(private_copy(chunk)),
+                };
             } else {
                 self.pages[page].bytes_mut()[off..off + chunk.len()].copy_from_slice(chunk);
             }
@@ -363,6 +360,24 @@ impl PhysMem {
     /// The contents page by page, in address order.
     pub fn pages(&self) -> impl Iterator<Item = &[u8; PAGE]> + '_ {
         self.pages.iter().map(Slot::bytes)
+    }
+
+    /// Page `p`'s contents, or `None` past installed memory.
+    pub(crate) fn page(&self, p: usize) -> Option<&[u8; PAGE]> {
+        self.pages.get(p).map(Slot::bytes)
+    }
+
+    /// Every page that does not share `image`'s page, as `(page,
+    /// contents, image contents)`: the only pages that can differ.
+    pub(crate) fn unshared_with<'a>(
+        &'a self,
+        image: &'a MemImage,
+    ) -> impl Iterator<Item = (u32, &'a PageBytes, &'a PageBytes)> + 'a {
+        let shares = |slot: &Slot, page| matches!(slot, Slot::Shared(s) if s.same(page));
+        let pages = self.pages.iter().zip(image.0.iter()).enumerate();
+        pages
+            .filter(move |(_, (slot, page))| !shares(slot, page))
+            .map(|(p, (slot, page))| (p as u32, slot.bytes(), page.bytes()))
     }
 
     /// 64-bit FNV-1a of the whole memory, in address order: the digest

@@ -1,7 +1,22 @@
 //! The simulated block device backing store.
 
+use crate::mem::{MemImage, PhysMem, PAGE_SIZE};
+use std::sync::atomic::Ordering;
+
 /// Sector size in bytes.
 pub const SECTOR_SIZE: usize = 512;
+
+const PAGE: usize = PAGE_SIZE as usize;
+
+/// A frozen disk: a [`Ramdisk`]'s pages at one moment
+/// ([`Ramdisk::snapshot`]), shared by every disk forked or restored from
+/// it. Cloning it shares the whole table.
+#[derive(Debug, Clone)]
+pub struct DiskImage {
+    id: u64,
+    pages: MemImage,
+    sectors: u32,
+}
 
 /// A RAM-backed disk image.
 ///
@@ -11,53 +26,41 @@ pub const SECTOR_SIZE: usize = 512;
 /// which is what makes the paper's *severe* (fsck) and *most severe*
 /// (reformat) crash categories observable.
 ///
-/// Like [`crate::PhysMem`], the disk tracks which sectors have been
-/// written since the last [`Ramdisk::restore_from`], so the per-run
-/// reset against a shared post-boot image copies O(sectors written)
-/// instead of the whole image. The bookkeeping (dirty bitset, baseline
-/// id) is invisible to equality: two disks compare equal iff their
-/// bytes and I/O statistics agree.
+/// Its storage is a [`PhysMem`]: 4 KiB pages of 8 sectors each, shared
+/// copy-on-write with the [`DiskImage`]s and checkpoints it came from,
+/// and the shared zero page where nothing was written. Forking and
+/// restoring move page references, not bytes; a sector write copies its
+/// page only on the first write after sharing
+/// ([`Ramdisk::private_pages`] counts those). The sharing is invisible
+/// to equality: two disks compare equal iff their bytes and I/O
+/// statistics agree.
 #[derive(Debug, Clone)]
 pub struct Ramdisk {
-    bytes: Vec<u8>,
+    pub(crate) pages: PhysMem,
+    sectors: u32,
     reads: u64,
     writes: u64,
-    /// Bitset over sectors: written since the last restore.
-    dirty: Vec<u64>,
-    /// Baseline id the contents were last restored from (see
-    /// [`Ramdisk::restore_from`]); `None` after raw `bytes_mut` access.
-    synced_to: Option<u64>,
 }
 
 impl PartialEq for Ramdisk {
     fn eq(&self, other: &Ramdisk) -> bool {
-        self.bytes == other.bytes && self.reads == other.reads && self.writes == other.writes
+        self.sectors == other.sectors
+            && self.io_stats() == other.io_stats()
+            && self.pages.pages().eq(other.pages.pages())
     }
 }
 
 impl Eq for Ramdisk {}
 
-fn dirty_words(bytes_len: usize) -> usize {
-    (bytes_len / SECTOR_SIZE).div_ceil(64)
-}
-
-/// The sector numbers set in a dirty bitset, ascending.
-fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    words.iter().enumerate().flat_map(|(w, &word)| {
-        (0..64).filter(move |b| word & (1 << b) != 0).map(move |b| w * 64 + b)
-    })
-}
-
 impl Ramdisk {
     /// Creates a zeroed disk with `sectors` sectors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the disk would hold more than 4 GiB.
     pub fn new(sectors: u32) -> Ramdisk {
-        Ramdisk {
-            bytes: vec![0; sectors as usize * SECTOR_SIZE],
-            reads: 0,
-            writes: 0,
-            dirty: vec![0; (sectors as usize).div_ceil(64)],
-            synced_to: None,
-        }
+        let size = sectors.checked_mul(SECTOR_SIZE as u32).expect("a disk of at most 4 GiB");
+        Ramdisk { pages: PhysMem::new(size), sectors, reads: 0, writes: 0 }
     }
 
     /// Wraps existing image bytes (must be a sector multiple).
@@ -66,104 +69,77 @@ impl Ramdisk {
     ///
     /// Panics if `bytes.len()` is not a multiple of [`SECTOR_SIZE`].
     pub fn from_bytes(bytes: Vec<u8>) -> Ramdisk {
-        assert_eq!(bytes.len() % SECTOR_SIZE, 0, "image not sector-aligned");
-        let words = dirty_words(bytes.len());
-        Ramdisk { bytes, reads: 0, writes: 0, dirty: vec![0; words], synced_to: None }
+        Ramdisk::fork_from(&bytes, 0)
     }
 
-    /// Builds a disk whose contents equal `base` and whose dirty
-    /// baseline is already synced to the image identified by `id`: the
-    /// disk half of a copy-on-write machine fork. Every later
-    /// [`Ramdisk::restore_from`] against the same `(base, id)` pair is
-    /// O(sectors written) from the start.
+    /// A disk holding a copy of the flat image `base`, as
+    /// [`Ramdisk::from_bytes`] builds one. `_id` is not used: a disk
+    /// learns its baseline from the [`DiskImage`] it is forked or
+    /// restored from ([`Ramdisk::fork`]).
     ///
     /// # Panics
     ///
     /// Panics if `base.len()` is not a multiple of [`SECTOR_SIZE`].
-    pub fn fork_from(base: &[u8], id: u64) -> Ramdisk {
+    pub fn fork_from(base: &[u8], _id: u64) -> Ramdisk {
         assert_eq!(base.len() % SECTOR_SIZE, 0, "image not sector-aligned");
-        Ramdisk {
-            bytes: base.to_vec(),
-            reads: 0,
-            writes: 0,
-            dirty: vec![0; dirty_words(base.len())],
-            synced_to: Some(id),
-        }
+        let mut disk = Ramdisk::new((base.len() / SECTOR_SIZE) as u32);
+        disk.load(0, base);
+        disk
     }
 
-    /// Resets the disk to the image identified by `id`, copying only the
-    /// sectors written since the last restore when the baseline matches
-    /// (otherwise a full copy establishes the new baseline). I/O
-    /// statistics reset to zero either way, exactly as if a fresh disk
-    /// had been built with [`Ramdisk::from_bytes`]. Returns the number
-    /// of sectors copied.
+    /// A disk holding `image` and sharing all of its pages: the disk
+    /// half of a machine fork. It owns no page until it writes one, and
+    /// its first [`Ramdisk::restore_from`] of `image` resets only the
+    /// pages written since.
+    pub fn fork(image: &DiskImage) -> Ramdisk {
+        let mut disk = Ramdisk::new(image.sectors);
+        disk.restore_from(image);
+        disk
+    }
+
+    /// The current contents as an image others can hold. Pages this disk
+    /// already shares are shared with the image too; pages it owns are
+    /// copied once, here.
+    pub fn snapshot(&self) -> DiskImage {
+        let id = crate::machine::NEXT_SNAPSHOT_ID.fetch_add(1, Ordering::Relaxed);
+        DiskImage { id, pages: self.pages.snapshot(), sectors: self.sectors }
+    }
+
+    /// Resets the disk to `image`, sharing its pages again: only the
+    /// pages written since the last restore when that restore was from
+    /// `image` too, otherwise every page. I/O statistics reset to zero
+    /// either way, exactly as on a [`Ramdisk::fork`] of the image.
+    /// Returns the number of pages reset.
     ///
     /// # Panics
     ///
-    /// Panics if `base` has a different length than the disk.
-    pub fn restore_from(&mut self, base: &[u8], id: u64) -> u32 {
-        assert_eq!(base.len(), self.bytes.len(), "image size mismatch");
-        let copied = if self.synced_to == Some(id) {
-            let mut n = 0u32;
-            for s in set_bits(&self.dirty) {
-                let off = s * SECTOR_SIZE;
-                self.bytes[off..off + SECTOR_SIZE].copy_from_slice(&base[off..off + SECTOR_SIZE]);
-                n += 1;
+    /// Panics if `image` has a different size than the disk.
+    pub fn restore_from(&mut self, image: &DiskImage) -> u32 {
+        assert_eq!(image.sectors, self.sectors, "image size mismatch");
+        (self.reads, self.writes) = (0, 0);
+        self.pages.restore_from(&image.pages, image.id)
+    }
+
+    /// The sectors whose bytes differ from `image`, as `(lba, bytes)` in
+    /// LBA order: the disk as a difference from that image. Only the
+    /// pages this disk does not share with the image are compared,
+    /// sector by sector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `image` has a different size than the disk.
+    pub fn delta_from(&self, image: &DiskImage) -> Vec<(u32, Vec<u8>)> {
+        assert_eq!(image.sectors, self.sectors, "image size mismatch");
+        let mut delta = Vec::new();
+        for (p, ours, theirs) in self.pages.unshared_with(&image.pages) {
+            let sectors = ours.chunks(SECTOR_SIZE).zip(theirs.chunks(SECTOR_SIZE));
+            for (lba, (a, b)) in (p * (PAGE / SECTOR_SIZE) as u32..).zip(sectors) {
+                if a != b {
+                    delta.push((lba, a.to_vec()));
+                }
             }
-            n
-        } else {
-            self.bytes.copy_from_slice(base);
-            self.synced_to = Some(id);
-            self.dirty = vec![0; dirty_words(self.bytes.len())];
-            self.sectors()
-        };
-        self.dirty.fill(0);
-        self.reads = 0;
-        self.writes = 0;
-        copied
-    }
-
-    /// The sectors whose bytes differ from `base`, as `(lba, bytes)` in
-    /// LBA order: the disk as a difference from that image. When the
-    /// disk is synced to the baseline `id` (see
-    /// [`Ramdisk::restore_from`]) only sectors written since the last
-    /// restore can differ, so only they are compared; otherwise every
-    /// sector is.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` has a different length than the disk.
-    pub fn delta_from(&self, base: &[u8], id: u64) -> Vec<(u32, Vec<u8>)> {
-        assert_eq!(base.len(), self.bytes.len(), "image size mismatch");
-        let differs = |s: usize| {
-            let (a, b) = (s * SECTOR_SIZE, (s + 1) * SECTOR_SIZE);
-            let sector = &self.bytes[a..b];
-            (sector != &base[a..b]).then(|| (s as u32, sector.to_vec()))
-        };
-        if self.synced_to == Some(id) {
-            set_bits(&self.dirty).filter_map(differs).collect()
-        } else {
-            (0..self.sectors() as usize).filter_map(differs).collect()
         }
-    }
-
-    /// The baseline id the dirty set tracks divergence from.
-    pub(crate) fn synced_to(&self) -> Option<u64> {
-        self.synced_to
-    }
-
-    /// The sectors written since the last restore, ascending, as `(lba,
-    /// contents)`.
-    pub(crate) fn written_sectors(&self) -> impl Iterator<Item = (u32, &[u8])> + '_ {
-        set_bits(&self.dirty).map(|s| (s as u32, &self.bytes[s * SECTOR_SIZE..][..SECTOR_SIZE]))
-    }
-
-    /// Overwrites sector `lba` with `bytes` and marks it written: one
-    /// sector of a checkpoint install. I/O statistics are untouched.
-    pub(crate) fn install_sector(&mut self, lba: u32, bytes: &[u8]) {
-        let s = lba as usize;
-        self.bytes[s * SECTOR_SIZE..][..SECTOR_SIZE].copy_from_slice(bytes);
-        self.dirty[s / 64] |= 1 << (s % 64);
+        delta
     }
 
     /// Sets the `(reads, writes)` statistics (checkpoint install).
@@ -171,22 +147,26 @@ impl Ramdisk {
         (self.reads, self.writes) = (reads, writes);
     }
 
-    /// Unwraps the image bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
+    /// Number of pages this disk holds a private copy of: pages written
+    /// since they were last shared. At most
+    /// [`Ramdisk::dirty_page_count`].
+    pub fn private_pages(&self) -> u32 {
+        self.pages.private_pages()
     }
 
-    /// Number of sectors written since the last restore (or creation).
-    pub fn dirty_sector_count(&self) -> u32 {
-        self.dirty.iter().map(|w| w.count_ones()).sum()
+    /// Number of pages written since the last restore (or creation),
+    /// checkpoint pages installed since included.
+    pub fn dirty_page_count(&self) -> u32 {
+        self.pages.dirty_page_count()
     }
 
     /// Number of sectors.
     pub fn sectors(&self) -> u32 {
-        (self.bytes.len() / SECTOR_SIZE) as u32
+        self.sectors
     }
 
-    /// Total (read, write) sector operations performed.
+    /// Total (read, write) sector operations performed since the disk
+    /// was built or last restored.
     pub fn io_stats(&self) -> (u64, u64) {
         (self.reads, self.writes)
     }
@@ -195,55 +175,61 @@ impl Ramdisk {
     /// when `lba` is out of range.
     pub fn read_sector(&mut self, lba: u32, buf: &mut [u8; SECTOR_SIZE]) -> bool {
         self.reads += 1;
-        let start = lba as usize * SECTOR_SIZE;
-        match self.bytes.get(start..start + SECTOR_SIZE) {
-            Some(s) => {
-                buf.copy_from_slice(s);
-                true
-            }
-            None => {
-                buf.fill(0xff);
-                false
-            }
+        let ok = lba < self.sectors;
+        match ok {
+            true => self.pages.read_into(lba * SECTOR_SIZE as u32, buf),
+            false => buf.fill(0xff),
         }
+        ok
     }
 
     /// Writes `buf` to sector `lba`. Returns `false` (dropping the write)
     /// when `lba` is out of range.
     pub fn write_sector(&mut self, lba: u32, buf: &[u8; SECTOR_SIZE]) -> bool {
         self.writes += 1;
-        let start = lba as usize * SECTOR_SIZE;
-        match self.bytes.get_mut(start..start + SECTOR_SIZE) {
-            Some(s) => {
-                s.copy_from_slice(buf);
-                // `bytes_mut` may have grown the image past the bitset
-                // (it also drops the baseline, so nothing is lost).
-                if let Some(w) = self.dirty.get_mut(lba as usize / 64) {
-                    *w |= 1 << (lba as usize % 64);
-                }
-                true
-            }
-            None => false,
+        let ok = lba < self.sectors;
+        if ok {
+            self.pages.load(lba * SECTOR_SIZE as u32, buf);
         }
+        ok
     }
 
-    /// The whole image, for host-side `mkfs`/`fsck`.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
+    /// Copies `bytes` into the disk at byte `offset` without counting
+    /// I/O: the host-side loader `mkfs` builds its image with.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bytes run past the end of the disk.
+    pub fn load(&mut self, offset: usize, bytes: &[u8]) {
+        assert!(
+            offset + bytes.len() <= self.sectors as usize * SECTOR_SIZE,
+            "load beyond the disk"
+        );
+        self.pages.load(offset as u32, bytes);
     }
 
-    /// Mutable image access, for host-side `mkfs`. Raw access bypasses
-    /// the sector dirty tracking, so the restore baseline is forgotten:
-    /// the next [`Ramdisk::restore_from`] pays a full copy.
-    pub fn bytes_mut(&mut self) -> &mut Vec<u8> {
-        self.synced_to = None;
-        &mut self.bytes
+    /// Page `p` (sectors `8p` to `8p + 7`) read in place, cut at the end
+    /// of the disk, or `None` past it: how host-side tools such as fsck
+    /// read the disk without copying it.
+    pub fn page(&self, p: usize) -> Option<&[u8]> {
+        let left =
+            (self.sectors as usize * SECTOR_SIZE).checked_sub(p * PAGE).filter(|&n| n > 0)?;
+        Some(&self.pages.page(p)?[..left.min(PAGE)])
+    }
+
+    /// The whole image as one flat copy.
+    pub fn bytes(&self) -> Vec<u8> {
+        self.pages.pages().flatten().take(self.sectors as usize * SECTOR_SIZE).copied().collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn sector(byte: u8) -> [u8; SECTOR_SIZE] {
+        [byte; SECTOR_SIZE]
+    }
 
     #[test]
     fn sector_roundtrip() {
@@ -265,6 +251,7 @@ mod tests {
         assert!(!d.read_sector(2, &mut buf));
         assert_eq!(buf[0], 0xff);
         assert!(!d.write_sector(99, &buf));
+        assert_eq!(d.private_pages(), 0, "a dropped write owns nothing");
     }
 
     #[test]
@@ -274,84 +261,70 @@ mod tests {
     }
 
     #[test]
-    fn tracked_restore_copies_only_written_sectors() {
-        let base = {
-            let mut d = Ramdisk::new(8);
-            let mut w = [0u8; SECTOR_SIZE];
-            w[0] = 0x5a;
-            d.write_sector(1, &w);
-            d.bytes().to_vec()
-        };
-        let mut d = Ramdisk::from_bytes(base.clone());
-        // First restore against a new id is always a full copy.
-        assert_eq!(d.restore_from(&base, 9), 8);
-        // Write two sectors; only they are copied back.
-        let w = [0xabu8; SECTOR_SIZE];
-        d.write_sector(0, &w);
-        d.write_sector(5, &w);
-        assert_eq!(d.dirty_sector_count(), 2);
-        assert_eq!(d.restore_from(&base, 9), 2);
-        assert_eq!(d, Ramdisk::from_bytes(base.clone()), "contents and io stats reset");
-        // Untouched disk: nothing to copy.
-        assert_eq!(d.restore_from(&base, 9), 0);
-        // A different baseline id forces a full copy again.
-        assert_eq!(d.restore_from(&base, 10), 8);
+    fn zero_pages_of_a_flat_image_stay_shared() {
+        let mut bytes = vec![0u8; 64 * SECTOR_SIZE];
+        bytes[20 * SECTOR_SIZE] = 1;
+        let d = Ramdisk::from_bytes(bytes.clone());
+        assert_eq!(d.private_pages(), 1);
+        assert_eq!(d.bytes(), bytes);
     }
 
     #[test]
-    fn fork_is_synced_to_its_base_from_the_start() {
-        let mut base_disk = Ramdisk::new(4);
-        let w = [0x77u8; SECTOR_SIZE];
-        base_disk.write_sector(2, &w);
-        let base = base_disk.bytes().to_vec();
-        let mut f = Ramdisk::fork_from(&base, 3);
-        assert_eq!(f.bytes(), &base[..]);
-        assert_eq!(f.io_stats(), (0, 0));
-        // The very first restore is already a dirty-sector restore.
-        f.write_sector(0, &w);
-        assert_eq!(f.restore_from(&base, 3), 1);
-        assert_eq!(f.bytes(), &base[..]);
-        // Writes in the fork never leak into the base bytes.
-        assert_eq!(base_disk.bytes(), &base[..]);
+    fn a_fork_owns_no_page_until_it_writes_one() {
+        let mut base = Ramdisk::new(32);
+        base.write_sector(9, &sector(0x77));
+        let image = base.snapshot();
+        let mut f = Ramdisk::fork(&image);
+        assert_eq!((f.private_pages(), f.io_stats()), (0, (0, 0)));
+        assert_eq!(f, Ramdisk::from_bytes(base.bytes()));
+        f.write_sector(10, &sector(1));
+        f.write_sector(11, &sector(2));
+        assert_eq!(f.private_pages(), 1, "two sectors of one page");
+        // Writes in the fork never reach the image.
+        assert_eq!(Ramdisk::fork(&image).bytes(), base.bytes());
     }
 
     #[test]
-    fn raw_access_drops_the_baseline() {
-        let base = vec![0u8; 4 * SECTOR_SIZE];
-        let mut d = Ramdisk::fork_from(&base, 1);
-        d.bytes_mut()[100] = 0xee;
-        // The raw write bypassed sector tracking, so the next restore
-        // must not trust the (empty) dirty set.
-        assert_eq!(d.restore_from(&base, 1), 4, "full copy after bytes_mut");
-        assert_eq!(d.bytes(), &base[..]);
+    fn restore_resets_only_the_pages_written_since() {
+        let image = Ramdisk::from_bytes(vec![3; 32 * SECTOR_SIZE]).snapshot();
+        let mut d = Ramdisk::from_bytes(vec![0; 32 * SECTOR_SIZE]);
+        // The first restore from an image resets every page.
+        assert_eq!(d.restore_from(&image), 4);
+        d.write_sector(0, &sector(1));
+        d.write_sector(5, &sector(1));
+        d.write_sector(30, &sector(1));
+        assert_eq!(d.restore_from(&image), 2);
+        assert_eq!(d, Ramdisk::fork(&image), "contents and io stats reset");
+        assert_eq!(d.private_pages(), 0);
+        assert_eq!(d.restore_from(&image), 0, "nothing written: nothing to reset");
+        // Another image resets every page again.
+        assert_eq!(d.restore_from(&d.snapshot()), 4);
     }
 
     #[test]
-    fn delta_lists_exactly_the_differing_sectors_on_either_path() {
-        let base = {
-            let mut d = Ramdisk::new(130);
-            d.write_sector(70, &[0x11u8; SECTOR_SIZE]);
-            d.bytes().to_vec()
-        };
-        let mut synced = Ramdisk::fork_from(&base, 4);
-        synced.write_sector(129, &[0x22u8; SECTOR_SIZE]);
-        synced.write_sector(3, &[0x33u8; SECTOR_SIZE]);
-        // Rewritten with its own bytes: dirty, but not a difference.
-        synced.write_sector(70, &[0x11u8; SECTOR_SIZE]);
-        let want = vec![(3, vec![0x33u8; SECTOR_SIZE]), (129, vec![0x22u8; SECTOR_SIZE])];
-        assert_eq!(synced.delta_from(&base, 4), want, "dirty-set path");
-        let unsynced = Ramdisk::from_bytes(synced.bytes().to_vec());
-        assert_eq!(unsynced.delta_from(&base, 4), want, "full-compare path");
-        // A different baseline id falls back to the full compare.
-        assert_eq!(synced.delta_from(&base, 5), want);
-        assert!(Ramdisk::fork_from(&base, 4).delta_from(&base, 4).is_empty());
+    fn delta_lists_exactly_the_differing_sectors() {
+        let mut base = Ramdisk::new(130);
+        base.write_sector(70, &sector(0x11));
+        let image = base.snapshot();
+        let mut d = Ramdisk::fork(&image);
+        d.write_sector(129, &sector(0x22));
+        d.write_sector(3, &sector(0x33));
+        // Rewritten with its own bytes: owned, but not a difference.
+        d.write_sector(70, &sector(0x11));
+        let want = vec![(3, sector(0x33).to_vec()), (129, sector(0x22).to_vec())];
+        assert_eq!(d.delta_from(&image), want);
+        // A disk sharing nothing with the image compares every page.
+        assert_eq!(Ramdisk::from_bytes(d.bytes()).delta_from(&image), want);
+        assert!(Ramdisk::fork(&image).delta_from(&image).is_empty());
     }
 
     #[test]
-    fn bookkeeping_is_invisible_to_equality() {
-        let base = vec![0u8; 2 * SECTOR_SIZE];
-        let a = Ramdisk::fork_from(&base, 1);
-        let b = Ramdisk::from_bytes(base);
-        assert_eq!(a, b, "baseline id and dirty set must not affect equality");
+    fn pages_are_cut_at_the_end_of_the_disk() {
+        let mut d = Ramdisk::new(12);
+        d.write_sector(11, &sector(5));
+        assert_eq!(d.page(0).map(<[u8]>::len), Some(PAGE));
+        assert_eq!(d.page(1), Some(&[&[0; 3 * SECTOR_SIZE][..], &sector(5)].concat()[..]));
+        assert_eq!(d.page(2), None);
+        assert_eq!(Ramdisk::new(16).page(2), None);
     }
 }

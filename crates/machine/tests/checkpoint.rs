@@ -8,8 +8,8 @@
 use kfi_kernel::layout::events;
 use kfi_kernel::{boot, build_kernel, mkfs, set_run_mode, BootConfig, KernelBuildOptions};
 use kfi_machine::{
-    Checkpoint, Counters, Cpu, Machine, MonitorEvent, Ramdisk, ResetResidue, RunExit, Snapshot,
-    StepEvent, TrapRecord,
+    Checkpoint, Counters, Cpu, DiskImage, Machine, MonitorEvent, Ramdisk, ResetResidue, RunExit,
+    Snapshot, StepEvent, TrapRecord,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -19,7 +19,7 @@ use std::sync::OnceLock;
 struct Base {
     machine: Machine,
     snapshot: Snapshot,
-    disk: Vec<u8>,
+    disk: DiskImage,
     /// Per workload mode, the tick cuts its fault-free run passes
     /// before it halts.
     cuts: Vec<u32>,
@@ -45,7 +45,7 @@ fn base(cpus: u32) -> &'static Base {
                 break;
             }
         }
-        let disk = m.disk.as_ref().expect("disk").bytes().to_vec();
+        let disk = m.disk.as_ref().expect("disk").snapshot();
         let mut b = Base { snapshot: m.snapshot(), machine: m, disk, cuts: Vec::new() };
         for mode in 0..MODES {
             let mut m = fork(&b);
@@ -65,13 +65,13 @@ fn base(cpus: u32) -> &'static Base {
 /// image.
 fn fork(b: &Base) -> Machine {
     let mut m = Machine::fork(&b.snapshot, *b.machine.config());
-    m.disk = Some(Ramdisk::fork_from(&b.disk, b.snapshot.id()));
+    m.disk = Some(Ramdisk::fork(&b.disk));
     m
 }
 
 /// Restores machine and disk, as an injection run's reset does.
 fn restore(m: &mut Machine, b: &Base) {
-    m.disk.as_mut().expect("disk").restore_from(&b.disk, b.snapshot.id());
+    m.disk.as_mut().expect("disk").restore_from(&b.disk);
     m.restore(&b.snapshot);
 }
 
@@ -132,7 +132,7 @@ fn full_state(m: &Machine, exit: RunExit, stats_0: Stats) -> FullState {
         exit,
         cpus: (0..m.cpus() as usize).map(|i| m.cpu_state(i).clone()).collect(),
         mem_digest: m.mem.digest(),
-        disk_digest: fnv1a(disk.bytes()),
+        disk_digest: fnv1a(&disk.bytes()),
         disk_io: disk.io_stats(),
         console: m.console().to_vec(),
         monitor: m.monitor_events().to_vec(),

@@ -341,7 +341,7 @@ fn latch_guest(body: &str) -> Guest {
     Guest::new(config(false), &format!("{body}\n cli\n hlt"), |m, _| {
         let mut disk = Ramdisk::new(8);
         for (lba, byte) in [(0usize, b'0'), (1, b'1'), (5, b'5')] {
-            disk.bytes_mut()[lba * 512] = byte;
+            disk.load(lba * 512, &[byte]);
         }
         m.disk = Some(disk);
     })

@@ -89,7 +89,7 @@ fn fstime_leaves_fs_clean() {
     assert_eq!(m.run(120_000_000), RunExit::Halted, "{}", m.console_string());
     let disk = m.disk.take().unwrap();
     assert_eq!(
-        kfi_kernel::fsck(disk.bytes(), &manifest),
+        kfi_kernel::fsck(&disk, &manifest),
         kfi_kernel::FsckReport::Clean,
         "{}",
         m.console_string()
