@@ -4,16 +4,17 @@
 //! single-stepped vs through `Machine::run`; per-run snapshot restore
 //! cost full vs dirty-tracked; the cost of forking a booted kernel's
 //! machine and disk as a rig fork does, and the guest and disk pages
-//! the fork owns; and small-campaign wall clock at 1 and 4 worker
-//! threads, both recompute-per-rig and with golden memoization +
-//! copy-on-write rig forks).
+//! the fork owns; the wall clock of profiling the paper suite's golden
+//! runs; and small-campaign wall clock at 1 and 4 worker threads, both
+//! recompute-per-rig and with golden memoization + copy-on-write rig
+//! forks).
 //!
 //! `--check` runs a scaled-down version of every measurement, prints
 //! the JSON to stdout and writes nothing — the CI smoke mode. Without
 //! it, the JSON lands in `BENCH_machine.json` in the current directory.
 
 use kfi_core::{Experiment, ExperimentConfig};
-use kfi_injector::Campaign;
+use kfi_injector::{Campaign, RigConfig, RigShared};
 use kfi_machine::{
     DiskImage, ExecTier, Machine, MachineConfig, Ramdisk, RunExit, Snapshot, StepEvent, PAGE_SIZE,
 };
@@ -248,6 +249,32 @@ fn measure_fork(exp: &Experiment, reps: u32) -> (f64, u64, (u64, u64), (u64, u64
     (total * 1e6 / f64::from(reps), golden_cycles, forked, private_bytes(&f))
 }
 
+/// Best-of-`passes` wall clock of `kfi_profiler::profile` over the
+/// paper suite: one single-stepped boot plus the eight golden runs,
+/// captured on the chained tier and PC-sampled at the default period.
+/// Returns `(wall_ms, steps)`, where `steps` counts the executed steps
+/// the profile samples (an interrupt delivery is one), once, through
+/// `RigShared::boot_and_capture`.
+fn measure_golden_capture(passes: u32) -> (f64, u64) {
+    let image = kfi_kernel::build_kernel(Default::default()).expect("kernel builds");
+    let files = kfi_workloads::suite_files().expect("workloads build");
+    let workloads = kfi_workloads::Suite::Paper.workloads();
+    let n_modes = workloads.len() as u32;
+    let mut steps = 0u64;
+    RigShared::boot_and_capture(image.clone(), &files, n_modes, RigConfig::default(), |_, _| {
+        steps += 1
+    })
+    .expect("the golden runs capture");
+    let mut best = f64::MAX;
+    for _ in 0..passes {
+        let t = Instant::now();
+        let config = ProfilerConfig::default();
+        std::hint::black_box(kfi_profiler::profile(&image, &files, &workloads, &config));
+        best = best.min(t.elapsed().as_secs_f64());
+    }
+    (best * 1e3, steps)
+}
+
 /// Best-of-`reps` per-rig setup cost: a full boot + golden capture
 /// (what every worker paid before memoization) vs a copy-on-write fork
 /// of the warm shared base (what every worker pays now).
@@ -301,6 +328,9 @@ fn main() {
     eprintln!("[bench_machine] snapshot restore ({restore_reps} reps)...");
     let (full_us, dirty_us, dirty_pages) = measure_restore(restore_reps);
     let restore_speedup = full_us / dirty_us;
+
+    eprintln!("[bench_machine] golden capture (paper suite, profiled)...");
+    let (capture_ms, capture_steps) = measure_golden_capture(if check { 1 } else { 5 });
 
     eprintln!("[bench_machine] campaign A wall clock (cap {cap})...");
     let exp = Experiment::prepare(ExperimentConfig {
@@ -365,6 +395,12 @@ fn main() {
     let _ = writeln!(json, "    \"golden_cycles\": {golden_cycles},");
     let _ = writeln!(json, "    \"private_bytes_after_golden_run\": {},", private_run.0);
     let _ = writeln!(json, "    \"disk_private_bytes_after_golden_run\": {}", private_run.1);
+    let _ = writeln!(json, "  }},");
+    let _ = writeln!(json, "  \"golden_capture\": {{");
+    let _ = writeln!(json, "    \"suite\": \"paper\",");
+    let _ = writeln!(json, "    \"steps\": {capture_steps},");
+    let _ = writeln!(json, "    \"wall_ms\": {capture_ms:.1},");
+    let _ = writeln!(json, "    \"mips\": {:.1}", capture_steps as f64 / capture_ms / 1e3);
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"campaign\": {{");
     let _ = writeln!(json, "    \"seed\": 2003,");

@@ -8,6 +8,7 @@
 //! mode it belongs to.
 
 use kfi_bench::ReproOptions;
+use proptest::prelude::*;
 use std::process::Command;
 
 const NUMERIC_FLAGS: [&str; 10] = [
@@ -141,25 +142,39 @@ fn flags_outside_their_mode_exit_2_with_the_usage() {
     rejected(&["--chaos", "x"], "--chaos: expected a number, got `x`");
 }
 
-#[test]
-fn the_worker_arguments_parse_back() {
-    let o = ReproOptions {
-        cap: Some(3),
-        seed: 7,
-        cpus: 2,
-        no_memo: true,
-        wall_budget_ms: Some(250),
-        dist_hb_ms: 40,
-        ..ReproOptions::default()
-    };
-    let args: Vec<String> =
-        std::iter::once("repro_all".to_string()).chain(o.to_worker_args()).collect();
-    let back = ReproOptions::parse(&args);
-    assert!(back.worker, "{args:?}");
-    assert_eq!(back.threads, 1, "{args:?}");
-    assert_eq!(
-        (back.cap, back.seed, back.cpus, back.no_memo, back.wall_budget_ms, back.dist_hb_ms),
-        (o.cap, o.seed, o.cpus, o.no_memo, o.wall_budget_ms, o.dist_hb_ms),
-        "{args:?}"
-    );
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every field `to_worker_args` emits parses back unchanged, and
+    /// the worker runs on one thread.
+    #[test]
+    fn the_worker_arguments_parse_back(
+        seed in any::<u64>(),
+        cap in (any::<bool>(), any::<usize>()).prop_map(|(full, cap)| (!full).then_some(cap)),
+        cpus in 1u32..u32::MAX,
+        (no_assertions, sanitize, no_memo) in (any::<bool>(), any::<bool>(), any::<bool>()),
+        wall_budget_ms in (any::<bool>(), any::<u64>()).prop_map(|(on, ms)| on.then_some(ms)),
+        dist_hb_ms in any::<u64>(),
+    ) {
+        let o = ReproOptions {
+            cap,
+            seed,
+            cpus,
+            no_assertions,
+            sanitize,
+            no_memo,
+            wall_budget_ms,
+            dist_hb_ms,
+            ..ReproOptions::default()
+        };
+        let args: Vec<String> =
+            std::iter::once("repro_all".to_string()).chain(o.to_worker_args()).collect();
+        let back = ReproOptions::parse(&args);
+        prop_assert!(back.worker && back.threads == 1, "{:?}", args);
+        let fields = |o: &ReproOptions| {
+            (o.seed, o.cap, o.cpus, o.no_assertions, o.sanitize, o.no_memo, o.wall_budget_ms)
+        };
+        prop_assert_eq!(fields(&back), fields(&o), "{:?}", args);
+        prop_assert_eq!(back.dist_hb_ms, o.dist_hb_ms, "{:?}", args);
+    }
 }

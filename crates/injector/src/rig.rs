@@ -6,8 +6,8 @@ use crate::target::InjectionTarget;
 use kfi_kernel::layout::{causes, events};
 use kfi_kernel::{boot, fsck, mkfs::FileSpec, BootConfig, FsckReport, KernelImage};
 use kfi_machine::{
-    Checkpoint, DiskImage, ExecTier, Machine, MachineConfig, MonitorEvent, Ramdisk, ResetResidue,
-    ResidueFootprint, RunExit, Snapshot, StepEvent, TrapRecord, Vector,
+    Checkpoint, Cpu, DiskImage, ExecTier, Machine, MachineConfig, MonitorEvent, Ramdisk,
+    ResetResidue, ResidueFootprint, RunExit, Snapshot, StepEvent, StepObserver, TrapRecord, Vector,
 };
 use kfi_trace::{outcome as trace_outcome, subsystem as trace_subsystem};
 use kfi_trace::{Event, EventKind, Metrics, TraceSink};
@@ -56,8 +56,7 @@ pub struct RigConfig {
     /// The default 1 is the golden-corpus configuration — the machine
     /// is structurally identical to the pre-SMP uniprocessor. Values
     /// above 1 only bring application processors online when the
-    /// kernel was built with [`kfi_kernel::KernelBuildOptions::smp`];
-    /// the CPU count joins the golden-store fingerprint either way.
+    /// kernel was built with [`kfi_kernel::KernelBuildOptions::smp`].
     pub cpus: u32,
 }
 
@@ -77,7 +76,7 @@ impl Default for RigConfig {
 }
 
 /// A golden (fault-free) reference run for one workload mode.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GoldenRun {
     /// Run mode.
     pub mode: u32,
@@ -113,6 +112,65 @@ impl GoldenRun {
     }
 }
 
+/// The golden capture's [`StepObserver`]: counts tick cuts, records
+/// the first hit of every kernel-text address some CPU is about to
+/// execute at a step boundary ([`GoldenRun::first_hit`]), and passes
+/// every executed step on to `on_step`.
+struct FirstHits<F> {
+    text_base: u32,
+    text_len: u32,
+    /// The offsets seen so far, as a bitset, so that the per-step check
+    /// stays cheap; each first hit is appended once, and sorted at the
+    /// end.
+    seen: Vec<u64>,
+    first_hits: Vec<(u32, u32)>,
+    ticks: u32,
+    on_step: F,
+}
+
+impl<F: FnMut(&Cpu)> FirstHits<F> {
+    fn new(image: &KernelImage, on_step: F) -> FirstHits<F> {
+        let text_len = image.program.text.bytes.len() as u32;
+        FirstHits {
+            text_base: image.program.text.base,
+            text_len,
+            seen: vec![0; (text_len as usize).div_ceil(64)],
+            first_hits: Vec::new(),
+            ticks: 0,
+            on_step,
+        }
+    }
+
+    fn into_sorted(mut self) -> Vec<(u32, u32)> {
+        self.first_hits.sort_unstable();
+        self.first_hits
+    }
+}
+
+impl<F: FnMut(&Cpu)> StepObserver for FirstHits<F> {
+    /// Counts the tick cut, then records the first hit: an address
+    /// reached on a tick-due boundary is hit at that cut.
+    #[inline]
+    fn boundary(&mut self, cpu: &Cpu, tick: bool) {
+        self.ticks += u32::from(tick);
+        if cpu.cs != kfi_machine::KERNEL_CS {
+            return;
+        }
+        if let Some(off) = cpu.eip.checked_sub(self.text_base).filter(|&o| o < self.text_len) {
+            let (w, bit) = ((off / 64) as usize, 1 << (off % 64));
+            if self.seen[w] & bit == 0 {
+                self.seen[w] |= bit;
+                self.first_hits.push((off, self.ticks));
+            }
+        }
+    }
+
+    #[inline]
+    fn executed(&mut self, cpu: &Cpu) {
+        (self.on_step)(cpu);
+    }
+}
+
 /// Why the rig could not be constructed.
 ///
 /// `Clone` because a memoized golden capture ([`GoldenStore`]) hands
@@ -144,16 +202,6 @@ impl std::fmt::Display for RigError {
 
 impl std::error::Error for RigError {}
 
-/// 64-bit FNV-1a.
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = if seed == 0 { 0xcbf2_9ce4_8422_2325 } else { seed };
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// A campaign-wide exactly-once memo: each key's value is captured once
 /// across all workers and shared afterwards.
 ///
@@ -165,8 +213,7 @@ fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
 /// is empty in the same way.
 ///
 /// Four memos use it:
-/// * [`GoldenStore`]: golden runs by `(kernel-config fingerprint,
-///   workload mode)`;
+/// * [`GoldenStore`]: golden runs by workload mode;
 /// * [`CheckpointStore`]: prefix checkpoints by `(workload mode, tick)`;
 /// * [`PowerOnStore`]: power-on severity reboots by crash disk;
 /// * [`SeverityStore`]: post-crash severity verdicts by
@@ -243,18 +290,19 @@ impl<K: Ord, V: Clone> OnceStore<K, V> {
     }
 }
 
-/// The memo of golden (fault-free) reference runs, keyed by
-/// `(kernel-config fingerprint, workload mode)`.
+/// The memo of golden (fault-free) reference runs, keyed by workload
+/// mode.
 ///
 /// The paper's per-injection key is `(function, workload,
 /// kernel-config)`; the function dimension collapses here because a
 /// golden run never arms a breakpoint and never flips a bit — its
 /// outcome is independent of which function the campaign will later
-/// inject into, so one capture serves every function. What remains is
-/// one entry per workload mode per kernel configuration. A failed
-/// capture is memoized too — every rig sharing the store sees the same
-/// [`RigError`].
-pub type GoldenStore = OnceStore<(u64, u32), Result<Arc<GoldenRun>, RigError>>;
+/// inject into, so one capture serves every function. The kernel-config
+/// dimension is fixed too: each [`RigShared`] owns its store, and its
+/// image, post-boot state and configuration never change. What remains
+/// is one entry per workload mode. A failed capture is memoized too —
+/// every rig sharing the store sees the same [`RigError`].
+pub type GoldenStore = OnceStore<u32, Result<Arc<GoldenRun>, RigError>>;
 
 /// A post-crash disk as `(lba, bytes)` of the sectors that differ from
 /// the post-boot [`DiskImage`] ([`Ramdisk::delta_from`]).
@@ -353,15 +401,16 @@ struct BootedBase {
     manifest: Arc<BTreeMap<String, (u32, u32)>>,
 }
 
-/// Boots the kernel to the RUNNER_START snapshot point, calling
-/// `observe` after every executed step (the one that announces the
-/// runner included). The common prefix of [`InjectorRig::new`],
-/// [`RigShared::boot`] and [`RigShared::boot_and_capture`].
+/// Boots the kernel to the RUNNER_START snapshot point, single-stepped,
+/// calling `observe` with the active CPU after every executed step (the
+/// one that announces the runner included). The common prefix of
+/// [`InjectorRig::new`], [`RigShared::boot`] and
+/// [`RigShared::boot_and_capture`].
 fn boot_base(
     image: &KernelImage,
     files: &[FileSpec],
     config: RigConfig,
-    mut observe: impl FnMut(&Machine),
+    mut observe: impl FnMut(&Cpu),
 ) -> Result<BootedBase, RigError> {
     let fsimg = kfi_kernel::mkfs(2048, files);
     let manifest = Arc::new(fsimg.manifest.clone());
@@ -383,7 +432,7 @@ fn boot_base(
             return Err(RigError::BootFailed(m.console_string()));
         }
         match m.step() {
-            StepEvent::Executed => observe(&m),
+            StepEvent::Executed => observe(&m.cpu),
             _ => return Err(RigError::BootFailed(m.console_string())),
         }
         if let Some((_, MonitorEvent::Event(v))) = m.monitor_events().last() {
@@ -426,7 +475,6 @@ pub struct RigShared {
     post_boot_disk: DiskImage,
     manifest: Arc<BTreeMap<String, (u32, u32)>>,
     n_modes: u32,
-    fingerprint: u64,
     store: GoldenStore,
     power_on: PowerOnStore,
     severity: SeverityStore,
@@ -466,11 +514,13 @@ impl RigShared {
 
     /// [`RigShared::boot`], then captures every mode's golden run into
     /// the store, in mode order, so that forks only look them up. It
-    /// calls `observe` after every executed step: with `None` while
-    /// booting, up to and including the step that announces the
-    /// runner, and with `Some(mode)` while capturing `mode`'s run, up
-    /// to but excluding its halting step. `kfi_profiler` samples the
-    /// golden runs this way.
+    /// calls `observe` with the active CPU after every executed step:
+    /// with `None` while booting, up to and including the step that
+    /// announces the runner, and with `Some(mode)` while capturing
+    /// `mode`'s run, up to but excluding its halting step. The boot is
+    /// single-stepped; the captures run on the rig's tier and see the
+    /// same steps ([`Machine::run_observed`]). `kfi_profiler` samples
+    /// the golden runs this way.
     ///
     /// # Errors
     ///
@@ -481,17 +531,17 @@ impl RigShared {
         files: &[FileSpec],
         n_modes: u32,
         config: RigConfig,
-        mut observe: impl FnMut(Option<u32>, &Machine),
+        mut observe: impl FnMut(Option<u32>, &Cpu),
     ) -> Result<Arc<RigShared>, RigError> {
         let image = Arc::new(image);
-        let base = boot_base(&image, files, config, |m| observe(None, m))?;
+        let base = boot_base(&image, files, config, |cpu| observe(None, cpu))?;
         let shared = Arc::new(RigShared::from_base(image.clone(), n_modes, config, &base));
         // The booted machine is at the snapshot point, so it captures
         // the golden runs as a standalone rig does, without a fork.
         let mut rig = InjectorRig::from_base(image, config, base);
         for mode in 0..n_modes {
-            shared.store.get_or_capture((shared.fingerprint, mode), || {
-                rig.capture_golden(mode, |m| observe(Some(mode), m)).map(Arc::new)
+            shared.store.get_or_capture(mode, || {
+                rig.capture_golden(mode, |cpu| observe(Some(mode), cpu)).map(Arc::new)
             })?;
         }
         Ok(shared)
@@ -504,19 +554,6 @@ impl RigShared {
         config: RigConfig,
         base: &BootedBase,
     ) -> RigShared {
-        // Fingerprint the kernel-config dimension of the golden key:
-        // everything the golden run's outcome could depend on — the
-        // kernel image, the post-boot filesystem, and the execution
-        // configuration. Seeded per field so reordering can't collide.
-        let mut fp = fnv1a(0, &image.entry.to_le_bytes());
-        fp = fnv1a(fp, &image.program.text.base.to_le_bytes());
-        fp = fnv1a(fp, &image.program.text.bytes);
-        fp = fnv1a(fp, &image.program.data.bytes);
-        let disk = base.machine.disk.as_ref().expect("disk attached");
-        fp = (0..).map_while(|p| disk.page(p)).fold(fp, fnv1a);
-        fp = fnv1a(fp, &[config.tier as u8, config.sanitizer as u8]);
-        fp = fnv1a(fp, &config.cpus.to_le_bytes());
-        fp = fnv1a(fp, &n_modes.to_le_bytes());
         RigShared {
             image,
             config,
@@ -526,7 +563,6 @@ impl RigShared {
             post_boot_disk: base.post_boot_disk.clone(),
             manifest: base.manifest.clone(),
             n_modes,
-            fingerprint: fp,
             store: GoldenStore::default(),
             power_on: PowerOnStore::default(),
             severity: SeverityStore::default(),
@@ -701,8 +737,8 @@ impl InjectorRig {
     /// ([`Machine::fork`], [`Ramdisk::fork`]: neither owns a page until
     /// it writes one), the base's kernel image and manifest shared by
     /// reference, and golden runs resolved through the base's
-    /// [`GoldenStore`] (captured on first request per `(kernel-config,
-    /// mode)` key, shared afterwards).
+    /// [`GoldenStore`] (captured on first request per mode, shared
+    /// afterwards).
     ///
     /// Observationally identical to [`InjectorRig::new`] with the same
     /// image/files/config — same records, metrics, trace events — but
@@ -729,9 +765,9 @@ impl InjectorRig {
             shared: Some(shared.clone()),
         };
         for mode in 0..shared.n_modes {
-            let g = shared.store.get_or_capture((shared.fingerprint, mode), || {
-                rig.capture_golden(mode, |_| {}).map(Arc::new)
-            })?;
+            let g = shared
+                .store
+                .get_or_capture(mode, || rig.capture_golden(mode, |_| {}).map(Arc::new))?;
             rig.golden.push(g);
         }
         Ok(rig)
@@ -841,63 +877,41 @@ impl InjectorRig {
         })
     }
 
-    /// Captures `mode`'s golden run from the snapshot, calling `observe`
-    /// after every executed step (the halting step is not one).
+    /// Captures `mode`'s golden run from the snapshot on the rig's tier,
+    /// calling `observe` with the active CPU after every executed step
+    /// (the halting step is not one), and frees the blocks the run
+    /// recorded ([`Machine::release_blocks`]).
     fn capture_golden(
         &mut self,
         mode: u32,
-        mut observe: impl FnMut(&Machine),
+        observe: impl FnMut(&Cpu),
     ) -> Result<GoldenRun, RigError> {
         self.reset_to_snapshot(mode);
-        let text_base = self.image.program.text.base;
-        let text_len = self.image.program.text.bytes.len() as u32;
-        // A bitset of the offsets seen so far keeps the per-step check
-        // cheap; each first hit is appended once, and sorted at the end.
-        let mut seen = vec![0u64; (text_len as usize).div_ceil(64)];
-        let mut first_hits = Vec::new();
-        let mut ticks = 0u32;
+        let mut capture = FirstHits::new(&self.image, observe);
+        // The capture fails once the clock passes the budget, so one
+        // that halts exactly on it succeeds.
         let budget = self.snapshot_tsc() + self.config.golden_budget;
-        loop {
-            let m = &mut self.machine;
-            if m.max_tsc() > budget {
-                return Err(RigError::GoldenFailed { mode, console: m.console_string() });
-            }
-            // Count the tick cut, then record the first hit before
-            // executing: an address reached on a tick-due boundary is
-            // hit at that cut.
-            ticks += u32::from(m.tick_due());
-            let eip = m.cpu.eip;
-            if m.cpu.cs == kfi_machine::KERNEL_CS {
-                if let Some(off) = eip.checked_sub(text_base).filter(|&o| o < text_len) {
-                    let (w, bit) = ((off / 64) as usize, 1 << (off % 64));
-                    if seen[w] & bit == 0 {
-                        seen[w] |= bit;
-                        first_hits.push((off, ticks));
-                    }
-                }
-            }
-            match m.step() {
-                StepEvent::Executed => observe(m),
-                StepEvent::Halted => break,
-                other => {
-                    return Err(RigError::GoldenFailed {
-                        mode,
-                        console: format!("{other:?}: {}", self.machine.console_string()),
-                    })
-                }
-            }
-        }
+        let left = (budget + 1).saturating_sub(self.machine.max_tsc());
+        let exit = self.machine.run_observed(left, &mut capture);
+        self.machine.release_blocks();
         let m = &self.machine;
-        if !has_event(m, events::SHUTDOWN) || has_event(m, events::PANIC) {
+        let failed = match exit {
+            RunExit::Halted => !has_event(m, events::SHUTDOWN) || has_event(m, events::PANIC),
+            RunExit::CycleLimit => true,
+            other => {
+                let console = format!("{other:?}: {}", m.console_string());
+                return Err(RigError::GoldenFailed { mode, console });
+            }
+        };
+        if failed {
             return Err(RigError::GoldenFailed { mode, console: m.console_string() });
         }
-        first_hits.sort_unstable();
         Ok(GoldenRun {
             mode,
             console: m.console_string(),
             results: results_of(m),
             cycles: m.max_tsc() - self.snapshot_tsc(),
-            first_hits,
+            first_hits: capture.into_sorted(),
         })
     }
 
@@ -1430,15 +1444,12 @@ mod tests {
     #[test]
     fn golden_store_captures_each_key_exactly_once() {
         let store = GoldenStore::default();
-        let a = store.get_or_capture((1, 0), || Ok(dummy_golden(0))).unwrap();
-        let b = store.get_or_capture((1, 0), || panic!("second request must not capture")).unwrap();
+        let a = store.get_or_capture(0, || Ok(dummy_golden(0))).unwrap();
+        let b = store.get_or_capture(0, || panic!("second request must not capture")).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "both callers share one GoldenRun");
-        let c = store.get_or_capture((1, 1), || Ok(dummy_golden(1))).unwrap();
+        let c = store.get_or_capture(1, || Ok(dummy_golden(1))).unwrap();
         assert_eq!(c.mode, 1);
-        // A different config fingerprint is a different key.
-        let d = store.get_or_capture((2, 0), || Ok(dummy_golden(0))).unwrap();
-        assert!(!Arc::ptr_eq(&a, &d));
-        assert_eq!(store.captures(), 3);
+        assert_eq!(store.captures(), 2);
         assert_eq!(store.hits(), 1);
     }
 
@@ -1446,14 +1457,11 @@ mod tests {
     fn golden_store_memoizes_failures_too() {
         let store = GoldenStore::default();
         let err = store
-            .get_or_capture((7, 0), || {
-                Err(RigError::GoldenFailed { mode: 0, console: "boom".into() })
-            })
+            .get_or_capture(0, || Err(RigError::GoldenFailed { mode: 0, console: "boom".into() }))
             .unwrap_err();
         assert!(matches!(err, RigError::GoldenFailed { mode: 0, .. }));
-        let again = store
-            .get_or_capture((7, 0), || panic!("failure is memoized, not retried"))
-            .unwrap_err();
+        let again =
+            store.get_or_capture(0, || panic!("failure is memoized, not retried")).unwrap_err();
         assert!(matches!(again, RigError::GoldenFailed { mode: 0, .. }), "{again}");
         assert_eq!(store.captures(), 1);
         assert_eq!(store.hits(), 1);
@@ -1470,7 +1478,7 @@ mod tests {
                     let captures = Arc::clone(&captures);
                     s.spawn(move || {
                         store
-                            .get_or_capture((9, 0), || {
+                            .get_or_capture(0, || {
                                 captures.fetch_add(1, Ordering::Relaxed);
                                 Ok(dummy_golden(0))
                             })
@@ -1507,12 +1515,126 @@ mod tests {
         assert_eq!(store.get_or_capture(1, || 7), 7);
         assert_eq!(store.get_or_capture(1, || panic!("kept value must be served")), 7);
     }
+}
+
+/// The observed golden capture against the single-stepped capture it
+/// replaced, which stays here as the reference.
+#[cfg(test)]
+mod golden_reference {
+    use super::*;
+    use kfi_kernel::{build_kernel, KernelBuildOptions};
+    use kfi_workloads::Suite;
+
+    /// The reference capture: `mode`'s golden run single-stepped from
+    /// the snapshot with [`Machine::step`], counting tick cuts and
+    /// recording first hits at every step boundary, and calling
+    /// `observe` after every executed step.
+    fn capture_single_stepped(
+        rig: &mut InjectorRig,
+        mode: u32,
+        mut observe: impl FnMut(&Cpu),
+    ) -> Result<GoldenRun, RigError> {
+        rig.reset_to_snapshot(mode);
+        let text_base = rig.image.program.text.base;
+        let text_len = rig.image.program.text.bytes.len() as u32;
+        let mut seen = vec![0u64; (text_len as usize).div_ceil(64)];
+        let mut first_hits = Vec::new();
+        let mut ticks = 0u32;
+        let budget = rig.snapshot_tsc() + rig.config.golden_budget;
+        loop {
+            let m = &mut rig.machine;
+            if m.max_tsc() > budget {
+                return Err(RigError::GoldenFailed { mode, console: m.console_string() });
+            }
+            ticks += u32::from(m.tick_due());
+            let eip = m.cpu.eip;
+            if m.cpu.cs == kfi_machine::KERNEL_CS {
+                if let Some(off) = eip.checked_sub(text_base).filter(|&o| o < text_len) {
+                    let (w, bit) = ((off / 64) as usize, 1 << (off % 64));
+                    if seen[w] & bit == 0 {
+                        seen[w] |= bit;
+                        first_hits.push((off, ticks));
+                    }
+                }
+            }
+            match m.step() {
+                StepEvent::Executed => observe(&m.cpu),
+                StepEvent::Halted => break,
+                other => {
+                    let console = format!("{other:?}: {}", m.console_string());
+                    return Err(RigError::GoldenFailed { mode, console });
+                }
+            }
+        }
+        let m = &rig.machine;
+        if !has_event(m, events::SHUTDOWN) || has_event(m, events::PANIC) {
+            return Err(RigError::GoldenFailed { mode, console: m.console_string() });
+        }
+        first_hits.sort_unstable();
+        Ok(GoldenRun {
+            mode,
+            console: m.console_string(),
+            results: results_of(m),
+            cycles: m.max_tsc() - rig.snapshot_tsc(),
+            first_hits,
+        })
+    }
+
+    /// The number of executed steps an observer saw, and a digest of the
+    /// CPU state after each, in order.
+    #[derive(Debug, Default, PartialEq, Eq)]
+    struct Steps {
+        count: u64,
+        digest: u64,
+    }
+
+    impl Steps {
+        fn push(&mut self, cpu: &Cpu) {
+            self.count += 1;
+            let words = [cpu.tsc, cpu.eip.into(), cpu.cs.into(), cpu.eflags.bits().into()];
+            for w in words.into_iter().chain(cpu.regs.map(u64::from)) {
+                self.digest = (self.digest.rotate_left(5) ^ w).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+
+    fn assert_capture_equals_reference(kernel: KernelBuildOptions, suite: Suite, cpus: u32) {
+        let image = Arc::new(build_kernel(kernel).unwrap());
+        let files = suite.files().unwrap();
+        let config = RigConfig { cpus, ..RigConfig::default() };
+        let base = boot_base(&image, &files, config, |_| {}).expect("boots");
+        let mut rig = InjectorRig::from_base(image, config, base);
+        for mode in 0..suite.n_modes() {
+            let what = format!("{kernel:?} {suite:?} cpus {cpus} mode {mode}");
+            let (mut got_steps, mut want_steps) = (Steps::default(), Steps::default());
+            let replayed = rig.machine.block_stats().0;
+            let got = rig.capture_golden(mode, |cpu| got_steps.push(cpu)).expect(&what);
+            assert!(
+                rig.machine.block_stats().0 > replayed,
+                "{what}: the capture replayed no block"
+            );
+            let want = capture_single_stepped(&mut rig, mode, |cpu| want_steps.push(cpu));
+            let want = want.expect(&what);
+            assert!(!want.first_hits.is_empty(), "{what}");
+            assert_eq!(got, want, "{what}");
+            assert_eq!(got_steps, want_steps, "{what}: the observed steps differ");
+        }
+    }
 
     #[test]
-    fn fnv1a_is_order_sensitive() {
-        let a = fnv1a(fnv1a(0, b"ab"), b"c");
-        let b = fnv1a(fnv1a(0, b"a"), b"bc");
-        assert_eq!(a, b, "fnv over concatenation is associative");
-        assert_ne!(fnv1a(0, b"abc"), fnv1a(0, b"acb"));
+    fn observed_capture_equals_the_single_stepped_one() {
+        let options = |f: fn(&mut KernelBuildOptions)| {
+            let mut o = KernelBuildOptions::default();
+            f(&mut o);
+            o
+        };
+        let server = options(|o| o.server = true);
+        let no_assertions = options(|o| o.assertions = false);
+        let smp = options(|o| o.smp = true);
+        assert_capture_equals_reference(KernelBuildOptions::default(), Suite::Paper, 1);
+        assert_capture_equals_reference(server, Suite::Traffic, 1);
+        assert_capture_equals_reference(no_assertions, Suite::Paper, 1);
+        assert_capture_equals_reference(smp, Suite::Paper, 1);
+        assert_capture_equals_reference(smp, Suite::Paper, 2);
     }
 }

@@ -262,9 +262,10 @@ pub fn mkfs(nblocks: u32, files: &[FileSpec]) -> FsImage {
     sb_data[sb::STATE..sb::STATE + 4].copy_from_slice(&1u32.to_le_bytes()); // clean
     sb_data[sb::MOUNTS..sb::MOUNTS + 4].copy_from_slice(&0u32.to_le_bytes());
 
-    // Lay the written blocks onto a disk; the rest stays zero pages.
+    // Lay the non-zero blocks onto a disk; the rest stays zero pages
+    // (loading an all-zero block would give its page a private copy).
     let mut disk = Ramdisk::new(nblocks * (BLOCK_SIZE / SECTOR_SIZE) as u32);
-    for (n, block) in &b.blocks {
+    for (n, block) in b.blocks.iter().filter(|(_, block)| block.iter().any(|&x| x != 0)) {
         disk.load(*n as usize * BLOCK_SIZE, block);
     }
     FsImage { disk, manifest, nblocks }

@@ -38,8 +38,11 @@
 //!   tick), armed debug registers, the fetch translation (when paging
 //!   is on — keeping TLB statistics and #PF behavior identical), and a
 //!   decode-cache probe proving the page generation is unchanged since
-//!   the bytes were decoded. The *hot* replay path discharges most of
-//!   these wholesale rather than per instruction — the limit check by
+//!   the bytes were decoded. A block holds no instructions of its own:
+//!   it is a path through the decode cache, and each step executes the
+//!   instruction in the slot its probe validated. The *hot* replay
+//!   path discharges most of these wholesale rather than per
+//!   instruction — the limit check by
 //!   bounded-TSC chunking, the translation by a once-per-entry
 //!   page-set proof extended by TLB-generation compares
 //!   ([`Machine::replay_block_fast`] documents the argument) — but
@@ -64,11 +67,25 @@
 //!   lockstep tools (the checker, golden-trace capture) see unchanged
 //!   per-step semantics.
 //!
+//! # Observed runs
+//!
+//! Every path through the engine — recording, hot replay, careful
+//! replay and the uncached fallback — reports its step boundaries and
+//! executed steps to a compile-time [`StepObserver`]: the boundary just
+//! before an instruction executes, once the engine is committed to
+//! executing it there, and the CPU state after it (a fault delivered
+//! included, a triple fault not). The entry boundary of a segment and
+//! of each block belongs to the caller (the run loop, or the chain
+//! step). No boundary inside a block is a tick cut, because a block's
+//! limit is the next tick. [`Machine::run`] passes the observer `()`,
+//! whose hooks compile away.
+//!
 //! [`ExecTier::Chained`]: crate::ExecTier::Chained
+//! [`StepObserver`]: crate::StepObserver
 //! [`Machine::run`]: crate::Machine::run
 //! [`Machine::step`]: crate::Machine::step
 
-use crate::machine::{Fault, Machine};
+use crate::machine::{Fault, Machine, StepObserver};
 use crate::mem::{PhysMem, PAGE_SIZE};
 use crate::mmu::Access;
 use crate::trap::Vector;
@@ -150,7 +167,8 @@ fn may_send_ipi(op: &Op) -> bool {
     }
 }
 
-/// A recorded trace of decoded instructions.
+/// A recorded trace: the path of physical fetch addresses one execution
+/// took through the decode cache.
 ///
 /// Recording continues through branches of any kind — direct,
 /// computed (`ret`, indirect `jmp`/`call`), across page boundaries,
@@ -163,9 +181,13 @@ fn may_send_ipi(op: &Op) -> bool {
 /// discontinuity. Because a link is only ever an edge record and every
 /// step is re-verified, the *provenance* of the recorded path is
 /// irrelevant to soundness.
+///
+/// Steps hold no instruction: replay executes the decode-cache slot's
+/// copy, which its per-step probe already validates. Both lists are
+/// allocated at their recorded length.
 #[derive(Debug)]
 pub(crate) struct Block {
-    steps: Vec<Step>,
+    steps: Box<[Step]>,
     /// The distinct `(vpn, pfn)` pairs the trace fetches from, in
     /// first-use order (head page first), bounded by
     /// [`MAX_TRACE_PAGES`]. Replay proves *once per entry* that every
@@ -176,7 +198,7 @@ pub(crate) struct Block {
     /// trace — the recorded physical addresses are exactly what
     /// per-instruction `mmu::translate` calls would return, without
     /// making them. Empty when the trace was recorded with paging off.
-    pages: Vec<(u32, u32)>,
+    pages: Box<[(u32, u32)]>,
     /// Paging mode the trace was recorded under. A trace is only
     /// replayed hot in the same mode: the page-set proof above means
     /// nothing across a regime change (the dispatcher hands mismatches
@@ -184,7 +206,8 @@ pub(crate) struct Block {
     paged: bool,
 }
 
-/// One recorded instruction of a [`Block`].
+/// One recorded instruction of a [`Block`]: where it was fetched from
+/// and the page generation it was decoded under (16 bytes).
 #[derive(Debug, Clone, Copy)]
 struct Step {
     /// Virtual fetch address. Replay compares live EIP against this:
@@ -202,7 +225,6 @@ struct Step {
     /// and then re-decoded between record and replay, which the decode
     /// probe alone could not see.
     gen: u64,
-    insn: Insn,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -240,9 +262,17 @@ pub(crate) struct LiveBlock {
 /// counters. Counters are cumulative for the life of the machine (like
 /// TLB and decode-cache stats); callers wanting per-run numbers diff
 /// around the run.
+///
+/// The table is allocated on the first insert or install, and freed
+/// with every block by [`BlockCache::release`].
 #[derive(Debug)]
 pub(crate) struct BlockCache {
+    /// Empty until the first insert or install, then `SLOTS` long.
     slots: Vec<Slot>,
+    /// The steps and pages of the block being recorded, kept between
+    /// recordings so that each block is copied out at its recorded
+    /// length.
+    recording: (Vec<Step>, Vec<(u32, u32)>),
     epoch: u64,
     hits: u64,
     misses: u64,
@@ -253,10 +283,10 @@ pub(crate) struct BlockCache {
 }
 
 impl BlockCache {
-    pub(crate) fn new(enabled: bool) -> BlockCache {
+    pub(crate) fn new() -> BlockCache {
         BlockCache {
-            // No allocation when disabled: a disabled cache costs nothing.
-            slots: if enabled { vec![Slot::default(); SLOTS] } else { Vec::new() },
+            slots: Vec::new(),
+            recording: Default::default(),
             epoch: 1,
             hits: 0,
             misses: 0,
@@ -284,6 +314,28 @@ impl BlockCache {
     /// Drops every entry in O(1) by advancing the epoch.
     pub(crate) fn flush(&mut self) {
         self.epoch += 1;
+    }
+
+    /// [`BlockCache::flush`], and frees the table with every block in it
+    /// (a flush leaves them allocated until their slots are reused).
+    pub(crate) fn release(&mut self) {
+        self.flush();
+        self.slots = Vec::new();
+        self.recording = Default::default();
+    }
+
+    /// Whether the table is allocated.
+    #[cfg(test)]
+    pub(crate) fn allocated(&self) -> bool {
+        !self.slots.is_empty()
+    }
+
+    /// The slot of `pa`, allocating the table on first use.
+    fn slot_mut(&mut self, pa: u32) -> &mut Slot {
+        if self.slots.is_empty() {
+            self.slots = vec![Slot::default(); SLOTS];
+        }
+        &mut self.slots[pa as usize & (SLOTS - 1)]
     }
 
     /// The live entries, in slot order. Between dispatches every taken
@@ -314,7 +366,7 @@ impl BlockCache {
     ) {
         let epoch = self.epoch;
         for b in live {
-            self.slots[b.pa as usize & (SLOTS - 1)] =
+            *self.slot_mut(b.pa) =
                 Slot { pa: b.pa, gen: b.gen, epoch, block: Some(b.block.clone()), links: b.links };
         }
         self.hits += stats.0;
@@ -326,8 +378,9 @@ impl BlockCache {
     }
 
     fn insert(&mut self, pa: u32, gen: u64, block: Block) {
-        self.slots[pa as usize & (SLOTS - 1)] =
-            Slot { pa, gen, epoch: self.epoch, block: Some(Arc::new(block)), links: [None; 2] };
+        let epoch = self.epoch;
+        *self.slot_mut(pa) =
+            Slot { pa, gen, epoch, block: Some(Arc::new(block)), links: [None; 2] };
     }
 
     /// Takes the block starting at physical address `pa` out of its
@@ -346,15 +399,16 @@ impl BlockCache {
     /// block is out (replay never inserts, and flushes only happen
     /// between runs).
     fn take(&mut self, pa: u32, mem: &PhysMem) -> Option<Arc<Block>> {
-        let slot = &mut self.slots[pa as usize & (SLOTS - 1)];
-        if slot.epoch == self.epoch && slot.pa == pa {
-            if slot.gen == mem.page_gen(pa) {
-                if let Some(b) = slot.block.take() {
-                    self.hits += 1;
-                    return Some(b);
+        if let Some(slot) = self.slots.get_mut(pa as usize & (SLOTS - 1)) {
+            if slot.epoch == self.epoch && slot.pa == pa {
+                if slot.gen == mem.page_gen(pa) {
+                    if let Some(b) = slot.block.take() {
+                        self.hits += 1;
+                        return Some(b);
+                    }
+                } else {
+                    self.invalidations += 1;
                 }
-            } else {
-                self.invalidations += 1;
             }
         }
         self.misses += 1;
@@ -388,6 +442,7 @@ impl BlockCache {
     ) -> Option<Arc<Block>> {
         let hit = self.take(to_pa, mem);
         let epoch = self.epoch;
+        // The source block came out of its slot, so the table exists.
         let from = &mut self.slots[from_pa as usize & (SLOTS - 1)];
         if from.epoch == epoch && from.pa == from_pa {
             match (hit.is_some(), from.links[dir]) {
@@ -496,8 +551,9 @@ impl Machine {
     /// The caller — [`Machine::run`] — guarantees on entry: no latched
     /// triple fault, CPU not halted, no pending timer tick, no
     /// breakpoint match at the current EIP, `tsc < deadline`, and on an
-    /// SMP machine that the active CPU runs alone.
-    pub(crate) fn exec_block(&mut self, deadline: u64) {
+    /// SMP machine that the active CPU runs alone. It has shown `obs` the
+    /// boundary at the current EIP.
+    pub(crate) fn exec_block<O: StepObserver>(&mut self, deadline: u64, obs: &mut O) {
         // Mid-block boundaries must stop wherever the single-step loop
         // would have intervened: the run deadline or the next timer
         // tick, whichever comes first. `next_tick` cannot move during a
@@ -515,7 +571,7 @@ impl Machine {
         let pa0 = if paging {
             match self.xlate(eip0, Access::Exec) {
                 Ok(pa) => pa,
-                Err(f) => return self.exec_fault(f),
+                Err(f) => return self.exec_fault(f, obs),
             }
         } else {
             eip0
@@ -538,10 +594,10 @@ impl Machine {
         let mut pa = pa0;
         let mut block = match self.block_cache.take(pa, &self.mem) {
             Some(b) => b,
-            None => return self.record_block(eip0, pa0, limit),
+            None => return self.record_block(eip0, pa0, limit, obs),
         };
         loop {
-            let exit = self.replay_block_fast(&block, pa, limit, &mut quantum, &mut ctx);
+            let exit = self.replay_block_fast(&block, pa, limit, &mut quantum, &mut ctx, obs);
             self.block_cache.put_back(pa, block);
             let dir = match exit {
                 ChainExit::Stop => return,
@@ -559,12 +615,13 @@ impl Machine {
                 return;
             }
             // Per-entry protocol for the successor, identical to the
-            // top of this function.
+            // top of this function, whose boundary is shown here.
+            obs.boundary(&self.cpu, false);
             self.counters.instructions += 1;
             let npa = if paging {
                 match self.fetch_pa(neip, &mut ctx) {
                     Ok(p) => p,
-                    Err(f) => return self.exec_fault(f),
+                    Err(f) => return self.exec_fault(f, obs),
                 }
             } else {
                 neip
@@ -574,7 +631,7 @@ impl Machine {
                     pa = npa;
                     block = b;
                 }
-                None => return self.record_block(neip, npa, limit),
+                None => return self.record_block(neip, npa, limit, obs),
             }
         }
     }
@@ -641,10 +698,11 @@ impl Machine {
     ///   translations.
     ///
     /// The per-instruction decode-cache probe is *not* hoisted: its
-    /// hit/miss/invalidation counts are pinned by the golden CSV and a
+    /// hit/miss/invalidation counts are pinned by the golden CSV, a
     /// conflict eviction between replays is invisible to every
-    /// generation check. (It is, however, *fused* with the recorded
-    /// page-generation compare — see [`DecodeCache::probe_at`] — so
+    /// generation check, and the slot it validates holds the instruction
+    /// the step executes. (It is, however, *fused* with the recorded
+    /// page-generation compare — see [`DecodeCache::insn_at`] — so
     /// validation reads one page generation and one slot per
     /// instruction, every compare against recorded constants.)
     ///
@@ -653,17 +711,20 @@ impl Machine {
     /// protocol verbatim. Blocks entered close to `limit` run the
     /// longest provably-safe prefix hot, then hand the remainder to the
     /// careful path mid-block.
-    fn replay_block_fast(
+    ///
+    /// [`DecodeCache::insn_at`]: crate::decode_cache::DecodeCache::insn_at
+    fn replay_block_fast<O: StepObserver>(
         &mut self,
         block: &Block,
         pa0: u32,
         limit: u64,
         quantum: &mut u32,
         ctx: &mut FetchCtx,
+        obs: &mut O,
     ) -> ChainExit {
         let n = block.steps.len();
         if self.cpu.dr7 != 0 {
-            return self.replay_block_careful(block, 0, pa0, limit, quantum, ctx);
+            return self.replay_block_careful(block, 0, pa0, limit, quantum, ctx, obs);
         }
         let paging = self.cpu.paging();
         // Entry validation: same paging regime, the head translation
@@ -673,7 +734,7 @@ impl Machine {
             || block.steps[0].pa != pa0
             || (paging && !self.trace_pages_mapped(block))
         {
-            return self.replay_block_careful(block, 0, pa0, limit, quantum, ctx);
+            return self.replay_block_careful(block, 0, pa0, limit, quantum, ctx, obs);
         }
         let mut tlb_gen = self.tlb.generation();
         // TLB and decode hit counters are *derived*, not accumulated:
@@ -703,18 +764,19 @@ impl Machine {
             let st = &block.steps[0];
             let eip = self.cpu.eip;
             *quantum = quantum.saturating_sub(1);
-            if self.mem.page_gen(st.pa) != st.gen || !self.decode_cache.probe_at(st.pa, st.gen) {
-                self.exec_uncached_at(eip, st.pa);
+            let Some(insn) = self.cached_insn(st) else {
+                self.exec_uncached_at(eip, st.pa, obs);
                 return ChainExit::Stop;
-            }
-            if let Err(f) = self.exec_insn(st.insn) {
+            };
+            if let Err(f) = self.exec_insn(insn) {
                 flush_hits!(1, 0);
-                self.exec_fault(f);
+                self.exec_fault(f, obs);
                 return ChainExit::Stop;
             }
+            self.observe_executed(obs);
             if n == 1 {
                 flush_hits!(1, 0);
-                return chain_exit(self, &st.insn, eip);
+                return chain_exit(self, &insn, eip);
             }
         }
         // The hot loop runs in *chunks*, each the longest prefix of the
@@ -738,15 +800,16 @@ impl Machine {
         // it drops the `i == n - 1` test from every mid-trace
         // iteration. The per-step protocol in both copies is: EIP
         // compare (divergence → careful path), TLB generation compare
-        // (extend or re-prove the entry proof), fused page-generation /
-        // decode probe (failure → one uncached instruction, Stop), then
-        // execute.
+        // (extend or re-prove the entry proof), the boundary shown to the
+        // observer, fused page-generation / decode probe (failure → one
+        // uncached instruction, Stop), then execute the probed slot's
+        // instruction.
         let mut start = 1usize;
         loop {
             let slack = limit.saturating_sub(self.cpu.tsc);
             if slack == 0 {
                 flush_hits!(start as u64, start as u64 - 1);
-                return self.replay_block_careful(block, start, pa0, limit, quantum, ctx);
+                return self.replay_block_careful(block, start, pa0, limit, quantum, ctx, obs);
             }
             let k = n.min(start + ((slack - 1) / MAX_TSC_PER_INSN) as usize + 1);
             self.counters.instructions += (k - start) as u64;
@@ -769,7 +832,7 @@ impl Machine {
                     self.counters.instructions -= (k - i) as u64;
                     *quantum = chunk_quantum.saturating_sub((i - start) as u32);
                     flush_hits!(i as u64, i as u64 - 1);
-                    return self.replay_block_careful(block, i, pa0, limit, quantum, ctx);
+                    return self.replay_block_careful(block, i, pa0, limit, quantum, ctx, obs);
                 }
                 if paging {
                     let g = self.tlb.generation();
@@ -783,7 +846,8 @@ impl Machine {
                             self.counters.instructions -= (k - i) as u64;
                             *quantum = chunk_quantum.saturating_sub((i - start) as u32);
                             flush_hits!(i as u64, i as u64 - 1);
-                            return self.replay_block_careful(block, i, pa0, limit, quantum, ctx);
+                            return self
+                                .replay_block_careful(block, i, pa0, limit, quantum, ctx, obs);
                         }
                         tlb_gen = g;
                     }
@@ -791,8 +855,8 @@ impl Machine {
                     // proven resident: the reference translation would
                     // hit, yielding `st.pa` — and be counted at flush.
                 }
-                if self.mem.page_gen(st.pa) != st.gen || !self.decode_cache.probe_at(st.pa, st.gen)
-                {
+                obs.boundary(&self.cpu, false);
+                let Some(insn) = self.cached_insn(st) else {
                     // A page written since the trace was recorded, or a
                     // decode-cache conflict eviction: complete this one
                     // instruction on the full single-step fetch path (which
@@ -801,19 +865,20 @@ impl Machine {
                     // chain.
                     self.counters.instructions -= (k - 1 - i) as u64;
                     flush_hits!(i as u64, i as u64);
-                    self.exec_uncached_at(eip, st.pa);
+                    self.exec_uncached_at(eip, st.pa, obs);
                     return ChainExit::Stop;
-                }
+                };
                 // The probe proved the page generation is unchanged since
-                // this physical address was decoded, so the block's copy of
+                // this physical address was decoded, so the slot's copy of
                 // the instruction equals a fresh decode of the live bytes;
                 // its hit is part of every later flush.
-                if let Err(f) = self.exec_insn(st.insn) {
+                if let Err(f) = self.exec_insn(insn) {
                     self.counters.instructions -= (k - 1 - i) as u64;
                     flush_hits!(i as u64 + 1, i as u64);
-                    self.exec_fault(f);
+                    self.exec_fault(f, obs);
                     return ChainExit::Stop;
                 }
+                self.observe_executed(obs);
             }
             if k < n {
                 // This chunk's provably-safe prefix ran out before the
@@ -830,26 +895,28 @@ impl Machine {
                 self.counters.instructions -= 1;
                 *quantum = chunk_quantum.saturating_sub((i - start) as u32);
                 flush_hits!(i as u64, i as u64 - 1);
-                return self.replay_block_careful(block, i, pa0, limit, quantum, ctx);
+                return self.replay_block_careful(block, i, pa0, limit, quantum, ctx, obs);
             }
             if paging && self.tlb.generation() != tlb_gen && !self.trace_pages_mapped(block) {
                 self.counters.instructions -= 1;
                 *quantum = chunk_quantum.saturating_sub((i - start) as u32);
                 flush_hits!(i as u64, i as u64 - 1);
-                return self.replay_block_careful(block, i, pa0, limit, quantum, ctx);
+                return self.replay_block_careful(block, i, pa0, limit, quantum, ctx, obs);
             }
-            if self.mem.page_gen(st.pa) != st.gen || !self.decode_cache.probe_at(st.pa, st.gen) {
+            obs.boundary(&self.cpu, false);
+            let Some(insn) = self.cached_insn(st) else {
                 flush_hits!(i as u64, i as u64);
-                self.exec_uncached_at(eip, st.pa);
+                self.exec_uncached_at(eip, st.pa, obs);
                 return ChainExit::Stop;
-            }
-            if let Err(f) = self.exec_insn(st.insn) {
+            };
+            if let Err(f) = self.exec_insn(insn) {
                 flush_hits!(i as u64 + 1, i as u64);
-                self.exec_fault(f);
+                self.exec_fault(f, obs);
                 return ChainExit::Stop;
             }
+            self.observe_executed(obs);
             flush_hits!(n as u64, n as u64 - 1);
-            return chain_exit(self, &st.insn, eip);
+            return chain_exit(self, &insn, eip);
         }
     }
 
@@ -862,6 +929,27 @@ impl Machine {
         block.pages.iter().all(|&(vpn, pfn)| self.tlb.fetch_maps_to(vpn, pfn, user))
     }
 
+    /// The instruction step `st` executes: the decode-cache slot's copy,
+    /// when the page generation and the slot both still match the
+    /// recording (the fused probe), else `None`.
+    #[inline(always)]
+    fn cached_insn(&self, st: &Step) -> Option<Insn> {
+        if self.mem.page_gen(st.pa) != st.gen {
+            return None;
+        }
+        self.decode_cache.insn_at(st.pa, st.gen)
+    }
+
+    /// Shows `obs` the step that just executed, unless it latched a
+    /// triple fault (which ends the run instead, as
+    /// [`Machine::step`](crate::Machine::step) reports it).
+    #[inline(always)]
+    pub(crate) fn observe_executed<O: StepObserver>(&self, obs: &mut O) {
+        if !self.triple_faulted {
+            obs.executed(&self.cpu);
+        }
+    }
+
     /// Reference-protocol replay, used when the hot path's
     /// preconditions fail (breakpoints armed) or its provably-safe
     /// prefix ends before the block does (the block could cross `limit`
@@ -869,7 +957,8 @@ impl Machine {
     /// per instruction from index `start`. Every path that executes an
     /// instruction decrements `quantum`.
     #[cold]
-    fn replay_block_careful(
+    #[allow(clippy::too_many_arguments)]
+    fn replay_block_careful<O: StepObserver>(
         &mut self,
         block: &Block,
         start: usize,
@@ -877,6 +966,7 @@ impl Machine {
         limit: u64,
         quantum: &mut u32,
         ctx: &mut FetchCtx,
+        obs: &mut O,
     ) -> ChainExit {
         let paging = self.cpu.paging();
         // No guest instruction writes the debug registers (there is no
@@ -885,7 +975,6 @@ impl Machine {
         let bp_armed = self.cpu.dr7 != 0;
         let last = block.steps.len() - 1;
         for (i, st) in block.steps.iter().enumerate().skip(start) {
-            let (insn, rec_pa, rec_gen) = (st.insn, st.pa, st.gen);
             let eip = self.cpu.eip;
             let pa = if i == 0 {
                 pa0 // already translated and counted by exec_block
@@ -896,12 +985,13 @@ impl Machine {
                 if bp_armed && self.cpu.breakpoint_match(eip).is_some() {
                     return ChainExit::Stop;
                 }
+                obs.boundary(&self.cpu, false);
                 self.counters.instructions += 1;
                 if paging {
                     match self.fetch_pa(eip, ctx) {
                         Ok(pa) => pa,
                         Err(f) => {
-                            self.exec_fault(f);
+                            self.exec_fault(f, obs);
                             return ChainExit::Stop;
                         }
                     }
@@ -909,10 +999,7 @@ impl Machine {
                     eip
                 }
             };
-            if pa != rec_pa
-                || self.mem.page_gen(pa) != rec_gen
-                || !self.decode_cache.probe(pa, &self.mem)
-            {
+            let Some(insn) = (pa == st.pa).then(|| self.cached_insn(st)).flatten() else {
                 // Live control flow left the recorded path, a
                 // translation discontinuity, a page written since the
                 // trace was recorded, or a decode-cache conflict
@@ -920,18 +1007,19 @@ impl Machine {
                 // single-step fetch path (which counts the hit, miss,
                 // or invalidation exactly as the reference would), then
                 // leave the block — and the chain.
-                self.exec_uncached_at(eip, pa);
+                self.exec_uncached_at(eip, pa, obs);
                 return ChainExit::Stop;
-            }
+            };
             // The probe proved the page generation is unchanged since
-            // this physical address was decoded, so the block's copy of
+            // this physical address was decoded, so the slot's copy of
             // the instruction equals a fresh decode of the live bytes.
             self.decode_cache.count_hit();
             *quantum = quantum.saturating_sub(1);
             if let Err(f) = self.exec_insn(insn) {
-                self.exec_fault(f);
+                self.exec_fault(f, obs);
                 return ChainExit::Stop;
             }
+            self.observe_executed(obs);
             if i == last {
                 return chain_exit(self, &insn, eip);
             }
@@ -947,20 +1035,23 @@ impl Machine {
     /// iterations — do *not* end recording: the trace follows the path
     /// actually taken, and replays verify each step against the
     /// recorded physical addresses and page generations before trusting
+    /// it. Every recorded step's instruction is in the decode cache (a
+    /// fetch inserts what it decodes from one page), where replay reads
     /// it.
-    fn record_block(&mut self, eip0: u32, pa0: u32, limit: u64) {
+    fn record_block<O: StepObserver>(&mut self, eip0: u32, pa0: u32, limit: u64, obs: &mut O) {
         let smp = self.smp.is_some();
         let paging = self.cpu.paging();
         let start_gen = self.mem.page_gen(pa0);
-        let mut steps: Vec<Step> = Vec::with_capacity(MAX_BLOCK_INSNS);
-        let mut pages: Vec<(u32, u32)> = Vec::new();
+        let (mut steps, mut pages) = std::mem::take(&mut self.block_cache.recording);
+        steps.clear();
+        pages.clear();
         let mut eip = eip0;
         let mut pa = pa0;
         loop {
             let insn = match self.fetch_at(eip, pa) {
                 Ok(i) => i,
                 Err(f) => {
-                    self.exec_fault(f);
+                    self.exec_fault(f, obs);
                     break;
                 }
             };
@@ -989,15 +1080,18 @@ impl Machine {
             let faulted = match self.exec_insn(insn) {
                 Ok(()) => false,
                 Err(f) => {
-                    self.exec_fault(f);
+                    self.exec_fault(f, obs);
                     true
                 }
             };
+            if !faulted {
+                self.observe_executed(obs);
+            }
             if recordable {
                 // Faulting instructions are recorded too: a replay
                 // revalidates and re-executes them independently, and a
                 // block may legally end anywhere.
-                steps.push(Step { eip, pa, gen, insn });
+                steps.push(Step { eip, pa, gen });
             }
             // Traces record through branches — direct *and* computed —
             // and through pinned-EIP `rep` string iterations (each
@@ -1022,12 +1116,13 @@ impl Machine {
             if self.cpu.dr7 != 0 && self.cpu.breakpoint_match(neip).is_some() {
                 break;
             }
+            obs.boundary(&self.cpu, false);
             self.counters.instructions += 1;
             let npa = if paging {
                 match self.xlate(neip, Access::Exec) {
                     Ok(p) => p,
                     Err(f) => {
-                        self.exec_fault(f);
+                        self.exec_fault(f, obs);
                         break;
                     }
                 }
@@ -1044,27 +1139,31 @@ impl Machine {
             // itself, or a fault pushing its frame onto a stack in this
             // page). Further pages a trace spans are anchored by their
             // per-instruction recorded generations instead.
-            self.block_cache.insert(pa0, start_gen, Block { steps, pages, paged: paging });
+            let block = Block { steps: steps[..].into(), pages: pages[..].into(), paged: paging };
+            self.block_cache.insert(pa0, start_gen, block);
         }
+        self.block_cache.recording = (steps, pages);
     }
 
     /// Executes the single instruction at `eip`/`pa` through the full
     /// fetch path (decode-cache lookup/insert with normal counting).
-    fn exec_uncached_at(&mut self, eip: u32, pa: u32) {
+    fn exec_uncached_at<O: StepObserver>(&mut self, eip: u32, pa: u32, obs: &mut O) {
         match self.fetch_at(eip, pa) {
             Ok(insn) => {
                 if let Err(f) = self.exec_insn(insn) {
-                    self.exec_fault(f);
+                    return self.exec_fault(f, obs);
                 }
+                self.observe_executed(obs);
             }
-            Err(f) => self.exec_fault(f),
+            Err(f) => self.exec_fault(f, obs),
         }
     }
 
     /// Replicates the fault arm of the single-step path: latch CR2 for
-    /// page faults and deliver through the IDT. (Block mode never runs
-    /// with the sanitizer, so no `cr2_write_ok` bookkeeping is needed.)
-    fn exec_fault(&mut self, fault: Fault) {
+    /// page faults and deliver through the IDT, which completes the step.
+    /// (Block mode never runs with the sanitizer, so no `cr2_write_ok`
+    /// bookkeeping is needed.)
+    fn exec_fault<O: StepObserver>(&mut self, fault: Fault, obs: &mut O) {
         let eip = self.cpu.eip;
         let (vector, err) = match fault {
             Fault::Page(pf) => {
@@ -1074,6 +1173,7 @@ impl Machine {
             Fault::Vec(v, e) => (v, e),
         };
         self.deliver(vector, err, eip);
+        self.observe_executed(obs);
     }
 }
 
@@ -1082,9 +1182,13 @@ mod tests {
     use super::*;
     use kfi_isa::decode;
 
-    /// A minimal one-instruction unpaged block for cache-level tests.
-    fn test_block(insn: Insn) -> Block {
-        Block { steps: vec![Step { eip: 0, pa: 0, gen: 0, insn }], pages: vec![], paged: false }
+    /// A minimal one-step unpaged block for cache-level tests.
+    fn test_block() -> Block {
+        Block {
+            steps: Box::new([Step { eip: 0, pa: 0, gen: 0 }]),
+            pages: Box::new([]),
+            paged: false,
+        }
     }
 
     #[test]
@@ -1124,9 +1228,8 @@ mod tests {
     #[test]
     fn cache_validates_generation_and_epoch() {
         let mem = &mut PhysMem::new(8192);
-        let mut c = BlockCache::new(true);
-        let nop = decode(&[0x90]).unwrap();
-        c.insert(0x1000, mem.page_gen(0x1000), test_block(nop));
+        let mut c = BlockCache::new();
+        c.insert(0x1000, mem.page_gen(0x1000), test_block());
         let b = c.take(0x1000, mem).expect("a live entry");
         c.put_back(0x1000, b);
         // Any write in the page kills the block...
@@ -1134,33 +1237,61 @@ mod tests {
         assert!(c.take(0x1000, mem).is_none());
         // ...counted as an invalidation, not a plain miss.
         assert_eq!(c.stats(), (1, 1, 1));
-        c.insert(0x1000, mem.page_gen(0x1000), test_block(nop));
+        c.insert(0x1000, mem.page_gen(0x1000), test_block());
         c.flush();
         assert!(c.take(0x1000, mem).is_none());
         assert_eq!(c.stats(), (1, 2, 1));
     }
 
+    /// A machine at a two-instruction loop (`inc %eax; jmp .-3`).
+    fn looping_machine(tier: crate::ExecTier) -> Machine {
+        let config = crate::MachineConfig { tier, timer_enabled: false, ..Default::default() };
+        let mut m = Machine::new(config);
+        m.mem.load(0x1000, &[0x40, 0xeb, 0xfd]);
+        m.cpu.eip = 0x1000;
+        m
+    }
+
     #[test]
     fn each_tier_allocates_only_its_tables() {
-        use crate::{ExecTier, MachineConfig};
+        use crate::ExecTier;
         for (tier, decode_table, block_table) in [
             (ExecTier::Interp, false, false),
             (ExecTier::Cached, true, false),
             (ExecTier::Chained, true, true),
         ] {
-            let m = Machine::new(MachineConfig { tier, ..MachineConfig::default() });
+            let mut m = looping_machine(tier);
+            m.run(1_000);
             assert_eq!(m.decode_cache.allocated(), decode_table, "{tier:?}");
-            assert_eq!(!m.block_cache.slots.is_empty(), block_table, "{tier:?}");
+            assert_eq!(m.block_cache.allocated(), block_table, "{tier:?}");
         }
+    }
+
+    #[test]
+    fn a_fork_that_has_not_executed_owns_neither_table() {
+        let mut m = looping_machine(crate::ExecTier::Chained);
+        m.run(1_000);
+        let f = Machine::fork(&m.snapshot(), *m.config());
+        assert!(!f.decode_cache.allocated() && !f.block_cache.allocated());
+    }
+
+    #[test]
+    fn release_frees_every_block_and_counts_as_a_flush() {
+        let mem = &PhysMem::new(8192);
+        let mut c = BlockCache::new();
+        c.insert(0x1000, mem.page_gen(0x1000), test_block());
+        c.release();
+        assert!(!c.allocated());
+        assert!(c.take(0x1000, mem).is_none());
+        assert_eq!(c.stats(), (0, 1, 0), "a plain miss, as after a flush");
     }
 
     #[test]
     fn chain_next_links_follows_and_breaks() {
         let mem = &mut PhysMem::new(8192);
-        let mut c = BlockCache::new(true);
-        let nop = decode(&[0x90]).unwrap();
-        c.insert(0x1000, mem.page_gen(0x1000), test_block(nop));
-        c.insert(0x1100, mem.page_gen(0x1100), test_block(nop));
+        let mut c = BlockCache::new();
+        c.insert(0x1000, mem.page_gen(0x1000), test_block());
+        c.insert(0x1100, mem.page_gen(0x1100), test_block());
         // A hit moves the block out of its slot (the dispatch loop's
         // take / put_back bracket), so every successful step here puts
         // it back before the next, exactly as the loop does.
@@ -1185,7 +1316,7 @@ mod tests {
         assert!(!step(&mut c, mem, 0x1100));
         assert_eq!(c.chain_stats(), (1, 2, 1));
         // The link is gone: re-establishing the edge is a fresh link.
-        c.insert(0x1100, mem.page_gen(0x1100), test_block(nop));
+        c.insert(0x1100, mem.page_gen(0x1100), test_block());
         assert!(step(&mut c, mem, 0x1100));
         assert_eq!(c.chain_stats(), (2, 2, 1));
         // A different virtual alias of the same edge re-points the link.

@@ -15,6 +15,11 @@
 //! but keeping them would make per-run hit/miss counts depend on which
 //! runs a worker executed earlier — and campaign metrics must be
 //! bit-identical for any thread count.
+//!
+//! The table is allocated on the first insert (or checkpoint install):
+//! a machine that has not executed, such as a fresh fork, owns none, and
+//! a lookup in the missing table misses exactly as one in an empty table
+//! would.
 
 use crate::mem::PhysMem;
 use kfi_isa::{Insn, Op};
@@ -39,6 +44,7 @@ const EMPTY: Slot = Slot { pa: 0, gen: 0, epoch: 0, insn: Insn { op: Op::Nop, le
 /// TLB stats); callers wanting per-run numbers diff around the run.
 #[derive(Debug)]
 pub(crate) struct DecodeCache {
+    /// Empty until the first insert or install, then `SLOTS` long.
     slots: Vec<Slot>,
     epoch: u64,
     enabled: bool,
@@ -49,18 +55,10 @@ pub(crate) struct DecodeCache {
 
 impl DecodeCache {
     pub(crate) fn new(enabled: bool) -> DecodeCache {
-        DecodeCache {
-            // No allocation when disabled: a disabled cache costs nothing.
-            slots: if enabled { vec![EMPTY; SLOTS] } else { Vec::new() },
-            epoch: 1,
-            enabled,
-            hits: 0,
-            misses: 0,
-            invalidations: 0,
-        }
+        DecodeCache { slots: Vec::new(), epoch: 1, enabled, hits: 0, misses: 0, invalidations: 0 }
     }
 
-    /// Whether the table is allocated (a disabled cache has none).
+    /// Whether the table is allocated (a disabled cache never has one).
     #[cfg(test)]
     pub(crate) fn allocated(&self) -> bool {
         !self.slots.is_empty()
@@ -90,7 +88,7 @@ impl DecodeCache {
     pub(crate) fn install(&mut self, live: &[(u32, u64, Insn)], stats: (u64, u64, u64)) {
         let epoch = self.epoch;
         for &(pa, gen, insn) in live {
-            self.slots[pa as usize & (SLOTS - 1)] = Slot { pa, gen, epoch, insn };
+            *self.slot_mut(pa) = Slot { pa, gen, epoch, insn };
         }
         self.hits += stats.0;
         self.misses += stats.1;
@@ -104,49 +102,39 @@ impl DecodeCache {
         if !self.enabled {
             return None;
         }
-        let slot = &self.slots[pa as usize & (SLOTS - 1)];
-        if slot.epoch == self.epoch && slot.pa == pa {
-            if slot.gen == mem.page_gen(pa) {
-                self.hits += 1;
-                return Some(slot.insn);
+        if let Some(slot) = self.slots.get(pa as usize & (SLOTS - 1)) {
+            if slot.epoch == self.epoch && slot.pa == pa {
+                if slot.gen == mem.page_gen(pa) {
+                    self.hits += 1;
+                    return Some(slot.insn);
+                }
+                self.invalidations += 1;
             }
-            self.invalidations += 1;
         }
         self.misses += 1;
         None
     }
 
-    /// True when `pa` has a live entry that the next
-    /// [`lookup`](DecodeCache::lookup) would hit, without touching any
-    /// counter. The block engine uses this per replayed instruction: a
-    /// successful probe proves the page is unchanged since the entry
-    /// (and therefore the block) was decoded, and is then counted via
-    /// [`count_hit`](DecodeCache::count_hit) so hit/miss statistics
-    /// evolve exactly as on the single-step path.
+    /// The instruction at `pa` when the next
+    /// [`lookup`](DecodeCache::lookup) would hit it while the page's
+    /// generation is `gen`, without touching any counter: the block
+    /// engine's per-step probe. Callers that have already compared
+    /// `mem.page_gen(pa)` to `gen` get three compares against constants
+    /// and no second page-generation load. A successful probe proves
+    /// the page is unchanged since the entry (and the block) was
+    /// decoded, so the engine executes this copy — the same address,
+    /// the same generation and the current epoch mean the same decode —
+    /// and counts it via [`count_hit`](DecodeCache::count_hit), so
+    /// hit/miss statistics evolve exactly as on the single-step path.
+    /// Callers guarantee the cache is enabled (the chained tier has it).
     #[inline]
-    pub(crate) fn probe(&self, pa: u32, mem: &PhysMem) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        let slot = &self.slots[pa as usize & (SLOTS - 1)];
-        slot.epoch == self.epoch && slot.pa == pa && slot.gen == mem.page_gen(pa)
+    pub(crate) fn insn_at(&self, pa: u32, gen: u64) -> Option<Insn> {
+        let slot = self.slots.get(pa as usize & (SLOTS - 1))?;
+        (slot.epoch == self.epoch && slot.pa == pa && slot.gen == gen).then_some(slot.insn)
     }
 
-    /// [`probe`](DecodeCache::probe) against a *recorded* page
-    /// generation instead of the live one: callers that have already
-    /// compared `mem.page_gen(pa)` to `gen` may substitute `gen` for
-    /// the live generation in the slot check (the conjunction is
-    /// equivalent), turning the probe into three compares against
-    /// constants with no second page-generation load. Callers guarantee
-    /// the cache is enabled (the chained tier has it).
-    #[inline]
-    pub(crate) fn probe_at(&self, pa: u32, gen: u64) -> bool {
-        let slot = &self.slots[pa as usize & (SLOTS - 1)];
-        slot.epoch == self.epoch && slot.pa == pa && slot.gen == gen
-    }
-
-    /// Counts the hit a successful [`probe`](DecodeCache::probe)
-    /// corresponds to.
+    /// Counts the hit a successful [`insn_at`](DecodeCache::insn_at)
+    /// probe corresponds to.
     #[inline]
     pub(crate) fn count_hit(&mut self) {
         self.hits += 1;
@@ -168,8 +156,15 @@ impl DecodeCache {
         if !self.enabled {
             return;
         }
-        self.slots[pa as usize & (SLOTS - 1)] =
-            Slot { pa, gen: mem.page_gen(pa), epoch: self.epoch, insn };
+        *self.slot_mut(pa) = Slot { pa, gen: mem.page_gen(pa), epoch: self.epoch, insn };
+    }
+
+    /// The slot of `pa`, allocating the table on first use.
+    fn slot_mut(&mut self, pa: u32) -> &mut Slot {
+        if self.slots.is_empty() {
+            self.slots = vec![EMPTY; SLOTS];
+        }
+        &mut self.slots[pa as usize & (SLOTS - 1)]
     }
 }
 
@@ -212,19 +207,35 @@ mod tests {
         let mem = &mut PhysMem::new(8192);
         let mut c = DecodeCache::new(true);
         let insn = decode(&[0x90]).unwrap();
-        assert!(!c.probe(0x1000, mem));
+        let probe = |c: &DecodeCache, mem: &PhysMem| c.insn_at(0x1000, mem.page_gen(0x1000));
+        assert_eq!(probe(&c, mem), None);
         c.insert(0x1000, mem, insn);
-        assert!(c.probe(0x1000, mem));
+        assert_eq!(probe(&c, mem), Some(insn));
         assert_eq!(c.stats(), (0, 0, 0), "probe must not count");
         c.count_hit();
         assert_eq!(c.stats(), (1, 0, 0));
         // Probe sees the same page-generation invalidation lookup does.
         mem.write_u8(0x1001, 0);
-        assert!(!c.probe(0x1000, mem));
+        assert_eq!(probe(&c, mem), None);
         // A flush kills probes too.
         c.insert(0x1000, mem, insn);
         c.flush();
-        assert!(!c.probe(0x1000, mem));
+        assert_eq!(probe(&c, mem), None);
+    }
+
+    #[test]
+    fn the_table_is_allocated_on_first_insert() {
+        let mem = &PhysMem::new(4096);
+        let mut c = DecodeCache::new(true);
+        assert!(!c.allocated());
+        // A lookup in the missing table counts the miss an empty one would.
+        assert_eq!(c.lookup(0x10, mem), None);
+        assert_eq!(c.stats(), (0, 1, 0));
+        assert!(!c.allocated(), "a lookup allocates nothing");
+        let insn = decode(&[0x90]).unwrap();
+        c.insert(0x10, mem, insn);
+        assert!(c.allocated());
+        assert_eq!(c.lookup(0x10, mem), Some(insn));
     }
 
     #[test]

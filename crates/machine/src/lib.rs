@@ -69,7 +69,7 @@ mod trap;
 pub use cpu::{Cpu, CR0_PG, KERNEL_CS, USER_CS};
 pub use machine::{
     ports, Checkpoint, Counters, ExecTier, Machine, MachineConfig, MonitorEvent, ResetResidue,
-    ResidueFootprint, RunExit, Snapshot, StepEvent, ABORT_CHECK_STEPS,
+    ResidueFootprint, RunExit, Snapshot, StepEvent, StepObserver, ABORT_CHECK_STEPS,
 };
 pub use mem::{MemImage, PhysMem, PAGE_SIZE};
 pub use mmu::{pte, Access, PageFault, Tlb};

@@ -390,6 +390,35 @@ pub(crate) enum Fault {
 
 pub(crate) type XResult<T> = Result<T, Fault>;
 
+/// A compile-time observer of [`Machine::run_observed`]: it sees the
+/// step boundaries and executed steps that single-stepping the same run
+/// with [`Machine::step`] would pass, including those inside blocks on
+/// the chained tier, in the same order.
+///
+/// A *boundary* is the top of one such step: the active CPU is about to
+/// execute `cpu.eip` or take an interrupt, and `tick` says whether the
+/// boundary is a tick cut ([`Machine::tick_due`]). The run shows a
+/// boundary only once it will take the step there (not at the boundary
+/// where the deadline ends it). After each step that completes —
+/// [`StepEvent::Executed`], an exception delivered included — it shows
+/// the active CPU's state.
+///
+/// `()` observes nothing; its hooks compile away, which is what
+/// [`Machine::run`] and [`Machine::run_to_tick`] pass.
+pub trait StepObserver {
+    /// A step boundary, with the active CPU before the step.
+    fn boundary(&mut self, cpu: &Cpu, tick: bool);
+    /// The active CPU after an executed step.
+    fn executed(&mut self, cpu: &Cpu);
+}
+
+impl StepObserver for () {
+    #[inline(always)]
+    fn boundary(&mut self, _: &Cpu, _: bool) {}
+    #[inline(always)]
+    fn executed(&mut self, _: &Cpu) {}
+}
+
 /// The simulated machine.
 ///
 /// # Examples
@@ -432,7 +461,7 @@ pub struct Machine {
     /// `config.cpus > 1`, so uniprocessor machines pay one pointer.
     pub(crate) smp: Option<Box<crate::smp::SmpState>>,
     delivering: u32,
-    triple_faulted: bool,
+    pub(crate) triple_faulted: bool,
     /// Cooperative wall-clock abort: when the supervisor's watchdog
     /// sets the flag, [`Machine::run`] returns [`RunExit::CycleLimit`]
     /// at its next check, degrading the run to the watchdog's view of a
@@ -455,7 +484,7 @@ impl Machine {
             disk: None,
             tlb: Tlb::new(),
             decode_cache: crate::decode_cache::DecodeCache::new(config.tier != ExecTier::Interp),
-            block_cache: crate::block::BlockCache::new(config.tier == ExecTier::Chained),
+            block_cache: crate::block::BlockCache::new(),
             trace: TraceSink::Null,
             san: config.sanitizer.then(|| Box::new(crate::sanitizer::Sanitizer::new())),
             config,
@@ -1076,6 +1105,16 @@ impl Machine {
         self.stats_base = checkpoint::CacheStats::of(self);
     }
 
+    /// Frees every cached block and the block table, which a flush (as
+    /// [`Machine::restore`] does) leaves allocated until the slots are
+    /// reused. Meant for right after a restore, where the cache is
+    /// empty anyway: what runs next counts exactly as after the flush.
+    /// A golden capture calls it between modes, so that the blocks of
+    /// one mode's run are not kept alive through the next.
+    pub fn release_blocks(&mut self) {
+        self.block_cache.release();
+    }
+
     /// Builds a new machine directly in the state captured by `s`: a
     /// copy-on-write fork off a shared snapshot, which is
     /// `Machine::new(config)` followed by `restore(s)`.
@@ -1090,11 +1129,13 @@ impl Machine {
     /// snapshot concurrently.
     ///
     /// All caches (decode, block, TLB) start empty, matching what
-    /// [`Machine::restore`] leaves behind; cumulative cache statistics
-    /// start at zero, which is the one observable difference from a
-    /// long-lived restored machine — callers that compare statistics
-    /// must diff around runs, as [`Machine::tlb_stats`] already
-    /// requires. No disk is attached (snapshots never contain one).
+    /// [`Machine::restore`] leaves behind, and the decode and block
+    /// tables are not allocated until the fork executes. Cumulative
+    /// cache statistics start at zero, which is the one observable
+    /// difference from a long-lived restored machine — callers that
+    /// compare statistics must diff around runs, as
+    /// [`Machine::tlb_stats`] already requires. No disk is attached
+    /// (snapshots never contain one).
     ///
     /// # Panics
     ///
@@ -1811,7 +1852,16 @@ impl Machine {
     /// block retired, and a port write that may send an IPI ends the
     /// block.
     pub fn run(&mut self, max_cycles: u64) -> RunExit {
-        self.run_loop(max_cycles, false).expect("an uncut run ends only with an exit")
+        self.run_loop(max_cycles, false, &mut ()).expect("an uncut run ends only with an exit")
+    }
+
+    /// [`Machine::run`], showing `obs` every step boundary and every
+    /// executed step that single-stepping the same run with
+    /// [`Machine::step`] passes (see [`StepObserver`]), inside blocks
+    /// too, without cutting blocks short. The observer is a type
+    /// parameter, so [`Machine::run`]'s `()` costs nothing.
+    pub fn run_observed<O: StepObserver>(&mut self, max_cycles: u64, obs: &mut O) -> RunExit {
+        self.run_loop(max_cycles, false, obs).expect("an uncut run ends only with an exit")
     }
 
     /// [`Machine::run`], but also stopping at the top of the next loop
@@ -1822,14 +1872,19 @@ impl Machine {
     /// `min(deadline, next_tick)` — so a cut changes nothing about the
     /// run that continues from it (see [`Checkpoint`]).
     pub fn run_to_tick(&mut self, max_cycles: u64) -> Option<RunExit> {
-        self.run_loop(max_cycles, true)
+        self.run_loop(max_cycles, true, &mut ())
     }
 
-    /// The one run loop behind [`Machine::run`] and
-    /// [`Machine::run_to_tick`]; inlined so the uncut loop pays nothing
-    /// for the cut.
+    /// The one run loop behind [`Machine::run`], [`Machine::run_observed`]
+    /// and [`Machine::run_to_tick`]; inlined so the uncut loop pays
+    /// nothing for the cut.
     #[inline(always)]
-    fn run_loop(&mut self, max_cycles: u64, cut: bool) -> Option<RunExit> {
+    fn run_loop<O: StepObserver>(
+        &mut self,
+        max_cycles: u64,
+        cut: bool,
+        obs: &mut O,
+    ) -> Option<RunExit> {
         let mut now = self.max_tsc();
         let deadline = now.saturating_add(max_cycles);
         let blocks = self.config.tier == ExecTier::Chained && self.san.is_none();
@@ -1846,9 +1901,10 @@ impl Machine {
                 return None;
             }
             started = true;
+            obs.boundary(&self.cpu, self.tick_due());
             let event = if blocks && !self.needs_step() {
                 let retired = self.counters.instructions;
-                self.exec_block(deadline);
+                self.exec_block(deadline, obs);
                 if self.smp.is_some() {
                     self.smp_settle(self.counters.instructions - retired);
                 }
@@ -1860,7 +1916,11 @@ impl Machine {
                     StepEvent::Executed
                 }
             } else {
-                self.step()
+                let event = self.step();
+                if event == StepEvent::Executed {
+                    obs.executed(&self.cpu);
+                }
+                event
             };
             match event {
                 StepEvent::Executed => {}

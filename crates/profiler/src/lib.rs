@@ -18,7 +18,7 @@
 
 use kfi_injector::{RigConfig, RigError, RigShared};
 use kfi_kernel::{mkfs::FileSpec, KernelImage};
-use kfi_machine::{Machine, KERNEL_CS};
+use kfi_machine::{Cpu, KERNEL_CS};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -71,7 +71,9 @@ impl Default for ProfilerConfig {
 /// The sampling rule: after each executed step, once the TSC has
 /// reached the next multiple of the period, the PC (`cs:eip`) is
 /// attributed to a kernel function, to unknown kernel code or to user
-/// mode.
+/// mode. The golden capture shows it every executed step, inside the
+/// block engine too ([`RigShared::boot_and_capture`]), so sampling cuts
+/// no block short.
 #[derive(Debug, Clone)]
 struct PcSampler<'a> {
     image: &'a KernelImage,
@@ -88,16 +90,16 @@ impl<'a> PcSampler<'a> {
         PcSampler { image, period, next: period, functions: BTreeMap::new(), unknown: 0, user: 0 }
     }
 
-    fn observe(&mut self, m: &Machine) {
-        if m.cpu.tsc < self.next {
+    fn observe(&mut self, cpu: &Cpu) {
+        if cpu.tsc < self.next {
             return;
         }
-        while self.next <= m.cpu.tsc {
+        while self.next <= cpu.tsc {
             self.next += self.period;
         }
-        if m.cpu.cs != KERNEL_CS {
+        if cpu.cs != KERNEL_CS {
             self.user += 1;
-        } else if let Some(f) = self.image.function_of(m.cpu.eip) {
+        } else if let Some(f) = self.image.function_of(cpu.eip) {
             *self.functions.entry(f.value).or_default() += 1;
         } else {
             self.unknown += 1;
@@ -149,9 +151,9 @@ pub fn profile_golden_runs(
     let mut boot = PcSampler::new(image, config.period);
     let mut runs: Vec<PcSampler> = Vec::with_capacity(n_modes);
     let base =
-        RigShared::boot_and_capture(image.clone(), files, n_modes as u32, rig, |mode, m| {
+        RigShared::boot_and_capture(image.clone(), files, n_modes as u32, rig, |mode, cpu| {
             match mode {
-                None => boot.observe(m),
+                None => boot.observe(cpu),
                 Some(mode) => {
                     // Modes are captured in order: a mode's first
                     // observed step starts its copy of the boot sampler.
@@ -159,7 +161,7 @@ pub fn profile_golden_runs(
                     if runs.len() <= mode {
                         runs.resize(mode + 1, boot.clone());
                     }
-                    runs[mode].observe(m);
+                    runs[mode].observe(cpu);
                 }
             }
         })?;

@@ -355,4 +355,19 @@ mod tests {
         assert_eq!(Suite::Traffic.mode_of("forkflood"), Some(11));
         assert_eq!(Suite::Paper.mode_of("echo"), None);
     }
+
+    #[test]
+    fn a_fresh_disk_owns_exactly_its_non_zero_pages() {
+        // Every other page stays the shared zero page, so a base and its
+        // forks never hold a copy of an empty page.
+        for suite in [Suite::Paper, Suite::Traffic] {
+            let disk = kfi_kernel::mkfs(2048, &suite.files().unwrap()).disk;
+            let non_zero = (0..)
+                .map_while(|p| disk.page(p))
+                .filter(|page| page.iter().any(|&b| b != 0))
+                .count();
+            assert!(non_zero > 0, "{suite:?}");
+            assert_eq!(disk.private_pages() as usize, non_zero, "{suite:?}");
+        }
+    }
 }
