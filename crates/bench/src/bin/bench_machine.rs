@@ -12,6 +12,7 @@
 //! `--check` runs a scaled-down version of every measurement, prints
 //! the JSON to stdout and writes nothing — the CI smoke mode. Without
 //! it, the JSON lands in `BENCH_machine.json` in the current directory.
+//! Any other argument exits 2 with the usage line.
 
 use kfi_core::{Experiment, ExperimentConfig};
 use kfi_injector::{Campaign, RigConfig, RigShared};
@@ -299,7 +300,7 @@ fn measure_rig_setup(exp: &Experiment, reps: u32) -> (f64, f64) {
 }
 
 fn main() {
-    let check = std::env::args().any(|a| a == "--check");
+    let check = kfi_bench::check_arg("bench_machine");
     let (loop_iters, passes, restore_reps, cap) =
         if check { (20_000, 3, 8, 1) } else { (500_000, 5, 64, 4) };
 

@@ -17,6 +17,7 @@
 //! `--check` runs a scaled-down version, prints the JSON to stdout and
 //! writes nothing — the CI smoke mode. Without it, the JSON lands in
 //! `BENCH_scaling.json` in the current directory.
+//! Any other argument exits 2 with the usage line.
 
 use kfi_core::supervisor::{run_campaign_supervised, SupervisorConfig};
 use kfi_core::{CampaignResult, Experiment, ExperimentConfig};
@@ -80,7 +81,7 @@ fn write_curve(json: &mut String, key: &str, cpus: u32, seed: u64, cap: usize, w
 }
 
 fn main() {
-    let check = std::env::args().any(|a| a == "--check");
+    let check = kfi_bench::check_arg("bench_scaling");
     let (cap, smp_cap, passes) = if check { (1, 1, 1) } else { (4, 2, 3) };
     let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 

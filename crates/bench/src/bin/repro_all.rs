@@ -1,6 +1,8 @@
-//! Regenerates every table and figure in one run and dumps the raw
-//! dataset (run records, then per-campaign execution metrics) as CSV
-//! on stdout when `--csv` is given.
+//! Regenerates every table and figure from one study and, with `--csv`,
+//! dumps the raw dataset (run records, then per-campaign execution
+//! metrics) as CSV on stdout. `--only <artifact>` prints one artifact
+//! instead (`--help` lists them): the study artifacts print from the
+//! same study, the others run sweeps of their own.
 //!
 //! With `--matrix`, runs the campaign matrix (`kernel config ×
 //! workload × target subsystem`, axes selectable with
@@ -17,9 +19,10 @@
 //! `--worker`, speaks the framed lease protocol on stdin/stdout
 //! instead of printing anything.
 
+use kfi_bench::artifact::Source;
+
 fn main() {
     let opts = kfi_bench::ReproOptions::from_args();
-    let csv = std::env::args().any(|a| a == "--csv");
     if opts.worker {
         // Worker mode: stdout belongs to the wire protocol. All
         // human-facing output goes to stderr (the coordinator routes
@@ -47,24 +50,23 @@ fn main() {
             }
             eprintln!("[kfi] matrix check: all invariants hold");
         }
-        if csv {
+        if opts.csv {
             print!("{}", kfi_core::matrix_to_csv(&m));
         }
         return;
     }
-    let exp = kfi_bench::prepare(&opts);
-    let (study, _report) = if opts.dist_workers.is_some() {
-        let (study, report) = kfi_bench::run_study_dist(&exp, &opts);
-        (study, Some(report))
-    } else {
-        let (study, _sup) = kfi_bench::run_study_supervised(&exp, &opts.supervisor_config());
-        (study, None)
+    let print = match opts.only.map(|a| a.source) {
+        Some(Source::Sweep(_, sweep)) => return sweep(&opts),
+        Some(Source::Study(print)) => print,
+        None => |exp: &kfi_core::Experiment, study: &kfi_core::StudyResult| {
+            let top = exp.config.top_fraction;
+            println!("{}", kfi_report::full_report(&exp.image, &exp.profile, study, top));
+        },
     };
-    println!(
-        "{}",
-        kfi_report::full_report(&exp.image, &exp.profile, &study, exp.config.top_fraction)
-    );
-    if csv {
+    let exp = kfi_bench::prepare(&opts);
+    let study = kfi_bench::run_campaigns(&exp, &opts);
+    print(&exp, &study);
+    if opts.csv {
         print!("{}", kfi_bench::csv_dataset(&study));
     }
 }

@@ -1,13 +1,18 @@
 //! # kfi-bench — benchmark harness and table/figure reproduction
 //!
 //! Criterion benches (decode/machine/injection throughput, ablations)
-//! plus the `repro_*` binaries that regenerate every table and figure
-//! of the paper. Shared scaffolding lives here.
+//! plus `repro_all`, which regenerates every table and figure of the
+//! paper, or one of them with `--only <artifact>`. Its command line is
+//! one flag table ([`ReproOptions::parse`]) and its artifacts one
+//! artifact table ([`artifact::ARTIFACTS`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use kfi_core::supervisor::{PanicInjection, SupervisorConfig, SupervisorReport};
+pub mod artifact;
+mod flags;
+
+use kfi_core::supervisor::{PanicInjection, SupervisorConfig};
 use kfi_core::{Experiment, ExperimentConfig, StudyResult};
 use kfi_injector::{plan_function, Campaign, Outcome, RigConfig};
 use kfi_kernel::KernelBuildOptions;
@@ -97,6 +102,11 @@ pub struct ReproOptions {
     /// Coordinator budget for a worker's boot + handshake, in
     /// milliseconds (`--dist-handshake-ms`).
     pub dist_handshake_ms: u64,
+    /// Dump the raw dataset as CSV on stdout after the report (`--csv`).
+    pub csv: bool,
+    /// Print this one artifact instead of every table and figure
+    /// (`--only`).
+    pub only: Option<&'static artifact::Artifact>,
 }
 
 impl Default for ReproOptions {
@@ -127,42 +137,10 @@ impl Default for ReproOptions {
             dist_hb_ms: 100,
             dist_hb_budget_ms: 5_000,
             dist_handshake_ms: 180_000,
+            csv: false,
+            only: None,
         }
     }
-}
-
-/// The value `args[i]` of flag `args[i - 1]`, converted by `parse`. A
-/// missing value, or one `parse` rejects, prints what was expected and
-/// the usage text and exits 2.
-fn flag_value<T>(
-    args: &[String],
-    i: usize,
-    expected: &str,
-    parse: impl FnOnce(&str) -> Option<T>,
-) -> T {
-    if let Some(v) = args.get(i).and_then(|v| parse(v)) {
-        return v;
-    }
-    let got = args.get(i).map_or("nothing".to_string(), |v| format!("`{v}`"));
-    eprintln!("{}: expected {expected}, got {got}\n", args[i - 1]);
-    eprint!("{USAGE}");
-    std::process::exit(2);
-}
-
-/// The number given as the value of flag `args[i - 1]` ([`flag_value`]).
-fn number_arg<T: std::str::FromStr>(args: &[String], i: usize) -> T {
-    flag_value(args, i, "a number", |v| v.parse().ok())
-}
-
-/// The text given as the value of flag `args[i - 1]` ([`flag_value`]).
-fn text_arg(args: &[String], i: usize) -> String {
-    flag_value(args, i, "a value", |v| Some(v.to_string()))
-}
-
-/// A count that must be at least 1 ([`flag_value`]): zero CPUs, threads
-/// or workers is an error, not a request for the default.
-fn count_arg<T: std::str::FromStr + Default + PartialEq>(args: &[String], i: usize) -> T {
-    flag_value(args, i, "a number above 0", |v| v.parse().ok().filter(|n| *n != T::default()))
 }
 
 /// The names in a comma list, trimmed, empty ones dropped.
@@ -170,258 +148,7 @@ fn name_list(s: &str) -> Vec<String> {
     s.split(',').map(|w| w.trim().to_string()).filter(|w| !w.is_empty()).collect()
 }
 
-/// Exits 2 with the usage text when the comma list given to `flag`
-/// names anything outside `valid`, listing the valid names.
-fn check_names(flag: &str, list: Option<&str>, valid: &[&str]) {
-    let Some(bad) = list.into_iter().flat_map(name_list).find(|n| !valid.contains(&n.as_str()))
-    else {
-        return;
-    };
-    eprintln!("{flag}: unknown name `{bad}` (valid: {})\n", valid.join(", "));
-    eprint!("{USAGE}");
-    std::process::exit(2);
-}
-
-/// The run indices in a comma list (empty items dropped), or `None` when
-/// an item is not a number.
-fn parse_index_list(s: &str) -> Option<std::collections::BTreeSet<usize>> {
-    name_list(s).iter().map(|v| v.parse().ok()).collect()
-}
-
-/// Flags that only mean something in one mode, each with the flags that
-/// select it: at least one of those must be given too.
-const MODE_FLAGS: [(&str, &[&str]); 11] = [
-    ("--resume", &["--journal"]),
-    ("--chaos", &["--dist-workers"]),
-    ("--dist-hb-budget-ms", &["--dist-workers"]),
-    ("--dist-handshake-ms", &["--dist-workers"]),
-    ("--wedge-first-handshake", &["--dist-workers"]),
-    ("--dist-hb-ms", &["--dist-workers", "--worker"]),
-    ("--worker-wedge-handshake", &["--worker"]),
-    ("--matrix-kernels", &["--matrix"]),
-    ("--matrix-workloads", &["--matrix"]),
-    ("--matrix-subsystems", &["--matrix"]),
-    ("--check", &["--matrix"]),
-];
-
-/// The kernel variants `--matrix-kernels` can name.
-const MATRIX_KERNELS: [&str; 2] = ["base", "server"];
-
-/// The `--help` text shared by the repro binaries (they differ only in
-/// which outputs they print, not in which knobs they accept).
-const USAGE: &str = "\
-usage: repro_all [OPTIONS]
-
-Regenerates the paper's tables and figures (campaigns A/B/C); --csv
-additionally dumps the raw dataset (run records, then per-campaign
-metrics) as CSV on stdout.
-
-General:
-  --full                paper-scale: every byte of every target instruction
-  --cap N               injections per function per campaign (default 16)
-  --seed N              campaign RNG seed (default 2003)
-  --threads N           host worker threads (default: available parallelism)
-  --cpus N              guest CPUs per simulated machine (default 1 — the
-                        golden configuration; N>1 builds the SMP kernel so
-                        the extra CPUs come online; the guest interleaving
-                        is a pure function of the machine's scheduler seed
-                        and quantum, never of host scheduling, so the
-                        dataset stays bit-identical at any --threads)
-  --no-assertions       build the kernel without BUG() assertions (ablation)
-  --sanitize            per-step architectural-state sanitizer on the rig
-  --no-memo             boot + capture goldens per rig and reboot after
-                        every crash instead of sharing one snapshot and its
-                        memos (results bit-identical; CI proof knob)
-  --csv                 dump the raw dataset as CSV on stdout
-
-Supervisor:
-  --journal PATH        checkpoint every run to PATH (in matrix mode PATH
-                        is the per-cell journal directory)
-  --resume              resume from --journal instead of truncating it
-  --quarantine DIR      minimal-repro artifacts for persistent offenders
-  --wall-budget-ms N    per-run wall-clock watchdog budget
-
-Campaign matrix:
-  --matrix              run kernel x workload x subsystem cells instead of
-                        the paper's three campaigns
-  --matrix-kernels L    comma list of base|server (default: both)
-  --matrix-workloads L  comma list of traffic workloads (default: all four)
-  --matrix-subsystems L comma list of subsystems (default: ipc,net)
-  --check               assert the matrix invariants, nonzero exit on
-                        violation (the CI smoke hook)
-
-  Every cell plans with its own RNG seeded as
-      cell_seed = seed ^ fnv1a(\"kernel/workload/subsystem\")
-  (64-bit FNV-1a over the cell key). Cells are therefore independent of
-  each other and of the grid shape: adding or removing axes never
-  perturbs another cell's plan, and any one cell reproduces alone by
-  narrowing --matrix-kernels/--matrix-workloads/--matrix-subsystems.
-
-Distributed runner:
-  --dist-workers N      shard campaigns over N worker subprocesses under
-                        lease-based fault tolerance
-  --chaos SEED          chaos harness: randomly kill/stall/crash workers
-  --dist-hb-ms N        worker heartbeat interval (ms)
-  --dist-hb-budget-ms N coordinator silence budget before lease expiry (ms)
-  --dist-handshake-ms N coordinator budget for worker boot+handshake (ms)
-
-Test-only: --inject-panic I,J,...  --inject-panic-persistent I,J,...
-           --worker  --worker-wedge-handshake  --wedge-first-handshake
-";
-
 impl ReproOptions {
-    /// Parses `--full`, `--cap N`, `--seed N`, `--threads N`,
-    /// `--cpus N`, `--no-assertions`, `--journal PATH`, `--resume`,
-    /// `--quarantine DIR`, `--sanitize`, `--wall-budget-ms N`,
-    /// `--no-memo`, the matrix flags (`--matrix`,
-    /// `--matrix-kernels LIST`, `--matrix-workloads LIST`,
-    /// `--matrix-subsystems LIST`, `--check`), the distributed-runner
-    /// flags (`--dist-workers N`, `--chaos SEED`, `--worker`,
-    /// `--dist-hb-ms N`, `--dist-hb-budget-ms N`,
-    /// `--dist-handshake-ms N`, plus the test-only
-    /// `--worker-wedge-handshake` / `--wedge-first-handshake`) and the
-    /// test-only `--inject-panic I,J,...` /
-    /// `--inject-panic-persistent I,J,...` from the process arguments.
-    /// `--help`/`-h` prints the usage text — including the per-cell
-    /// matrix RNG derivation — and exits. A missing value of any flag
-    /// that takes one, a malformed value of any numeric flag (`--cap`,
-    /// `--seed`, `--threads`, `--cpus`, `--wall-budget-ms`,
-    /// `--dist-workers`, `--chaos`, `--dist-hb-ms`,
-    /// `--dist-hb-budget-ms`, `--dist-handshake-ms`), zero `--cpus`,
-    /// `--threads` or `--dist-workers`, a non-number in an
-    /// `--inject-panic` list, any unknown argument, a flag given without
-    /// the flag that selects its mode (`--resume` without `--journal`,
-    /// a matrix flag without `--matrix`, a distributed-runner flag
-    /// without `--dist-workers` or `--worker`), and an unknown name in a
-    /// matrix axis list print the usage text to stderr and exit 2.
-    pub fn from_args() -> ReproOptions {
-        ReproOptions::parse(&std::env::args().collect::<Vec<_>>())
-    }
-
-    /// [`ReproOptions::from_args`] over `args`, whose first element is
-    /// the program name.
-    pub fn parse(args: &[String]) -> ReproOptions {
-        let mut o = ReproOptions::default();
-        let mut given = Vec::new();
-        let mut i = 1;
-        while i < args.len() {
-            given.push(args[i].clone());
-            match args[i].as_str() {
-                "--full" => o.cap = None,
-                "--cap" => {
-                    i += 1;
-                    o.cap = Some(number_arg(args, i));
-                }
-                "--seed" => {
-                    i += 1;
-                    o.seed = number_arg(args, i);
-                }
-                "--threads" => {
-                    i += 1;
-                    o.threads = count_arg(args, i);
-                }
-                "--no-assertions" => o.no_assertions = true,
-                "--cpus" => {
-                    i += 1;
-                    o.cpus = count_arg(args, i);
-                }
-                "--help" | "-h" => {
-                    print!("{USAGE}");
-                    std::process::exit(0);
-                }
-                "--journal" => {
-                    i += 1;
-                    o.journal = Some(text_arg(args, i).into());
-                }
-                "--resume" => o.resume = true,
-                "--quarantine" => {
-                    i += 1;
-                    o.quarantine = Some(text_arg(args, i).into());
-                }
-                "--sanitize" => o.sanitize = true,
-                "--no-memo" => o.no_memo = true,
-                "--matrix" => o.matrix = true,
-                "--matrix-kernels" => {
-                    i += 1;
-                    o.matrix_kernels = Some(text_arg(args, i));
-                }
-                "--matrix-workloads" => {
-                    i += 1;
-                    o.matrix_workloads = Some(text_arg(args, i));
-                }
-                "--matrix-subsystems" => {
-                    i += 1;
-                    o.matrix_subsystems = Some(text_arg(args, i));
-                }
-                "--check" => o.check = true,
-                "--dist-workers" => {
-                    i += 1;
-                    o.dist_workers = Some(count_arg(args, i));
-                }
-                "--chaos" => {
-                    i += 1;
-                    o.chaos = Some(number_arg(args, i));
-                }
-                "--worker" => o.worker = true,
-                "--worker-wedge-handshake" => o.worker_wedge_handshake = true,
-                "--wedge-first-handshake" => o.wedge_first_handshake = true,
-                "--dist-hb-ms" => {
-                    i += 1;
-                    o.dist_hb_ms = number_arg(args, i);
-                }
-                "--dist-hb-budget-ms" => {
-                    i += 1;
-                    o.dist_hb_budget_ms = number_arg(args, i);
-                }
-                "--dist-handshake-ms" => {
-                    i += 1;
-                    o.dist_handshake_ms = number_arg(args, i);
-                }
-                "--wall-budget-ms" => {
-                    i += 1;
-                    o.wall_budget_ms = Some(number_arg(args, i));
-                }
-                "--inject-panic" => {
-                    i += 1;
-                    let list = flag_value(args, i, "a list of run indices", parse_index_list);
-                    o.inject_panic = PanicInjection::Transient(list);
-                }
-                "--inject-panic-persistent" => {
-                    i += 1;
-                    let list = flag_value(args, i, "a list of run indices", parse_index_list);
-                    o.inject_panic = PanicInjection::Persistent(list);
-                }
-                "--csv" => {} // handled by the binaries themselves
-                other => {
-                    eprintln!("unknown argument `{other}`\n");
-                    eprint!("{USAGE}");
-                    std::process::exit(2);
-                }
-            }
-            i += 1;
-        }
-        for (flag, modes) in MODE_FLAGS {
-            let has = |f: &str| given.iter().any(|g| g == f);
-            if has(flag) && !modes.iter().any(|m| has(m)) {
-                eprintln!("{flag} needs {}\n", modes.join(" or "));
-                eprint!("{USAGE}");
-                std::process::exit(2);
-            }
-        }
-        check_names("--matrix-kernels", o.matrix_kernels.as_deref(), &MATRIX_KERNELS);
-        check_names(
-            "--matrix-workloads",
-            o.matrix_workloads.as_deref(),
-            &kfi_workloads::Suite::Traffic.workloads(),
-        );
-        check_names(
-            "--matrix-subsystems",
-            o.matrix_subsystems.as_deref(),
-            &kfi_trace::subsystem::NAMES,
-        );
-        o
-    }
-
     /// Converts to an experiment configuration.
     pub fn to_config(&self) -> ExperimentConfig {
         ExperimentConfig {
@@ -446,27 +173,19 @@ impl ReproOptions {
     /// # Panics
     ///
     /// Panics on a `--matrix-kernels` name other than `base` and
-    /// `server`, which [`ReproOptions::from_args`] already refuses.
+    /// `server`, which [`ReproOptions::parse`] already refuses.
     pub fn matrix_config(&self) -> kfi_core::MatrixConfig {
         let list = |s: &Option<String>| s.as_deref().map(name_list);
         let defaults = kfi_core::MatrixConfig::default();
         let kernel_names = list(&self.matrix_kernels)
             .unwrap_or_else(|| defaults.kernels.iter().map(|(n, _)| n.clone()).collect());
+        let base = self.to_config();
         let kernels = kernel_names
             .into_iter()
             .map(|n| {
                 let opts = match n.as_str() {
-                    "base" => KernelBuildOptions {
-                        assertions: !self.no_assertions,
-                        smp: self.cpus > 1,
-                        ..Default::default()
-                    },
-                    "server" => KernelBuildOptions {
-                        assertions: !self.no_assertions,
-                        server: true,
-                        smp: self.cpus > 1,
-                        ..Default::default()
-                    },
+                    "base" => base.kernel,
+                    "server" => KernelBuildOptions { server: true, ..base.kernel },
                     other => panic!("unknown matrix kernel `{other}` (expected base|server)"),
                 };
                 (n, opts)
@@ -481,50 +200,11 @@ impl ReproOptions {
             max_per_function: self.cap,
             max_per_cell: None,
             profiler: ProfilerConfig::default(),
-            rig: RigConfig { sanitizer: self.sanitize, cpus: self.cpus, ..RigConfig::default() },
+            rig: base.rig,
             suite: kfi_workloads::Suite::Traffic,
             journal_dir: self.journal.clone(),
             resume: self.resume,
         }
-    }
-
-    /// The argument vector that turns this binary into a worker with
-    /// the same plan-determining configuration (seed, cap, kernel and
-    /// rig flags) as the coordinator. Scheduling-only flags (threads,
-    /// journal, dist pool shape) deliberately do not propagate: the
-    /// worker runs single-threaded and only the coordinator journals.
-    pub fn to_worker_args(&self) -> Vec<String> {
-        let mut a: Vec<String> =
-            ["--worker", "--threads", "1"].iter().map(|s| s.to_string()).collect();
-        a.push("--seed".into());
-        a.push(self.seed.to_string());
-        match self.cap {
-            Some(cap) => {
-                a.push("--cap".into());
-                a.push(cap.to_string());
-            }
-            None => a.push("--full".into()),
-        }
-        if self.no_assertions {
-            a.push("--no-assertions".into());
-        }
-        if self.cpus != 1 {
-            a.push("--cpus".into());
-            a.push(self.cpus.to_string());
-        }
-        if self.sanitize {
-            a.push("--sanitize".into());
-        }
-        if self.no_memo {
-            a.push("--no-memo".into());
-        }
-        if let Some(ms) = self.wall_budget_ms {
-            a.push("--wall-budget-ms".into());
-            a.push(ms.to_string());
-        }
-        a.push("--dist-hb-ms".into());
-        a.push(self.dist_hb_ms.to_string());
-        a
     }
 
     /// Converts to a distributed-coordinator policy, spawning workers
@@ -569,6 +249,19 @@ impl ReproOptions {
             ..SupervisorConfig::default()
         }
     }
+}
+
+/// Whether the process arguments of `program` (`bench_machine` or
+/// `bench_scaling`) are `--check`, the scaled-down CI run, rather than
+/// none, the full-length one. Any other argument prints the usage line
+/// and exits 2, so a typo cannot start the full-length run.
+pub fn check_arg(program: &str) -> bool {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.len() > 1 || args.iter().any(|a| a != "--check") {
+        eprintln!("{program}: unexpected arguments {args:?}\nusage: {program} [--check]");
+        std::process::exit(2);
+    }
+    !args.is_empty()
 }
 
 /// Prepares the experiment (kernel build + profile), printing progress.
@@ -779,99 +472,73 @@ pub fn check_matrix(m: &kfi_core::MatrixResult) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs all three campaigns over a pool of worker subprocesses,
-/// printing progress and a machine-greppable coordinator summary on
-/// stderr. The stdout dataset is byte-identical to the in-process
-/// supervisor run of the same plan — at any worker count and under any
-/// chaos schedule.
-///
-/// # Panics
-///
-/// Panics when the journal cannot be opened or its seed does not match.
-pub fn run_study_dist(
-    exp: &Experiment,
-    opts: &ReproOptions,
-) -> (StudyResult, kfi_core::DistReport) {
-    let exe = std::env::current_exe().expect("current exe resolves");
-    let cfg = opts.dist_config(exe);
-    eprintln!(
-        "[kfi] dist: campaigns A/B/C over {} functions across {} workers{}...",
-        exp.target_functions.len(),
-        cfg.workers,
-        cfg.chaos.map(|s| format!(" (chaos seed {s})")).unwrap_or_default()
-    );
-    let dist = kfi_core::run_study_dist(exp, &cfg).expect("journal usable");
-    let study = dist.study;
-    for (l, r) in &study.campaigns {
-        let t = r.total();
-        eprintln!(
-            "[kfi] campaign {l}: {} injected, {} activated, {} crash/hang",
-            t.injected,
-            t.activated,
-            t.crash_or_hang()
-        );
-    }
-    let rep = &dist.report;
-    eprintln!(
-        "[kfi] dist: spawned={} respawned={} quarantined={} handshake_timeouts={} \
-         leases_expired={} requeued={} degraded={} chaos_kills={} chaos_stalls={} \
-         chaos_exits={} wire_bytes={}",
-        rep.workers_spawned,
-        rep.workers_respawned,
-        rep.workers_quarantined,
-        rep.handshake_timeouts,
-        rep.leases_expired,
-        rep.jobs_requeued,
-        rep.jobs_degraded,
-        rep.chaos_kills,
-        rep.chaos_stalls,
-        rep.chaos_exits,
-        rep.wire_bytes_streamed
-    );
-    if cfg.journal.is_some() {
-        eprintln!(
-            "[kfi] journal: {} runs resumed, {} fsync batches",
-            rep.resumed_runs, rep.journal_flushes
-        );
-    }
-    (study, dist.report)
-}
-
-/// Runs all three campaigns, printing progress.
-pub fn run_study(exp: &Experiment) -> StudyResult {
-    run_study_supervised(exp, &SupervisorConfig::default()).0
-}
-
-/// Runs all three campaigns under the given supervisor policy,
-/// printing progress and the supervisor summary on stderr. The stdout
-/// dataset is unaffected by the policy: a resumed campaign prints
-/// byte-identical results to an uninterrupted one.
+/// Runs all three campaigns, `repro_all`'s one study path: over
+/// `--dist-workers` worker subprocesses under lease-based fault
+/// tolerance, else in process under the supervisor policy of `opts`.
+/// Prints progress and the coordinator's (machine-greppable) or the
+/// supervisor's summary on stderr. The dataset is the same either way,
+/// at any worker count, under any chaos schedule and after a resume.
 ///
 /// # Panics
 ///
 /// Panics when the journal cannot be opened or its seed does not match
 /// — continuing would silently discard the requested checkpoints.
-pub fn run_study_supervised(
-    exp: &Experiment,
-    cfg: &SupervisorConfig,
-) -> (StudyResult, SupervisorReport) {
+pub fn run_campaigns(exp: &Experiment, opts: &ReproOptions) -> StudyResult {
+    let print_campaigns = |study: &StudyResult| {
+        for (l, r) in &study.campaigns {
+            let t = r.total();
+            eprintln!(
+                "[kfi] campaign {l}: {} injected, {} activated, {} crash/hang",
+                t.injected,
+                t.activated,
+                t.crash_or_hang()
+            );
+        }
+    };
+    let print_journal = |resumed: usize, flushes: u64| {
+        if opts.journal.is_some() {
+            eprintln!("[kfi] journal: {resumed} runs resumed, {flushes} fsync batches");
+        }
+    };
+    if opts.dist_workers.is_some() {
+        let cfg = opts.dist_config(std::env::current_exe().expect("current exe resolves"));
+        eprintln!(
+            "[kfi] dist: campaigns A/B/C over {} functions across {} workers{}...",
+            exp.target_functions.len(),
+            cfg.workers,
+            cfg.chaos.map(|s| format!(" (chaos seed {s})")).unwrap_or_default()
+        );
+        let dist = kfi_core::run_study_dist(exp, &cfg).expect("journal usable");
+        print_campaigns(&dist.study);
+        let rep = &dist.report;
+        eprintln!(
+            "[kfi] dist: spawned={} respawned={} quarantined={} handshake_timeouts={} \
+             leases_expired={} requeued={} degraded={} chaos_kills={} chaos_stalls={} \
+             chaos_exits={} wire_bytes={}",
+            rep.workers_spawned,
+            rep.workers_respawned,
+            rep.workers_quarantined,
+            rep.handshake_timeouts,
+            rep.leases_expired,
+            rep.jobs_requeued,
+            rep.jobs_degraded,
+            rep.chaos_kills,
+            rep.chaos_stalls,
+            rep.chaos_exits,
+            rep.wire_bytes_streamed
+        );
+        print_journal(rep.resumed_runs, rep.journal_flushes);
+        return dist.study;
+    }
     eprintln!(
         "[kfi] running campaigns A/B/C over {} functions (cap {:?}, {} threads)...",
         exp.target_functions.len(),
         exp.config.max_per_function,
         exp.config.threads
     );
-    let supervised = kfi_core::run_study_supervised(exp, cfg).expect("journal usable");
-    let study = supervised.study;
-    for (l, r) in &study.campaigns {
-        let t = r.total();
-        eprintln!(
-            "[kfi] campaign {l}: {} injected, {} activated, {} crash/hang",
-            t.injected,
-            t.activated,
-            t.crash_or_hang()
-        );
-    }
+    let supervised =
+        kfi_core::run_study_supervised(exp, &opts.supervisor_config()).expect("journal usable");
+    print_campaigns(&supervised.study);
     if let Some(stats) = exp.severity_stats() {
         eprintln!("[kfi] severity: {stats}");
     }
@@ -879,12 +546,7 @@ pub fn run_study_supervised(
         eprintln!("[kfi] checkpoints: {stats}");
     }
     let rep = &supervised.report;
-    if cfg.journal.is_some() {
-        eprintln!(
-            "[kfi] journal: {} runs resumed, {} fsync batches",
-            rep.resumed_runs, rep.journal_flushes
-        );
-    }
+    print_journal(rep.resumed_runs, rep.journal_flushes);
     if rep.rig_panics + rep.retries + rep.quarantined_runs + rep.watchdog_fired > 0
         || rep.workers_lost > 0
     {
@@ -904,5 +566,5 @@ pub fn run_study_supervised(
             q.path.as_deref().map(|p| format!(" [{}]", p.display())).unwrap_or_default()
         );
     }
-    (study, supervised.report)
+    supervised.study
 }

@@ -140,3 +140,40 @@ fn wedged_handshake_is_reaped_and_lease_reassigned() {
     assert!(dist_stat(&err, "respawned") >= 1, "reaped slot never respawned:\n{err}");
     assert_eq!(out, reference, "handshake reap disturbed the dataset");
 }
+
+#[test]
+fn workers_with_a_drifted_plan_are_retired_and_the_study_degrades_in_process() {
+    let opts =
+        kfi_bench::ReproOptions { cap: Some(2), seed: SEED, threads: 1, ..Default::default() };
+    let exp = kfi_core::Experiment::prepare(opts.to_config()).expect("experiment prepares");
+    let jref = tmp("drift-ref.journal");
+    let jdist = tmp("drift-dist.journal");
+    let sup = kfi_core::supervisor::SupervisorConfig {
+        journal: Some(jref.clone()),
+        ..Default::default()
+    };
+    let reference = kfi_core::run_study_supervised(&exp, &sup).expect("in-process study").study;
+
+    // Workers spawned with another cap plan another study: their Hello
+    // carries another plan fingerprint.
+    let drifted = kfi_bench::ReproOptions { cap: Some(3), ..opts.clone() };
+    let workers = 2;
+    let mut cfg = kfi_core::DistConfig::new(
+        workers,
+        PathBuf::from(env!("CARGO_BIN_EXE_repro_all")),
+        drifted.to_worker_args(),
+    );
+    cfg.journal = Some(jdist.clone());
+    let dist = kfi_core::run_study_dist(&exp, &cfg).expect("dist study");
+
+    assert_eq!(dist.report.workers_quarantined, workers as u64, "{:?}", dist.report);
+    let plan: usize = reference.campaigns.values().map(|c| c.records.len()).sum();
+    assert_eq!(dist.report.jobs_degraded, plan as u64, "{:?}", dist.report);
+    for (letter, want) in &reference.campaigns {
+        assert_eq!(dist.study.campaigns[letter].records, want.records, "campaign {letter}");
+    }
+    let (a, b) = (std::fs::read(&jref).unwrap(), std::fs::read(&jdist).unwrap());
+    assert_eq!(a, b, "the degraded run journaled other bytes");
+    let _ = std::fs::remove_file(&jref);
+    let _ = std::fs::remove_file(&jdist);
+}

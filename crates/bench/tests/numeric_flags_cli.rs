@@ -1,11 +1,13 @@
-//! The command line of the repro binaries fails loudly: a numeric flag
-//! whose value is not a number (or is missing) exits 2 with the usage
-//! text, before any campaign runs, instead of silently falling back to
-//! a default, an uncapped study, an in-process run or a disabled
-//! watchdog; so does an argument the binaries do not know, and a
-//! matrix axis list naming a kernel, workload or subsystem that does not
-//! exist (the error lists the valid names), and a flag given outside the
-//! mode it belongs to.
+//! The command line of `repro_all` fails loudly: a numeric flag whose
+//! value is not a number (or is missing) exits 2 with the usage text,
+//! before any campaign runs, instead of silently falling back to a
+//! default, an uncapped study, an in-process run or a disabled
+//! watchdog; so does an argument it does not know, a matrix axis list
+//! or `--only` naming a kernel, workload, subsystem or artifact that
+//! does not exist (the error lists the valid names), a flag given to a
+//! run that does not read it, a flag given twice and two flags that set
+//! one value. `bench_machine` and `bench_scaling` take `--check` or
+//! nothing.
 
 use kfi_bench::ReproOptions;
 use proptest::prelude::*;
@@ -140,6 +142,85 @@ fn flags_outside_their_mode_exit_2_with_the_usage() {
     }
     // A malformed number is reported as such, before its mode is checked.
     rejected(&["--chaos", "x"], "--chaos: expected a number, got `x`");
+}
+
+#[test]
+fn flags_a_run_does_not_read_exit_2_with_the_usage() {
+    for (args, want) in [
+        (&["--matrix", "--no-memo"][..], "--no-memo is not read by --matrix"),
+        (&["--matrix", "--dist-workers", "2"], "--dist-workers is not read by --matrix"),
+        (&["--matrix", "--wall-budget-ms", "5"], "--wall-budget-ms is not read by --matrix"),
+        (&["--matrix", "--quarantine", "D"], "--quarantine is not read by --matrix"),
+        (&["--matrix", "--inject-panic", "0"], "--inject-panic is not read by --matrix"),
+        (
+            &["--dist-workers", "2", "--quarantine", "D"],
+            "--quarantine is not read by --dist-workers",
+        ),
+        (
+            &["--dist-workers", "2", "--inject-panic-persistent", "0"],
+            "--inject-panic-persistent is not read by --dist-workers",
+        ),
+        (&["--worker", "--csv"], "--csv is not read by --worker"),
+        (&["--worker", "--journal", "J"], "--journal is not read by --worker"),
+        (&["--worker", "--matrix"], "--matrix is not read by --worker"),
+        (&["--only", "fig1", "--csv"], "--csv is not read by --only fig1"),
+        (&["--only", "table1", "--journal", "J"], "--journal is not read by --only table1"),
+        (&["--only", "fig5", "--cap", "4"], "--cap is not read by --only fig5"),
+        (&["--only", "fig5", "--dist-workers", "2"], "--dist-workers is not read by --only fig5"),
+        (&["--only", "fig6", "--chaos", "1"], "--chaos needs --dist-workers"),
+    ] {
+        rejected(args, want);
+    }
+}
+
+#[test]
+fn a_value_given_twice_exits_2_with_the_usage() {
+    rejected(&["--seed", "1", "--seed", "2"], "--seed given twice");
+    rejected(&["--cap", "4", "--full"], "--cap and --full set one value");
+    rejected(
+        &["--inject-panic", "0", "--inject-panic-persistent", "1"],
+        "--inject-panic and --inject-panic-persistent set one value",
+    );
+}
+
+#[test]
+fn an_unknown_artifact_exits_2_with_the_valid_names() {
+    for name in ["fig9", "fig4,fig6", ""] {
+        rejected(
+            &["--only", name],
+            &format!("--only: unknown name `{name}` (valid: fig1, table1,"),
+        );
+    }
+}
+
+#[test]
+fn help_names_every_flag_and_artifact_and_the_cell_seed() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro_all")).arg("--help").output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0));
+    let words: std::collections::BTreeSet<&str> =
+        stdout.split(|c: char| c.is_whitespace() || ",.[]".contains(c)).collect();
+    let artifacts = kfi_bench::artifact::ARTIFACTS.iter().map(|a| a.name);
+    for name in artifacts.chain(NUMERIC_FLAGS).chain(["--only", "--csv", "--matrix", "--worker"]) {
+        assert!(words.contains(name), "{name} missing:\n{stdout}");
+    }
+    assert!(stdout.contains("cell_seed = seed ^ fnv1a"), "{stdout}");
+}
+
+#[test]
+fn bench_binaries_take_check_or_nothing() {
+    for (exe, name) in [
+        (env!("CARGO_BIN_EXE_bench_machine"), "bench_machine"),
+        (env!("CARGO_BIN_EXE_bench_scaling"), "bench_scaling"),
+    ] {
+        for args in [&["--chek"][..], &["--check", "extra"]] {
+            let out = Command::new(exe).args(args).output().expect("spawn");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");
+            assert!(stderr.contains(&format!("usage: {name} [--check]")), "{stderr}");
+            assert!(out.stdout.is_empty(), "{name} {args:?}: nothing may run");
+        }
+    }
 }
 
 proptest! {

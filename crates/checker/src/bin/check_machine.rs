@@ -24,7 +24,9 @@
 //! actually catch fish.
 //!
 //! Exit status is nonzero iff any divergence, sanitizer violation, or
-//! self-test failure occurred.
+//! self-test failure occurred. An unknown argument, or a missing,
+//! non-numeric or zero `--seeds`/`--campaign-seeds`, exits 2 with the
+//! usage line before anything runs.
 
 use kfi_checker::diff::{
     pair_block_engine, pair_decode_cache, pair_fork, pair_restore, pair_ring, pair_smp,
@@ -42,24 +44,28 @@ struct Options {
     verbose: bool,
 }
 
+const USAGE: &str = "usage: check_machine [--seeds N] [--campaign-seeds N] [--verbose]";
+
+/// The count given as the value of `flag`: a missing value, a
+/// non-number and zero are errors, since zero seeds would check no pair.
+fn count_arg(flag: &str, v: Option<String>) -> Result<u64, String> {
+    let got = v.as_deref().map_or("nothing".to_string(), |v| format!("`{v}`"));
+    v.and_then(|v| v.parse().ok())
+        .filter(|n| *n > 0)
+        .ok_or(format!("{flag}: expected a number above 0, got {got}"))
+}
+
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options { seeds: 32, campaign_seeds: 2, verbose: false };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--seeds" => {
-                let v = args.next().ok_or("--seeds needs a value")?;
-                opts.seeds = v.parse().map_err(|_| format!("bad --seeds value: {v}"))?;
-            }
-            "--campaign-seeds" => {
-                let v = args.next().ok_or("--campaign-seeds needs a value")?;
-                opts.campaign_seeds =
-                    v.parse().map_err(|_| format!("bad --campaign-seeds value: {v}"))?;
-            }
+            "--seeds" => opts.seeds = count_arg("--seeds", args.next())?,
+            "--campaign-seeds" => opts.campaign_seeds = count_arg("--campaign-seeds", args.next())?,
             "--verbose" => opts.verbose = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: check_machine [--seeds N] [--campaign-seeds N] [--verbose]\n\
+                    "{USAGE}\n\
                      \n\
                      Differential sweep over the simulated machine's paired\n\
                      configurations plus a sanitizer self-test. Defaults:\n\
@@ -249,7 +255,7 @@ fn main() {
     let opts = match parse_args() {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("check_machine: {e}");
+            eprintln!("check_machine: {e}\n{USAGE}");
             std::process::exit(2);
         }
     };

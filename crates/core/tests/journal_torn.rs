@@ -1,11 +1,12 @@
 //! Journal torn-tail recovery, fuzzed: truncate or bit-flip the
-//! journal at arbitrary byte offsets and assert resume either rejects
-//! the damage via CRC (header gone) or resumes from a strict prefix of
-//! the original entries — never a corrupted record — and that
-//! re-appending the missing entries reproduces the undamaged file
-//! byte-for-byte.
+//! journal at arbitrary byte offsets and assert resume refuses the file
+//! as `BadHeader` exactly when the damage starts in the magic or the
+//! header frame, and otherwise resumes from a strict prefix of the
+//! original entries — never a corrupted record — and that re-appending
+//! the missing entries reproduces the undamaged file byte-for-byte. A
+//! journal of another seed is refused and left as it was.
 
-use kfi_core::journal::{read_journal, resume, Journal, JournalEntry};
+use kfi_core::journal::{read_journal, resume, Journal, JournalEntry, JournalError};
 use kfi_injector::{Campaign, InjectionTarget, Outcome, RunRecord};
 use kfi_trace::Metrics;
 use proptest::prelude::*;
@@ -63,18 +64,32 @@ fn build(path: &PathBuf, n: usize) -> Vec<u8> {
     std::fs::read(path).unwrap()
 }
 
-/// The shared postcondition: after damaging a journal, resume must
-/// yield an exact prefix of the original entries (or reject the file
-/// outright), and re-appending the missing suffix must reproduce the
-/// pristine bytes exactly.
-fn check_damage(path: &PathBuf, pristine: &[u8], n: usize) -> Result<(), String> {
+/// The length of the magic and the header frame: a journal's bytes
+/// before its first entry.
+fn header_len() -> usize {
+    let path = tmp("empty");
+    let len = build(&path, 0).len();
+    let _ = std::fs::remove_file(&path);
+    len
+}
+
+/// The shared postcondition for damage whose first changed byte is at
+/// offset `damage`: resume refuses the file as `BadHeader` when that is
+/// inside the magic or the header frame, and otherwise yields an exact
+/// prefix of the original entries; re-appending the missing suffix
+/// must reproduce the pristine bytes exactly.
+fn check_damage(path: &PathBuf, pristine: &[u8], n: usize, damage: usize) -> Result<(), String> {
+    let header_end = header_len();
     match resume(path, SEED) {
-        Err(_) => {
-            // Damage reached the magic/header: the whole file is
-            // rejected, nothing is replayed. A correct, if total,
-            // refusal.
+        Err(JournalError::BadHeader) => {
+            prop_assert!(damage < header_end, "refused damage at {damage}, past the header");
         }
+        Err(e) => prop_assert!(false, "damage at {damage}: {e}"),
         Ok((entries, mut j)) => {
+            prop_assert!(
+                damage >= header_end,
+                "resumed although the damage at {damage} is in the header"
+            );
             prop_assert!(entries.len() <= n, "resume invented entries");
             for (i, e) in entries.iter().enumerate() {
                 prop_assert_eq!(e, &entry(i), "resume replayed a corrupted record at {}", i);
@@ -114,7 +129,7 @@ proptest! {
         let pristine = build(&path, n);
         let cut = cut_sel as usize % pristine.len();
         std::fs::write(&path, &pristine[..cut]).unwrap();
-        check_damage(&path, &pristine, n)?;
+        check_damage(&path, &pristine, n, cut)?;
     }
 
     /// A bit flip at any byte offset: the CRC (or the header check)
@@ -131,7 +146,7 @@ proptest! {
         let hit = hit_sel as usize % bad.len();
         bad[hit] ^= 1 << bit;
         std::fs::write(&path, &bad).unwrap();
-        check_damage(&path, &pristine, n)?;
+        check_damage(&path, &pristine, n, hit)?;
     }
 
     /// Truncation *and* a flip inside the surviving prefix — compound
@@ -150,6 +165,42 @@ proptest! {
         let hit = hit_sel as usize % bad.len();
         bad[hit] ^= 1 << bit;
         std::fs::write(&path, &bad).unwrap();
-        check_damage(&path, &pristine, n)?;
+        check_damage(&path, &pristine, n, hit)?;
     }
+}
+
+/// Every single-bit flip in the magic or the header frame is refused as
+/// `BadHeader`.
+#[test]
+fn every_header_bit_flip_is_refused() {
+    let path = tmp("header");
+    let pristine = build(&path, 3);
+    for hit in 0..header_len() {
+        for bit in 0..8 {
+            let mut bad = pristine.clone();
+            bad[hit] ^= 1 << bit;
+            std::fs::write(&path, &bad).unwrap();
+            check_damage(&path, &pristine, 3, hit).unwrap();
+        }
+    }
+}
+
+/// A journal written for another seed describes another plan: resume
+/// refuses it and leaves every byte as it was, even a torn tail that a
+/// resume of the right seed would cut off.
+#[test]
+fn a_journal_of_another_seed_is_refused_unchanged() {
+    let path = tmp("seed");
+    let pristine = build(&path, 5);
+    let torn = &pristine[..pristine.len() - 3];
+    std::fs::write(&path, torn).unwrap();
+    match resume(&path, SEED + 1) {
+        Err(JournalError::SeedMismatch { found, expected }) => {
+            assert_eq!((found, expected), (SEED, SEED + 1));
+        }
+        Err(e) => panic!("expected a seed mismatch, got {e}"),
+        Ok((entries, _)) => panic!("resumed {} entries of another seed's plan", entries.len()),
+    }
+    assert_eq!(std::fs::read(&path).unwrap(), torn, "a refused resume changed the journal");
+    let _ = std::fs::remove_file(&path);
 }

@@ -1,5 +1,6 @@
 //! The `kfi` command-line tool: boot the guest system, run workloads,
-//! inject errors, and regenerate the paper's artifacts.
+//! inject errors into one kernel function and disassemble one. The
+//! paper's artifacts come from `repro_all` in `kfi-bench`.
 
 use kfi::injector::{plan_function, Campaign, InjectorRig, Outcome, RigConfig};
 use kfi::kernel::{boot, build_kernel, mkfs, BootConfig, KernelBuildOptions, KernelImage};
@@ -11,15 +12,16 @@ kfi — Characterization of Linux Kernel Behavior under Errors (DSN 2003)
 
 USAGE:
     kfi boot [--mode N|all]        boot the kernel, run workloads, show console
-    kfi profile                    profile the kernel (Table 1 data)
     kfi inject <function> [opts]   inject errors into a kernel function
         --campaign A|B|C           error model (default A)
         --mode N                   workload (default: hottest for the function)
         --count N                  max injections (default 20)
         --seed N                   RNG seed (default 2003)
     kfi disasm <function>          disassemble a kernel function
-    kfi report [--cap N|--full]    run the study and print all tables/figures
     kfi help                       this text
+
+The paper's tables and figures come from `repro_all [--only ARTIFACT]`
+(cargo run --release -p kfi-bench --bin repro_all -- --help).
 ";
 
 /// Exits 2 with `msg` and the usage: malformed input is an error, never
@@ -108,12 +110,10 @@ fn main() {
     };
     match command.as_str() {
         "boot" => cmd_boot(&Args::parse(rest, &["--mode"], &[])),
-        "profile" => cmd_profile(&Args::parse(rest, &[], &[])),
         "inject" => {
             cmd_inject(&Args::parse(rest, &["--campaign", "--mode", "--count", "--seed"], &[]))
         }
         "disasm" => cmd_disasm(&Args::parse(rest, &[], &[])),
-        "report" => cmd_report(&Args::parse(rest, &["--cap"], &["--full"])),
         "help" | "--help" | "-h" => print!("{USAGE}"),
         other => usage_error(format!("unknown command `{other}`")),
     }
@@ -132,14 +132,6 @@ fn cmd_boot(args: &Args) {
     let exit = m.run(400_000_000);
     print!("{}", m.console_string());
     println!("-- exit: {exit:?} after {} cycles", m.cpu.tsc);
-}
-
-fn cmd_profile(args: &Args) {
-    args.positional(&[]);
-    let image = build_kernel(KernelBuildOptions::default()).expect("kernel assembles");
-    let files = kfi::workloads::suite_files().expect("workloads assemble");
-    let p = kfi::profiler::profile(&image, &files, kfi::workloads::WORKLOADS, &Default::default());
-    println!("{}", kfi::report::table1(&p, 0.95));
 }
 
 fn cmd_inject(args: &Args) {
@@ -216,21 +208,4 @@ fn cmd_disasm(args: &Args) {
         sym.value
     );
     print!("{}", kfi::asm::format_listing(&kfi::asm::disassemble(bytes, sym.value)));
-}
-
-fn cmd_report(args: &Args) {
-    args.positional(&[]);
-    let cap = args.number("--cap");
-    let cap = match args.get("--full") {
-        Some(_) if cap.is_some() => usage_error("--cap and --full exclude each other"),
-        Some(_) => None,
-        None => Some(cap.unwrap_or(12)),
-    };
-    let config = kfi::core::ExperimentConfig { max_per_function: cap, ..Default::default() };
-    let exp = kfi::core::Experiment::prepare(config).expect("experiment prepares");
-    let study = exp.run_all();
-    println!(
-        "{}",
-        kfi::report::full_report(&exp.image, &exp.profile, &study, exp.config.top_fraction)
-    );
 }
