@@ -53,6 +53,16 @@ fn main() {
         if opts.csv {
             print!("{}", kfi_core::matrix_to_csv(&m));
         }
+        let mut journal_failed = false;
+        for c in &m.cells {
+            if let Some(f) = &c.report.journal_failure {
+                eprintln!("[kfi] journal: cell {}: {f}", c.cell.key());
+                journal_failed = true;
+            }
+        }
+        if journal_failed {
+            std::process::exit(1);
+        }
         return;
     }
     let print = match opts.only.map(|a| a.source) {
@@ -64,9 +74,14 @@ fn main() {
         },
     };
     let exp = kfi_bench::prepare(&opts);
-    let study = kfi_bench::run_campaigns(&exp, &opts);
+    let (study, journal_failure) = kfi_bench::run_campaigns(&exp, &opts);
     print(&exp, &study);
     if opts.csv {
         print!("{}", kfi_bench::csv_dataset(&study));
+    }
+    if let Some(f) = journal_failure {
+        // The dataset is whole; only a resume would come up short.
+        eprintln!("[kfi] journal: {f}");
+        std::process::exit(1);
     }
 }

@@ -375,11 +375,16 @@ pub fn csv_dataset(study: &StudyResult) -> String {
     )
 }
 
+/// Prints why a study cannot start — `[kfi] journal <path>: <why>` for
+/// an unusable journal — and exits 2, before anything reaches stdout
+/// and without touching the journal.
+fn cannot_start(why: String) -> ! {
+    eprintln!("[kfi] {why}");
+    std::process::exit(2)
+}
+
 /// Runs the campaign matrix, printing per-cell progress on stderr.
-///
-/// # Panics
-///
-/// Panics when a kernel variant fails to build, a workload does not
+/// Exits 2 when a kernel variant fails to build, a workload does not
 /// resolve in the traffic suite, or a cell journal is unusable.
 pub fn run_matrix(opts: &ReproOptions) -> kfi_core::MatrixResult {
     let cfg = opts.matrix_config();
@@ -391,7 +396,7 @@ pub fn run_matrix(opts: &ReproOptions) -> kfi_core::MatrixResult {
         cfg.max_per_function,
         cfg.threads
     );
-    let m = kfi_core::run_matrix(&cfg).expect("matrix runs");
+    let m = kfi_core::run_matrix(&cfg).unwrap_or_else(|e| cannot_start(e));
     for c in &m.cells {
         let t = c.result.total();
         eprintln!(
@@ -478,12 +483,14 @@ pub fn check_matrix(m: &kfi_core::MatrixResult) -> Result<(), String> {
 /// Prints progress and the coordinator's (machine-greppable) or the
 /// supervisor's summary on stderr. The dataset is the same either way,
 /// at any worker count, under any chaos schedule and after a resume.
+/// Returns it with the first failed journal append, if any.
 ///
-/// # Panics
-///
-/// Panics when the journal cannot be opened or its seed does not match
-/// — continuing would silently discard the requested checkpoints.
-pub fn run_campaigns(exp: &Experiment, opts: &ReproOptions) -> StudyResult {
+/// Exits 2 when the journal cannot be opened or its seed does not
+/// match — continuing would silently discard the requested checkpoints.
+pub fn run_campaigns(
+    exp: &Experiment,
+    opts: &ReproOptions,
+) -> (StudyResult, Option<kfi_core::JournalFailure>) {
     let print_campaigns = |study: &StudyResult| {
         for (l, r) in &study.campaigns {
             let t = r.total();
@@ -508,7 +515,7 @@ pub fn run_campaigns(exp: &Experiment, opts: &ReproOptions) -> StudyResult {
             cfg.workers,
             cfg.chaos.map(|s| format!(" (chaos seed {s})")).unwrap_or_default()
         );
-        let dist = kfi_core::run_study_dist(exp, &cfg).expect("journal usable");
+        let dist = kfi_core::run_study_dist(exp, &cfg).unwrap_or_else(|e| cannot_start(e));
         print_campaigns(&dist.study);
         let rep = &dist.report;
         eprintln!(
@@ -528,7 +535,7 @@ pub fn run_campaigns(exp: &Experiment, opts: &ReproOptions) -> StudyResult {
             rep.wire_bytes_streamed
         );
         print_journal(rep.resumed_runs, rep.journal_flushes);
-        return dist.study;
+        return (dist.study, dist.report.journal_failure);
     }
     eprintln!(
         "[kfi] running campaigns A/B/C over {} functions (cap {:?}, {} threads)...",
@@ -536,8 +543,8 @@ pub fn run_campaigns(exp: &Experiment, opts: &ReproOptions) -> StudyResult {
         exp.config.max_per_function,
         exp.config.threads
     );
-    let supervised =
-        kfi_core::run_study_supervised(exp, &opts.supervisor_config()).expect("journal usable");
+    let supervised = kfi_core::run_study_supervised(exp, &opts.supervisor_config())
+        .unwrap_or_else(|e| cannot_start(e));
     print_campaigns(&supervised.study);
     if let Some(stats) = exp.severity_stats() {
         eprintln!("[kfi] severity: {stats}");
@@ -547,13 +554,21 @@ pub fn run_campaigns(exp: &Experiment, opts: &ReproOptions) -> StudyResult {
     }
     let rep = &supervised.report;
     print_journal(rep.resumed_runs, rep.journal_flushes);
-    if rep.rig_panics + rep.retries + rep.quarantined_runs + rep.watchdog_fired > 0
+    let mut m = kfi_trace::Metrics::default();
+    for c in supervised.study.campaigns.values() {
+        m.merge(&c.metrics);
+    }
+    if m.rig_panics + m.run_retries + m.quarantined_runs + m.wall_watchdog_fired > 0
         || rep.workers_lost > 0
     {
         eprintln!(
             "[kfi] supervisor: {} panics caught, {} retries, {} quarantined, \
              {} watchdog aborts, {} workers lost",
-            rep.rig_panics, rep.retries, rep.quarantined_runs, rep.watchdog_fired, rep.workers_lost
+            m.rig_panics,
+            m.run_retries,
+            m.quarantined_runs,
+            m.wall_watchdog_fired,
+            rep.workers_lost
         );
     }
     for q in &rep.quarantined {
@@ -566,5 +581,5 @@ pub fn run_campaigns(exp: &Experiment, opts: &ReproOptions) -> StudyResult {
             q.path.as_deref().map(|p| format!(" [{}]", p.display())).unwrap_or_default()
         );
     }
-    supervised.study
+    (supervised.study, supervised.report.journal_failure)
 }

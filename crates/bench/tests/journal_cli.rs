@@ -1,0 +1,61 @@
+//! An unusable `--journal` stops `repro_all` before the study: it
+//! exits 2 with `[kfi] journal <path>: <why>` on stderr, prints nothing
+//! on stdout and leaves the journal as it found it.
+
+use kfi_core::journal::{Journal, MAGIC};
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+fn tmp(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join("kfi-journal-cli-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(format!("{name}-{}", std::process::id()))
+}
+
+/// Runs `repro_all --cap 1 --seed 12 --csv --journal <journal>` plus
+/// `extra`, and checks that it refused the journal.
+fn assert_refused(journal: &Path, extra: &[&str], why: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro_all"))
+        .args(["--cap", "1", "--seed", "12", "--csv", "--journal"])
+        .arg(journal)
+        .args(extra)
+        .output()
+        .expect("spawn repro_all");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
+    let want = format!("[kfi] journal {}: {why}", journal.display());
+    assert!(stderr.contains(&want), "no `{want}` in stderr:\n{stderr}");
+    assert!(out.stdout.is_empty(), "stdout:\n{}", String::from_utf8_lossy(&out.stdout));
+}
+
+/// A fresh journal of `seed`, holding only its header, and its bytes.
+fn journal_bytes(name: &str, seed: u64) -> (PathBuf, Vec<u8>) {
+    let path = tmp(name);
+    drop(Journal::create(&path, seed).unwrap());
+    let bytes = std::fs::read(&path).unwrap();
+    (path, bytes)
+}
+
+#[test]
+fn a_journal_of_another_seed_exits_2_untouched() {
+    let (path, bytes) = journal_bytes("seed-11", 11);
+    assert_refused(&path, &["--resume"], "written for seed 11, not the experiment's seed 12");
+    assert_eq!(std::fs::read(&path).unwrap(), bytes);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_version_1_journal_exits_2_untouched() {
+    let (path, mut bytes) = journal_bytes("v1", 12);
+    bytes[..MAGIC.len()].copy_from_slice(b"KFIJRNL1");
+    std::fs::write(&path, &bytes).unwrap();
+    assert_refused(&path, &["--resume"], "not a run journal");
+    assert_eq!(std::fs::read(&path).unwrap(), bytes);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn an_unwritable_journal_exits_2() {
+    assert_refused(Path::new("/dev/full"), &[], "No space left on device");
+}

@@ -109,12 +109,8 @@ pub fn to_csv(rows: &[RecordRow]) -> String {
 /// execution metrics (the `CampaignResult::metrics` aggregate).
 pub const METRICS_CSV_HEADER: &str = "campaign,runs,runs_not_activated,snapshot_restores,instructions,faults,syscalls,timer_irqs,tlb_hits,tlb_miss_walks,decode_hits,decode_misses,decode_invalidations,dirty_pages,run_cycles_total,sanitizer_violations,rig_panics,run_retries,quarantined_runs,wall_watchdog_fired";
 
-/// Renders one campaign's merged [`Metrics`] as a CSV line.
-///
-/// `journal_flushes` is deliberately absent: flush counts depend on how
-/// (and whether) a campaign was interrupted and resumed, and this CSV
-/// must be bit-identical between an interrupted-and-resumed campaign
-/// and an uninterrupted one.
+/// Renders one campaign's merged [`Metrics`] as a CSV line: every
+/// scalar counter, with the fault vectors summed.
 pub fn metrics_csv_line(campaign: char, m: &Metrics) -> String {
     format!(
         "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",

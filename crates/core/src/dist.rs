@@ -42,8 +42,8 @@
 use crate::experiment::{CampaignResult, Experiment, StudyResult};
 use crate::journal::{Journal, JournalEntry};
 use crate::supervisor::{
-    open_journal, process_job, rig_fault_record, Job, JobDone, JournalOrder, SupervisorConfig,
-    WatchSlot,
+    open_journal, process_job, rig_fault_record, sync_journal, Job, JobDone, JournalFailure,
+    JournalOrder, SupervisorConfig, WatchSlot,
 };
 use kfi_injector::wire::{decode_msg, encode_msg, Msg, PROTOCOL_VERSION};
 use kfi_injector::{Campaign, InjectionTarget, InjectorRig, RunRecord};
@@ -78,8 +78,7 @@ pub fn plan_fingerprint(exp: &Experiment) -> u64 {
     h = fnv1a(h, &exp.config.seed.to_le_bytes());
     for campaign in [Campaign::A, Campaign::B, Campaign::C] {
         h = fnv1a(h, &[campaign.letter() as u8]);
-        for t in exp.plan(campaign) {
-            let mode = exp.mode_for(&t);
+        for (t, mode) in exp.planned(campaign) {
             h = fnv1a(h, t.function.as_bytes());
             h = fnv1a(h, t.subsystem.as_bytes());
             h = fnv1a(h, &t.insn_addr.to_le_bytes());
@@ -246,12 +245,17 @@ pub struct DistReport {
     pub chaos_stalls: u64,
     /// Chaos exit requests delivered.
     pub chaos_exits: u64,
-    /// Accepted record+metrics payload bytes streamed from workers.
+    /// Record+metrics payload bytes of the results accepted from
+    /// workers' `JobDone` messages: each plan index a worker delivered
+    /// counts once, whichever copy arrived first. Runs executed in the
+    /// coordinator and rig faults recorded by expiry cross no pipe.
     pub wire_bytes_streamed: u64,
     /// Runs replayed from the journal instead of executed.
     pub resumed_runs: usize,
     /// Journal fsync batches performed.
     pub journal_flushes: u64,
+    /// The first journal append that failed, if any.
+    pub journal_failure: Option<JournalFailure>,
 }
 
 /// A distributed study: the ordinary result plus the coordinator's
@@ -288,9 +292,8 @@ impl Default for WorkerConfig {
 }
 
 /// Bytes of the `record + metrics` portion of a JobDone payload — the
-/// scheduling-independent measure behind
-/// [`Metrics::wire_bytes_streamed`] (lease ids vary with the kill
-/// schedule; the record and its delta never do).
+/// measure behind [`DistReport::wire_bytes_streamed`] (lease ids vary
+/// with the kill schedule; the record and its delta never do).
 fn record_wire_len(record: &RunRecord, metrics: &Metrics) -> u64 {
     let mut buf = Vec::new();
     kfi_injector::wire::encode_record(&mut buf, record);
@@ -383,10 +386,6 @@ struct Pool<'a> {
     /// First-spawn wedge flag, consumed once.
     wedge_pending: bool,
     report: DistReport,
-    /// Dist counters for the campaign currently running; folded into
-    /// its [`CampaignResult::metrics`] (journal/report surfaces exclude
-    /// them, so the golden output is untouched).
-    counters: Metrics,
 }
 
 impl<'a> Pool<'a> {
@@ -421,7 +420,6 @@ impl<'a> Pool<'a> {
             total_accepted: 0,
             wedge_pending: cfg.wedge_first_handshake,
             report: DistReport::default(),
-            counters: Metrics::default(),
         }
     }
 
@@ -479,7 +477,6 @@ impl<'a> Pool<'a> {
         };
         if let Some(lease) = lease {
             self.report.leases_expired += 1;
-            self.counters.leases_expired += 1;
             for index in lease.outstanding.into_iter().rev() {
                 if st.accepted.contains(&index) {
                     continue;
@@ -514,12 +511,12 @@ impl<'a> Pool<'a> {
             slot.state = SlotState::Respawning { at: Instant::now() + backoff };
             slot.respawns += 1;
             self.report.workers_respawned += 1;
-            self.counters.workers_respawned += 1;
         }
     }
 
     /// Accepts one result for a plan index: dedup, validate against the
-    /// plan, merge, journal in plan order.
+    /// plan, merge, journal in plan order. False when the result was a
+    /// duplicate or not this plan's.
     fn accept(
         &mut self,
         st: &mut CampaignState,
@@ -527,21 +524,18 @@ impl<'a> Pool<'a> {
         index: usize,
         record: RunRecord,
         metrics: Metrics,
-    ) {
+    ) -> bool {
         if index >= st.plan.len() || st.accepted.contains(&index) || st.skipped.contains(&index) {
-            return;
+            return false;
         }
         let (target, mode) = &st.plan[index];
         if record.target != *target || record.mode != *mode {
             // Stale or foreign result (e.g. an old campaign's index
             // arriving late from a killed worker's pipe): drop it.
-            return;
+            return false;
         }
         st.accepted.insert(index);
         self.total_accepted += 1;
-        let wire_len = record_wire_len(&record, &metrics);
-        self.counters.wire_bytes_streamed += wire_len;
-        self.report.wire_bytes_streamed += wire_len;
         if let Some(pos) = st.queue.iter().position(|q| *q == index) {
             st.queue.remove(pos);
         }
@@ -558,6 +552,7 @@ impl<'a> Pool<'a> {
             st.order.drain(j);
         }
         st.done.push(JobDone { index, record, metrics, quarantine: None });
+        true
     }
 
     /// Grants a fresh lease chunk to an idle worker.
@@ -614,7 +609,10 @@ impl<'a> Pool<'a> {
         // makes them identical to what a reassigned worker produces.
         if let Msg::JobDone { lease, index, record, metrics } = msg {
             if self.lease_campaign.get(&lease) == Some(&st.campaign.letter()) {
-                self.accept(st, journal, index as usize, record, *metrics);
+                let wire_len = record_wire_len(&record, &metrics);
+                if self.accept(st, journal, index as usize, record, *metrics) {
+                    self.report.wire_bytes_streamed += wire_len;
+                }
                 if current {
                     self.slots[i].last_seen = Instant::now();
                     if let SlotState::Leased(l) = &mut self.slots[i].state {
@@ -680,7 +678,6 @@ impl<'a> Pool<'a> {
             match ev.action {
                 ChaosAction::Kill => {
                     self.report.chaos_kills += 1;
-                    self.counters.chaos_kills += 1;
                     self.expire(victim, st, journal);
                 }
                 ChaosAction::Stall => {
@@ -815,15 +812,7 @@ fn run_campaign_dist(
     journal: &mut Option<Journal>,
     resumed: &BTreeMap<char, BTreeMap<usize, JournalEntry>>,
 ) -> CampaignResult {
-    let exp = pool.exp;
-    let plan: Vec<(InjectionTarget, u32)> = exp
-        .plan(campaign)
-        .into_iter()
-        .map(|t| {
-            let mode = exp.mode_for(&t);
-            (t, mode)
-        })
-        .collect();
+    let plan = pool.exp.planned(campaign);
     let functions_injected = {
         let mut fs: Vec<&str> = plan.iter().map(|(t, _)| t.function.as_str()).collect();
         fs.sort_unstable();
@@ -888,6 +877,9 @@ fn run_campaign_dist(
         }
     }
 
+    if let Some(f) = st.order.failure {
+        pool.report.journal_failure.get_or_insert(f);
+    }
     st.done.sort_by_key(|d| d.index);
     let mut metrics = Metrics::default();
     let mut records = Vec::with_capacity(st.done.len());
@@ -895,10 +887,6 @@ fn run_campaign_dist(
         metrics.merge(&d.metrics);
         records.push(d.record);
     }
-    // Fold in this campaign's coordinator counters. They are excluded
-    // from the CSV and report surfaces (like `journal_flushes`), so the
-    // golden output stays byte-identical to the in-process supervisor.
-    metrics.merge(&std::mem::take(&mut pool.counters));
     CampaignResult { campaign, records, functions_injected, metrics }
 }
 
@@ -969,13 +957,13 @@ pub fn run_study_dist(exp: &Experiment, cfg: &DistConfig) -> Result<DistStudy, S
         campaigns.insert(c.letter(), result);
         if let Some(j) = journal.as_mut() {
             // Checkpoint the campaign boundary.
-            j.sync().map_err(|e| e.to_string())?;
+            sync_journal(j, &sup_like)?;
         }
     }
     pool.shutdown();
     let mut report = pool.report;
     if let Some(mut j) = journal {
-        j.sync().map_err(|e| e.to_string())?;
+        sync_journal(&mut j, &sup_like)?;
         report.journal_flushes = j.flushes;
     }
     Ok(DistStudy { study: StudyResult { campaigns, seed: exp.config.seed }, report })
@@ -1070,15 +1058,8 @@ pub fn run_worker<R: Read, W: Write + Send>(
                         if send(&Msg::LeaseAck { lease }).is_err() {
                             break 'io;
                         }
-                        let plan = plans.entry(campaign.letter()).or_insert_with(|| {
-                            exp.plan(campaign)
-                                .into_iter()
-                                .map(|t| {
-                                    let mode = exp.mode_for(&t);
-                                    (t, mode)
-                                })
-                                .collect()
-                        });
+                        let plan =
+                            plans.entry(campaign.letter()).or_insert_with(|| exp.planned(campaign));
                         for raw in indices {
                             let index = raw as usize;
                             let Some((target, mode)) = plan.get(index).cloned() else { continue };

@@ -225,6 +225,18 @@ impl Experiment {
         self.profile.best_workload_for(&target.function).unwrap_or(0)
     }
 
+    /// A campaign's plan with each target's run mode: the jobs every
+    /// campaign runner executes and the plan fingerprint hashes.
+    pub fn planned(&self, campaign: Campaign) -> Vec<(InjectionTarget, u32)> {
+        self.plan(campaign)
+            .into_iter()
+            .map(|t| {
+                let mode = self.mode_for(&t);
+                (t, mode)
+            })
+            .collect()
+    }
+
     /// Builds an injection rig (one per worker thread).
     ///
     /// With [`ExperimentConfig::memoize`] on (the default) this forks

@@ -1,7 +1,7 @@
 //! Append-only campaign run journal: the checkpoint behind
 //! `--journal`/`--resume`.
 //!
-//! Layout: an 8-byte magic (`KFIJRNL1`), a CRC-framed header carrying
+//! Layout: an 8-byte magic (`KFIJRNL2`), a CRC-framed header carrying
 //! the experiment seed (a journal from a different seed describes a
 //! different plan and must not be merged), then one CRC frame per
 //! completed run. Each frame's payload is
@@ -24,8 +24,11 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::Path;
 
-/// File magic: journal format version 1.
-pub const MAGIC: &[u8; 8] = b"KFIJRNL1";
+/// File magic: journal format version 2. Version 1 entries carried
+/// eleven more metrics counters; their frames pass the CRC but do not
+/// decode, so a version 1 journal is refused rather than read as a torn
+/// tail.
+pub const MAGIC: &[u8; 8] = b"KFIJRNL2";
 
 /// Appends are fsync'd every this many entries (and on [`Journal::sync`]).
 /// The value trades the crash-loss window (at most this many runs are
@@ -74,10 +77,13 @@ fn decode_entry(payload: &[u8]) -> Option<JournalEntry> {
 pub struct Journal {
     file: File,
     pending: usize,
-    /// fsync batches completed so far (surfaced on stderr, deliberately
-    /// never merged into campaign metrics — flush counts differ between
-    /// an interrupted-and-resumed campaign and an uninterrupted one).
+    /// fsync batches completed so far (surfaced on stderr; flush counts
+    /// differ between an interrupted-and-resumed campaign and an
+    /// uninterrupted one, so they never reach the dataset).
     pub flushes: u64,
+    /// Set by the first failed append. A reader stops at a torn frame,
+    /// so nothing written after one could ever be resumed.
+    failed: bool,
 }
 
 impl Journal {
@@ -99,7 +105,7 @@ impl Journal {
         write_frame(&mut buf, &header);
         file.write_all(&buf)?;
         file.sync_data()?;
-        Ok(Journal { file, pending: 0, flushes: 1 })
+        Ok(Journal { file, pending: 0, flushes: 1, failed: false })
     }
 
     /// Opens an existing journal for appending. The caller must know
@@ -113,33 +119,41 @@ impl Journal {
     /// Propagates I/O errors.
     pub fn append_to(path: &Path) -> std::io::Result<Journal> {
         let file = OpenOptions::new().append(true).open(path)?;
-        Ok(Journal { file, pending: 0, flushes: 0 })
+        Ok(Journal { file, pending: 0, flushes: 0, failed: false })
     }
 
     /// Appends one entry, fsyncing every [`FLUSH_BATCH`] appends.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors.
+    /// Propagates I/O errors. After the first, every append fails
+    /// without writing.
     pub fn append(&mut self, entry: &JournalEntry) -> std::io::Result<()> {
+        if self.failed {
+            return Err(std::io::Error::other("journal closed by an earlier failed append"));
+        }
         let payload = encode_entry(entry);
         let mut framed = Vec::with_capacity(payload.len() + 8);
         write_frame(&mut framed, &payload);
-        self.file.write_all(&framed)?;
-        self.pending += 1;
-        if self.pending >= FLUSH_BATCH {
-            self.sync()?;
-        }
-        Ok(())
+        let written = self.file.write_all(&framed).and_then(|()| {
+            self.pending += 1;
+            if self.pending >= FLUSH_BATCH {
+                self.sync()?;
+            }
+            Ok(())
+        });
+        self.failed = written.is_err();
+        written
     }
 
-    /// Forces any pending appends to disk.
+    /// Forces any pending appends to disk. Does nothing after a failed
+    /// append, which the caller has already been told of.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
     pub fn sync(&mut self) -> std::io::Result<()> {
-        if self.pending > 0 {
+        if self.pending > 0 && !self.failed {
             self.file.sync_data()?;
             self.pending = 0;
             self.flushes += 1;
@@ -168,10 +182,10 @@ pub enum JournalError {
 impl std::fmt::Display for JournalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            JournalError::Io(e) => write!(f, "journal I/O error: {e}"),
+            JournalError::Io(e) => write!(f, "I/O error: {e}"),
             JournalError::BadHeader => write!(f, "not a run journal (bad magic or header)"),
             JournalError::SeedMismatch { found, expected } => {
-                write!(f, "journal seed {found} does not match experiment seed {expected}")
+                write!(f, "written for seed {found}, not the experiment's seed {expected}")
             }
         }
     }
@@ -273,7 +287,7 @@ pub fn resume(
         file.set_len(valid_len)?;
         file.sync_data()?;
     }
-    Ok((entries, Journal { file, pending: 0, flushes: 0 }))
+    Ok((entries, Journal { file, pending: 0, flushes: 0, failed: false }))
 }
 
 #[cfg(test)]
@@ -366,6 +380,22 @@ mod tests {
         let (entries, tail) = read_journal_tail(&path, 9).unwrap();
         assert_eq!(entries.len(), 4);
         assert!(matches!(tail, FrameTail::Corrupt { .. }));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn version_1_journal_rejected_untouched() {
+        let path = tmp("v1");
+        let mut j = Journal::create(&path, 3).unwrap();
+        j.append(&entry(0)).unwrap();
+        j.sync().unwrap();
+        drop(j);
+        let mut v1 = std::fs::read(&path).unwrap();
+        v1[..MAGIC.len()].copy_from_slice(b"KFIJRNL1");
+        std::fs::write(&path, &v1).unwrap();
+        assert!(matches!(read_journal(&path, 3), Err(JournalError::BadHeader)));
+        assert!(matches!(resume(&path, 3), Err(JournalError::BadHeader)));
+        assert_eq!(std::fs::read(&path).unwrap(), v1, "a refused journal is left as it was");
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -135,14 +135,8 @@ pub struct SupervisorReport {
     pub resumed_runs: usize,
     /// Journal fsync batches performed.
     pub journal_flushes: u64,
-    /// Worker panics caught.
-    pub rig_panics: u64,
-    /// Retries performed (fresh rig each).
-    pub retries: u64,
-    /// Runs quarantined as persistent offenders.
-    pub quarantined_runs: u64,
-    /// Runs the wall-clock watchdog aborted.
-    pub watchdog_fired: u64,
+    /// The first journal append that failed, if any.
+    pub journal_failure: Option<JournalFailure>,
     /// Workers that died (rig rebuild failed) with their jobs
     /// redistributed.
     pub workers_lost: usize,
@@ -150,12 +144,26 @@ pub struct SupervisorReport {
     pub quarantined: Vec<QuarantineReport>,
 }
 
-impl SupervisorReport {
-    fn absorb_campaign(&mut self, m: &Metrics) {
-        self.rig_panics += m.rig_panics;
-        self.retries += m.run_retries;
-        self.quarantined_runs += m.quarantined_runs;
-        self.watchdog_fired += m.wall_watchdog_fired;
+/// The first journal append that failed. The campaign completes all the
+/// same — its runs are in memory — but the journal ends before this run,
+/// so a resume re-executes it and everything after it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JournalFailure {
+    /// Campaign letter of the run whose append failed.
+    pub campaign: char,
+    /// Its plan index.
+    pub index: usize,
+    /// The I/O error.
+    pub error: String,
+}
+
+impl std::fmt::Display for JournalFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "append failed at campaign {} index {}: {}",
+            self.campaign, self.index, self.error
+        )
     }
 }
 
@@ -401,11 +409,14 @@ pub(crate) struct JournalOrder {
     /// Plan indices already journaled by a previous (resumed) session;
     /// `next` skips over these.
     skip: BTreeSet<usize>,
+    /// The first append that failed. The journal refuses every append
+    /// after it ([`Journal::append`]).
+    pub(crate) failure: Option<JournalFailure>,
 }
 
 impl JournalOrder {
     pub(crate) fn new(skip: BTreeSet<usize>) -> JournalOrder {
-        JournalOrder { next: 0, held: BTreeMap::new(), skip }
+        JournalOrder { next: 0, held: BTreeMap::new(), skip, failure: None }
     }
 
     /// Appends every entry that is now contiguous with the journal tail.
@@ -419,8 +430,14 @@ impl JournalOrder {
                 Some(e) => {
                     // Journal I/O failure must not kill the campaign:
                     // the run is already in memory; only resumability
-                    // degrades.
-                    let _ = j.append(&e);
+                    // degrades, and the report says from where.
+                    if let Err(err) = j.append(&e) {
+                        self.failure.get_or_insert(JournalFailure {
+                            campaign: e.campaign,
+                            index: e.index,
+                            error: err.to_string(),
+                        });
+                    }
                     self.next += 1;
                 }
                 None => break,
@@ -550,17 +567,9 @@ pub fn run_campaign_supervised(
 ) -> Result<SupervisedCampaign, String> {
     let (journal, resumed) = open_journal(exp, cfg)?;
     let journal_mutex = journal.map(Mutex::new);
-    let out = run_campaign_inner(exp, campaign, cfg, journal_mutex.as_ref(), &resumed);
-    let flushes = match journal_mutex {
-        Some(m) => {
-            let mut j = m.into_inner().expect("journal lock");
-            j.sync().map_err(|e| e.to_string())?;
-            j.flushes
-        }
-        None => 0,
-    };
-    let mut out = out;
-    out.report.journal_flushes = flushes;
+    let plan = exp.planned(campaign);
+    let mut out = run_plan_inner(exp, campaign, cfg, journal_mutex.as_ref(), &resumed, plan);
+    out.report.journal_flushes = close_journal(journal_mutex, cfg)?;
     Ok(out)
 }
 
@@ -578,22 +587,19 @@ pub fn run_study_supervised(
     let mut campaigns = BTreeMap::new();
     let mut report = SupervisorReport::default();
     for c in [Campaign::A, Campaign::B, Campaign::C] {
-        let out = run_campaign_inner(exp, c, cfg, journal_mutex.as_ref(), &resumed);
+        let plan = exp.planned(c);
+        let out = run_plan_inner(exp, c, cfg, journal_mutex.as_ref(), &resumed, plan);
         report.resumed_runs += out.report.resumed_runs;
         report.workers_lost += out.report.workers_lost;
         report.quarantined.extend(out.report.quarantined);
-        report.absorb_campaign(&out.result.metrics);
+        report.journal_failure = report.journal_failure.or(out.report.journal_failure);
         campaigns.insert(c.letter(), out.result);
         if let Some(m) = journal_mutex.as_ref() {
             // Checkpoint the campaign boundary.
-            m.lock().expect("journal lock").sync().map_err(|e| e.to_string())?;
+            sync_journal(&mut m.lock().expect("journal lock"), cfg)?;
         }
     }
-    if let Some(m) = journal_mutex {
-        let mut j = m.into_inner().expect("journal lock");
-        j.sync().map_err(|e| e.to_string())?;
-        report.journal_flushes = j.flushes;
-    }
+    report.journal_flushes = close_journal(journal_mutex, cfg)?;
     Ok(SupervisedStudy { study: StudyResult { campaigns, seed: exp.config.seed }, report })
 }
 
@@ -618,12 +624,28 @@ pub fn run_plan_supervised(
     let (journal, resumed) = open_journal(exp, cfg)?;
     let journal_mutex = journal.map(Mutex::new);
     let mut out = run_plan_inner(exp, campaign, cfg, journal_mutex.as_ref(), &resumed, plan);
-    if let Some(m) = journal_mutex {
-        let mut j = m.into_inner().expect("journal lock");
-        j.sync().map_err(|e| e.to_string())?;
-        out.report.journal_flushes = j.flushes;
-    }
+    out.report.journal_flushes = close_journal(journal_mutex, cfg)?;
     Ok(out)
+}
+
+/// A journal error naming the file: `journal <path>: <why>`.
+pub(crate) fn journal_error(cfg: &SupervisorConfig, why: impl std::fmt::Display) -> String {
+    let path = cfg.journal.as_deref().unwrap_or(std::path::Path::new(""));
+    format!("journal {}: {why}", path.display())
+}
+
+/// Forces the journal's pending appends to disk.
+pub(crate) fn sync_journal(j: &mut Journal, cfg: &SupervisorConfig) -> Result<(), String> {
+    j.sync().map_err(|e| journal_error(cfg, e))
+}
+
+/// Syncs the journal, if any, for the last time; returns its fsync
+/// batch count.
+fn close_journal(j: Option<Mutex<Journal>>, cfg: &SupervisorConfig) -> Result<u64, String> {
+    let Some(m) = j else { return Ok(0) };
+    let mut j = m.into_inner().expect("journal lock");
+    sync_journal(&mut j, cfg)?;
+    Ok(j.flushes)
 }
 
 /// Opens/creates the journal per config and reads any resumable
@@ -639,34 +661,17 @@ pub(crate) fn open_journal(
     if cfg.resume && path.exists() {
         // `resume` truncates any torn tail before reopening for append,
         // so re-run frames stay reachable by the next resume.
-        let (entries, journal) = crate::journal::resume(path, seed).map_err(|e| e.to_string())?;
+        let (entries, journal) =
+            crate::journal::resume(path, seed).map_err(|e| journal_error(cfg, e))?;
         let mut by_campaign: BTreeMap<char, BTreeMap<usize, JournalEntry>> = BTreeMap::new();
         for e in entries {
             by_campaign.entry(e.campaign).or_default().insert(e.index, e);
         }
         Ok((Some(journal), by_campaign))
     } else {
-        let journal = Journal::create(path, seed).map_err(|e| e.to_string())?;
+        let journal = Journal::create(path, seed).map_err(|e| journal_error(cfg, e))?;
         Ok((Some(journal), BTreeMap::new()))
     }
-}
-
-fn run_campaign_inner(
-    exp: &Experiment,
-    campaign: Campaign,
-    cfg: &SupervisorConfig,
-    journal: Option<&Mutex<Journal>>,
-    resumed: &BTreeMap<char, BTreeMap<usize, JournalEntry>>,
-) -> SupervisedCampaign {
-    let plan: Vec<(InjectionTarget, u32)> = exp
-        .plan(campaign)
-        .into_iter()
-        .map(|t| {
-            let mode = exp.mode_for(&t);
-            (t, mode)
-        })
-        .collect();
-    run_plan_inner(exp, campaign, cfg, journal, resumed, plan)
 }
 
 fn run_plan_inner(
@@ -782,6 +787,7 @@ fn run_plan_inner(
         }
     }
 
+    let journal_failure = shared.order.into_inner().expect("journal order lock").failure;
     let mut done = shared.done.into_inner().expect("done lock");
     done.sort_by_key(|d| d.index);
     let mut metrics = Metrics::default();
@@ -794,11 +800,56 @@ fn run_plan_inner(
             quarantined.push(q);
         }
     }
-    let mut report =
-        SupervisorReport { resumed_runs, workers_lost, quarantined, ..SupervisorReport::default() };
-    report.absorb_campaign(&metrics);
+    let report = SupervisorReport {
+        resumed_runs,
+        journal_failure,
+        workers_lost,
+        quarantined,
+        ..SupervisorReport::default()
+    };
     SupervisedCampaign {
         result: CampaignResult { campaign, records, functions_injected, metrics },
         report,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn entry(index: usize) -> JournalEntry {
+        let target = InjectionTarget {
+            campaign: Campaign::B,
+            function: "do_fork".into(),
+            subsystem: "kernel".into(),
+            insn_addr: 0xc010_0000,
+            insn_len: 2,
+            byte_index: 1,
+            bit_mask: 0x10,
+            is_branch: false,
+        };
+        let record = rig_fault_record(&Job { index, target, mode: 0 }, "test entry");
+        JournalEntry { campaign: 'B', index, record, metrics: Metrics::default() }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_append_is_kept_with_its_index_and_ends_the_journal() {
+        let mut j = Journal::append_to(std::path::Path::new("/dev/full")).expect("opens");
+        // Index 0 was journaled by an earlier session.
+        let mut order = JournalOrder::new(BTreeSet::from([0]));
+        for index in [3, 1, 2] {
+            order.held.insert(index, entry(index));
+        }
+        order.drain(&mut j);
+        let failure = order.failure.clone().expect("a full device refuses the append");
+        assert_eq!((failure.campaign, failure.index), ('B', 1));
+        assert!(failure.error.contains("No space left"), "{failure}");
+        assert!(order.held.is_empty(), "the campaign goes on past the failure");
+        // Nothing more is written, and the first failure is the one kept.
+        order.held.insert(4, entry(4));
+        order.drain(&mut j);
+        assert_eq!(order.failure, Some(failure));
+        assert!(j.append(&entry(5)).is_err());
     }
 }

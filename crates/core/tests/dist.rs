@@ -54,6 +54,7 @@ fn pool_collapse_degrades_to_in_process_with_zero_lost_jobs() {
     let planned: usize =
         [Campaign::A, Campaign::B, Campaign::C].iter().map(|c| exp.plan(*c).len()).sum();
     assert_eq!(dist.report.jobs_degraded as usize, planned, "every job ran in-process");
+    assert_eq!(dist.report.wire_bytes_streamed, 0, "no result crossed a pipe");
 
     // Zero silently-lost plan indices, and record-for-record equality
     // with the supervised run.
@@ -69,6 +70,7 @@ fn pool_collapse_degrades_to_in_process_with_zero_lost_jobs() {
             "campaign {letter} lost plan indices"
         );
         assert_eq!(result.records, reference.records, "campaign {letter} records differ");
+        assert_eq!(result.metrics, reference.metrics, "campaign {letter} metrics differ");
         assert_eq!(result.functions_injected, reference.functions_injected);
     }
 }

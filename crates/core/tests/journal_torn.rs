@@ -19,7 +19,7 @@ fn entry(index: usize) -> JournalEntry {
     let mut metrics = Metrics::default();
     metrics.runs = 1;
     metrics.instructions = 5_000 + index as u64;
-    metrics.wire_bytes_streamed = index as u64 * 17;
+    metrics.dirty_pages = index as u64 * 17;
     metrics.run_cycles.record(1_000 + index as u64);
     JournalEntry {
         campaign: ['A', 'B', 'C'][index % 3],

@@ -8,12 +8,11 @@
 //! alone, and must yield the dataset single-stepping does.
 
 use kfi_core::supervisor::{run_campaign_supervised, SupervisorConfig};
-use kfi_core::{metrics_to_csv, Experiment, ExperimentConfig};
+use kfi_core::{Experiment, ExperimentConfig};
 use kfi_injector::{Campaign, RigConfig};
 use kfi_kernel::KernelBuildOptions;
 use kfi_machine::ExecTier;
 use kfi_profiler::ProfilerConfig;
-use kfi_trace::Metrics;
 use std::path::PathBuf;
 
 fn smp_experiment(threads: usize) -> Experiment {
@@ -33,35 +32,34 @@ fn smp_experiment_with(threads: usize, rig: RigConfig) -> Experiment {
     .expect("prepare")
 }
 
-/// Zeroes the journal-only counters that describe the block tier
-/// itself — the only fields allowed to differ between the tiers.
-fn without_block_counters(m: &Metrics) -> Metrics {
-    Metrics {
-        block_hits: 0,
-        block_misses: 0,
-        block_invalidations: 0,
-        block_chain_links: 0,
-        block_chain_follows: 0,
-        block_chain_breaks: 0,
-        ..m.clone()
+/// The block `(hits, misses, invalidations)` and chain `(links,
+/// follows, breaks)` of one rig after it has run campaign A's plan.
+fn engine_stats(exp: &Experiment) -> ((u64, u64, u64), (u64, u64, u64)) {
+    let mut rig = exp.make_rig().expect("rig");
+    for (target, mode) in exp.planned(Campaign::A) {
+        rig.run_one(&target, mode);
     }
+    let m = rig.machine_mut();
+    (m.block_stats(), m.chain_stats())
 }
 
 #[test]
 fn smp_campaign_is_bit_identical_on_the_block_tier_and_single_stepped() {
-    let blocks = smp_experiment(2).run_campaign(Campaign::A);
+    let blocks_exp = smp_experiment(2);
+    let blocks = blocks_exp.run_campaign(Campaign::A);
     let rig = RigConfig { cpus: 2, tier: ExecTier::Cached, ..RigConfig::default() };
-    let stepped = smp_experiment_with(2, rig).run_campaign(Campaign::A);
+    let stepped_exp = smp_experiment_with(2, rig);
+    let stepped = stepped_exp.run_campaign(Campaign::A);
 
     // Anti-vacuity: the two-CPU rig really replays chained blocks, and
     // the reference really single-steps.
-    assert!(blocks.metrics.block_hits > 0, "the block tier must run on two CPUs");
-    assert!(blocks.metrics.block_chain_follows > 0, "chaining must run on two CPUs");
-    assert_eq!(stepped.metrics.block_hits + stepped.metrics.block_misses, 0);
+    let ((hits, _, _), (_, follows, _)) = engine_stats(&blocks_exp);
+    assert!(hits > 0, "the block tier must run on two CPUs");
+    assert!(follows > 0, "chaining must run on two CPUs");
+    assert_eq!(engine_stats(&stepped_exp), Default::default());
 
     assert_eq!(blocks.records, stepped.records);
-    assert_eq!(metrics_to_csv([('A', &blocks.metrics)]), metrics_to_csv([('A', &stepped.metrics)]));
-    assert_eq!(without_block_counters(&blocks.metrics), without_block_counters(&stepped.metrics));
+    assert_eq!(blocks.metrics, stepped.metrics);
 }
 
 #[test]

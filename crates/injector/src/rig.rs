@@ -972,8 +972,6 @@ impl InjectorRig {
         // checkpoint install adds its prefix's share.
         let tlb_0 = self.machine.tlb_stats();
         let dec_0 = self.machine.decode_stats();
-        let blk_0 = self.machine.block_stats();
-        let chn_0 = self.machine.chain_stats();
         let san_0 = self.machine.sanitizer_violation_count();
         let golden_cycles = self.golden[mode as usize].cycles;
         let budget = golden_cycles * self.config.budget_factor + self.config.budget_slack;
@@ -1015,7 +1013,7 @@ impl InjectorRig {
             _ => {
                 let run_cycles = self.machine.max_tsc().saturating_sub(start);
                 let sanitizer_violations = self.absorb_sanitizer(san_0);
-                self.absorb_run_counters(tlb_0, dec_0, blk_0, chn_0);
+                self.absorb_run_counters(tlb_0, dec_0);
                 self.metrics.record_outcome(trace_outcome::NOT_ACTIVATED);
                 self.metrics.run_cycles.record(run_cycles);
                 self.metrics.run_cycles_total += run_cycles;
@@ -1042,7 +1040,7 @@ impl InjectorRig {
         let end_tsc = self.machine.max_tsc();
         let run_cycles = end_tsc.saturating_sub(start);
         let sanitizer_violations = self.absorb_sanitizer(san_0);
-        self.absorb_run_counters(tlb_0, dec_0, blk_0, chn_0);
+        self.absorb_run_counters(tlb_0, dec_0);
 
         // Keep the severity-assessment reboot out of the timeline.
         let sink = self.machine.take_trace_sink();
@@ -1088,13 +1086,7 @@ impl InjectorRig {
     /// metrics, and records the run's dirty-page footprint. Must run
     /// before classification: severity assessment reboots the machine
     /// (and its reboot-and-fsck activity must stay out of run metrics).
-    fn absorb_run_counters(
-        &mut self,
-        tlb_0: (u64, u64),
-        dec_0: (u64, u64, u64),
-        blk_0: (u64, u64, u64),
-        chn_0: (u64, u64, u64),
-    ) {
+    fn absorb_run_counters(&mut self, tlb_0: (u64, u64), dec_0: (u64, u64, u64)) {
         let c = self.machine.counters();
         self.metrics.instructions += c.instructions;
         self.metrics.syscalls += c.syscalls;
@@ -1112,14 +1104,6 @@ impl InjectorRig {
         self.metrics.decode_hits += dh - dec_0.0;
         self.metrics.decode_misses += dm - dec_0.1;
         self.metrics.decode_invalidations += di - dec_0.2;
-        let (bh, bm, bi) = self.machine.block_stats();
-        self.metrics.block_hits += bh - blk_0.0;
-        self.metrics.block_misses += bm - blk_0.1;
-        self.metrics.block_invalidations += bi - blk_0.2;
-        let (cl, cf, cb) = self.machine.chain_stats();
-        self.metrics.block_chain_links += cl - chn_0.0;
-        self.metrics.block_chain_follows += cf - chn_0.1;
-        self.metrics.block_chain_breaks += cb - chn_0.2;
         // The run's *own* footprint, not the pages reset at restore
         // time: restore cost depends on what the previous run on this
         // worker touched, which would vary with scheduling, while the

@@ -213,8 +213,9 @@ pub fn decode_record(buf: &[u8], pos: &mut usize) -> Result<RunRecord, CodecErro
 
 /// Version of the coordinator↔worker protocol. A worker whose
 /// [`Msg::Hello`] carries a different version is reaped immediately —
-/// mixed builds must never exchange records.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// mixed builds must never exchange records. Version 2 dropped eleven
+/// counters from the `JobDone` metrics.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 const MSG_HELLO: u8 = 1;
 const MSG_LEASE_GRANT: u8 = 2;

@@ -70,10 +70,10 @@ fn metrics(v: u64) -> Metrics {
     let mut m = Metrics::default();
     m.runs = 1;
     m.instructions = v % 1_000_000;
-    m.leases_expired = v % 3;
-    m.workers_respawned = v % 2;
-    m.chaos_kills = v % 4;
-    m.wire_bytes_streamed = v % 50_000;
+    m.rig_panics = v % 3;
+    m.run_retries = v % 2;
+    m.quarantined_runs = v % 4;
+    m.dirty_pages = v % 50_000;
     m.run_cycles.record(v % 1_000_000);
     m
 }

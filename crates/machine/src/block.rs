@@ -355,26 +355,15 @@ impl BlockCache {
     }
 
     /// Makes `live` (as [`BlockCache::live`] lists them) the cache's
-    /// entries and adds the `(hits, misses, invalidations)` and `(links,
-    /// follows, breaks)` deltas to the counters. The cache must have been
-    /// flushed since its last insert.
-    pub(crate) fn install(
-        &mut self,
-        live: &[LiveBlock],
-        stats: (u64, u64, u64),
-        chain: (u64, u64, u64),
-    ) {
+    /// entries. The counters stay as they are: a run resumed from a
+    /// checkpoint counts only the blocks it replays itself. The cache
+    /// must have been flushed since its last insert.
+    pub(crate) fn install(&mut self, live: &[LiveBlock]) {
         let epoch = self.epoch;
         for b in live {
             *self.slot_mut(b.pa) =
                 Slot { pa: b.pa, gen: b.gen, epoch, block: Some(b.block.clone()), links: b.links };
         }
-        self.hits += stats.0;
-        self.misses += stats.1;
-        self.invalidations += stats.2;
-        self.links += chain.0;
-        self.follows += chain.1;
-        self.breaks += chain.2;
     }
 
     fn insert(&mut self, pa: u32, gen: u64, block: Block) {

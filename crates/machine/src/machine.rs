@@ -470,8 +470,9 @@ pub struct Machine {
     /// The residue observer ([`Machine::observe_residue`]); `None` (the
     /// default) costs one branch on each slow path it hooks.
     observer: Option<Box<ResidueObserver>>,
-    /// The cumulative cache statistics at the last [`Machine::restore`],
-    /// so that a [`Checkpoint`] can hold the ones since.
+    /// The cumulative TLB and decode statistics at the last
+    /// [`Machine::restore`], so that a [`Checkpoint`] can hold the ones
+    /// since.
     stats_base: checkpoint::CacheStats,
 }
 

@@ -7,8 +7,9 @@
 //! is `min(deadline, next_tick)`), so stopping there with
 //! [`Machine::run_to_tick`], capturing with [`Machine::checkpoint`] and
 //! later resuming with [`Machine::install`] is invisible: the resumed
-//! machine runs on exactly as the uncut one would, caches and
-//! statistics included.
+//! machine runs on exactly as the uncut one would, caches and the TLB
+//! and decode statistics included. The block and chain statistics count
+//! only what the resumed machine replays itself.
 
 use super::{Counters, Machine, MachineConfig, MonitorEvent};
 use crate::cpu::Cpu;
@@ -19,36 +20,24 @@ use crate::trap::TrapRecord;
 use kfi_isa::Insn;
 use std::collections::VecDeque;
 
-/// Cumulative cache statistics: the TLB `(hits, misses)` summed over
-/// every CPU, and the decode, block and chain triples.
+/// Cumulative cache statistics that reach the dataset: the TLB
+/// `(hits, misses)` summed over every CPU, and the decode triple.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(super) struct CacheStats {
     tlb: (u64, u64),
     decode: (u64, u64, u64),
-    block: (u64, u64, u64),
-    chain: (u64, u64, u64),
 }
 
 impl CacheStats {
     pub(super) fn of(m: &Machine) -> CacheStats {
-        CacheStats {
-            tlb: m.tlb_stats(),
-            decode: m.decode_stats(),
-            block: m.block_stats(),
-            chain: m.chain_stats(),
-        }
+        CacheStats { tlb: m.tlb_stats(), decode: m.decode_stats() }
     }
 
     /// `self - base`, per counter.
     fn since(&self, base: &CacheStats) -> CacheStats {
         let d2 = |a: (u64, u64), b: (u64, u64)| (a.0 - b.0, a.1 - b.1);
         let d3 = |a: (u64, u64, u64), b: (u64, u64, u64)| (a.0 - b.0, a.1 - b.1, a.2 - b.2);
-        CacheStats {
-            tlb: d2(self.tlb, base.tlb),
-            decode: d3(self.decode, base.decode),
-            block: d3(self.block, base.block),
-            chain: d3(self.chain, base.chain),
-        }
+        CacheStats { tlb: d2(self.tlb, base.tlb), decode: d3(self.decode, base.decode) }
     }
 }
 
@@ -124,9 +113,9 @@ impl PageDelta {
 /// [`Snapshot`](super::Snapshot) it was restored from: every CPU's
 /// context, the memory and disk pages written since the restore with
 /// their page generations, the decode cache, the block cache with its
-/// chain links, the TLBs, the counters, the cache statistics since the restore, and the
-/// console, monitor and trap logs. Host-side state (trace sink, abort
-/// flag) is not part of it.
+/// chain links, the TLBs, the counters, the TLB and decode statistics
+/// since the restore, and the console, monitor and trap logs. Host-side
+/// state (trace sink, abort flag) is not part of it.
 ///
 /// Captured by [`Machine::checkpoint`] and installed by
 /// [`Machine::install`]; both destructure the machine exhaustively, so
@@ -153,7 +142,7 @@ pub struct Checkpoint {
     disk: Option<(PageDelta, (u64, u64))>,
     decode: Vec<(u32, u64, Insn)>,
     blocks: Vec<crate::block::LiveBlock>,
-    /// Cache statistics accumulated since the restore.
+    /// TLB and decode statistics accumulated since the restore.
     stats: CacheStats,
     console: Vec<u8>,
     monitor: Vec<(u64, MonitorEvent)>,
@@ -311,10 +300,10 @@ impl Machine {
     }
 
     /// Installs `c`, leaving the machine in the state it was captured
-    /// in: the inverse of [`Machine::checkpoint`]. The cache statistics
-    /// accumulated before the cut are added to this machine's cumulative
-    /// ones, so a caller that diffs them around a run started here sees
-    /// the same totals as one that ran from the restore.
+    /// in: the inverse of [`Machine::checkpoint`]. The TLB and decode
+    /// statistics accumulated before the cut are added to this machine's
+    /// cumulative ones, so a caller that diffs them around a run started
+    /// here sees the same totals as one that ran from the restore.
     ///
     /// The machine must have just been [restored](Machine::restore) from
     /// the checkpoint's snapshot, with its disk (if the checkpoint has
@@ -384,7 +373,7 @@ impl Machine {
             d.set_io_stats(*io);
         }
         decode_cache.install(&c.decode, c.stats.decode);
-        block_cache.install(&c.blocks, c.stats.block, c.stats.chain);
+        block_cache.install(&c.blocks);
         console.clone_from(&c.console);
         monitor.clone_from(&c.monitor);
         trap_log.clone_from(&c.trap_log);

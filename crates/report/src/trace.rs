@@ -79,7 +79,6 @@ pub fn metrics_table(m: &Metrics) -> String {
         ("run retries", m.run_retries),
         ("quarantined runs", m.quarantined_runs),
         ("wall watchdog fired", m.wall_watchdog_fired),
-        ("journal flushes", m.journal_flushes),
     ] {
         if v > 0 {
             row(name, v);

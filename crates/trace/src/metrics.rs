@@ -96,6 +96,12 @@ impl CycleHist {
 
 /// Aggregate counters for a rig, a worker, or a whole campaign.
 ///
+/// Each scalar counter is a column of the per-campaign metrics CSV;
+/// `faults_by_vector` prints there as its sum, and the outcome tallies
+/// and histograms feed the report. Engine and coordinator statistics
+/// that no artifact reads live where they are counted (the machine's
+/// caches, `DistReport`), not here.
+///
 /// Every field is additive, so [`Metrics::merge`] is commutative and
 /// associative — aggregating per-worker metrics yields bit-identical
 /// results for any thread count and any merge order, which the
@@ -121,26 +127,6 @@ pub struct Metrics {
     /// Decode-cache entries killed by a write to their page (subset of
     /// misses; the bit-flip and self-modifying-code path).
     pub decode_invalidations: u64,
-    /// Basic-block cache replays during measured runs. Like
-    /// `journal_flushes`, the block counters are *excluded* from the
-    /// CSV/report surfaces: the golden CSV must stay byte-identical
-    /// on any tier with the decode cache, chained or not.
-    pub block_hits: u64,
-    /// Basic-block cache misses (blocks recorded) during measured runs.
-    pub block_misses: u64,
-    /// Block-cache entries killed by a write to their page (subset of
-    /// block misses).
-    pub block_invalidations: u64,
-    /// Block-exit chain links installed during measured runs. Like
-    /// `journal_flushes`, the chain counters are *excluded* from the
-    /// CSV/report surfaces: the golden CSV must stay byte-identical
-    /// on any tier with the decode cache, chained or not.
-    pub block_chain_links: u64,
-    /// Block exits that followed an installed chain link.
-    pub block_chain_follows: u64,
-    /// Chain links severed because the successor block was gone
-    /// (evicted, invalidated, or re-pointed) at follow time.
-    pub block_chain_breaks: u64,
     /// Physical pages dirtied by measured runs — the pages the
     /// dirty-page snapshot restore resets, and at most the pages the
     /// runs copied on their first write.
@@ -166,25 +152,6 @@ pub struct Metrics {
     /// Runs aborted by the supervisor's wall-clock watchdog and
     /// degraded to hang-classified records.
     pub wall_watchdog_fired: u64,
-    /// Journal flush+fsync batches. Deliberately *excluded* from the
-    /// CSV/report surfaces: flush counts differ between an interrupted
-    /// and an uninterrupted campaign, and resumed output must stay
-    /// byte-identical.
-    pub journal_flushes: u64,
-    /// Worker leases expired by the distributed coordinator (missed
-    /// heartbeat, dead pipe, nonzero exit). Like `journal_flushes`, the
-    /// dist counters are *excluded* from the CSV/report surfaces: a
-    /// distributed campaign's output must stay byte-identical to the
-    /// in-process supervisor's at any worker count and kill schedule.
-    pub leases_expired: u64,
-    /// Worker subprocesses respawned after a crash, stall, or reap.
-    pub workers_respawned: u64,
-    /// Workers deliberately SIGKILLed by the built-in chaos harness.
-    pub chaos_kills: u64,
-    /// Accepted JobDone payload bytes streamed over worker pipes —
-    /// counts each plan index's first-arriving result exactly once, so
-    /// it is invariant across worker counts and kill schedules.
-    pub wire_bytes_streamed: u64,
     /// Total cycles consumed by measured runs.
     pub run_cycles_total: u64,
     /// Distribution of per-run cycle counts.
@@ -210,12 +177,6 @@ impl Metrics {
         self.decode_hits += other.decode_hits;
         self.decode_misses += other.decode_misses;
         self.decode_invalidations += other.decode_invalidations;
-        self.block_hits += other.block_hits;
-        self.block_misses += other.block_misses;
-        self.block_invalidations += other.block_invalidations;
-        self.block_chain_links += other.block_chain_links;
-        self.block_chain_follows += other.block_chain_follows;
-        self.block_chain_breaks += other.block_chain_breaks;
         self.dirty_pages += other.dirty_pages;
         self.snapshot_restores += other.snapshot_restores;
         self.runs += other.runs;
@@ -228,11 +189,6 @@ impl Metrics {
         self.run_retries += other.run_retries;
         self.quarantined_runs += other.quarantined_runs;
         self.wall_watchdog_fired += other.wall_watchdog_fired;
-        self.journal_flushes += other.journal_flushes;
-        self.leases_expired += other.leases_expired;
-        self.workers_respawned += other.workers_respawned;
-        self.chaos_kills += other.chaos_kills;
-        self.wire_bytes_streamed += other.wire_bytes_streamed;
         self.run_cycles_total += other.run_cycles_total;
         self.run_cycles.merge(&other.run_cycles);
         self.crash_latency.merge(&other.crash_latency);
@@ -270,12 +226,6 @@ impl Metrics {
         put_varint(out, self.decode_hits);
         put_varint(out, self.decode_misses);
         put_varint(out, self.decode_invalidations);
-        put_varint(out, self.block_hits);
-        put_varint(out, self.block_misses);
-        put_varint(out, self.block_invalidations);
-        put_varint(out, self.block_chain_links);
-        put_varint(out, self.block_chain_follows);
-        put_varint(out, self.block_chain_breaks);
         put_varint(out, self.dirty_pages);
         put_varint(out, self.snapshot_restores);
         put_varint(out, self.runs);
@@ -288,11 +238,6 @@ impl Metrics {
         put_varint(out, self.run_retries);
         put_varint(out, self.quarantined_runs);
         put_varint(out, self.wall_watchdog_fired);
-        put_varint(out, self.journal_flushes);
-        put_varint(out, self.leases_expired);
-        put_varint(out, self.workers_respawned);
-        put_varint(out, self.chaos_kills);
-        put_varint(out, self.wire_bytes_streamed);
         put_varint(out, self.run_cycles_total);
         self.run_cycles.encode_into(out);
         self.crash_latency.encode_into(out);
@@ -319,12 +264,6 @@ impl Metrics {
         m.decode_hits = get_varint(buf, pos)?;
         m.decode_misses = get_varint(buf, pos)?;
         m.decode_invalidations = get_varint(buf, pos)?;
-        m.block_hits = get_varint(buf, pos)?;
-        m.block_misses = get_varint(buf, pos)?;
-        m.block_invalidations = get_varint(buf, pos)?;
-        m.block_chain_links = get_varint(buf, pos)?;
-        m.block_chain_follows = get_varint(buf, pos)?;
-        m.block_chain_breaks = get_varint(buf, pos)?;
         m.dirty_pages = get_varint(buf, pos)?;
         m.snapshot_restores = get_varint(buf, pos)?;
         m.runs = get_varint(buf, pos)?;
@@ -337,11 +276,6 @@ impl Metrics {
         m.run_retries = get_varint(buf, pos)?;
         m.quarantined_runs = get_varint(buf, pos)?;
         m.wall_watchdog_fired = get_varint(buf, pos)?;
-        m.journal_flushes = get_varint(buf, pos)?;
-        m.leases_expired = get_varint(buf, pos)?;
-        m.workers_respawned = get_varint(buf, pos)?;
-        m.chaos_kills = get_varint(buf, pos)?;
-        m.wire_bytes_streamed = get_varint(buf, pos)?;
         m.run_cycles_total = get_varint(buf, pos)?;
         m.run_cycles = CycleHist::decode_from(buf, pos)?;
         m.crash_latency = CycleHist::decode_from(buf, pos)?;
@@ -405,12 +339,6 @@ mod tests {
         m.decode_hits = 42;
         m.decode_misses = 7;
         m.decode_invalidations = 1;
-        m.block_hits = 29;
-        m.block_misses = 6;
-        m.block_invalidations = 2;
-        m.block_chain_links = 17;
-        m.block_chain_follows = 900;
-        m.block_chain_breaks = 4;
         m.dirty_pages = 64;
         m.snapshot_restores = 3;
         m.runs = 4;
@@ -422,11 +350,6 @@ mod tests {
         m.run_retries = 3;
         m.quarantined_runs = 1;
         m.wall_watchdog_fired = 1;
-        m.journal_flushes = 8;
-        m.leases_expired = 2;
-        m.workers_respawned = 1;
-        m.chaos_kills = 3;
-        m.wire_bytes_streamed = 9_876;
         m.run_cycles_total = u64::MAX / 3;
         m.run_cycles.record(0);
         m.run_cycles.record(u64::MAX);
@@ -454,9 +377,6 @@ mod tests {
         a.faults_by_vector[14] = 3;
         a.decode_hits = 100;
         a.decode_invalidations = 1;
-        a.block_hits = 50;
-        a.block_chain_links = 3;
-        a.block_chain_follows = 40;
         a.dirty_pages = 12;
         a.run_cycles.record(100);
         a.record_outcome(outcome::CRASH);
@@ -466,10 +386,6 @@ mod tests {
         b.faults_by_vector[14] = 1;
         b.faults_by_vector[6] = 2;
         b.decode_misses = 4;
-        b.block_hits = 5;
-        b.block_misses = 2;
-        b.block_chain_follows = 2;
-        b.block_chain_breaks = 1;
         b.dirty_pages = 3;
         b.run_cycles.record(90_000);
         b.record_outcome(outcome::HANG);
@@ -485,11 +401,6 @@ mod tests {
         assert_eq!(ab.outcome(outcome::HANG), 1);
         assert_eq!(ab.decode_hits, 100);
         assert_eq!(ab.decode_misses, 4);
-        assert_eq!(ab.block_hits, 55);
-        assert_eq!(ab.block_misses, 2);
-        assert_eq!(ab.block_chain_links, 3);
-        assert_eq!(ab.block_chain_follows, 42);
-        assert_eq!(ab.block_chain_breaks, 1);
         assert_eq!(ab.dirty_pages, 15);
         assert_eq!(ab.crash_latency_paper.total(), 1);
         assert_eq!(ab.crash_latency_paper.bucket(2), 1);
