@@ -19,7 +19,7 @@
 //! `BENCH_scaling.json` in the current directory.
 //! Any other argument exits 2 with the usage line.
 
-use kfi_core::supervisor::{run_campaign_supervised, SupervisorConfig};
+use kfi_core::supervisor::{run_plan_supervised, SupervisorConfig};
 use kfi_core::{CampaignResult, Experiment, ExperimentConfig};
 use kfi_injector::{Campaign, RigConfig};
 use kfi_kernel::KernelBuildOptions;
@@ -37,8 +37,13 @@ fn measure(exp: &Experiment, threads: usize, passes: u32) -> (f64, CampaignResul
     let mut result = None;
     for _ in 0..passes {
         let t = Instant::now();
-        let out = run_campaign_supervised(&e, Campaign::A, &SupervisorConfig::default())
-            .expect("supervised campaign");
+        let out = run_plan_supervised(
+            &e,
+            Campaign::A,
+            e.planned(Campaign::A),
+            &SupervisorConfig::default(),
+        )
+        .expect("supervised campaign");
         best = best.min(t.elapsed().as_secs_f64());
         result = Some(out.result);
     }

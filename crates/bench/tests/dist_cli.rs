@@ -1,8 +1,9 @@
 //! End-to-end distributed-runner robustness through the real
 //! `repro_all` binary: worker pools of any size, chaos SIGKILLs
-//! mid-campaign, and wedged handshakes must all print a dataset
-//! byte-identical to the in-process supervisor — with zero
-//! silently-lost plan indices, proven from the journal.
+//! mid-campaign, wedged handshakes and a resume from a torn journal
+//! must all print a dataset byte-identical to the in-process
+//! supervisor — with zero silently-lost plan indices, proven from the
+//! journal.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -122,6 +123,45 @@ fn chaos_kills_workers_without_disturbing_a_byte() {
 
     let _ = std::fs::remove_file(&jref);
     let _ = std::fs::remove_file(&jchaos);
+}
+
+#[test]
+fn a_journal_cut_mid_frame_resumes_through_the_pool() {
+    // The in-process truth, journaled.
+    let clean = tmp("resume-clean.journal");
+    let _ = std::fs::remove_file(&clean);
+    let (reference, _) = run_repro(&["--threads", "1", "--journal", clean.to_str().unwrap()]);
+    let bytes = std::fs::read(&clean).unwrap();
+
+    // Frame starts after the magic: the seed header, then one per run.
+    let mut starts = Vec::new();
+    let mut pos = kfi_core::journal::MAGIC.len();
+    while pos < bytes.len() {
+        starts.push(pos);
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        pos += 8 + len;
+    }
+    assert_eq!(pos, bytes.len(), "the clean journal ends on a frame boundary");
+    // Cut a copy in the middle of the frame after about half the runs.
+    let kept = (starts.len() - 1) / 2;
+    assert!(kept > 0, "the clean journal holds too few runs to cut");
+    let (from, to) = (starts[1 + kept], starts.get(2 + kept).copied().unwrap_or(bytes.len()));
+    let cut = tmp("resume-cut.journal");
+    std::fs::write(&cut, &bytes[..(from + to) / 2]).unwrap();
+
+    let (out, err) =
+        run_repro(&["--dist-workers", "2", "--journal", cut.to_str().unwrap(), "--resume"]);
+    assert_eq!(out, reference, "the resumed dist run printed another dataset");
+    assert_eq!(
+        std::fs::read(&cut).unwrap(),
+        bytes,
+        "the resumed journal differs from the clean one"
+    );
+    let want = format!("[kfi] journal: {kept} runs resumed");
+    assert!(err.contains(&want), "no `{want}` in stderr:\n{err}");
+
+    let _ = std::fs::remove_file(&clean);
+    let _ = std::fs::remove_file(&cut);
 }
 
 #[test]

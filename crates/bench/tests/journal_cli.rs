@@ -15,7 +15,12 @@ fn tmp(name: &str) -> PathBuf {
 /// Runs `repro_all --cap 1 --seed 12 --csv --journal <journal>` plus
 /// `extra`, and checks that it refused the journal.
 fn assert_refused(journal: &Path, extra: &[&str], why: &str) {
-    let out = Command::new(env!("CARGO_BIN_EXE_repro_all"))
+    assert_refused_by(Command::new(env!("CARGO_BIN_EXE_repro_all")), journal, extra, why);
+}
+
+/// [`assert_refused`], with `repro_all` spawned by `cmd`.
+fn assert_refused_by(mut cmd: Command, journal: &Path, extra: &[&str], why: &str) {
+    let out = cmd
         .args(["--cap", "1", "--seed", "12", "--csv", "--journal"])
         .arg(journal)
         .args(extra)
@@ -58,4 +63,15 @@ fn a_version_1_journal_exits_2_untouched() {
 #[test]
 fn an_unwritable_journal_exits_2() {
     assert_refused(Path::new("/dev/full"), &[], "No space left on device");
+}
+
+/// A device is refused before it is read. Under the address-space
+/// limit, reading `/dev/zero` whole would end in "out of memory"
+/// instead of taking the host's memory.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_device_journal_is_refused_before_it_is_read() {
+    let mut limited = Command::new("sh");
+    limited.args(["-c", "ulimit -v 400000; exec \"$0\" \"$@\"", env!("CARGO_BIN_EXE_repro_all")]);
+    assert_refused_by(limited, Path::new("/dev/zero"), &["--resume"], "not a regular file");
 }

@@ -28,27 +28,27 @@
 //! worker executes it, in which order, after how many retries (the
 //! retry-equivalence proptests pin this). Accepted results are deduped
 //! by plan index (first completion wins; duplicates are byte-identical
-//! by the same argument) and flow through the supervisor's plan-index
-//! reorder buffer into the journal. CSV, report and journal bytes are
-//! therefore identical at any worker count, any arrival order and any
-//! kill schedule — which the built-in chaos mode ([`DistConfig::chaos`]
-//! randomly SIGKILLs, stalls and crashes workers mid-campaign) proves
-//! in-tree. None of this is uniprocessor-specific: an SMP guest
+//! by the same argument) into the campaign's `Ledger`, the same one
+//! the in-process supervisor keeps, which journals them in plan-index
+//! order. CSV, report and journal bytes are therefore identical at any
+//! worker count, any arrival order and any kill schedule — which the
+//! built-in chaos mode ([`DistConfig::chaos`] randomly SIGKILLs, stalls
+//! and crashes workers mid-campaign) proves in-tree. None of this is
+//! uniprocessor-specific: an SMP guest
 //! (`--cpus N`, forwarded to workers in their spawn args because it is
 //! plan-determining) interleaves as a pure function of the machine's
 //! own seed and quantum, so no host property — process boundaries,
 //! lease churn, the kill schedule — can reach the guest schedule.
 
-use crate::experiment::{CampaignResult, Experiment, StudyResult};
-use crate::journal::{Journal, JournalEntry};
+use crate::experiment::{Experiment, StudyResult};
 use crate::supervisor::{
-    open_journal, process_job, rig_fault_record, sync_journal, Job, JobDone, JournalFailure,
-    JournalOrder, SupervisorConfig, WatchSlot,
+    process_job, run_here, run_study, watch, Job, JobDone, JournalFailure, Ledger,
+    SupervisedCampaign, SupervisorConfig, WatchSlot,
 };
 use kfi_injector::wire::{decode_msg, encode_msg, Msg, PROTOCOL_VERSION};
 use kfi_injector::{Campaign, InjectionTarget, InjectorRig, RunRecord};
 use kfi_trace::frame::{write_frame, StreamDecoder};
-use kfi_trace::{outcome as trace_outcome, Metrics};
+use kfi_trace::Metrics;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -59,8 +59,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
+/// The 64-bit FNV-1a offset basis: the state before any byte.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// 64-bit FNV-1a, chained: feeds `bytes` into `state`.
-fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
     for b in bytes {
         state ^= *b as u64;
         state = state.wrapping_mul(0x100_0000_01b3);
@@ -74,8 +77,7 @@ fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
 /// whose fingerprint differs, so a mixed build or drifted flag set can
 /// never smuggle foreign records into the dataset.
 pub fn plan_fingerprint(exp: &Experiment) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    h = fnv1a(h, &exp.config.seed.to_le_bytes());
+    let mut h = fnv1a(FNV_OFFSET, &exp.config.seed.to_le_bytes());
     for campaign in [Campaign::A, Campaign::B, Campaign::C] {
         h = fnv1a(h, &[campaign.letter() as u8]);
         for (t, mode) in exp.planned(campaign) {
@@ -301,13 +303,14 @@ fn record_wire_len(record: &RunRecord, metrics: &Metrics) -> u64 {
     buf.len() as u64
 }
 
-fn send_msg(stdin: &mut ChildStdin, msg: &Msg) -> std::io::Result<()> {
+/// Writes one framed message: coordinator to worker or back.
+fn send_msg(w: &mut impl Write, msg: &Msg) -> std::io::Result<()> {
     let mut payload = Vec::new();
     encode_msg(&mut payload, msg);
     let mut framed = Vec::new();
     write_frame(&mut framed, &payload);
-    stdin.write_all(&framed)?;
-    stdin.flush()
+    w.write_all(&framed)?;
+    w.flush()
 }
 
 /// One message (or EOF) from a worker's reader thread.
@@ -346,25 +349,13 @@ struct Slot {
 }
 
 /// Per-campaign scheduling state.
-struct CampaignState {
-    campaign: Campaign,
-    plan: Vec<(InjectionTarget, u32)>,
+struct CampaignState<'j> {
+    /// The plan, and the results replayed or accepted so far.
+    ledger: Ledger<'j>,
     /// Unassigned plan indices.
     queue: VecDeque<usize>,
-    /// Accepted plan indices (first completion wins).
-    accepted: BTreeSet<usize>,
-    /// Indices replayed from the journal; never executed or accepted.
-    skipped: BTreeSet<usize>,
     /// Lease expiries caused per index.
     expiries: BTreeMap<usize, usize>,
-    order: JournalOrder,
-    done: Vec<JobDone>,
-}
-
-impl CampaignState {
-    fn remaining(&self) -> usize {
-        self.plan.len() - self.skipped.len() - self.accepted.len()
-    }
 }
 
 /// The coordinator: worker pool + lease table + failure policy.
@@ -380,7 +371,6 @@ struct Pool<'a> {
     /// guard across campaign boundaries).
     lease_campaign: BTreeMap<u64, char>,
     chaos: VecDeque<ChaosEvent>,
-    chaos_rng: StdRng,
     /// Results accepted study-wide (chaos trigger clock).
     total_accepted: usize,
     /// First-spawn wedge flag, consumed once.
@@ -415,7 +405,6 @@ impl<'a> Pool<'a> {
             rx,
             lease_seq: 0,
             lease_campaign: BTreeMap::new(),
-            chaos_rng: StdRng::seed_from_u64(cfg.chaos.unwrap_or(0) ^ 0x51C7),
             chaos,
             total_accepted: 0,
             wedge_pending: cfg.wedge_first_handshake,
@@ -469,7 +458,7 @@ impl<'a> Pool<'a> {
 
     /// Expires slot `i`'s lease (if any), requeueing its outstanding
     /// indices, and schedules a respawn (or retires the slot).
-    fn expire(&mut self, i: usize, st: &mut CampaignState, journal: &mut Option<Journal>) {
+    fn expire(&mut self, i: usize, st: &mut CampaignState<'_>) {
         self.kill_slot(i);
         let lease = match std::mem::replace(&mut self.slots[i].state, SlotState::Idle) {
             SlotState::Leased(l) => Some(l),
@@ -478,7 +467,7 @@ impl<'a> Pool<'a> {
         if let Some(lease) = lease {
             self.report.leases_expired += 1;
             for index in lease.outstanding.into_iter().rev() {
-                if st.accepted.contains(&index) {
+                if st.ledger.is_done(index) {
                     continue;
                 }
                 let n = st.expiries.entry(index).or_insert(0);
@@ -486,16 +475,9 @@ impl<'a> Pool<'a> {
                 if *n > self.cfg.max_job_expiries {
                     // Persistent worker-killer: record the loss instead
                     // of reassigning it forever.
-                    let (target, mode) = st.plan[index].clone();
-                    let job = Job { index, target, mode };
-                    let mut sup = Metrics::default();
-                    sup.runs += 1;
-                    sup.record_outcome(trace_outcome::RIG_FAULT);
-                    let record = rig_fault_record(
-                        &job,
-                        &format!("expired {n} leases (worker lost each time)"),
-                    );
-                    self.accept(st, journal, index, record, sup);
+                    let why = format!("expired {n} leases (worker lost each time)");
+                    let done = st.ledger.job(index).rig_fault(&why);
+                    self.accept(st, done);
                 } else {
                     self.report.jobs_requeued += 1;
                     st.queue.push_front(index);
@@ -514,50 +496,24 @@ impl<'a> Pool<'a> {
         }
     }
 
-    /// Accepts one result for a plan index: dedup, validate against the
-    /// plan, merge, journal in plan order. False when the result was a
-    /// duplicate or not this plan's.
-    fn accept(
-        &mut self,
-        st: &mut CampaignState,
-        journal: &mut Option<Journal>,
-        index: usize,
-        record: RunRecord,
-        metrics: Metrics,
-    ) -> bool {
-        if index >= st.plan.len() || st.accepted.contains(&index) || st.skipped.contains(&index) {
+    /// Accepts one result into the campaign's ledger
+    /// ([`Ledger::accept`]) and takes it off the queue. False when the
+    /// result was a duplicate or not this plan's.
+    fn accept(&mut self, st: &mut CampaignState<'_>, done: JobDone) -> bool {
+        let index = done.index;
+        if !st.ledger.accept(done) {
             return false;
         }
-        let (target, mode) = &st.plan[index];
-        if record.target != *target || record.mode != *mode {
-            // Stale or foreign result (e.g. an old campaign's index
-            // arriving late from a killed worker's pipe): drop it.
-            return false;
-        }
-        st.accepted.insert(index);
         self.total_accepted += 1;
         if let Some(pos) = st.queue.iter().position(|q| *q == index) {
             st.queue.remove(pos);
         }
-        if let Some(j) = journal.as_mut() {
-            st.order.held.insert(
-                index,
-                JournalEntry {
-                    campaign: st.campaign.letter(),
-                    index,
-                    record: record.clone(),
-                    metrics: metrics.clone(),
-                },
-            );
-            st.order.drain(j);
-        }
-        st.done.push(JobDone { index, record, metrics, quarantine: None });
         true
     }
 
     /// Grants a fresh lease chunk to an idle worker.
-    fn grant(&mut self, i: usize, st: &mut CampaignState) {
-        let n = chunk_size(st.plan.len(), self.cfg.workers);
+    fn grant(&mut self, i: usize, st: &mut CampaignState<'_>) {
+        let n = chunk_size(st.ledger.len(), self.cfg.workers);
         let mut indices = Vec::with_capacity(n);
         while indices.len() < n {
             match st.queue.pop_front() {
@@ -570,10 +526,10 @@ impl<'a> Pool<'a> {
         }
         self.lease_seq += 1;
         let id = self.lease_seq;
-        self.lease_campaign.insert(id, st.campaign.letter());
+        self.lease_campaign.insert(id, st.ledger.campaign().letter());
         let msg = Msg::LeaseGrant {
             lease: id,
-            campaign: st.campaign,
+            campaign: st.ledger.campaign(),
             indices: indices.iter().map(|v| *v as u64).collect(),
         };
         let sent = match self.slots[i].stdin.as_mut() {
@@ -588,11 +544,11 @@ impl<'a> Pool<'a> {
             for idx in indices.into_iter().rev() {
                 st.queue.push_front(idx);
             }
-            self.expire(i, st, &mut None);
+            self.expire(i, st);
         }
     }
 
-    fn handle_msg(&mut self, ev: RxEvent, st: &mut CampaignState, journal: &mut Option<Journal>) {
+    fn handle_msg(&mut self, ev: RxEvent, st: &mut CampaignState<'_>) {
         let i = ev.slot;
         let current = ev.gen == self.slots[i].gen;
         let Some(msg) = ev.msg else {
@@ -600,7 +556,7 @@ impl<'a> Pool<'a> {
             if current
                 && !matches!(self.slots[i].state, SlotState::Respawning { .. } | SlotState::Retired)
             {
-                self.expire(i, st, journal);
+                self.expire(i, st);
             }
             return;
         };
@@ -608,9 +564,11 @@ impl<'a> Pool<'a> {
         // the bytes were in flight before the fence, and determinism
         // makes them identical to what a reassigned worker produces.
         if let Msg::JobDone { lease, index, record, metrics } = msg {
-            if self.lease_campaign.get(&lease) == Some(&st.campaign.letter()) {
+            if self.lease_campaign.get(&lease) == Some(&st.ledger.campaign().letter()) {
                 let wire_len = record_wire_len(&record, &metrics);
-                if self.accept(st, journal, index as usize, record, *metrics) {
+                let done =
+                    JobDone { index: index as usize, record, metrics: *metrics, quarantine: None };
+                if self.accept(st, done) {
                     self.report.wire_bytes_streamed += wire_len;
                 }
                 if current {
@@ -657,7 +615,7 @@ impl<'a> Pool<'a> {
     }
 
     /// Fires any chaos events whose trigger count has been reached.
-    fn fire_chaos(&mut self, st: &mut CampaignState, journal: &mut Option<Journal>) {
+    fn fire_chaos(&mut self, st: &mut CampaignState<'_>) {
         while let Some(ev) = self.chaos.front() {
             if self.total_accepted < ev.at_done {
                 break;
@@ -674,11 +632,10 @@ impl<'a> Pool<'a> {
                 continue;
             }
             let victim = live[(ev.pick % live.len() as u64) as usize];
-            let _ = self.chaos_rng.next_u64();
             match ev.action {
                 ChaosAction::Kill => {
                     self.report.chaos_kills += 1;
-                    self.expire(victim, st, journal);
+                    self.expire(victim, st);
                 }
                 ChaosAction::Stall => {
                     self.report.chaos_stalls += 1;
@@ -697,23 +654,23 @@ impl<'a> Pool<'a> {
     }
 
     /// One scheduling pass: deadlines, respawns, lease grants, chaos.
-    fn tick(&mut self, st: &mut CampaignState, journal: &mut Option<Journal>) {
+    fn tick(&mut self, st: &mut CampaignState<'_>) {
         let now = Instant::now();
         for i in 0..self.slots.len() {
             match self.slots[i].state {
                 SlotState::Handshaking { deadline } => {
                     if now >= deadline {
                         self.report.handshake_timeouts += 1;
-                        self.expire(i, st, journal);
+                        self.expire(i, st);
                     }
                 }
                 SlotState::Idle | SlotState::Leased(_) => {
                     if now.duration_since(self.slots[i].last_seen) > self.cfg.heartbeat_budget {
-                        self.expire(i, st, journal);
+                        self.expire(i, st);
                     }
                 }
                 SlotState::Respawning { at } => {
-                    if now >= at && st.remaining() > 0 {
+                    if now >= at && st.ledger.remaining() > 0 {
                         self.spawn_worker(i);
                     }
                 }
@@ -725,7 +682,7 @@ impl<'a> Pool<'a> {
                 self.grant(i, st);
             }
         }
-        self.fire_chaos(st, journal);
+        self.fire_chaos(st);
     }
 
     /// True when no slot can ever make progress again.
@@ -805,130 +762,53 @@ fn spawn_reader(
     });
 }
 
-/// Runs one campaign's plan over the pool.
-fn run_campaign_dist(
-    pool: &mut Pool<'_>,
-    campaign: Campaign,
-    journal: &mut Option<Journal>,
-    resumed: &BTreeMap<char, BTreeMap<usize, JournalEntry>>,
-) -> CampaignResult {
-    let plan = pool.exp.planned(campaign);
-    let functions_injected = {
-        let mut fs: Vec<&str> = plan.iter().map(|(t, _)| t.function.as_str()).collect();
-        fs.sort_unstable();
-        fs.dedup();
-        fs.len()
-    };
-
-    // Resume: a journaled entry only replays when it matches the plan
-    // exactly, mirroring the in-process supervisor.
-    let empty = BTreeMap::new();
-    let journaled = resumed.get(&campaign.letter()).unwrap_or(&empty);
-    let mut done: Vec<JobDone> = Vec::new();
-    let mut queue = VecDeque::new();
-    let mut skipped = BTreeSet::new();
-    for (index, (target, mode)) in plan.iter().enumerate() {
-        match journaled.get(&index) {
-            Some(e) if e.record.target == *target && e.record.mode == *mode => {
-                skipped.insert(index);
-                done.push(JobDone {
-                    index,
-                    record: e.record.clone(),
-                    metrics: e.metrics.clone(),
-                    quarantine: None,
-                });
-            }
-            _ => queue.push_back(index),
-        }
-    }
-    pool.report.resumed_runs += skipped.len();
-
-    let mut st = CampaignState {
-        campaign,
-        plan,
-        queue,
-        accepted: BTreeSet::new(),
-        skipped: skipped.clone(),
-        expiries: BTreeMap::new(),
-        order: JournalOrder::new(skipped),
-        done,
-    };
-
-    while st.remaining() > 0 {
+/// Runs one campaign's ledger over the pool.
+fn run_campaign_dist(pool: &mut Pool<'_>, ledger: Ledger<'_>) -> SupervisedCampaign {
+    let queue = ledger.pending().collect();
+    let mut st = CampaignState { ledger, queue, expiries: BTreeMap::new() };
+    while st.ledger.remaining() > 0 {
         if pool.collapsed() {
-            degrade_in_process(pool, &mut st, journal);
+            degrade_in_process(pool, &mut st);
             break;
         }
-        pool.tick(&mut st, journal);
+        pool.tick(&mut st);
         match pool.rx.recv_timeout(Duration::from_millis(20)) {
             Ok(ev) => {
-                pool.handle_msg(ev, &mut st, journal);
+                pool.handle_msg(ev, &mut st);
                 // Drain whatever else is already queued before the next
                 // scheduling pass.
                 while let Ok(ev) = pool.rx.try_recv() {
-                    pool.handle_msg(ev, &mut st, journal);
+                    pool.handle_msg(ev, &mut st);
                 }
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => {
-                degrade_in_process(pool, &mut st, journal);
+                degrade_in_process(pool, &mut st);
                 break;
             }
         }
     }
-
-    if let Some(f) = st.order.failure {
-        pool.report.journal_failure.get_or_insert(f);
-    }
-    st.done.sort_by_key(|d| d.index);
-    let mut metrics = Metrics::default();
-    let mut records = Vec::with_capacity(st.done.len());
-    for d in st.done {
-        metrics.merge(&d.metrics);
-        records.push(d.record);
-    }
-    CampaignResult { campaign, records, functions_injected, metrics }
+    st.ledger.finish()
 }
 
 /// The pool is gone: finish the campaign on this thread so it always
 /// completes — the supervisor's main-thread fallback, one level up.
-fn degrade_in_process(pool: &mut Pool<'_>, st: &mut CampaignState, journal: &mut Option<Journal>) {
+fn degrade_in_process(pool: &mut Pool<'_>, st: &mut CampaignState<'_>) {
     // Reclaim every index still outstanding on an expired-but-unreaped
     // lease (collapse can race the last expiry).
-    let mut outstanding: Vec<usize> = Vec::new();
     for slot in &mut pool.slots {
         if let SlotState::Leased(l) = std::mem::replace(&mut slot.state, SlotState::Retired) {
-            outstanding.extend(l.outstanding);
-        }
-    }
-    for idx in outstanding {
-        if !st.accepted.contains(&idx) && !st.queue.contains(&idx) {
-            st.queue.push_back(idx);
-        }
-    }
-    let sup = SupervisorConfig::default();
-    let slot = WatchSlot::new();
-    let mut rig: Option<InjectorRig> = None;
-    while let Some(index) = st.queue.pop_front() {
-        if st.accepted.contains(&index) {
-            continue;
-        }
-        let (target, mode) = st.plan[index].clone();
-        let job = Job { index, target, mode };
-        pool.report.jobs_degraded += 1;
-        match process_job(pool.exp, &sup, &job, &mut rig, &slot) {
-            Ok(done) => {
-                pool.accept(st, journal, done.index, done.record, done.metrics);
-            }
-            Err(()) => {
-                let mut m = Metrics::default();
-                m.runs += 1;
-                m.record_outcome(trace_outcome::RIG_FAULT);
-                let record = rig_fault_record(&job, "rig could not be built on any worker");
-                pool.accept(st, journal, index, record, m);
+            for idx in l.outstanding {
+                if !st.ledger.is_done(idx) && !st.queue.contains(&idx) {
+                    st.queue.push_back(idx);
+                }
             }
         }
     }
+    let jobs: Vec<Job> =
+        st.queue.drain(..).filter(|i| !st.ledger.is_done(*i)).map(|i| st.ledger.job(i)).collect();
+    pool.report.jobs_degraded += jobs.len() as u64;
+    run_here(pool.exp, &SupervisorConfig::default(), &mut st.ledger, jobs);
 }
 
 /// Runs all three campaigns across a pool of worker subprocesses.
@@ -942,31 +822,21 @@ fn degrade_in_process(pool: &mut Pool<'_>, st: &mut CampaignState, journal: &mut
 ///
 /// Journal open/read failures (bad header, seed mismatch, I/O).
 pub fn run_study_dist(exp: &Experiment, cfg: &DistConfig) -> Result<DistStudy, String> {
-    let sup_like = SupervisorConfig {
-        journal: cfg.journal.clone(),
-        resume: cfg.resume,
-        ..SupervisorConfig::default()
-    };
-    let (mut journal, resumed) = open_journal(exp, &sup_like)?;
     let total_jobs: usize =
         [Campaign::A, Campaign::B, Campaign::C].iter().map(|c| exp.plan(*c).len()).sum();
     let mut pool = Pool::new(exp, cfg, total_jobs);
-    let mut campaigns = BTreeMap::new();
-    for c in [Campaign::A, Campaign::B, Campaign::C] {
-        let result = run_campaign_dist(&mut pool, c, &mut journal, &resumed);
-        campaigns.insert(c.letter(), result);
-        if let Some(j) = journal.as_mut() {
-            // Checkpoint the campaign boundary.
-            sync_journal(j, &sup_like)?;
-        }
-    }
+    let out = run_study(exp, cfg.journal.as_deref(), cfg.resume, |ledger| {
+        run_campaign_dist(&mut pool, ledger)
+    });
     pool.shutdown();
-    let mut report = pool.report;
-    if let Some(mut j) = journal {
-        sync_journal(&mut j, &sup_like)?;
-        report.journal_flushes = j.flushes;
-    }
-    Ok(DistStudy { study: StudyResult { campaigns, seed: exp.config.seed }, report })
+    let (study, sup) = out?;
+    let report = DistReport {
+        resumed_runs: sup.resumed_runs,
+        journal_flushes: sup.journal_flushes,
+        journal_failure: sup.journal_failure,
+        ..pool.report
+    };
+    Ok(DistStudy { study, report })
 }
 
 /// The worker half: handshake, heartbeat, lease execution. Speaks the
@@ -991,12 +861,7 @@ pub fn run_worker<R: Read, W: Write + Send>(
     }
     let writer = Mutex::new(output);
     let send = |msg: &Msg| -> Result<(), String> {
-        let mut payload = Vec::new();
-        encode_msg(&mut payload, msg);
-        let mut framed = Vec::new();
-        write_frame(&mut framed, &payload);
-        let mut w = writer.lock().expect("writer lock");
-        w.write_all(&framed).and_then(|()| w.flush()).map_err(|e| e.to_string())
+        send_msg(&mut *writer.lock().expect("writer lock"), msg).map_err(|e| e.to_string())
     };
     send(&Msg::Hello {
         protocol: PROTOCOL_VERSION,
@@ -1028,23 +893,9 @@ pub fn run_worker<R: Read, W: Write + Send>(
             }
         });
         // Wall-clock watchdog, as in the in-process supervisor.
-        if cfg.supervisor.wall_budget.is_some() {
-            let budget = cfg.supervisor.wall_budget.expect("checked");
-            let slot = &slot;
-            let stop = &stop;
-            s.spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    {
-                        let started = slot.started.lock().expect("watch slot");
-                        if let Some(t0) = *started {
-                            if t0.elapsed() >= budget {
-                                slot.abort.store(true, Ordering::SeqCst);
-                            }
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            });
+        if let Some(budget) = cfg.supervisor.wall_budget {
+            let (slot, stop) = (&slot, &stop);
+            s.spawn(move || watch(std::slice::from_ref(slot), budget, stop));
         }
 
         let mut dec = StreamDecoder::new();
@@ -1164,9 +1015,9 @@ mod tests {
 
     #[test]
     fn fnv_chaining_mixes() {
-        let a = fnv1a(0xcbf2_9ce4_8422_2325, b"abc");
-        let b = fnv1a(0xcbf2_9ce4_8422_2325, b"abd");
+        let a = fnv1a(FNV_OFFSET, b"abc");
+        let b = fnv1a(FNV_OFFSET, b"abd");
         assert_ne!(a, b);
-        assert_eq!(a, fnv1a(fnv1a(0xcbf2_9ce4_8422_2325, b"ab"), b"c"));
+        assert_eq!(a, fnv1a(fnv1a(FNV_OFFSET, b"ab"), b"c"));
     }
 }

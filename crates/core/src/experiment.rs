@@ -319,30 +319,32 @@ impl Experiment {
     /// Runs one campaign, fanning the planned targets across
     /// supervised worker threads (each with its own machine + rig).
     ///
-    /// This delegates to [`crate::supervisor::run_campaign_supervised`]
-    /// with the default [`SupervisorConfig`]: panicking runs are
-    /// contained and retried on a fresh rig (persistent offenders
-    /// become [`kfi_injector::Outcome::RigFault`] records), a dead
-    /// worker's jobs flow to the survivors, and the campaign always
-    /// completes with one record per planned target. Records are in
-    /// plan order and metrics totals are identical for any thread
-    /// count.
+    /// This is [`crate::supervisor::run_plan_supervised`] over
+    /// [`Experiment::planned`] with the default [`SupervisorConfig`]:
+    /// panicking runs are contained and retried on a fresh rig
+    /// (persistent offenders become [`kfi_injector::Outcome::RigFault`]
+    /// records), a dead worker's jobs flow to the survivors, and the
+    /// campaign always completes with one record per planned target.
+    /// Records are in plan order and metrics totals are identical for
+    /// any thread count.
     ///
     /// [`SupervisorConfig`]: crate::supervisor::SupervisorConfig
     pub fn run_campaign(&self, campaign: Campaign) -> CampaignResult {
         let cfg = crate::supervisor::SupervisorConfig::default();
-        crate::supervisor::run_campaign_supervised(self, campaign, &cfg)
+        crate::supervisor::run_plan_supervised(self, campaign, self.planned(campaign), &cfg)
             .expect("supervisor without a journal cannot fail")
             .result
     }
 
-    /// Runs all three campaigns.
+    /// Runs all three campaigns, as [`crate::supervisor::run_study_supervised`]
+    /// does with the default [`SupervisorConfig`].
+    ///
+    /// [`SupervisorConfig`]: crate::supervisor::SupervisorConfig
     pub fn run_all(&self) -> StudyResult {
-        let mut campaigns = BTreeMap::new();
-        for c in [Campaign::A, Campaign::B, Campaign::C] {
-            campaigns.insert(c.letter(), self.run_campaign(c));
-        }
-        StudyResult { campaigns, seed: self.config.seed }
+        let cfg = crate::supervisor::SupervisorConfig::default();
+        crate::supervisor::run_study_supervised(self, &cfg)
+            .expect("supervisor without a journal cannot fail")
+            .study
     }
 }
 

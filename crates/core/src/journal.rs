@@ -169,6 +169,8 @@ pub enum JournalError {
     Io(std::io::Error),
     /// Not a journal (bad magic) or an unreadable header.
     BadHeader,
+    /// The path names a device, a pipe or a directory, not a file.
+    NotAFile,
     /// The journal was written for a different seed — its plan is not
     /// ours, so none of its entries apply.
     SeedMismatch {
@@ -184,6 +186,7 @@ impl std::fmt::Display for JournalError {
         match self {
             JournalError::Io(e) => write!(f, "I/O error: {e}"),
             JournalError::BadHeader => write!(f, "not a run journal (bad magic or header)"),
+            JournalError::NotAFile => write!(f, "not a regular file"),
             JournalError::SeedMismatch { found, expected } => {
                 write!(f, "written for seed {found}, not the experiment's seed {expected}")
             }
@@ -199,18 +202,31 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
-/// Parses a journal byte buffer: validates magic, header and seed, then
-/// decodes entries until the first damaged frame or undecodable
-/// payload. Also returns the byte length of the valid prefix — the
-/// point a resume must truncate to before appending.
-fn scan(
-    buf: &[u8],
+/// Reads a journal from `file`: its decodable entries, how its frames
+/// end, and the byte length of the valid prefix (the point a resume
+/// must truncate to before appending) and of the whole file. A path
+/// that is not a regular file, a bad magic and an unreadable header
+/// are refused before the rest is read; after the header, entries are
+/// decoded until the first damaged frame or undecodable payload.
+fn load(
+    file: &mut File,
     expected_seed: u64,
-) -> Result<(Vec<JournalEntry>, FrameTail, u64), JournalError> {
-    if buf.len() < MAGIC.len() || &buf[..MAGIC.len()] != MAGIC {
+) -> Result<(Vec<JournalEntry>, FrameTail, u64, u64), JournalError> {
+    if !file.metadata()?.is_file() {
+        return Err(JournalError::NotAFile);
+    }
+    // The magic and the header's frame prefix; the seed is one varint.
+    let mut buf = vec![0u8; MAGIC.len() + 8];
+    file.read_exact(&mut buf).map_err(|e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => JournalError::BadHeader,
+        _ => JournalError::Io(e),
+    })?;
+    let header_len = u32::from_le_bytes(buf[MAGIC.len()..][..4].try_into().expect("4 bytes"));
+    if &buf[..MAGIC.len()] != MAGIC || header_len > 10 {
         return Err(JournalError::BadHeader);
     }
-    let (frames, tail) = read_frames(&buf[MAGIC.len()..]);
+    file.read_to_end(&mut buf)?;
+    let (frames, mut tail) = read_frames(&buf[MAGIC.len()..]);
     let mut frames = frames.into_iter();
     let header = frames.next().ok_or(JournalError::BadHeader)?;
     let mut pos = 0;
@@ -220,7 +236,6 @@ fn scan(
     }
     let mut valid_len = (MAGIC.len() + 8 + header.len()) as u64;
     let mut entries = Vec::new();
-    let mut tail = tail;
     for frame in frames {
         match decode_entry(frame) {
             Some(e) => {
@@ -236,7 +251,7 @@ fn scan(
             }
         }
     }
-    Ok((entries, tail, valid_len))
+    Ok((entries, tail, valid_len, buf.len() as u64))
 }
 
 /// Reads every decodable entry from a journal, validating the magic and
@@ -246,7 +261,8 @@ fn scan(
 ///
 /// # Errors
 ///
-/// [`JournalError`] on I/O failure, bad magic/header, or seed mismatch.
+/// [`JournalError`] on I/O failure, a path that is not a regular file,
+/// bad magic/header, or seed mismatch.
 pub fn read_journal(path: &Path, expected_seed: u64) -> Result<Vec<JournalEntry>, JournalError> {
     read_journal_tail(path, expected_seed).map(|(entries, _)| entries)
 }
@@ -261,9 +277,7 @@ pub fn read_journal_tail(
     path: &Path,
     expected_seed: u64,
 ) -> Result<(Vec<JournalEntry>, FrameTail), JournalError> {
-    let mut buf = Vec::new();
-    File::open(path)?.read_to_end(&mut buf)?;
-    let (entries, tail, _) = scan(&buf, expected_seed)?;
+    let (entries, tail, _, _) = load(&mut File::open(path)?, expected_seed)?;
     Ok((entries, tail))
 }
 
@@ -274,16 +288,14 @@ pub fn read_journal_tail(
 ///
 /// # Errors
 ///
-/// [`JournalError`] on I/O failure, bad magic/header, or seed mismatch.
+/// Same as [`read_journal`].
 pub fn resume(
     path: &Path,
     expected_seed: u64,
 ) -> Result<(Vec<JournalEntry>, Journal), JournalError> {
-    let mut buf = Vec::new();
-    File::open(path)?.read_to_end(&mut buf)?;
-    let (entries, _tail, valid_len) = scan(&buf, expected_seed)?;
-    let file = OpenOptions::new().append(true).open(path)?;
-    if valid_len < buf.len() as u64 {
+    let mut file = OpenOptions::new().read(true).append(true).open(path)?;
+    let (entries, _tail, valid_len, len) = load(&mut file, expected_seed)?;
+    if valid_len < len {
         file.set_len(valid_len)?;
         file.sync_data()?;
     }

@@ -59,7 +59,6 @@ pub use matrix::{
 pub use setup::{setup_summary, SetupItem};
 pub use stats::OutcomeTally;
 pub use supervisor::{
-    run_campaign_supervised, run_plan_supervised, run_study_supervised, JournalFailure,
-    PanicInjection, QuarantineReport, SupervisedCampaign, SupervisedStudy, SupervisorConfig,
-    SupervisorReport,
+    run_plan_supervised, run_study_supervised, JournalFailure, PanicInjection, QuarantineReport,
+    SupervisedCampaign, SupervisedStudy, SupervisorConfig, SupervisorReport,
 };

@@ -20,6 +20,7 @@
 //! count and across interrupt/resume, per cell (`tests/matrix.rs`).
 
 use crate::dataset::{metrics_csv_line, to_csv_line, RecordRow, CSV_HEADER, METRICS_CSV_HEADER};
+use crate::dist::{fnv1a, FNV_OFFSET};
 use crate::experiment::{CampaignResult, Experiment, ExperimentConfig};
 use crate::supervisor::{run_plan_supervised, SupervisorConfig, SupervisorReport};
 use kfi_injector::{plan_function, Campaign, InjectionTarget, RigConfig};
@@ -124,18 +125,6 @@ pub struct MatrixResult {
     pub seed: u64,
 }
 
-/// FNV-1a over a string — the per-cell seed perturbation. Stable by
-/// construction (no `DefaultHasher`, whose output may change between
-/// Rust releases, in anything feeding a golden surface).
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Plans one cell: campaign-A targets over every function tagged with
 /// the cell's subsystem, the workload's run mode forced on every
 /// target.
@@ -153,7 +142,10 @@ pub fn plan_cell(
     let mode = exp.config.suite.mode_of(&cell.workload).ok_or_else(|| {
         format!("workload `{}` not in suite {:?}", cell.workload, exp.config.suite)
     })?;
-    let mut rng = StdRng::seed_from_u64(seed ^ fnv1a(&cell.key()));
+    // FNV-1a of the key perturbs the seed. It is stable by construction
+    // (no `DefaultHasher`, whose output may change between Rust
+    // releases, in anything feeding a golden surface).
+    let mut rng = StdRng::seed_from_u64(seed ^ fnv1a(FNV_OFFSET, cell.key().as_bytes()));
     let mut out = Vec::new();
     for sym in exp.image.program.symbols.functions() {
         if sym.subsystem.as_deref() != Some(cell.subsystem.as_str()) {
@@ -258,7 +250,7 @@ mod tests {
         assert_eq!(cell.key(), "server/echo/ipc");
         // FNV-1a is pinned: a silent change would reshuffle every cell
         // plan under the golden surface.
-        assert_eq!(fnv1a(""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

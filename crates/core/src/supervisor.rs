@@ -35,19 +35,22 @@
 //! * **Batched scheduling** — workers claim jobs in adaptive chunks
 //!   (one queue-lock round-trip per chunk, chunks shrinking toward the
 //!   campaign tail so the last jobs still load-balance) and report
-//!   completions one chunk at a time through a single
-//!   order-lock/journal-drain/done-lock round-trip. Granularity never
-//!   reaches the dataset: the reorder buffer emits journal frames in
-//!   plan-index order whatever the batch size, so bytes stay identical
-//!   to the one-at-a-time scheduler's.
+//!   completions one chunk at a time under one lock on the campaign's
+//!   `Ledger`. Granularity never reaches the dataset: the reorder
+//!   buffer emits journal frames in plan-index order whatever the batch
+//!   size, so bytes stay identical to the one-at-a-time scheduler's.
+//!
+//! The `Ledger` and the `run_campaigns` loop around it are the
+//! bookkeeping both campaign runners share: this module's in-process
+//! workers and the process-isolated coordinator of [`crate::dist`].
 
 use crate::experiment::{CampaignResult, Experiment, StudyResult};
 use crate::journal::{Journal, JournalEntry};
 use kfi_injector::{Campaign, InjectionTarget, InjectorRig, Outcome, RunRecord};
 use kfi_trace::{outcome as trace_outcome, Metrics};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -192,6 +195,25 @@ pub(crate) struct Job {
     pub(crate) mode: u32,
 }
 
+impl Job {
+    /// A rig-fault result for this job: the run is lost, and its record
+    /// says why instead of silently disappearing.
+    pub(crate) fn rig_fault(&self, why: &str) -> JobDone {
+        let mut metrics = Metrics::default();
+        metrics.runs += 1;
+        metrics.record_outcome(trace_outcome::RIG_FAULT);
+        let record = RunRecord {
+            target: self.target.clone(),
+            mode: self.mode,
+            outcome: Outcome::RigFault(why.to_string()),
+            activation_tsc: None,
+            run_cycles: 0,
+            sanitizer_violations: 0,
+        };
+        JobDone { index: self.index, record, metrics, quarantine: None }
+    }
+}
+
 /// Per-worker watchdog slot. The watchdog sets `abort` only while
 /// holding `started`'s lock and seeing a running run; the worker clears
 /// both under the same lock, so a flag raised for run N can never leak
@@ -204,6 +226,20 @@ pub(crate) struct WatchSlot {
 impl WatchSlot {
     pub(crate) fn new() -> WatchSlot {
         WatchSlot { started: Mutex::new(None), abort: Arc::new(AtomicBool::new(false)) }
+    }
+}
+
+/// The wall-clock watchdog: until `stop` is set, raises the abort flag
+/// of every slot whose run has taken `budget` or longer.
+pub(crate) fn watch(slots: &[WatchSlot], budget: Duration, stop: &AtomicBool) {
+    while !stop.load(Ordering::SeqCst) {
+        for slot in slots {
+            let started = slot.started.lock().expect("watch slot");
+            if started.is_some_and(|t0| t0.elapsed() >= budget) {
+                slot.abort.store(true, Ordering::SeqCst);
+            }
+        }
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -223,17 +259,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-pub(crate) fn rig_fault_record(job: &Job, msg: &str) -> RunRecord {
-    RunRecord {
-        target: job.target.clone(),
-        mode: job.mode,
-        outcome: Outcome::RigFault(msg.to_string()),
-        activation_tsc: None,
-        run_cycles: 0,
-        sanitizer_violations: 0,
     }
 }
 
@@ -371,25 +396,20 @@ pub(crate) fn process_job(
                 }
                 // Persistent offender: record the loss and quarantine.
                 sup.quarantined_runs += 1;
-                sup.runs += 1;
-                sup.record_outcome(trace_outcome::RIG_FAULT);
                 let reason = format!("panicked on all {} attempts: {msg}", attempt + 1);
                 let path = cfg.quarantine_dir.as_deref().and_then(|d| {
                     write_quarantine_artifact(d, exp, job, attempt + 1, &reason, None)
                 });
-                let quarantine = Some(QuarantineReport {
+                let mut done = job.rig_fault(&msg);
+                done.metrics.merge(&sup);
+                done.quarantine = Some(QuarantineReport {
                     campaign: job.target.campaign.letter(),
                     index: job.index,
                     function: job.target.function.clone(),
                     reason,
                     path,
                 });
-                return Ok(JobDone {
-                    index: job.index,
-                    record: rig_fault_record(job, &msg),
-                    metrics: sup,
-                    quarantine,
-                });
+                return Ok(done);
             }
         }
     }
@@ -446,6 +466,220 @@ impl JournalOrder {
     }
 }
 
+/// One campaign's bookkeeping, shared by both runners: the plan, the
+/// runs replayed from the journal and the results accepted so far.
+/// Accepted results reach the journal in plan-index order through a
+/// [`JournalOrder`]; [`Ledger::finish`] assembles the campaign.
+pub(crate) struct Ledger<'j> {
+    campaign: Campaign,
+    plan: Vec<(InjectionTarget, u32)>,
+    /// Each plan index's result, once replayed or accepted.
+    done: Vec<Option<JobDone>>,
+    /// Plan indices without a result yet.
+    remaining: usize,
+    /// Runs replayed from the journal.
+    resumed: usize,
+    journal: Option<&'j mut Journal>,
+    order: JournalOrder,
+}
+
+impl<'j> Ledger<'j> {
+    /// Splits `plan` into the runs `journaled` already holds and the runs
+    /// still to do. A journaled entry only counts when it matches the
+    /// plan exactly — same target, same mode — so a stale or foreign
+    /// journal can never smuggle records into the dataset.
+    pub(crate) fn open(
+        campaign: Campaign,
+        plan: Vec<(InjectionTarget, u32)>,
+        journaled: BTreeMap<usize, JournalEntry>,
+        journal: Option<&'j mut Journal>,
+    ) -> Ledger<'j> {
+        let mut done: Vec<Option<JobDone>> = plan.iter().map(|_| None).collect();
+        for (index, e) in journaled {
+            if plan.get(index).is_some_and(|(t, m)| e.record.target == *t && e.record.mode == *m) {
+                let JournalEntry { record, metrics, .. } = e;
+                done[index] = Some(JobDone { index, record, metrics, quarantine: None });
+            }
+        }
+        let skip: BTreeSet<usize> = (0..plan.len()).filter(|i| done[*i].is_some()).collect();
+        Ledger {
+            campaign,
+            remaining: plan.len() - skip.len(),
+            resumed: skip.len(),
+            plan,
+            done,
+            journal,
+            order: JournalOrder::new(skip),
+        }
+    }
+
+    /// The campaign.
+    pub(crate) fn campaign(&self) -> Campaign {
+        self.campaign
+    }
+
+    /// Planned runs.
+    pub(crate) fn len(&self) -> usize {
+        self.plan.len()
+    }
+
+    /// Planned runs without a result yet.
+    pub(crate) fn remaining(&self) -> usize {
+        self.remaining
+    }
+
+    /// Whether plan index `index` has its result.
+    pub(crate) fn is_done(&self, index: usize) -> bool {
+        self.done.get(index).is_some_and(Option::is_some)
+    }
+
+    /// The plan indices still to run, in plan order.
+    pub(crate) fn pending(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.plan.len()).filter(|i| !self.is_done(*i))
+    }
+
+    /// The job at plan index `index`.
+    pub(crate) fn job(&self, index: usize) -> Job {
+        let (target, mode) = self.plan[index].clone();
+        Job { index, target, mode }
+    }
+
+    /// Accepts one result: the first per plan index wins, and it must
+    /// match the plan's target and mode (a stale or foreign result, such
+    /// as an old campaign's index arriving late from a killed worker's
+    /// pipe, is dropped). An accepted result is journaled as soon as
+    /// every earlier plan index has been. False when it was refused.
+    pub(crate) fn accept(&mut self, done: JobDone) -> bool {
+        let index = done.index;
+        match self.plan.get(index) {
+            Some((target, mode))
+                if !self.is_done(index)
+                    && done.record.target == *target
+                    && done.record.mode == *mode => {}
+            _ => return false,
+        }
+        if let Some(j) = self.journal.as_deref_mut() {
+            let entry = JournalEntry {
+                campaign: self.campaign.letter(),
+                index,
+                record: done.record.clone(),
+                metrics: done.metrics.clone(),
+            };
+            self.order.held.insert(index, entry);
+            self.order.drain(j);
+        }
+        self.done[index] = Some(done);
+        self.remaining -= 1;
+        true
+    }
+
+    /// The campaign result, records in plan order, and its report: the
+    /// runs resumed, the quarantined runs and the first failed append.
+    pub(crate) fn finish(self) -> SupervisedCampaign {
+        let functions_injected = {
+            let mut fs: Vec<&str> = self.plan.iter().map(|(t, _)| t.function.as_str()).collect();
+            fs.sort_unstable();
+            fs.dedup();
+            fs.len()
+        };
+        let mut metrics = Metrics::default();
+        let mut records = Vec::with_capacity(self.plan.len());
+        let mut quarantined = Vec::new();
+        for d in self.done.into_iter().flatten() {
+            metrics.merge(&d.metrics);
+            records.push(d.record);
+            quarantined.extend(d.quarantine);
+        }
+        SupervisedCampaign {
+            result: CampaignResult {
+                campaign: self.campaign,
+                records,
+                functions_injected,
+                metrics,
+            },
+            report: SupervisorReport {
+                resumed_runs: self.resumed,
+                journal_failure: self.order.failure,
+                quarantined,
+                ..SupervisorReport::default()
+            },
+        }
+    }
+}
+
+/// Runs each `(campaign, plan)` through `run`, on a [`Ledger`] of its
+/// own, under one journal: the loop every campaign runner shares. It
+/// opens the journal at `path` — replaying its entries when `resume` is
+/// set and the file exists, else truncating it — syncs it at every
+/// campaign boundary and closes it. Returns the campaign results in
+/// order and their reports folded into one.
+///
+/// # Errors
+///
+/// Journal open/read/sync failures (bad header, seed mismatch, I/O),
+/// as `journal <path>: <why>`.
+pub(crate) fn run_campaigns(
+    exp: &Experiment,
+    path: Option<&Path>,
+    resume: bool,
+    plans: impl IntoIterator<Item = (Campaign, Vec<(InjectionTarget, u32)>)>,
+    mut run: impl FnMut(Ledger<'_>) -> SupervisedCampaign,
+) -> Result<(Vec<CampaignResult>, SupervisorReport), String> {
+    let error = |why: &dyn std::fmt::Display| {
+        format!("journal {}: {why}", path.unwrap_or(Path::new("")).display())
+    };
+    let seed = exp.config.seed;
+    let mut resumed: BTreeMap<char, BTreeMap<usize, JournalEntry>> = BTreeMap::new();
+    let mut journal = match path {
+        None => None,
+        Some(p) if resume && p.exists() => {
+            // `resume` truncates any torn tail before reopening for
+            // append, so re-run frames stay reachable by the next resume.
+            let (entries, j) = crate::journal::resume(p, seed).map_err(|e| error(&e))?;
+            for e in entries {
+                resumed.entry(e.campaign).or_default().insert(e.index, e);
+            }
+            Some(j)
+        }
+        Some(p) => Some(Journal::create(p, seed).map_err(|e| error(&e))?),
+    };
+    let mut results = Vec::new();
+    let mut report = SupervisorReport::default();
+    for (campaign, plan) in plans {
+        let journaled = resumed.remove(&campaign.letter()).unwrap_or_default();
+        let out = run(Ledger::open(campaign, plan, journaled, journal.as_mut()));
+        report.resumed_runs += out.report.resumed_runs;
+        report.workers_lost += out.report.workers_lost;
+        report.quarantined.extend(out.report.quarantined);
+        report.journal_failure = report.journal_failure.or(out.report.journal_failure);
+        results.push(out.result);
+        if let Some(j) = journal.as_mut() {
+            // Checkpoint the campaign boundary.
+            j.sync().map_err(|e| error(&e))?;
+        }
+    }
+    report.journal_flushes = journal.map_or(0, |j| j.flushes);
+    Ok((results, report))
+}
+
+/// [`run_campaigns`] over the study's three campaigns, each planned by
+/// [`Experiment::planned`].
+///
+/// # Errors
+///
+/// As [`run_campaigns`].
+pub(crate) fn run_study(
+    exp: &Experiment,
+    path: Option<&Path>,
+    resume: bool,
+    run: impl FnMut(Ledger<'_>) -> SupervisedCampaign,
+) -> Result<(StudyResult, SupervisorReport), String> {
+    let plans = [Campaign::A, Campaign::B, Campaign::C].map(|c| (c, exp.planned(c)));
+    let (results, report) = run_campaigns(exp, path, resume, plans, run)?;
+    let campaigns = results.into_iter().map(|r| (r.campaign.letter(), r)).collect();
+    Ok((StudyResult { campaigns, seed: exp.config.seed }, report))
+}
+
 /// Upper bound on jobs claimed per queue-lock acquisition (and on
 /// completions buffered per report flush). Small enough that an
 /// interrupted campaign re-runs at most a handful of unjournaled runs
@@ -457,13 +691,10 @@ pub(crate) const CLAIM_BATCH_MAX: usize = 8;
 /// shrinks as the queue drains (`len / 2·workers`, floor 1) so the tail
 /// of a campaign still load-balances: the last few jobs are handed out
 /// one at a time instead of letting one worker hoard them.
-fn claim_batch(
-    queue: &Mutex<std::collections::VecDeque<Job>>,
-    threads: usize,
-) -> std::collections::VecDeque<Job> {
+fn claim_batch(queue: &Mutex<VecDeque<Job>>, threads: usize) -> VecDeque<Job> {
     let mut q = queue.lock().expect("queue lock");
     let take = (q.len() / (2 * threads.max(1))).clamp(1, CLAIM_BATCH_MAX);
-    let mut out = std::collections::VecDeque::with_capacity(take);
+    let mut out = VecDeque::with_capacity(take);
     for _ in 0..take {
         match q.pop_front() {
             Some(j) => out.push_back(j),
@@ -474,41 +705,24 @@ fn claim_batch(
 }
 
 /// Shared mutable campaign state.
-struct Shared<'a> {
-    queue: Mutex<std::collections::VecDeque<Job>>,
-    done: Mutex<Vec<JobDone>>,
-    journal: Option<&'a Mutex<Journal>>,
-    order: Mutex<JournalOrder>,
+struct Shared<'j> {
+    queue: Mutex<VecDeque<Job>>,
+    ledger: Mutex<Ledger<'j>>,
 }
 
 impl Shared<'_> {
-    fn finish(&self, done: JobDone) {
-        self.finish_batch(vec![done]);
-    }
-
-    /// Reports a chunk of completions under one order-lock + one
-    /// journal drain + one done-lock, instead of one round-trip of
-    /// each per job. Determinism is untouched: the reorder buffer
-    /// already emits journal frames in plan-index order whatever the
-    /// arrival granularity, and the final dataset is sorted by index.
+    /// Accepts a chunk of completions under one ledger lock instead of
+    /// one round-trip per job. Determinism is untouched: the reorder
+    /// buffer emits journal frames in plan-index order whatever the
+    /// arrival granularity, and the ledger keeps results by plan index.
     fn finish_batch(&self, batch: Vec<JobDone>) {
         if batch.is_empty() {
             return;
         }
-        if let Some(j) = self.journal {
-            let mut order = self.order.lock().expect("journal order lock");
-            for done in &batch {
-                let entry = JournalEntry {
-                    campaign: done.record.target.campaign.letter(),
-                    index: done.index,
-                    record: done.record.clone(),
-                    metrics: done.metrics.clone(),
-                };
-                order.held.insert(done.index, entry);
-            }
-            order.drain(&mut j.lock().expect("journal lock"));
+        let mut ledger = self.ledger.lock().expect("ledger lock");
+        for done in batch {
+            ledger.accept(done);
         }
-        self.done.lock().expect("done lock").extend(batch);
     }
 }
 
@@ -551,26 +765,63 @@ fn worker_loop(
     }
 }
 
-/// Runs one campaign under supervision.
-///
-/// With a default [`SupervisorConfig`] this is behaviorally identical
-/// to the plain experiment loop on healthy runs (and is what
-/// [`Experiment::run_campaign`] delegates to).
-///
-/// # Errors
-///
-/// Journal open/read failures (bad header, seed mismatch, I/O).
-pub fn run_campaign_supervised(
+/// Runs `jobs` on this thread into `ledger`: the fallback once every
+/// worker, thread or process, is gone, so the campaign always
+/// completes. If even this thread cannot build a rig, the leftovers
+/// become rig-fault records — the dataset stays complete and the
+/// failure is visible, not fatal.
+pub(crate) fn run_here(
     exp: &Experiment,
-    campaign: Campaign,
     cfg: &SupervisorConfig,
-) -> Result<SupervisedCampaign, String> {
-    let (journal, resumed) = open_journal(exp, cfg)?;
-    let journal_mutex = journal.map(Mutex::new);
-    let plan = exp.planned(campaign);
-    let mut out = run_plan_inner(exp, campaign, cfg, journal_mutex.as_ref(), &resumed, plan);
-    out.report.journal_flushes = close_journal(journal_mutex, cfg)?;
-    Ok(out)
+    ledger: &mut Ledger<'_>,
+    jobs: impl IntoIterator<Item = Job>,
+) {
+    let slot = WatchSlot::new();
+    let mut rig: Option<InjectorRig> = None;
+    for job in jobs {
+        let done = process_job(exp, cfg, &job, &mut rig, &slot)
+            .unwrap_or_else(|()| job.rig_fault("rig could not be built on any worker"));
+        ledger.accept(done);
+    }
+}
+
+/// Runs one campaign's ledger on panic-isolated worker threads, with
+/// the watchdog when a wall budget is set.
+fn run_in_process(
+    exp: &Experiment,
+    cfg: &SupervisorConfig,
+    ledger: Ledger<'_>,
+) -> SupervisedCampaign {
+    let jobs: VecDeque<Job> = ledger.pending().map(|i| ledger.job(i)).collect();
+    let shared = Shared { queue: Mutex::new(jobs), ledger: Mutex::new(ledger) };
+    let threads = exp.config.threads.max(1);
+    let slots: Vec<WatchSlot> = (0..threads).map(|_| WatchSlot::new()).collect();
+    let stop = AtomicBool::new(false);
+    let mut workers_lost = 0usize;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = slots
+            .iter()
+            .map(|slot| s.spawn(|| worker_loop(exp, cfg, &shared, slot, threads)))
+            .collect();
+        if let Some(budget) = cfg.wall_budget {
+            let (slots, stop) = (&slots, &stop);
+            s.spawn(move || watch(slots, budget, stop));
+        }
+        for h in handles {
+            // Worker bodies catch their own panics; a panic escaping
+            // here would be a supervisor bug, not a run failure.
+            if !h.join().expect("supervisor worker") {
+                workers_lost += 1;
+            }
+        }
+        stop.store(true, Ordering::SeqCst);
+    });
+    // Every worker died with jobs still queued: finish on this thread.
+    let mut ledger = shared.ledger.into_inner().expect("ledger lock");
+    run_here(exp, cfg, &mut ledger, shared.queue.into_inner().expect("queue lock"));
+    let mut out = ledger.finish();
+    out.report.workers_lost = workers_lost;
+    out
 }
 
 /// Runs all three campaigns under supervision, sharing one journal.
@@ -582,35 +833,21 @@ pub fn run_study_supervised(
     exp: &Experiment,
     cfg: &SupervisorConfig,
 ) -> Result<SupervisedStudy, String> {
-    let (journal, resumed) = open_journal(exp, cfg)?;
-    let journal_mutex = journal.map(Mutex::new);
-    let mut campaigns = BTreeMap::new();
-    let mut report = SupervisorReport::default();
-    for c in [Campaign::A, Campaign::B, Campaign::C] {
-        let plan = exp.planned(c);
-        let out = run_plan_inner(exp, c, cfg, journal_mutex.as_ref(), &resumed, plan);
-        report.resumed_runs += out.report.resumed_runs;
-        report.workers_lost += out.report.workers_lost;
-        report.quarantined.extend(out.report.quarantined);
-        report.journal_failure = report.journal_failure.or(out.report.journal_failure);
-        campaigns.insert(c.letter(), out.result);
-        if let Some(m) = journal_mutex.as_ref() {
-            // Checkpoint the campaign boundary.
-            sync_journal(&mut m.lock().expect("journal lock"), cfg)?;
-        }
-    }
-    report.journal_flushes = close_journal(journal_mutex, cfg)?;
-    Ok(SupervisedStudy { study: StudyResult { campaigns, seed: exp.config.seed }, report })
+    let (study, report) = run_study(exp, cfg.journal.as_deref(), cfg.resume, |ledger| {
+        run_in_process(exp, cfg, ledger)
+    })?;
+    Ok(SupervisedStudy { study, report })
 }
 
-/// Runs an explicit `(target, mode)` plan under supervision — the
-/// campaign-matrix entry point. The plan is taken as given (no
-/// profile-driven target selection or mode choice), but everything
-/// else is the supervised campaign machinery: panic-isolated workers,
-/// the plan-index reorder buffer in front of the journal, watchdog,
-/// quarantine, and resume against [`SupervisorConfig::journal`] (a
-/// journaled entry only replays when it matches the plan's target and
-/// mode exactly).
+/// Runs an explicit `(target, mode)` plan under supervision — one
+/// campaign of a study (`exp.planned(campaign)`, as
+/// [`Experiment::run_campaign`] does) or a campaign-matrix cell. The
+/// plan is taken as given (no profile-driven target selection or mode
+/// choice), but everything else is the supervised campaign machinery:
+/// panic-isolated workers, the plan-index reorder buffer in front of
+/// the journal, watchdog, quarantine, and resume against
+/// [`SupervisorConfig::journal`] (a journaled entry only replays when
+/// it matches the plan's target and mode exactly).
 ///
 /// # Errors
 ///
@@ -621,215 +858,147 @@ pub fn run_plan_supervised(
     plan: Vec<(InjectionTarget, u32)>,
     cfg: &SupervisorConfig,
 ) -> Result<SupervisedCampaign, String> {
-    let (journal, resumed) = open_journal(exp, cfg)?;
-    let journal_mutex = journal.map(Mutex::new);
-    let mut out = run_plan_inner(exp, campaign, cfg, journal_mutex.as_ref(), &resumed, plan);
-    out.report.journal_flushes = close_journal(journal_mutex, cfg)?;
-    Ok(out)
-}
-
-/// A journal error naming the file: `journal <path>: <why>`.
-pub(crate) fn journal_error(cfg: &SupervisorConfig, why: impl std::fmt::Display) -> String {
-    let path = cfg.journal.as_deref().unwrap_or(std::path::Path::new(""));
-    format!("journal {}: {why}", path.display())
-}
-
-/// Forces the journal's pending appends to disk.
-pub(crate) fn sync_journal(j: &mut Journal, cfg: &SupervisorConfig) -> Result<(), String> {
-    j.sync().map_err(|e| journal_error(cfg, e))
-}
-
-/// Syncs the journal, if any, for the last time; returns its fsync
-/// batch count.
-fn close_journal(j: Option<Mutex<Journal>>, cfg: &SupervisorConfig) -> Result<u64, String> {
-    let Some(m) = j else { return Ok(0) };
-    let mut j = m.into_inner().expect("journal lock");
-    sync_journal(&mut j, cfg)?;
-    Ok(j.flushes)
-}
-
-/// Opens/creates the journal per config and reads any resumable
-/// entries, grouped by campaign letter.
-pub(crate) fn open_journal(
-    exp: &Experiment,
-    cfg: &SupervisorConfig,
-) -> Result<(Option<Journal>, BTreeMap<char, BTreeMap<usize, JournalEntry>>), String> {
-    let Some(path) = &cfg.journal else {
-        return Ok((None, BTreeMap::new()));
-    };
-    let seed = exp.config.seed;
-    if cfg.resume && path.exists() {
-        // `resume` truncates any torn tail before reopening for append,
-        // so re-run frames stay reachable by the next resume.
-        let (entries, journal) =
-            crate::journal::resume(path, seed).map_err(|e| journal_error(cfg, e))?;
-        let mut by_campaign: BTreeMap<char, BTreeMap<usize, JournalEntry>> = BTreeMap::new();
-        for e in entries {
-            by_campaign.entry(e.campaign).or_default().insert(e.index, e);
-        }
-        Ok((Some(journal), by_campaign))
-    } else {
-        let journal = Journal::create(path, seed).map_err(|e| journal_error(cfg, e))?;
-        Ok((Some(journal), BTreeMap::new()))
-    }
-}
-
-fn run_plan_inner(
-    exp: &Experiment,
-    campaign: Campaign,
-    cfg: &SupervisorConfig,
-    journal: Option<&Mutex<Journal>>,
-    resumed: &BTreeMap<char, BTreeMap<usize, JournalEntry>>,
-    plan: Vec<(InjectionTarget, u32)>,
-) -> SupervisedCampaign {
-    let functions_injected = {
-        let mut fs: Vec<&str> = plan.iter().map(|(t, _)| t.function.as_str()).collect();
-        fs.sort_unstable();
-        fs.dedup();
-        fs.len()
-    };
-
-    // Split the plan into journaled (skip) and still-to-run jobs. A
-    // journaled entry only counts when it matches the plan exactly —
-    // same target, same mode — so a stale or foreign journal can never
-    // smuggle records into the dataset.
-    let empty = BTreeMap::new();
-    let journaled = resumed.get(&campaign.letter()).unwrap_or(&empty);
-    let mut replayed: Vec<JobDone> = Vec::new();
-    let mut jobs: std::collections::VecDeque<Job> = std::collections::VecDeque::new();
-    let mut skip: BTreeSet<usize> = BTreeSet::new();
-    for (index, (target, mode)) in plan.into_iter().enumerate() {
-        match journaled.get(&index) {
-            Some(e) if e.record.target == target && e.record.mode == mode => {
-                skip.insert(index);
-                replayed.push(JobDone {
-                    index,
-                    record: e.record.clone(),
-                    metrics: e.metrics.clone(),
-                    quarantine: None,
-                });
-            }
-            _ => jobs.push_back(Job { index, target, mode }),
-        }
-    }
-    let resumed_runs = replayed.len();
-
-    let shared = Shared {
-        queue: Mutex::new(jobs),
-        done: Mutex::new(replayed),
-        journal,
-        order: Mutex::new(JournalOrder::new(skip)),
-    };
-    let threads = exp.config.threads.max(1);
-    let slots: Vec<WatchSlot> = (0..threads).map(|_| WatchSlot::new()).collect();
-    let watchdog_stop = AtomicBool::new(false);
-    let mut workers_lost = 0usize;
-
-    std::thread::scope(|s| {
-        let handles: Vec<_> = slots
-            .iter()
-            .map(|slot| s.spawn(|| worker_loop(exp, cfg, &shared, slot, threads)))
-            .collect();
-        let slots = &slots;
-        let watchdog_stop = &watchdog_stop;
-        let watchdog = cfg.wall_budget.map(|budget| {
-            s.spawn(move || {
-                while !watchdog_stop.load(Ordering::SeqCst) {
-                    for slot in slots {
-                        let started = slot.started.lock().expect("watch slot");
-                        if let Some(t0) = *started {
-                            if t0.elapsed() >= budget {
-                                slot.abort.store(true, Ordering::SeqCst);
-                            }
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            })
-        });
-        for h in handles {
-            // Worker bodies catch their own panics; a panic escaping
-            // here would be a supervisor bug, not a run failure.
-            if !h.join().expect("supervisor worker") {
-                workers_lost += 1;
-            }
-        }
-        watchdog_stop.store(true, Ordering::SeqCst);
-        if let Some(w) = watchdog {
-            let _ = w.join();
-        }
-    });
-
-    // Every worker died with jobs still queued: finish on this thread
-    // so the campaign always completes. If even this thread cannot
-    // build a rig, the leftovers become RigFault records — the dataset
-    // stays complete and the failure is visible, not fatal.
-    let fallback_slot = WatchSlot::new();
-    let mut fallback_rig: Option<InjectorRig> = None;
-    loop {
-        let job = match shared.queue.lock().expect("queue lock").pop_front() {
-            Some(j) => j,
-            None => break,
-        };
-        match process_job(exp, cfg, &job, &mut fallback_rig, &fallback_slot) {
-            Ok(done) => shared.finish(done),
-            Err(()) => {
-                let mut sup = Metrics::default();
-                sup.runs += 1;
-                sup.record_outcome(trace_outcome::RIG_FAULT);
-                shared.finish(JobDone {
-                    index: job.index,
-                    record: rig_fault_record(&job, "rig could not be built on any worker"),
-                    metrics: sup,
-                    quarantine: None,
-                });
-            }
-        }
-    }
-
-    let journal_failure = shared.order.into_inner().expect("journal order lock").failure;
-    let mut done = shared.done.into_inner().expect("done lock");
-    done.sort_by_key(|d| d.index);
-    let mut metrics = Metrics::default();
-    let mut records = Vec::with_capacity(done.len());
-    let mut quarantined = Vec::new();
-    for d in done {
-        metrics.merge(&d.metrics);
-        records.push(d.record);
-        if let Some(q) = d.quarantine {
-            quarantined.push(q);
-        }
-    }
-    let report = SupervisorReport {
-        resumed_runs,
-        journal_failure,
-        workers_lost,
-        quarantined,
-        ..SupervisorReport::default()
-    };
-    SupervisedCampaign {
-        result: CampaignResult { campaign, records, functions_injected, metrics },
-        report,
-    }
+    let (mut results, report) =
+        run_campaigns(exp, cfg.journal.as_deref(), cfg.resume, [(campaign, plan)], |ledger| {
+            run_in_process(exp, cfg, ledger)
+        })?;
+    Ok(SupervisedCampaign { result: results.pop().expect("one campaign"), report })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn entry(index: usize) -> JournalEntry {
+    /// Campaign B's plan entry `index` of a made-up plan: one target
+    /// per plan index, run in mode `index % 2`.
+    fn job(index: usize) -> Job {
         let target = InjectionTarget {
             campaign: Campaign::B,
-            function: "do_fork".into(),
+            function: format!("fn_{}", index % 3),
             subsystem: "kernel".into(),
-            insn_addr: 0xc010_0000,
+            insn_addr: 0xc010_0000 + index as u32 * 4,
             insn_len: 2,
             byte_index: 1,
             bit_mask: 0x10,
             is_branch: false,
         };
-        let record = rig_fault_record(&Job { index, target, mode: 0 }, "test entry");
-        JournalEntry { campaign: 'B', index, record, metrics: Metrics::default() }
+        Job { index, target, mode: index as u32 % 2 }
+    }
+
+    fn plan(n: usize) -> Vec<(InjectionTarget, u32)> {
+        (0..n).map(|i| (job(i).target, job(i).mode)).collect()
+    }
+
+    /// A result for plan index `index`, its run counted once.
+    fn done(index: usize) -> JobDone {
+        job(index).rig_fault("test entry")
+    }
+
+    fn entry(index: usize) -> JournalEntry {
+        let JobDone { record, metrics, .. } = done(index);
+        JournalEntry { campaign: 'B', index, record, metrics }
+    }
+
+    /// A fresh journal for one test, and its path.
+    fn journal(name: &str) -> (Journal, PathBuf) {
+        let dir = std::env::temp_dir().join("kfi-ledger-tests");
+        let path = dir.join(format!("{name}-{}", std::process::id()));
+        (Journal::create(&path, 1).expect("journal"), path)
+    }
+
+    /// The plan indices a journal holds, in file order.
+    fn journaled(path: &Path) -> Vec<usize> {
+        let entries = crate::journal::read_journal(path, 1).expect("reads");
+        assert!(entries.iter().all(|e| e.campaign == 'B' && e == &entry(e.index)));
+        entries.iter().map(|e| e.index).collect()
+    }
+
+    #[test]
+    fn a_refused_result_changes_nothing() {
+        let (mut j, path) = journal("refused");
+        let mut ledger = Ledger::open(Campaign::B, plan(4), BTreeMap::new(), Some(&mut j));
+        assert!(ledger.accept(done(0)));
+        let mut foreign_target = done(1);
+        foreign_target.record.target.insn_addr += 1;
+        let mut foreign_mode = done(2);
+        foreign_mode.record.mode += 1;
+        let mut out_of_range = done(3);
+        out_of_range.index = 4;
+        for refused in [done(0), foreign_target, foreign_mode, out_of_range] {
+            assert!(!ledger.accept(refused));
+        }
+        assert_eq!(ledger.remaining(), 3);
+        assert_eq!(ledger.pending().collect::<Vec<_>>(), [1, 2, 3]);
+        let out = ledger.finish();
+        assert_eq!(out.result.records, [done(0).record]);
+        assert_eq!(out.result.metrics, done(0).metrics);
+        assert_eq!(journaled(&path), [0]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_replayed_index_is_refused_and_not_journaled_again() {
+        let (mut j, path) = journal("replayed");
+        // Index 0 and 2 were journaled by an earlier session, but 2's
+        // entry is for another mode, so it runs again.
+        let mut stale = entry(2);
+        stale.record.mode += 1;
+        let replay = BTreeMap::from([(0, entry(0)), (2, stale)]);
+        let mut ledger = Ledger::open(Campaign::B, plan(3), replay, Some(&mut j));
+        assert_eq!(ledger.pending().collect::<Vec<_>>(), [1, 2]);
+        assert!(ledger.is_done(0));
+        assert!(!ledger.accept(done(0)));
+        assert!(ledger.accept(done(2)));
+        assert!(ledger.accept(done(1)));
+        let out = ledger.finish();
+        assert_eq!(out.report.resumed_runs, 1);
+        assert_eq!(out.result.records.len(), 3);
+        assert_eq!(journaled(&path), [1, 2]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn results_accepted_out_of_order_are_journaled_in_plan_order() {
+        let (mut j, path) = journal("order");
+        let mut ledger = Ledger::open(Campaign::B, plan(5), BTreeMap::new(), Some(&mut j));
+        for index in [3, 1, 4] {
+            assert!(ledger.accept(done(index)));
+        }
+        // Index 0 is still running: nothing may be journaled yet.
+        assert_eq!(ledger.order.held.len(), 3);
+        assert!(ledger.accept(done(0)));
+        assert!(ledger.accept(done(2)));
+        assert!(ledger.order.held.is_empty());
+        drop(ledger);
+        assert_eq!(journaled(&path), [0, 1, 2, 3, 4]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn finish_returns_records_in_plan_order_and_collects_quarantine_reports() {
+        let mut ledger = Ledger::open(Campaign::B, plan(4), BTreeMap::from([(1, entry(1))]), None);
+        for index in [3, 0, 2] {
+            let mut d = done(index);
+            if index != 0 {
+                d.quarantine = Some(QuarantineReport {
+                    campaign: 'B',
+                    index,
+                    function: d.record.target.function.clone(),
+                    reason: "test".into(),
+                    path: None,
+                });
+            }
+            assert!(ledger.accept(d));
+        }
+        assert_eq!(ledger.remaining(), 0);
+        let out = ledger.finish();
+        assert_eq!(out.result.campaign, Campaign::B);
+        assert_eq!(out.result.records, (0..4).map(|i| done(i).record).collect::<Vec<_>>());
+        assert_eq!(out.result.metrics.runs, 4);
+        assert_eq!(out.result.functions_injected, 3);
+        let quarantined: Vec<usize> = out.report.quarantined.iter().map(|q| q.index).collect();
+        assert_eq!(quarantined, [2, 3]);
+        assert_eq!(out.report.resumed_runs, 1);
     }
 
     #[cfg(target_os = "linux")]

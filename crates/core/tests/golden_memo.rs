@@ -5,7 +5,7 @@
 //! the recompute-per-rig reference path, at any worker count and
 //! through the supervisor's retry-on-fresh-rig machinery.
 
-use kfi_core::supervisor::{run_campaign_supervised, PanicInjection, SupervisorConfig};
+use kfi_core::supervisor::{run_plan_supervised, PanicInjection, SupervisorConfig};
 use kfi_core::{CampaignResult, Experiment, ExperimentConfig, RecordRow};
 use kfi_injector::{Campaign, RigConfig};
 use kfi_profiler::ProfilerConfig;
@@ -87,7 +87,8 @@ fn retried_runs_get_fresh_uncontaminated_forks() {
         inject_panic: PanicInjection::Transient(panicking.clone()),
         ..SupervisorConfig::default()
     };
-    let out = run_campaign_supervised(&exp, Campaign::A, &cfg).expect("supervised");
+    let out =
+        run_plan_supervised(&exp, Campaign::A, exp.planned(Campaign::A), &cfg).expect("supervised");
     assert_eq!(out.result.records, base.records, "retried forks diverged from healthy runs");
     assert_eq!(out.result.metrics.rig_panics, panicking.len() as u64);
     assert_eq!(out.result.metrics.run_retries, panicking.len() as u64);
@@ -120,7 +121,8 @@ fn journal_bytes_are_identical_with_and_without_memoization() {
         let exp = experiment(memoize, threads);
         let cfg =
             SupervisorConfig { journal: Some(journal.clone()), ..SupervisorConfig::default() };
-        let out = run_campaign_supervised(&exp, Campaign::A, &cfg).expect("journaled run");
+        let out = run_plan_supervised(&exp, Campaign::A, exp.planned(Campaign::A), &cfg)
+            .expect("journaled run");
         (out.result, std::fs::read(&journal).expect("journal written"))
     };
 
@@ -144,7 +146,8 @@ fn journal_bytes_are_identical_with_and_without_memoization() {
             resume: true,
             ..SupervisorConfig::default()
         };
-        let resumed = run_campaign_supervised(&exp, Campaign::A, &cfg).expect("resumed run");
+        let resumed = run_plan_supervised(&exp, Campaign::A, exp.planned(Campaign::A), &cfg)
+            .expect("resumed run");
         assert_eq!(resumed.report.resumed_runs, base.records.len());
         assert_eq!(resumed.result.records, base.records);
         assert_eq!(

@@ -7,7 +7,7 @@
 //! may the execution tier: the block engine runs while one CPU runs
 //! alone, and must yield the dataset single-stepping does.
 
-use kfi_core::supervisor::{run_campaign_supervised, SupervisorConfig};
+use kfi_core::supervisor::{run_plan_supervised, SupervisorConfig};
 use kfi_core::{Experiment, ExperimentConfig};
 use kfi_injector::{Campaign, RigConfig};
 use kfi_kernel::KernelBuildOptions;
@@ -104,15 +104,21 @@ fn smp_campaign_is_bit_identical_across_workers_and_resume() {
     let journal = tmp("journal");
     let _ = std::fs::remove_file(&journal);
     let cfg1 = SupervisorConfig { journal: Some(journal.clone()), ..SupervisorConfig::default() };
-    let one = run_campaign_supervised(&exp, Campaign::A, &cfg1).expect("1-worker run");
+    let one = run_plan_supervised(&exp, Campaign::A, exp.planned(Campaign::A), &cfg1)
+        .expect("1-worker run");
     assert!(!one.result.records.is_empty());
 
     // 2 and 4 workers (batched claim/report path): bit-identical
     // records and merged metrics.
     for threads in [2usize, 4] {
         let e = exp.with_threads(threads);
-        let out = run_campaign_supervised(&e, Campaign::A, &SupervisorConfig::default())
-            .unwrap_or_else(|e| panic!("{threads}-worker run: {e}"));
+        let out = run_plan_supervised(
+            &e,
+            Campaign::A,
+            e.planned(Campaign::A),
+            &SupervisorConfig::default(),
+        )
+        .unwrap_or_else(|e| panic!("{threads}-worker run: {e}"));
         assert_eq!(out.result.records, one.result.records, "{threads} workers diverged");
         assert_eq!(out.result.metrics, one.result.metrics, "{threads}-worker metrics diverged");
     }
@@ -126,8 +132,9 @@ fn smp_campaign_is_bit_identical_across_workers_and_resume() {
         resume: true,
         ..SupervisorConfig::default()
     };
-    let resumed =
-        run_campaign_supervised(&exp.with_threads(2), Campaign::A, &cfg2).expect("resumed run");
+    let two = exp.with_threads(2);
+    let resumed = run_plan_supervised(&two, Campaign::A, two.planned(Campaign::A), &cfg2)
+        .expect("resumed run");
     assert!(resumed.report.resumed_runs > 0, "resume must replay journaled runs");
     assert!(
         resumed.report.resumed_runs < one.result.records.len(),

@@ -2,7 +2,7 @@
 //! records, journaled resume equivalence after a torn journal, poison
 //! quarantine, and wall-clock watchdog completion.
 
-use kfi_core::supervisor::{run_campaign_supervised, PanicInjection, SupervisorConfig};
+use kfi_core::supervisor::{run_plan_supervised, PanicInjection, SupervisorConfig};
 use kfi_core::{CampaignResult, Experiment, ExperimentConfig};
 use kfi_injector::{Campaign, Outcome};
 use kfi_profiler::ProfilerConfig;
@@ -39,7 +39,8 @@ fn transient_panics_lose_zero_records() {
         inject_panic: PanicInjection::Transient(panicking.clone()),
         ..SupervisorConfig::default()
     };
-    let out = run_campaign_supervised(&exp, Campaign::A, &cfg).expect("supervised");
+    let out =
+        run_plan_supervised(&exp, Campaign::A, exp.planned(Campaign::A), &cfg).expect("supervised");
     // Every record present and bit-identical to the healthy campaign:
     // the retried runs reproduce exactly on a fresh rig.
     assert_eq!(out.result.records, base.records);
@@ -66,7 +67,8 @@ fn persistent_panic_is_quarantined_as_rig_fault() {
         quarantine_dir: Some(qdir.clone()),
         ..SupervisorConfig::default()
     };
-    let out = run_campaign_supervised(&exp, Campaign::A, &cfg).expect("supervised");
+    let out =
+        run_plan_supervised(&exp, Campaign::A, exp.planned(Campaign::A), &cfg).expect("supervised");
     assert_eq!(out.result.records.len(), base.records.len(), "no record may be lost");
     match &out.result.records[2].outcome {
         Outcome::RigFault(msg) => assert!(msg.contains("injected worker panic"), "{msg}"),
@@ -97,7 +99,8 @@ fn torn_journal_resume_is_bit_identical() {
     // Uninterrupted supervised run, single worker, journal on.
     let exp1 = mini_experiment(1);
     let cfg1 = SupervisorConfig { journal: Some(journal.clone()), ..SupervisorConfig::default() };
-    let full = run_campaign_supervised(&exp1, Campaign::A, &cfg1).expect("journaled run");
+    let full = run_plan_supervised(&exp1, Campaign::A, exp1.planned(Campaign::A), &cfg1)
+        .expect("journaled run");
     assert_eq!(full.report.resumed_runs, 0);
 
     // The journal-on run must itself match the journal-off baseline.
@@ -115,7 +118,8 @@ fn torn_journal_resume_is_bit_identical() {
         resume: true,
         ..SupervisorConfig::default()
     };
-    let resumed = run_campaign_supervised(&exp2, Campaign::A, &cfg2).expect("resumed run");
+    let resumed = run_plan_supervised(&exp2, Campaign::A, exp2.planned(Campaign::A), &cfg2)
+        .expect("resumed run");
     assert!(resumed.report.resumed_runs > 0, "resume must skip journaled runs");
     assert!(
         resumed.report.resumed_runs < full.result.records.len(),
@@ -125,7 +129,8 @@ fn torn_journal_resume_is_bit_identical() {
     assert_eq!(resumed.result.metrics, full.result.metrics);
 
     // And the journal is now complete: a second resume re-runs nothing.
-    let again = run_campaign_supervised(&exp2, Campaign::A, &cfg2).expect("second resume");
+    let again = run_plan_supervised(&exp2, Campaign::A, exp2.planned(Campaign::A), &cfg2)
+        .expect("second resume");
     assert_eq!(again.report.resumed_runs, full.result.records.len());
     assert_eq!(again.result.records, full.result.records);
     assert_eq!(again.result.metrics, full.result.metrics);
@@ -142,7 +147,8 @@ fn wall_watchdog_reaps_runs_and_campaign_completes() {
         // not a poisoned one, so none should be quarantined.
         ..SupervisorConfig::default()
     };
-    let out = run_campaign_supervised(&exp, Campaign::A, &cfg).expect("supervised");
+    let out =
+        run_plan_supervised(&exp, Campaign::A, exp.planned(Campaign::A), &cfg).expect("supervised");
     assert_eq!(out.result.records.len(), planned, "campaign must complete");
     assert!(
         out.result.metrics.wall_watchdog_fired > 0,

@@ -66,8 +66,9 @@ pub struct CrashInfo {
     /// Subsystem where the crash happened ("user" when the EIP left the
     /// kernel, "?" when unresolvable).
     pub subsystem: String,
-    /// Crash latency in cycles (fault time − activation time, with the
-    /// routine-switch overhead already excluded; see §5.3).
+    /// Crash latency in cycles: fault time − activation time. No
+    /// injector routine runs between the two, so there is no switching
+    /// overhead to subtract (paper §5.3).
     pub latency: u64,
     /// Severity from the post-crash fsck + reboot test.
     pub severity: Severity,

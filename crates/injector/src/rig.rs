@@ -28,10 +28,6 @@ pub struct RigConfig {
     /// Extra flat cycle budget per injection run, added on top of the
     /// `budget_factor` multiple (see there).
     pub budget_slack: u64,
-    /// Cycles attributed to injector↔kernel routine switching,
-    /// subtracted from raw crash latencies (paper §5.3). The trap
-    /// delivery itself costs a fixed 40 cycles in the machine model.
-    pub switch_overhead: u64,
     /// The machine's execution tier (default [`ExecTier::Chained`]; the
     /// reference tiers are for equivalence tests). Campaign results,
     /// including the golden CSV, are bit-identical on every tier.
@@ -65,7 +61,6 @@ impl Default for RigConfig {
         RigConfig {
             budget_factor: 6,
             budget_slack: 2_000_000,
-            switch_overhead: 0,
             tier: ExecTier::Chained,
             boot_budget: 80_000_000,
             golden_budget: 400_000_000,
@@ -1139,10 +1134,7 @@ impl InjectorRig {
                     Some(t) => (vector_to_cause(t.vector, t.cr2), t.eip),
                     None => (causes::DOUBLE_FAULT, self.machine.cpu.eip),
                 };
-                let latency = fatal
-                    .map(|t| t.tsc.saturating_sub(activation_tsc))
-                    .unwrap_or(0)
-                    .saturating_sub(self.config.switch_overhead);
+                let latency = fatal.map(|t| t.tsc.saturating_sub(activation_tsc)).unwrap_or(0);
                 let (severity, _) = self.assess_severity();
                 let (function, subsystem) = self.locate(eip, &target.subsystem);
                 Outcome::Crash(CrashInfo {
@@ -1221,11 +1213,10 @@ impl InjectorRig {
         let eip = eip.or_else(|| fatal.map(|t| t.eip)).unwrap_or(0);
         // Latency: fault-delivery time minus activation; for pure
         // software panics fall back to the report time.
-        let raw = match fatal {
+        let latency = match fatal {
             Some(t) if t.tsc >= activation_tsc => t.tsc - activation_tsc,
             _ => oops_tsc.saturating_sub(activation_tsc),
         };
-        let latency = raw.saturating_sub(self.config.switch_overhead);
         let (severity, _) = self.assess_severity();
         let (function, subsystem) = self.locate(eip, target_subsystem);
         Outcome::Crash(CrashInfo {
