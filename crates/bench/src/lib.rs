@@ -198,7 +198,6 @@ impl ReproOptions {
             seed: self.seed,
             threads: self.threads,
             max_per_function: self.cap,
-            max_per_cell: None,
             profiler: ProfilerConfig::default(),
             rig: base.rig,
             suite: kfi_workloads::Suite::Traffic,

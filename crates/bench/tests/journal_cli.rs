@@ -59,10 +59,40 @@ fn a_version_1_journal_exits_2_untouched() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A device is refused before it is opened: `/dev/full` would fail
+/// only on the header's write and `/dev/null` on its sync.
 #[cfg(target_os = "linux")]
 #[test]
-fn an_unwritable_journal_exits_2() {
-    assert_refused(Path::new("/dev/full"), &[], "No space left on device");
+fn a_device_journal_exits_2() {
+    assert_refused(Path::new("/dev/full"), &[], "not a regular file");
+    assert_refused(Path::new("/dev/null"), &[], "not a regular file");
+}
+
+/// A pipe is refused before it is opened, which would block until its
+/// other end opened; `timeout` ends a run that blocks.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_fifo_journal_exits_2_without_blocking() {
+    let fifo = tmp("fifo");
+    let _ = std::fs::remove_file(&fifo);
+    assert!(Command::new("mkfifo").arg(&fifo).status().expect("spawn mkfifo").success());
+    for extra in [&[][..], &["--resume"][..]] {
+        let mut timed = Command::new("timeout");
+        timed.args(["60", env!("CARGO_BIN_EXE_repro_all")]);
+        assert_refused_by(timed, &fifo, extra, "not a regular file");
+    }
+    let _ = std::fs::remove_file(&fifo);
+}
+
+/// A regular-file path whose journal cannot be created exits 2 with the
+/// I/O error.
+#[test]
+fn an_uncreatable_journal_exits_2() {
+    let plain = tmp("plain");
+    std::fs::write(&plain, b"a file, not a directory").unwrap();
+    assert_refused(&plain.join("journal"), &[], "File exists");
+    assert_eq!(std::fs::read(&plain).unwrap(), b"a file, not a directory");
+    let _ = std::fs::remove_file(&plain);
 }
 
 /// A device is refused before it is read. Under the address-space

@@ -163,6 +163,17 @@ impl ChaosPlan {
     }
 }
 
+/// Respawns granted to each worker slot before it is quarantined.
+const MAX_RESPAWNS: usize = 2;
+
+/// Backoff before the first respawn of a slot; doubles per respawn.
+const BACKOFF_BASE: Duration = Duration::from_millis(50);
+
+/// Lease expiries a single plan index may cause before it is recorded
+/// as a rig fault instead of reassigned again — a job that reliably
+/// kills workers must not starve the campaign.
+const MAX_JOB_EXPIRIES: usize = 4;
+
 /// Coordinator policy for a distributed campaign.
 #[derive(Debug, Clone)]
 pub struct DistConfig {
@@ -179,14 +190,6 @@ pub struct DistConfig {
     /// Workers heartbeat every ~100 ms even mid-run, so this bounds
     /// detection latency for SIGKILLed, stalled, or livelocked workers.
     pub heartbeat_budget: Duration,
-    /// Respawns granted to each slot before it is quarantined.
-    pub max_respawns: usize,
-    /// Backoff before the first respawn of a slot; doubles per respawn.
-    pub backoff_base: Duration,
-    /// Lease expiries a single plan index may cause before it is
-    /// recorded as a rig fault instead of reassigned again — a job
-    /// that reliably kills workers must not starve the campaign.
-    pub max_job_expiries: usize,
     /// Journal path; accepted runs are checkpointed here in plan-index
     /// order, exactly as the in-process supervisor would.
     pub journal: Option<PathBuf>,
@@ -210,9 +213,6 @@ impl DistConfig {
             chaos: None,
             handshake_budget: Duration::from_secs(180),
             heartbeat_budget: Duration::from_secs(5),
-            max_respawns: 2,
-            backoff_base: Duration::from_millis(50),
-            max_job_expiries: 4,
             journal: None,
             resume: false,
             wedge_first_handshake: false,
@@ -472,7 +472,7 @@ impl<'a> Pool<'a> {
                 }
                 let n = st.expiries.entry(index).or_insert(0);
                 *n += 1;
-                if *n > self.cfg.max_job_expiries {
+                if *n > MAX_JOB_EXPIRIES {
                     // Persistent worker-killer: record the loss instead
                     // of reassigning it forever.
                     let why = format!("expired {n} leases (worker lost each time)");
@@ -485,11 +485,11 @@ impl<'a> Pool<'a> {
             }
         }
         let slot = &mut self.slots[i];
-        if slot.respawns >= self.cfg.max_respawns {
+        if slot.respawns >= MAX_RESPAWNS {
             slot.state = SlotState::Retired;
             self.report.workers_quarantined += 1;
         } else {
-            let backoff = self.cfg.backoff_base * (1u32 << slot.respawns.min(16));
+            let backoff = BACKOFF_BASE * (1u32 << slot.respawns.min(16));
             slot.state = SlotState::Respawning { at: Instant::now() + backoff };
             slot.respawns += 1;
             self.report.workers_respawned += 1;

@@ -38,14 +38,16 @@ pub struct ExperimentConfig {
     /// Selects the filesystem contents, the profiled workload list, and
     /// the number of golden run modes.
     pub suite: kfi_workloads::Suite,
-    /// Whether workers share one post-boot snapshot, one memoized set of
-    /// golden runs and one memo of post-crash severity verdicts
-    /// ([`kfi_injector::RigShared`]) instead of each booting, re-running
-    /// the goldens and rebooting after every crash privately. With one
-    /// guest CPU the shared base is the one [`Experiment::prepare`]
-    /// profiled. Default `true`; the `false` position is the
-    /// recompute-per-rig reference path — results are bit-identical
-    /// either way (`tests/golden_memo.rs`).
+    /// Whether workers fork one shared post-boot base
+    /// ([`kfi_injector::RigShared`]: one boot and one capture of the
+    /// golden runs per experiment, with its prefix checkpoints and memo
+    /// of post-crash severity verdicts) instead of each forking a
+    /// private base of its own ([`InjectorRig::new`]), which boots,
+    /// captures the goldens, starts every run at the snapshot and
+    /// reboots after every crash. With one guest CPU the shared base is
+    /// the one [`Experiment::prepare`] profiled. Default `true`; the
+    /// `false` position is the recompute-per-rig reference path —
+    /// results are bit-identical either way (`tests/golden_memo.rs`).
     pub memoize: bool,
 }
 
@@ -85,11 +87,10 @@ pub struct Experiment {
     pub target_functions: Vec<String>,
     /// Shared post-boot base for the memoized rig path, forked by
     /// every rig (including supervisor rebuild-on-panic). With one
-    /// guest CPU it is the base [`Experiment::prepare`] profiled, whose
-    /// golden store is already full; otherwise the first
-    /// [`Experiment::make_rig`] boots it, and boot failures are
-    /// memoized the same way. Untouched when
-    /// [`ExperimentConfig::memoize`] is off.
+    /// guest CPU it is the base [`Experiment::prepare`] profiled;
+    /// otherwise the first [`Experiment::make_rig`] boots it and
+    /// captures its golden runs, and failures are memoized the same
+    /// way. Untouched when [`ExperimentConfig::memoize`] is off.
     shared_base: OnceLock<Result<Arc<RigShared>, String>>,
 }
 
@@ -243,8 +244,8 @@ impl Experiment {
     /// the shared post-boot base — booting it first if this is the
     /// first rig of an SMP experiment — so the kernel boots once per
     /// rig configuration and each golden run executes once
-    /// campaign-wide. With it off, every call boots and captures
-    /// privately (the reference path). Either way a
+    /// campaign-wide. With it off, every call boots and captures a
+    /// private base and forks it (the reference path). Either way a
     /// fresh, uncontaminated rig is returned: the supervisor's
     /// rebuild-on-panic path calls this and must never inherit state
     /// from the rig it is replacing.
@@ -286,16 +287,6 @@ impl Experiment {
                 .map_err(|e| e.to_string())
             })
             .clone()
-    }
-
-    /// Number of golden captures the shared base actually executed so
-    /// far — the memoization test pins this to the number of workload
-    /// modes regardless of worker count. `None` when the base has not
-    /// been booted (memoization off, or an SMP experiment with no rig
-    /// made yet).
-    pub fn golden_captures(&self) -> Option<u64> {
-        let shared = self.shared_base.get()?.as_ref().ok()?;
-        Some(shared.store().captures())
     }
 
     /// How the shared base's crashes got their severity verdicts so far

@@ -92,8 +92,10 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors.
+    /// A path that is not a regular file ([`JournalError::NotAFile`]),
+    /// and I/O errors.
     pub fn create(path: &Path, seed: u64) -> std::io::Result<Journal> {
+        regular_file(path).map_err(std::io::Error::other)?;
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
             std::fs::create_dir_all(dir)?;
         }
@@ -202,19 +204,28 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
+/// Refuses a path that names a device, a pipe or a directory before
+/// anything opens it: opening a pipe blocks until its other end is
+/// opened, and a device may never end or may refuse the first write. A
+/// path with no metadata (one that does not exist yet) is left to the
+/// open.
+fn regular_file(path: &Path) -> Result<(), JournalError> {
+    match std::fs::metadata(path) {
+        Ok(meta) if !meta.is_file() => Err(JournalError::NotAFile),
+        _ => Ok(()),
+    }
+}
+
 /// Reads a journal from `file`: its decodable entries, how its frames
 /// end, and the byte length of the valid prefix (the point a resume
-/// must truncate to before appending) and of the whole file. A path
-/// that is not a regular file, a bad magic and an unreadable header
-/// are refused before the rest is read; after the header, entries are
-/// decoded until the first damaged frame or undecodable payload.
+/// must truncate to before appending) and of the whole file. A bad
+/// magic and an unreadable header are refused before the rest is read;
+/// after the header, entries are decoded until the first damaged frame
+/// or undecodable payload.
 fn load(
     file: &mut File,
     expected_seed: u64,
 ) -> Result<(Vec<JournalEntry>, FrameTail, u64, u64), JournalError> {
-    if !file.metadata()?.is_file() {
-        return Err(JournalError::NotAFile);
-    }
     // The magic and the header's frame prefix; the seed is one varint.
     let mut buf = vec![0u8; MAGIC.len() + 8];
     file.read_exact(&mut buf).map_err(|e| match e.kind() {
@@ -277,6 +288,7 @@ pub fn read_journal_tail(
     path: &Path,
     expected_seed: u64,
 ) -> Result<(Vec<JournalEntry>, FrameTail), JournalError> {
+    regular_file(path)?;
     let (entries, tail, _, _) = load(&mut File::open(path)?, expected_seed)?;
     Ok((entries, tail))
 }
@@ -293,6 +305,7 @@ pub fn resume(
     path: &Path,
     expected_seed: u64,
 ) -> Result<(Vec<JournalEntry>, Journal), JournalError> {
+    regular_file(path)?;
     let mut file = OpenOptions::new().read(true).append(true).open(path)?;
     let (entries, _tail, valid_len, len) = load(&mut file, expected_seed)?;
     if valid_len < len {

@@ -67,8 +67,6 @@ pub struct MatrixConfig {
     pub threads: usize,
     /// Cap on planned injections per function (None = all).
     pub max_per_function: Option<usize>,
-    /// Cap on total planned injections per cell (None = all).
-    pub max_per_cell: Option<usize>,
     /// Profiler settings for experiment preparation. The matrix forces
     /// each cell's run mode, so the profile never reaches its dataset.
     pub profiler: ProfilerConfig,
@@ -95,7 +93,6 @@ impl Default for MatrixConfig {
             seed: 2003,
             threads: 1,
             max_per_function: Some(2),
-            max_per_cell: None,
             profiler: ProfilerConfig::default(),
             rig: RigConfig::default(),
             suite: Suite::Traffic,
@@ -127,7 +124,8 @@ pub struct MatrixResult {
 
 /// Plans one cell: campaign-A targets over every function tagged with
 /// the cell's subsystem, the workload's run mode forced on every
-/// target.
+/// target, at most `max_per_function` per function and `max_per_cell`
+/// in all (`None` = no cap).
 ///
 /// # Errors
 ///
@@ -189,8 +187,7 @@ pub fn run_matrix(cfg: &MatrixConfig) -> Result<MatrixResult, String> {
                     workload: workload.clone(),
                     subsystem: subsystem.clone(),
                 };
-                let plan =
-                    plan_cell(&exp, &cell, cfg.seed, cfg.max_per_function, cfg.max_per_cell)?;
+                let plan = plan_cell(&exp, &cell, cfg.seed, cfg.max_per_function, None)?;
                 let sup = SupervisorConfig {
                     journal: cfg.journal_dir.as_ref().map(|d| {
                         d.join(format!(

@@ -25,7 +25,7 @@
 //!   order regardless of which worker finished first: the journal's
 //!   bytes are identical for any worker count.
 //! * **Quarantine** — runs that panic or trip the machine sanitizer are
-//!   retried up to [`SupervisorConfig::max_retries`] times on a fresh
+//!   retried up to `MAX_RETRIES` (2) times on a fresh
 //!   rig; persistent offenders get a minimal-repro artifact written to
 //!   the quarantine directory and are surfaced in the report.
 //! * **Watchdog** — a supervisor thread flags runs exceeding the
@@ -79,12 +79,13 @@ impl PanicInjection {
     }
 }
 
+/// Retries (each on a fresh rig) granted to a run that panicked or
+/// tripped the sanitizer, beyond its first attempt.
+const MAX_RETRIES: usize = 2;
+
 /// Supervisor policy.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
-    /// Retries (each on a fresh rig) granted to a run that panicked or
-    /// tripped the sanitizer, beyond its first attempt.
-    pub max_retries: usize,
     /// Wall-clock budget per run; `None` disables the watchdog. Runs
     /// exceeding it are aborted via the machine's cooperative abort
     /// flag and classify as [`Outcome::Hang`].
@@ -103,7 +104,6 @@ pub struct SupervisorConfig {
 impl Default for SupervisorConfig {
     fn default() -> SupervisorConfig {
         SupervisorConfig {
-            max_retries: 2,
             wall_budget: None,
             quarantine_dir: None,
             journal: None,
@@ -354,7 +354,7 @@ pub(crate) fn process_job(
         match result {
             Ok(record) => {
                 let mut delta = rig.as_mut().expect("rig present").take_metrics();
-                if record.sanitizer_violations > 0 && attempt < cfg.max_retries {
+                if record.sanitizer_violations > 0 && attempt < MAX_RETRIES {
                     // Poisoned run: retry on a fresh rig.
                     sup.run_retries += 1;
                     *rig = None;
@@ -389,7 +389,7 @@ pub(crate) fn process_job(
                 sup.rig_panics += 1;
                 // The rig is poisoned — never reuse it after a panic.
                 *rig = None;
-                if attempt < cfg.max_retries {
+                if attempt < MAX_RETRIES {
                     sup.run_retries += 1;
                     attempt += 1;
                     continue;

@@ -67,8 +67,8 @@ fn smp_rigs_get_the_uniprocessor_profile_and_plans() {
     let smp = smp_experiment(1);
     let uni = smp_experiment_with(1, RigConfig::default());
     // The profiling base of a two-CPU experiment is not its shared base.
-    assert_eq!(smp.golden_captures(), None);
-    assert_eq!(uni.golden_captures(), Some(kfi_workloads::WORKLOADS.len() as u64));
+    assert!(smp.checkpoint_stats().is_none());
+    assert!(uni.checkpoint_stats().is_some());
     assert_eq!(smp.profile, uni.profile);
     assert_eq!(smp.target_functions, uni.target_functions);
     for c in [Campaign::A, Campaign::B, Campaign::C] {

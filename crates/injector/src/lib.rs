@@ -24,8 +24,8 @@ pub mod wire;
 
 pub use outcome::{CrashInfo, FsvKind, Outcome, RunRecord, Severity};
 pub use rig::{
-    CheckpointStats, CheckpointStore, DiskDelta, GoldenRun, GoldenStore, InjectorRig, OnceStore,
-    PowerOnStore, RigConfig, RigError, RigShared, SeverityKey, SeverityStats, SeverityStore,
+    CheckpointStats, CheckpointStore, DiskDelta, GoldenRun, InjectorRig, OnceStore, PowerOnStore,
+    RigConfig, RigError, RigShared, SeverityKey, SeverityStats, SeverityStore,
 };
 pub use target::{
     function_insns, plan_campaign, plan_function, Campaign, InjectionTarget, TargetInsn,

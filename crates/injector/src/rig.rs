@@ -167,11 +167,7 @@ impl<F: FnMut(&Cpu)> StepObserver for FirstHits<F> {
 }
 
 /// Why the rig could not be constructed.
-///
-/// `Clone` because a memoized golden capture ([`GoldenStore`]) hands
-/// the same result — including a failure — to every rig sharing the
-/// store.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum RigError {
     /// The kernel never reported BOOT_OK.
     BootFailed(String),
@@ -207,8 +203,7 @@ impl std::error::Error for RigError {}
 /// next asker captures again. A poisoned slot (a capture that panicked)
 /// is empty in the same way.
 ///
-/// Four memos use it:
-/// * [`GoldenStore`]: golden runs by workload mode;
+/// Three memos use it:
 /// * [`CheckpointStore`]: prefix checkpoints by `(workload mode, tick)`;
 /// * [`PowerOnStore`]: power-on severity reboots by crash disk;
 /// * [`SeverityStore`]: post-crash severity verdicts by
@@ -284,20 +279,6 @@ impl<K: Ord, V: Clone> OnceStore<K, V> {
         self.hits.load(Ordering::Relaxed)
     }
 }
-
-/// The memo of golden (fault-free) reference runs, keyed by workload
-/// mode.
-///
-/// The paper's per-injection key is `(function, workload,
-/// kernel-config)`; the function dimension collapses here because a
-/// golden run never arms a breakpoint and never flips a bit — its
-/// outcome is independent of which function the campaign will later
-/// inject into, so one capture serves every function. The kernel-config
-/// dimension is fixed too: each [`RigShared`] owns its store, and its
-/// image, post-boot state and configuration never change. What remains
-/// is one entry per workload mode. A failed capture is memoized too —
-/// every rig sharing the store sees the same [`RigError`].
-pub type GoldenStore = OnceStore<u32, Result<Arc<GoldenRun>, RigError>>;
 
 /// A post-crash disk as `(lba, bytes)` of the sectors that differ from
 /// the post-boot [`DiskImage`] ([`Ramdisk::delta_from`]).
@@ -385,92 +366,41 @@ impl std::fmt::Display for CheckpointStats {
     }
 }
 
-/// Everything produced by booting a workload once, before any golden
-/// run or injection: the post-boot machine, its snapshot, and the
-/// filesystem state.
-struct BootedBase {
-    machine: Machine,
-    snapshot: Snapshot,
-    boot_cycles: u64,
-    post_boot_disk: DiskImage,
-    manifest: Arc<BTreeMap<String, (u32, u32)>>,
-}
-
-/// Boots the kernel to the RUNNER_START snapshot point, single-stepped,
-/// calling `observe` with the active CPU after every executed step (the
-/// one that announces the runner included). The common prefix of
-/// [`InjectorRig::new`], [`RigShared::boot`] and
-/// [`RigShared::boot_and_capture`].
-fn boot_base(
-    image: &KernelImage,
-    files: &[FileSpec],
-    config: RigConfig,
-    mut observe: impl FnMut(&Cpu),
-) -> Result<BootedBase, RigError> {
-    let fsimg = kfi_kernel::mkfs(2048, files);
-    let manifest = Arc::new(fsimg.manifest.clone());
-    let boot_config = BootConfig {
-        tier: config.tier,
-        sanitizer: config.sanitizer,
-        cpus: config.cpus,
-        ..Default::default()
-    };
-    let mut m = boot(image, fsimg.disk, &boot_config);
-
-    // Run to the snapshot point: the runner announcing itself (all
-    // of init's own risky setup — fork, exec, file reads — is behind
-    // this point, mirroring the paper where the injected activity is
-    // driven by benchmark processes rather than by init).
-    let boot_budget = config.boot_budget;
-    loop {
-        if m.max_tsc() > boot_budget {
-            return Err(RigError::BootFailed(m.console_string()));
-        }
-        match m.step() {
-            StepEvent::Executed => observe(&m.cpu),
-            _ => return Err(RigError::BootFailed(m.console_string())),
-        }
-        if let Some((_, MonitorEvent::Event(v))) = m.monitor_events().last() {
-            if *v == events::RUNNER_START {
-                break;
-            }
-        }
-    }
-    // All rig cycle accounting runs on the campaign clock: the
-    // furthest-along CPU. On a uniprocessor this is exactly `cpu.tsc`
-    // (golden byte-identity depends on that); on an SMP machine it is
-    // monotonic even as the scheduler rotates the active CPU, whose
-    // own tsc can sit far behind.
-    let boot_cycles = m.max_tsc();
-    let snapshot = m.snapshot();
-    let post_boot_disk = m.disk.as_ref().expect("disk attached").snapshot();
-    Ok(BootedBase { machine: m, snapshot, boot_cycles, post_boot_disk, manifest })
-}
-
 /// The shared, immutable post-boot base of a campaign: one boot's worth
 /// of state (kernel image, [`Snapshot`] with shared memory pages,
-/// [`DiskImage`] of the post-boot disk, filesystem manifest, each shared
-/// by every fork) plus the campaign-wide [`GoldenStore`],
-/// [`CheckpointStore`], [`PowerOnStore`] and [`SeverityStore`].
+/// [`DiskImage`] of the post-boot disk, filesystem manifest) with every
+/// workload mode's golden run, captured on the booted machine before
+/// the base is shared, plus the campaign-wide [`CheckpointStore`],
+/// [`PowerOnStore`] and [`SeverityStore`].
 ///
 /// Boot once with [`RigShared::boot`], then hand the `Arc` to every
 /// worker; each [`InjectorRig::fork`] builds a private copy-on-write
-/// machine off the shared snapshot and resolves its golden runs and
-/// severity verdicts through the stores. Nothing but the stores is ever
-/// written after construction, and they only gain exact answers, so any
-/// number of threads may fork concurrently — and a worker that poisons
-/// its private rig (panic, sanitizer violation) can be handed a fresh
-/// fork with no way to have contaminated the base.
+/// machine off the shared snapshot, reads the golden runs through the
+/// base and resolves its checkpoints and severity verdicts through the
+/// stores. Nothing but the stores is ever written after construction,
+/// and they only gain exact answers, so any number of threads may fork
+/// concurrently — and a worker that poisons its private rig (panic,
+/// sanitizer violation) can be handed a fresh fork with no way to have
+/// contaminated the base.
 pub struct RigShared {
     image: Arc<KernelImage>,
     config: RigConfig,
     machine_config: MachineConfig,
     snapshot: Snapshot,
+    /// The campaign clock at the snapshot: the boot's duration in cycles.
     boot_cycles: u64,
     post_boot_disk: DiskImage,
     manifest: Arc<BTreeMap<String, (u32, u32)>>,
-    n_modes: u32,
-    store: GoldenStore,
+    /// The golden run of every workload mode. The paper keys a run by
+    /// `(function, workload, kernel config)`, but a golden run arms no
+    /// breakpoint and flips no bit, so one run per workload serves every
+    /// function, and the kernel config is the base's own.
+    golden: Vec<Arc<GoldenRun>>,
+    /// Whether forks resume runs from prefix checkpoints and take
+    /// severity verdicts from the stores. Off for [`InjectorRig::new`]'s
+    /// private base, the reference, which starts every run at the
+    /// snapshot and reboots every crash with its own residue.
+    memoize: bool,
     power_on: PowerOnStore,
     severity: SeverityStore,
     /// Severity assessments, those answered without a capture, and
@@ -488,77 +418,97 @@ pub struct RigShared {
 }
 
 impl RigShared {
-    /// Boots the kernel once and captures the shared post-boot base.
-    /// Golden runs are *not* captured here — the first fork to need
-    /// each one captures it into the store.
+    /// [`RigShared::boot_and_capture`] with an observer that observes
+    /// nothing.
     ///
     /// # Errors
     ///
-    /// [`RigError::BootFailed`] when the kernel never reaches the
-    /// snapshot point within the boot budget.
+    /// As for [`RigShared::boot_and_capture`].
     pub fn boot(
         image: KernelImage,
         files: &[FileSpec],
         n_modes: u32,
         config: RigConfig,
     ) -> Result<Arc<RigShared>, RigError> {
-        let image = Arc::new(image);
-        let base = boot_base(&image, files, config, |_| {})?;
-        Ok(Arc::new(RigShared::from_base(image, n_modes, config, &base)))
+        RigShared::boot_and_capture(image, files, n_modes, config, |_, _| {})
     }
 
-    /// [`RigShared::boot`], then captures every mode's golden run into
-    /// the store, in mode order, so that forks only look them up. It
-    /// calls `observe` with the active CPU after every executed step:
-    /// with `None` while booting, up to and including the step that
-    /// announces the runner, and with `Some(mode)` while capturing
-    /// `mode`'s run, up to but excluding its halting step. The boot is
-    /// single-stepped; the captures run on the rig's tier and see the
-    /// same steps ([`Machine::run_observed`]). `kfi_profiler` samples
+    /// Boots the kernel once to the snapshot point, then captures the
+    /// golden run of every mode in `0..n_modes`, in mode order, on the
+    /// booted machine. It calls `observe` with the active CPU after every
+    /// executed step: with `None` while booting, up to and including the
+    /// step that announces the runner, and with `Some(mode)` while
+    /// capturing `mode`'s run, up to but excluding its halting step. The
+    /// boot is single-stepped; the captures run on the rig's tier and see
+    /// the same steps ([`Machine::run_observed`]). `kfi_profiler` samples
     /// the golden runs this way.
     ///
     /// # Errors
     ///
-    /// [`RigError::BootFailed`] as for [`RigShared::boot`], and
+    /// [`RigError::BootFailed`] when the kernel never reaches the
+    /// snapshot point within the boot budget, and
     /// [`RigError::GoldenFailed`] for the first mode whose run fails.
     pub fn boot_and_capture(
         image: KernelImage,
         files: &[FileSpec],
         n_modes: u32,
         config: RigConfig,
-        mut observe: impl FnMut(Option<u32>, &Cpu),
+        observe: impl FnMut(Option<u32>, &Cpu),
     ) -> Result<Arc<RigShared>, RigError> {
-        let image = Arc::new(image);
-        let base = boot_base(&image, files, config, |cpu| observe(None, cpu))?;
-        let shared = Arc::new(RigShared::from_base(image.clone(), n_modes, config, &base));
-        // The booted machine is at the snapshot point, so it captures
-        // the golden runs as a standalone rig does, without a fork.
-        let mut rig = InjectorRig::from_base(image, config, base);
-        for mode in 0..n_modes {
-            shared.store.get_or_capture(mode, || {
-                rig.capture_golden(mode, |cpu| observe(Some(mode), cpu)).map(Arc::new)
-            })?;
-        }
-        Ok(shared)
+        RigShared::prepare(image, files, n_modes, config, true, observe).map(Arc::new)
     }
 
-    /// The shared base of a booted machine, with empty stores.
-    fn from_base(
-        image: Arc<KernelImage>,
+    /// [`RigShared::boot_and_capture`], with the memos on or off.
+    fn prepare(
+        image: KernelImage,
+        files: &[FileSpec],
         n_modes: u32,
         config: RigConfig,
-        base: &BootedBase,
-    ) -> RigShared {
-        RigShared {
-            image,
+        memoize: bool,
+        mut observe: impl FnMut(Option<u32>, &Cpu),
+    ) -> Result<RigShared, RigError> {
+        let fsimg = kfi_kernel::mkfs(2048, files);
+        let boot_config = BootConfig {
+            tier: config.tier,
+            sanitizer: config.sanitizer,
+            cpus: config.cpus,
+            ..Default::default()
+        };
+        let mut m = boot(&image, fsimg.disk, &boot_config);
+
+        // Run to the snapshot point: the runner announcing itself (all
+        // of init's own risky setup — fork, exec, file reads — is behind
+        // this point, mirroring the paper where the injected activity is
+        // driven by benchmark processes rather than by init).
+        loop {
+            if m.max_tsc() > config.boot_budget {
+                return Err(RigError::BootFailed(m.console_string()));
+            }
+            match m.step() {
+                StepEvent::Executed => observe(None, &m.cpu),
+                _ => return Err(RigError::BootFailed(m.console_string())),
+            }
+            if let Some((_, MonitorEvent::Event(v))) = m.monitor_events().last() {
+                if *v == events::RUNNER_START {
+                    break;
+                }
+            }
+        }
+        let mut base = RigShared {
+            image: Arc::new(image),
             config,
-            machine_config: *base.machine.config(),
-            snapshot: base.snapshot.clone(),
-            boot_cycles: base.boot_cycles,
-            post_boot_disk: base.post_boot_disk.clone(),
-            manifest: base.manifest.clone(),
-            n_modes,
-            store: GoldenStore::default(),
+            machine_config: *m.config(),
+            // All rig cycle accounting runs on the campaign clock: the
+            // furthest-along CPU. On a uniprocessor this is exactly
+            // `cpu.tsc` (golden byte-identity depends on that); on an SMP
+            // machine it is monotonic even as the scheduler rotates the
+            // active CPU, whose own tsc can sit far behind.
+            boot_cycles: m.max_tsc(),
+            snapshot: m.snapshot(),
+            post_boot_disk: m.disk.as_ref().expect("disk attached").snapshot(),
+            manifest: Arc::new(fsimg.manifest),
+            golden: Vec::with_capacity(n_modes as usize),
+            memoize,
             power_on: PowerOnStore::default(),
             severity: SeverityStore::default(),
             assessments: AtomicU64::new(0),
@@ -569,12 +519,69 @@ impl RigShared {
             checkpoint_bytes: AtomicU64::new(0),
             resumed_runs: AtomicU64::new(0),
             skipped_cycles: AtomicU64::new(0),
+        };
+        for mode in 0..n_modes {
+            let run = base.capture_golden(&mut m, mode, |cpu| observe(Some(mode), cpu))?;
+            base.golden.push(Arc::new(run));
         }
+        Ok(base)
     }
 
-    /// The campaign-wide golden store.
-    pub fn store(&self) -> &GoldenStore {
-        &self.store
+    /// Restores `m` to the post-boot snapshot and its disk to the
+    /// post-boot image. Both share the image's pages again, resetting
+    /// only the pages written since the last restore: a severity reboot
+    /// keeps the crash disk it took over, and its writes are tracked
+    /// like the run's.
+    fn restore(&self, m: &mut Machine) {
+        let disk = &self.post_boot_disk;
+        m.disk.get_or_insert_with(|| Ramdisk::fork(disk)).restore_from(disk);
+        m.restore(&self.snapshot);
+    }
+
+    /// [`RigShared::restore`], then selects the run mode.
+    fn reset(&self, m: &mut Machine, mode: u32) {
+        self.restore(m);
+        kfi_kernel::set_run_mode(m, mode);
+        let tsc = m.max_tsc();
+        m.trace_sink_mut().emit(tsc, EventKind::SnapshotRestore { mode });
+    }
+
+    /// Captures `mode`'s golden run on `m` from the snapshot, on the
+    /// rig's tier, calling `observe` with the active CPU after every
+    /// executed step (the halting step is not one), and frees the blocks
+    /// the run recorded ([`Machine::release_blocks`]).
+    fn capture_golden(
+        &self,
+        m: &mut Machine,
+        mode: u32,
+        observe: impl FnMut(&Cpu),
+    ) -> Result<GoldenRun, RigError> {
+        self.reset(m, mode);
+        let mut capture = FirstHits::new(&self.image, observe);
+        // The capture fails once the clock passes the budget, so one
+        // that halts exactly on it succeeds.
+        let budget = self.boot_cycles + self.config.golden_budget;
+        let left = (budget + 1).saturating_sub(m.max_tsc());
+        let exit = m.run_observed(left, &mut capture);
+        m.release_blocks();
+        let failed = match exit {
+            RunExit::Halted => !has_event(m, events::SHUTDOWN) || has_event(m, events::PANIC),
+            RunExit::CycleLimit => true,
+            other => {
+                let console = format!("{other:?}: {}", m.console_string());
+                return Err(RigError::GoldenFailed { mode, console });
+            }
+        };
+        if failed {
+            return Err(RigError::GoldenFailed { mode, console: m.console_string() });
+        }
+        Ok(GoldenRun {
+            mode,
+            console: m.console_string(),
+            results: results_of(m),
+            cycles: m.max_tsc() - self.boot_cycles,
+            first_hits: capture.into_sorted(),
+        })
     }
 
     /// How this base's crashes got their severity verdicts so far.
@@ -603,29 +610,20 @@ impl RigShared {
     }
 }
 
-/// The injection rig: owns a machine, the post-boot snapshot, golden
-/// runs and coverage for every workload mode.
+/// The injection rig: a private machine forked off a [`RigShared`]
+/// base, through which it reads the snapshot, the post-boot disk, the
+/// golden runs and the memos, and the metrics of its runs.
 ///
-/// Built either standalone ([`InjectorRig::new`]: boot + capture
-/// everything privately — the recompute-per-rig reference path) or as a
-/// copy-on-write fork of a shared base ([`InjectorRig::fork`]). The two
-/// are observationally identical; `tests/fork_equivalence.rs` proves it
-/// run by run.
+/// Every rig is a copy-on-write fork ([`InjectorRig::fork`]).
+/// [`InjectorRig::new`] forks a private base with its memos off: the
+/// recompute-per-rig reference, which forks of a shared base equal run
+/// by run (`tests/fork_equivalence.rs`).
 pub struct InjectorRig {
-    /// The kernel image under test, shared with the base a fork came
-    /// from.
+    /// The kernel image under test, shared with the base.
     pub image: Arc<KernelImage>,
-    config: RigConfig,
     machine: Machine,
-    snapshot: Snapshot,
-    boot_cycles: u64,
-    post_boot_disk: DiskImage,
-    manifest: Arc<BTreeMap<String, (u32, u32)>>,
-    golden: Vec<Arc<GoldenRun>>,
     metrics: Metrics,
-    /// The base a fork came from, whose severity store it shares;
-    /// `None` for a standalone rig, which reboots for every crash.
-    shared: Option<Arc<RigShared>>,
+    shared: Arc<RigShared>,
 }
 
 /// Stable [`trace_outcome`] code for an [`Outcome`].
@@ -687,9 +685,10 @@ fn vector_to_cause(v: Vector, cr2: u32) -> u32 {
 }
 
 impl InjectorRig {
-    /// Boots the kernel with the given filesystem contents, snapshots
-    /// the machine at BOOT_OK, and captures golden runs + coverage for
-    /// every mode in `0..n_modes`.
+    /// Boots a private base for the kernel with the given filesystem
+    /// contents and `n_modes` workload modes, with its memos off, and
+    /// forks it: the reference rig, which starts every run at the
+    /// snapshot and reboots every crash with its own residue.
     ///
     /// # Errors
     ///
@@ -701,81 +700,38 @@ impl InjectorRig {
         n_modes: u32,
         config: RigConfig,
     ) -> Result<InjectorRig, RigError> {
-        let image = Arc::new(image);
-        let base = boot_base(&image, files, config, |_| {})?;
-        let mut rig = InjectorRig::from_base(image, config, base);
-        for mode in 0..n_modes {
-            let g = rig.capture_golden(mode, |_| {})?;
-            rig.golden.push(Arc::new(g));
-        }
-        Ok(rig)
+        let base = RigShared::prepare(image, files, n_modes, config, false, |_, _| {})?;
+        InjectorRig::fork(&Arc::new(base))
     }
 
-    /// A standalone rig on a booted machine, with no golden runs yet.
-    fn from_base(image: Arc<KernelImage>, config: RigConfig, base: BootedBase) -> InjectorRig {
-        InjectorRig {
-            image,
-            config,
-            machine: base.machine,
-            snapshot: base.snapshot,
-            boot_cycles: base.boot_cycles,
-            post_boot_disk: base.post_boot_disk,
-            manifest: base.manifest,
-            golden: Vec::new(),
-            metrics: Metrics::default(),
-            shared: None,
-        }
-    }
-
-    /// Forks a rig off a shared post-boot base: a private copy-on-write
-    /// machine and disk built from the shared snapshot and disk image
+    /// Forks a rig off a post-boot base: a private copy-on-write
+    /// machine and disk built from the base's snapshot and disk image
     /// ([`Machine::fork`], [`Ramdisk::fork`]: neither owns a page until
-    /// it writes one), the base's kernel image and manifest shared by
-    /// reference, and golden runs resolved through the base's
-    /// [`GoldenStore`] (captured on first request per mode, shared
-    /// afterwards).
-    ///
-    /// Observationally identical to [`InjectorRig::new`] with the same
-    /// image/files/config — same records, metrics, trace events — but
-    /// the boot happens once per base and each golden run once per
-    /// store key, instead of once per rig.
+    /// it writes one), reading the kernel image, manifest and golden runs
+    /// through the base.
     ///
     /// # Errors
     ///
-    /// [`RigError::GoldenFailed`] when a golden capture fails (memoized:
-    /// every fork sharing the store sees the same error).
+    /// Never: the base captured every golden run before it was shared.
     pub fn fork(shared: &Arc<RigShared>) -> Result<InjectorRig, RigError> {
         let mut machine = Machine::fork(&shared.snapshot, shared.machine_config);
         machine.disk = Some(Ramdisk::fork(&shared.post_boot_disk));
-        let mut rig = InjectorRig {
+        Ok(InjectorRig {
             image: shared.image.clone(),
-            config: shared.config,
             machine,
-            snapshot: shared.snapshot.clone(),
-            boot_cycles: shared.boot_cycles,
-            post_boot_disk: shared.post_boot_disk.clone(),
-            manifest: shared.manifest.clone(),
-            golden: Vec::new(),
             metrics: Metrics::default(),
-            shared: Some(shared.clone()),
-        };
-        for mode in 0..shared.n_modes {
-            let g = shared
-                .store
-                .get_or_capture(mode, || rig.capture_golden(mode, |_| {}).map(Arc::new))?;
-            rig.golden.push(g);
-        }
-        Ok(rig)
+            shared: shared.clone(),
+        })
     }
 
     /// The golden run for a mode.
     pub fn golden(&self, mode: u32) -> &GoldenRun {
-        &self.golden[mode as usize]
+        &self.shared.golden[mode as usize]
     }
 
     /// Boot duration in cycles.
     pub fn boot_cycles(&self) -> u64 {
-        self.boot_cycles
+        self.shared.boot_cycles
     }
 
     /// Installs a ring-buffer trace sink of the given capacity on the
@@ -807,25 +763,6 @@ impl InjectorRig {
         std::mem::take(&mut self.metrics)
     }
 
-    /// Restores the machine to the post-boot snapshot and its disk to
-    /// the post-boot image. Both share the image's pages again, resetting
-    /// only the pages written since the last restore: a severity reboot
-    /// keeps the crash disk it took over, and its writes are tracked
-    /// like the run's.
-    fn restore_snapshot(&mut self) {
-        let image = &self.post_boot_disk;
-        self.machine.disk.get_or_insert_with(|| Ramdisk::fork(image)).restore_from(image);
-        self.machine.restore(&self.snapshot);
-    }
-
-    /// [`InjectorRig::restore_snapshot`], then selects the run mode.
-    fn reset_to_snapshot(&mut self, mode: u32) {
-        self.restore_snapshot();
-        kfi_kernel::set_run_mode(&mut self.machine, mode);
-        let tsc = self.machine.max_tsc();
-        self.machine.trace_sink_mut().emit(tsc, EventKind::SnapshotRestore { mode });
-    }
-
     /// The checkpoint at tick cut `tick` (≥ 1) of `mode`'s golden run,
     /// from the base's [`CheckpointStore`]. A capture resumes from the
     /// stored checkpoint of the greatest lower tick of the mode (or the
@@ -834,12 +771,8 @@ impl InjectorRig {
     /// `None` when the capture was cut short (the abort flag, or a run
     /// that never reached the cut): then nothing is stored and the
     /// caller starts from the snapshot.
-    fn checkpoint_at(
-        &mut self,
-        shared: &RigShared,
-        mode: u32,
-        tick: u32,
-    ) -> Option<Arc<Checkpoint>> {
+    fn checkpoint_at(&mut self, mode: u32, tick: u32) -> Option<Arc<Checkpoint>> {
+        let shared = self.shared.clone();
         shared.checkpoints.get_or_capture_if((mode, tick), || {
             let from = shared.checkpoints.floor(&(mode, tick - 1));
             let (mut at, from) = match from {
@@ -848,16 +781,16 @@ impl InjectorRig {
             };
             match &from {
                 Some(c) => {
-                    self.restore_snapshot();
+                    shared.restore(&mut self.machine);
                     self.machine.install(c);
                 }
-                None => self.reset_to_snapshot(mode),
+                None => shared.reset(&mut self.machine, mode),
             }
             // The snapshot itself is cut 1 when a tick is already due.
             if at == 0 && self.machine.tick_due() {
                 at = 1;
             }
-            let end = self.snapshot_tsc() + self.golden[mode as usize].cycles;
+            let end = shared.boot_cycles + shared.golden[mode as usize].cycles;
             while at < tick {
                 let left = end.saturating_sub(self.machine.max_tsc());
                 if self.machine.run_to_tick(left).is_some() {
@@ -872,73 +805,31 @@ impl InjectorRig {
         })
     }
 
-    /// Captures `mode`'s golden run from the snapshot on the rig's tier,
-    /// calling `observe` with the active CPU after every executed step
-    /// (the halting step is not one), and frees the blocks the run
-    /// recorded ([`Machine::release_blocks`]).
-    fn capture_golden(
-        &mut self,
-        mode: u32,
-        observe: impl FnMut(&Cpu),
-    ) -> Result<GoldenRun, RigError> {
-        self.reset_to_snapshot(mode);
-        let mut capture = FirstHits::new(&self.image, observe);
-        // The capture fails once the clock passes the budget, so one
-        // that halts exactly on it succeeds.
-        let budget = self.snapshot_tsc() + self.config.golden_budget;
-        let left = (budget + 1).saturating_sub(self.machine.max_tsc());
-        let exit = self.machine.run_observed(left, &mut capture);
-        self.machine.release_blocks();
-        let m = &self.machine;
-        let failed = match exit {
-            RunExit::Halted => !has_event(m, events::SHUTDOWN) || has_event(m, events::PANIC),
-            RunExit::CycleLimit => true,
-            other => {
-                let console = format!("{other:?}: {}", m.console_string());
-                return Err(RigError::GoldenFailed { mode, console });
-            }
-        };
-        if failed {
-            return Err(RigError::GoldenFailed { mode, console: m.console_string() });
-        }
-        Ok(GoldenRun {
-            mode,
-            console: m.console_string(),
-            results: results_of(m),
-            cycles: m.max_tsc() - self.snapshot_tsc(),
-            first_hits: capture.into_sorted(),
-        })
-    }
-
-    fn snapshot_tsc(&self) -> u64 {
-        self.boot_cycles
-    }
-
     /// Whether the golden run of `mode` ever executes the instruction —
     /// the deterministic pre-check that lets non-activated injections
     /// skip the full run (the paper likewise proceeds to the next error
     /// without a reboot when the target is not activated). It reads the
     /// golden run's first-hit index ([`GoldenRun::first_hit`]), which
-    /// also tells a forked rig where in the golden prefix to resume.
+    /// also tells a rig where in the golden prefix to resume.
     pub fn would_activate(&self, addr: u32, mode: u32) -> bool {
-        self.golden[mode as usize].covers(addr, self.image.program.text.base)
+        self.golden(mode).covers(addr, self.image.program.text.base)
     }
 
     /// Executes one injection run and classifies the outcome.
     ///
     /// Everything before the breakpoint fires is the golden run, so a
-    /// forked rig without a trace ring or sanitizer resumes from the
-    /// checkpoint at the target's first-hit tick instead of the
-    /// snapshot ([`CheckpointStore`]) and runs to the same absolute
-    /// deadline. A standalone rig always starts at the snapshot — the
-    /// reference that the resumed runs equal record for record, metric
-    /// for metric.
+    /// fork of a memoizing base without a trace ring or sanitizer
+    /// resumes from the checkpoint at the target's first-hit tick
+    /// instead of the snapshot ([`CheckpointStore`]) and runs to the
+    /// same absolute deadline. [`InjectorRig::new`]'s rig always starts
+    /// at the snapshot — the reference that the resumed runs equal
+    /// record for record, metric for metric.
     pub fn run_one(&mut self, target: &InjectionTarget, mode: u32) -> RunRecord {
         self.metrics.runs += 1;
 
         // Fast path: provably never executed under this workload.
         let text_base = self.image.program.text.base;
-        let Some(tick) = self.golden[mode as usize].first_hit(target.insn_addr, text_base) else {
+        let Some(tick) = self.golden(mode).first_hit(target.insn_addr, text_base) else {
             self.metrics.record_outcome(trace_outcome::NOT_ACTIVATED);
             self.metrics.run_cycles.record(0);
             return RunRecord {
@@ -951,13 +842,15 @@ impl InjectorRig {
             };
         };
 
-        let resumable =
-            tick > 0 && !self.config.sanitizer && !self.machine.trace_sink().is_enabled();
-        let shared = self.shared.clone().filter(|_| resumable);
-        let checkpoint = shared.as_ref().and_then(|s| self.checkpoint_at(s, mode, tick));
+        let config = self.shared.config;
+        let resumable = self.shared.memoize
+            && tick > 0
+            && !config.sanitizer
+            && !self.machine.trace_sink().is_enabled();
+        let checkpoint = if resumable { self.checkpoint_at(mode, tick) } else { None };
         match &checkpoint {
-            Some(_) => self.restore_snapshot(),
-            None => self.reset_to_snapshot(mode),
+            Some(_) => self.shared.restore(&mut self.machine),
+            None => self.shared.reset(&mut self.machine, mode),
         }
         self.metrics.snapshot_restores += 1;
         // The breakpoint goes on the CPU that was active at the snapshot.
@@ -968,13 +861,13 @@ impl InjectorRig {
         let tlb_0 = self.machine.tlb_stats();
         let dec_0 = self.machine.decode_stats();
         let san_0 = self.machine.sanitizer_violation_count();
-        let golden_cycles = self.golden[mode as usize].cycles;
-        let budget = golden_cycles * self.config.budget_factor + self.config.budget_slack;
-        let start = self.snapshot_tsc();
-        if let (Some(c), Some(shared)) = (&checkpoint, &shared) {
+        let golden_cycles = self.golden(mode).cycles;
+        let budget = golden_cycles * config.budget_factor + config.budget_slack;
+        let start = self.shared.boot_cycles;
+        if let Some(c) = &checkpoint {
             self.machine.install(c);
-            shared.resumed_runs.fetch_add(1, Ordering::Relaxed);
-            shared.skipped_cycles.fetch_add(c.max_tsc() - start, Ordering::Relaxed);
+            self.shared.resumed_runs.fetch_add(1, Ordering::Relaxed);
+            self.shared.skipped_cycles.fetch_add(c.max_tsc() - start, Ordering::Relaxed);
         }
         self.machine.cpu_state_mut(bp_cpu).arm_breakpoint(0, target.insn_addr);
         self.machine
@@ -1164,7 +1057,7 @@ impl InjectorRig {
     }
 
     fn classify_completed(&mut self, mode: u32) -> Outcome {
-        let golden = &self.golden[mode as usize];
+        let golden = self.golden(mode);
         let results = results_of(&self.machine);
         let console = self.machine.console_string();
         if results != golden.results {
@@ -1179,7 +1072,7 @@ impl InjectorRig {
         // Everything looked right — but did the run silently corrupt
         // the disk?
         let disk = self.machine.disk.as_ref().expect("disk");
-        match fsck(disk, &self.manifest) {
+        match fsck(disk, &self.shared.manifest) {
             FsckReport::Clean => Outcome::NotManifested,
             FsckReport::Fixed { notes, .. } => {
                 Outcome::FailSilenceViolation(FsvKind::SilentCorruption {
@@ -1294,25 +1187,26 @@ impl InjectorRig {
     /// inconsistencies → severe; else normal. Returns the fsck report
     /// for the record.
     ///
-    /// A standalone rig reboots every crash with its own residue. A
-    /// forked rig first asks its base's [`PowerOnStore`] for the crash
-    /// disk, rebooting once per distinct disk from the power-on residue
-    /// under the residue observer; when the footprint admits the crash's
-    /// residue, that verdict is the one its own reboot would give. Any
-    /// other residue goes through the [`SeverityStore`], keyed by
-    /// everything the assessment reads ([`SeverityKey`]). A stored
-    /// answer leaves the machine in its post-crash state; a computed one
-    /// leaves it rebooted.
+    /// [`InjectorRig::new`]'s rig reboots every crash with its own
+    /// residue. A fork of a memoizing base first asks the base's
+    /// [`PowerOnStore`] for the crash disk, rebooting once per distinct
+    /// disk from the power-on residue under the residue observer; when
+    /// the footprint admits the crash's residue, that verdict is the one
+    /// its own reboot would give. Any other residue goes through the
+    /// [`SeverityStore`], keyed by everything the assessment reads
+    /// ([`SeverityKey`]). A stored answer leaves the machine in its
+    /// post-crash state; a computed one leaves it rebooted.
     pub fn assess_severity(&mut self) -> (Severity, FsckReport) {
         let residue = self.machine.reset_residue();
-        let Some(shared) = self.shared.clone() else {
+        let shared = self.shared.clone();
+        if !shared.memoize {
             let disk = self.machine.disk.take().expect("disk");
             let ((severity, report, _), _) = self.reboot(disk, &residue, false);
             return (severity, report);
-        };
+        }
         shared.assessments.fetch_add(1, Ordering::Relaxed);
         let disk = self.machine.disk.as_ref().expect("disk");
-        let delta = disk.delta_from(&self.post_boot_disk);
+        let delta = disk.delta_from(&shared.post_boot_disk);
         let mut captured = false;
         // The crash disk, kept while a power-on reboot writes to a copy.
         let mut crash_disk = None;
@@ -1362,7 +1256,7 @@ impl InjectorRig {
         residue: &ResetResidue,
         observe: bool,
     ) -> ((Severity, FsckReport, Option<ResidueFootprint>), bool) {
-        let report = fsck(&disk, &self.manifest);
+        let report = fsck(&disk, &self.shared.manifest);
         let m = &mut self.machine;
         m.disk = Some(disk);
         if let FsckReport::Unrecoverable { .. } = report {
@@ -1374,7 +1268,7 @@ impl InjectorRig {
         if observe {
             m.observe_residue();
         }
-        let budget = self.boot_cycles * 4 + 1_000_000;
+        let budget = self.shared.boot_cycles * 4 + 1_000_000;
         let boots = match m.run(budget) {
             RunExit::Halted | RunExit::CycleLimit => {
                 has_event(m, events::BOOT_OK) && !has_event(m, events::PANIC)
@@ -1406,47 +1300,43 @@ impl InjectorRig {
 mod tests {
     use super::*;
 
-    fn dummy_golden(mode: u32) -> Arc<GoldenRun> {
-        Arc::new(GoldenRun {
-            mode,
-            console: format!("mode {mode}"),
-            results: vec![mode],
-            cycles: 1000 + mode as u64,
-            first_hits: Vec::new(),
-        })
+    /// A store of shared values or failures, as the checkpoint and
+    /// severity stores keep.
+    type Store = OnceStore<u32, Result<Arc<String>, String>>;
+
+    fn value(key: u32) -> Result<Arc<String>, String> {
+        Ok(Arc::new(format!("value {key}")))
     }
 
     #[test]
-    fn golden_store_captures_each_key_exactly_once() {
-        let store = GoldenStore::default();
-        let a = store.get_or_capture(0, || Ok(dummy_golden(0))).unwrap();
+    fn once_store_captures_each_key_exactly_once() {
+        let store = Store::default();
+        let a = store.get_or_capture(0, || value(0)).unwrap();
         let b = store.get_or_capture(0, || panic!("second request must not capture")).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "both callers share one GoldenRun");
-        let c = store.get_or_capture(1, || Ok(dummy_golden(1))).unwrap();
-        assert_eq!(c.mode, 1);
+        assert!(Arc::ptr_eq(&a, &b), "both callers share one value");
+        let c = store.get_or_capture(1, || value(1)).unwrap();
+        assert_eq!(*c, "value 1");
         assert_eq!(store.captures(), 2);
         assert_eq!(store.hits(), 1);
     }
 
     #[test]
-    fn golden_store_memoizes_failures_too() {
-        let store = GoldenStore::default();
-        let err = store
-            .get_or_capture(0, || Err(RigError::GoldenFailed { mode: 0, console: "boom".into() }))
-            .unwrap_err();
-        assert!(matches!(err, RigError::GoldenFailed { mode: 0, .. }));
+    fn once_store_memoizes_failures_too() {
+        let store = Store::default();
+        let err = store.get_or_capture(0, || Err("boom".into())).unwrap_err();
+        assert_eq!(err, "boom");
         let again =
             store.get_or_capture(0, || panic!("failure is memoized, not retried")).unwrap_err();
-        assert!(matches!(again, RigError::GoldenFailed { mode: 0, .. }), "{again}");
+        assert_eq!(again, "boom");
         assert_eq!(store.captures(), 1);
         assert_eq!(store.hits(), 1);
     }
 
     #[test]
-    fn golden_store_concurrent_askers_share_one_capture() {
-        let store = Arc::new(GoldenStore::default());
+    fn once_store_concurrent_askers_share_one_capture() {
+        let store = Arc::new(Store::default());
         let captures = Arc::new(AtomicU64::new(0));
-        let runs: Vec<Arc<GoldenRun>> = std::thread::scope(|s| {
+        let values: Vec<Arc<String>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     let store = Arc::clone(&store);
@@ -1455,7 +1345,7 @@ mod tests {
                         store
                             .get_or_capture(0, || {
                                 captures.fetch_add(1, Ordering::Relaxed);
-                                Ok(dummy_golden(0))
+                                value(0)
                             })
                             .unwrap()
                     })
@@ -1466,8 +1356,8 @@ mod tests {
         assert_eq!(captures.load(Ordering::Relaxed), 1, "one thread captured");
         assert_eq!(store.captures(), 1);
         assert_eq!(store.hits(), 7);
-        for r in &runs[1..] {
-            assert!(Arc::ptr_eq(&runs[0], r));
+        for v in &values[1..] {
+            assert!(Arc::ptr_eq(&values[0], v));
         }
     }
 
@@ -1509,13 +1399,14 @@ mod golden_reference {
         mode: u32,
         mut observe: impl FnMut(&Cpu),
     ) -> Result<GoldenRun, RigError> {
-        rig.reset_to_snapshot(mode);
+        let shared = rig.shared.clone();
+        shared.reset(&mut rig.machine, mode);
         let text_base = rig.image.program.text.base;
         let text_len = rig.image.program.text.bytes.len() as u32;
         let mut seen = vec![0u64; (text_len as usize).div_ceil(64)];
         let mut first_hits = Vec::new();
         let mut ticks = 0u32;
-        let budget = rig.snapshot_tsc() + rig.config.golden_budget;
+        let budget = shared.boot_cycles + shared.config.golden_budget;
         loop {
             let m = &mut rig.machine;
             if m.max_tsc() > budget {
@@ -1550,7 +1441,7 @@ mod golden_reference {
             mode,
             console: m.console_string(),
             results: results_of(m),
-            cycles: m.max_tsc() - rig.snapshot_tsc(),
+            cycles: m.max_tsc() - shared.boot_cycles,
             first_hits,
         })
     }
@@ -1574,20 +1465,23 @@ mod golden_reference {
     }
 
     fn assert_capture_equals_reference(kernel: KernelBuildOptions, suite: Suite, cpus: u32) {
-        let image = Arc::new(build_kernel(kernel).unwrap());
+        let image = build_kernel(kernel).unwrap();
         let files = suite.files().unwrap();
         let config = RigConfig { cpus, ..RigConfig::default() };
-        let base = boot_base(&image, &files, config, |_| {}).expect("boots");
-        let mut rig = InjectorRig::from_base(image, config, base);
+        let base = RigShared::boot(image, &files, suite.n_modes(), config).expect("boots");
+        let mut rig = InjectorRig::fork(&base).expect("forks");
         for mode in 0..suite.n_modes() {
             let what = format!("{kernel:?} {suite:?} cpus {cpus} mode {mode}");
             let (mut got_steps, mut want_steps) = (Steps::default(), Steps::default());
             let replayed = rig.machine.block_stats().0;
-            let got = rig.capture_golden(mode, |cpu| got_steps.push(cpu)).expect(&what);
+            let got = base
+                .capture_golden(&mut rig.machine, mode, |cpu| got_steps.push(cpu))
+                .expect(&what);
             assert!(
                 rig.machine.block_stats().0 > replayed,
                 "{what}: the capture replayed no block"
             );
+            assert_eq!(&got, rig.golden(mode), "{what}: the capture at boot differs");
             let want = capture_single_stepped(&mut rig, mode, |cpu| want_steps.push(cpu));
             let want = want.expect(&what);
             assert!(!want.first_hits.is_empty(), "{what}");

@@ -4,7 +4,9 @@
 //! shutdown report, or a blown cycle budget — must classify as
 //! [`Outcome::Hang`].
 
-use kfi_injector::{Campaign, InjectionTarget, InjectorRig, Outcome, RigConfig, RigError};
+use kfi_injector::{
+    Campaign, InjectionTarget, InjectorRig, Outcome, RigConfig, RigError, RigShared,
+};
 use kfi_kernel::{build_kernel, KernelBuildOptions};
 use kfi_machine::RunExit;
 
@@ -38,12 +40,16 @@ fn tiny_boot_budget_is_a_clean_boot_error() {
 
 #[test]
 fn tiny_golden_budget_is_a_clean_golden_error() {
-    let err = rig_with(RigConfig { golden_budget: 1_000, ..RigConfig::default() })
-        .err()
-        .expect("no golden run fits in 1k cycles");
-    match err {
-        RigError::GoldenFailed { mode, .. } => assert_eq!(mode, 0),
-        other => panic!("expected GoldenFailed, got {other}"),
+    let config = RigConfig { golden_budget: 1_000, ..RigConfig::default() };
+    let image = build_kernel(KernelBuildOptions::default()).unwrap();
+    let files = kfi_workloads::suite_files().unwrap();
+    // A shared base fails when it boots, before anything forks it.
+    let shared = RigShared::boot(image, &files, 2, config).err();
+    for err in [rig_with(config).err(), shared] {
+        match err.expect("no golden run fits in 1k cycles") {
+            RigError::GoldenFailed { mode, .. } => assert_eq!(mode, 0),
+            other => panic!("expected GoldenFailed, got {other}"),
+        }
     }
 }
 

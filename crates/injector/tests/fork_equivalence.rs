@@ -27,7 +27,7 @@ use rand::SeedableRng;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Two workload modes keep golden capture cheap while still covering
-/// the per-mode dimension of the golden store.
+/// the per-mode dimension of the golden runs.
 const N_MODES: u32 = 2;
 
 struct Setup {
@@ -147,9 +147,21 @@ fn forked_goldens_match_fresh_boot_goldens() {
             assert_eq!(a.covers(addr, text_base), b.covers(addr, text_base), "addr {addr:#x}");
         }
     }
-    // Exactly one capture per mode happened store-wide, no matter how
-    // many rigs forked before this test ran.
-    assert_eq!(setup().shared.store().captures(), u64::from(N_MODES));
+}
+
+#[test]
+fn forks_share_the_base_golden_runs_and_start_unexecuted() {
+    let shared = &setup().shared;
+    let a = InjectorRig::fork(shared).expect("fork");
+    let mut b = InjectorRig::fork(shared).expect("fork");
+    for mode in 0..N_MODES {
+        assert!(std::ptr::eq(a.golden(mode), b.golden(mode)), "mode {mode}: one run per base");
+    }
+    // The base captured the golden runs before it was shared, so no
+    // fork executes one.
+    let m = b.machine_mut();
+    assert_eq!(m.counters().instructions, 0, "a fresh fork has retired no instruction");
+    assert_eq!(m.max_tsc(), shared.boot_cycles(), "a fresh fork sits at the snapshot");
 }
 
 #[test]

@@ -38,7 +38,7 @@ fn inputs() -> &'static (KernelImage, Vec<FileSpec>) {
     })
 }
 
-/// A new base with empty golden and severity stores.
+/// A new base with empty severity stores.
 fn fresh_base() -> Arc<RigShared> {
     let (image, files) = inputs();
     RigShared::boot(image.clone(), files, N_MODES, RigConfig::default()).expect("base boots")
@@ -172,6 +172,28 @@ fn memoized_verdicts_equal_a_standalone_rigs_on_a_campaign_slice() {
     for (t, memoized) in &crashes {
         assert_eq!(&standalone.run_one(t, 0), memoized, "{t:?}");
     }
+}
+
+/// Whether the rig's machine holds a boot's state: a run's monitor log
+/// starts at the snapshot, after the boot announced itself.
+fn rebooted(rig: &mut InjectorRig) -> bool {
+    let boot_ok = MonitorEvent::Event(kfi_kernel::layout::events::BOOT_OK);
+    rig.machine_mut().monitor_events().iter().any(|(_, e)| *e == boot_ok)
+}
+
+#[test]
+fn the_reference_rig_reboots_every_crash() {
+    let (image, files) = inputs();
+    let t = bug_crash(image);
+    let mut reference =
+        InjectorRig::new(image.clone(), files, N_MODES, RigConfig::default()).expect("boots");
+    for run in 0..2 {
+        assert!(crashed(&reference.run_one(&t, 0)));
+        assert!(rebooted(&mut reference), "run {run}: the reference memoizes nothing");
+    }
+    // A fork of a memoizing base keeps the second crash's state.
+    let mut fork = crashed_fork(&fresh_base(), &t);
+    assert!(!rebooted(&mut fork), "a hit leaves the crash state");
 }
 
 #[test]

@@ -12,8 +12,6 @@ pub struct BootConfig {
     /// Value placed in the boot-info `RUN_MODE` field (which workload
     /// `/init` executes; `0xFF` = run the whole suite).
     pub run_mode: u32,
-    /// Timer period in cycles.
-    pub timer_period: u64,
     /// The machine's execution tier (see [`ExecTier`]).
     pub tier: ExecTier,
     /// Whether the machine's per-step architectural-state sanitizer is
@@ -29,24 +27,18 @@ pub struct BootConfig {
 
 impl Default for BootConfig {
     fn default() -> BootConfig {
-        BootConfig {
-            run_mode: 0xff,
-            timer_period: 50_000,
-            tier: ExecTier::Chained,
-            sanitizer: false,
-            cpus: 1,
-        }
+        BootConfig { run_mode: 0xff, tier: ExecTier::Chained, sanitizer: false, cpus: 1 }
     }
 }
 
 /// Creates a machine and boots the kernel on it with the given disk.
 ///
 /// On return the CPU sits at `start_kernel` in virtual address space
-/// with paging enabled; run it with [`Machine::run`].
+/// with paging enabled; run it with [`Machine::run`]. The timer ticks at
+/// [`MachineConfig`]'s default period.
 pub fn boot(image: &KernelImage, disk: Ramdisk, config: &BootConfig) -> Machine {
     let mut m = Machine::new(MachineConfig {
         phys_mem: layout::PHYS_MEM_SIZE,
-        timer_period: config.timer_period,
         timer_enabled: true,
         tier: config.tier,
         sanitizer: config.sanitizer,

@@ -45,10 +45,9 @@ proptest! {
     }
 
     /// The ring records what the null sink discards: after a faulting
-    /// run, events exist, are monotone in TSC, and survive the binary
-    /// codec round-trip.
+    /// run, events exist and are monotone in TSC.
     #[test]
-    fn recorded_events_are_monotone_and_roundtrip(
+    fn recorded_events_are_monotone(
         code in proptest::collection::vec(any::<u8>(), 1..256),
     ) {
         let mut m = machine_with(&code);
@@ -62,7 +61,5 @@ proptest! {
         for w in events.windows(2) {
             prop_assert!(w[0].tsc <= w[1].tsc);
         }
-        let decoded = kfi_trace::codec::decode(&kfi_trace::codec::encode(&events));
-        prop_assert_eq!(decoded.unwrap(), events);
     }
 }

@@ -132,9 +132,9 @@ pub fn profile(
 /// run continues from a copy of the post-boot sampler, so each mode's
 /// counts are what booting and running that mode alone would give. The
 /// runner reads the run mode only after the snapshot point, so one boot
-/// serves every mode. Returns the base, whose golden store holds every
-/// mode's run, with the profile. The PC is sampled on the active CPU,
-/// so pass `rig.cpus == 1` for the uniprocessor profile.
+/// serves every mode. Returns the base, which holds the golden run it
+/// captured for every mode, with the profile. The PC is sampled on the
+/// active CPU, so pass `rig.cpus == 1` for the uniprocessor profile.
 ///
 /// # Errors
 ///

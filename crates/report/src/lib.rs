@@ -14,7 +14,6 @@
 //! | Figure 7 (crash latency)          | [`figure7`]  |
 //! | Figure 8 (error propagation)      | [`figure8`]  |
 //! | Table 5 (most severe crashes)     | [`table5`]   |
-//! | Tables 6/7 (case studies)         | [`case_study_table`] |
 //!
 //! Beyond the paper artifacts, [`trace_timeline`] and [`metrics_table`]
 //! render [`kfi_trace`] event streams and counter registries.
@@ -326,26 +325,6 @@ pub fn table5(study: &StudyResult) -> String {
     }
     let _ =
         writeln!(s, "most severe (reformat): {idx}; severe or worse (fsck needed): {severe_count}");
-    s
-}
-
-/// Tables 6/7-style case studies: before/after listings for a set of
-/// interesting injections.
-pub fn case_study_table(
-    image: &KernelImage,
-    cases: &[(&str, u32, usize, u8)], // (title, insn addr, byte, mask)
-) -> String {
-    let mut s = String::from("Case studies (before / after the injected bit flip)\n\n");
-    for (i, (title, addr, byte, mask)) in cases.iter().enumerate() {
-        let _ = writeln!(s, "--- case {}: {title} ---", i + 1);
-        match kfi_dump::case_study(image, *addr, *byte, *mask, 12) {
-            Some(cs) => s.push_str(&cs.format()),
-            None => {
-                let _ = writeln!(s, "(address {addr:#x} not in a known function)");
-            }
-        }
-        s.push('\n');
-    }
     s
 }
 

@@ -1,17 +1,11 @@
-//! Compact binary encoding for event streams.
-//!
-//! Layout per event: one tag byte, then the LEB128-encoded TSC *delta*
-//! from the previous event (timestamps are monotone within a stream, so
-//! deltas are small), then the payload fields as LEB128 varints. A
-//! stream of monitor ticks costs ~3 bytes/event instead of the 24+ of
-//! the in-memory representation.
-
-use crate::event::{Event, EventKind};
+//! LEB128 varints, the primitive of the workspace's binary encodings:
+//! the [`crate::Metrics`] encoding, the worker wire protocol and the
+//! campaign run journal.
 
 /// Why decoding failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
-    /// Input ended inside an event.
+    /// Input ended inside a value.
     Truncated,
     /// Unknown tag byte at the given offset.
     BadTag {
@@ -25,9 +19,9 @@ pub enum CodecError {
 impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CodecError::Truncated => write!(f, "event stream truncated"),
+            CodecError::Truncated => write!(f, "input truncated"),
             CodecError::BadTag { offset, tag } => {
-                write!(f, "unknown event tag {tag:#x} at offset {offset}")
+                write!(f, "unknown tag {tag:#x} at offset {offset}")
             }
         }
     }
@@ -35,8 +29,7 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Appends a LEB128 varint — the workspace's shared wire primitive
-/// (event streams, the campaign run journal).
+/// Appends a LEB128 varint.
 pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let b = (v & 0x7f) as u8;
@@ -72,222 +65,24 @@ pub fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     }
 }
 
-const TAG_EXCEPTION: u8 = 1;
-const TAG_EXCEPTION_ERR: u8 = 2;
-const TAG_CR3: u8 = 3;
-const TAG_SYSCALL: u8 = 4;
-const TAG_TICK: u8 = 5;
-const TAG_ARMED: u8 = 6;
-const TAG_TRIGGER: u8 = 7;
-const TAG_FLIP: u8 = 8;
-const TAG_RESTORE: u8 = 9;
-const TAG_OUTCOME: u8 = 10;
-const TAG_TRANSITION: u8 = 11;
-const TAG_IPI: u8 = 12;
-
-/// Encodes an event stream (oldest first) to bytes.
-pub fn encode(events: &[Event]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(events.len() * 8);
-    let mut prev_tsc = 0u64;
-    for ev in events {
-        let delta = ev.tsc.wrapping_sub(prev_tsc);
-        prev_tsc = ev.tsc;
-        match ev.kind {
-            EventKind::ExceptionRaised { vector, eip, error_code } => match error_code {
-                None => {
-                    out.push(TAG_EXCEPTION);
-                    put_varint(&mut out, delta);
-                    out.push(vector);
-                    put_varint(&mut out, eip as u64);
-                }
-                Some(e) => {
-                    out.push(TAG_EXCEPTION_ERR);
-                    put_varint(&mut out, delta);
-                    out.push(vector);
-                    put_varint(&mut out, eip as u64);
-                    put_varint(&mut out, e as u64);
-                }
-            },
-            EventKind::Cr3Switch { old, new } => {
-                out.push(TAG_CR3);
-                put_varint(&mut out, delta);
-                put_varint(&mut out, old as u64);
-                put_varint(&mut out, new as u64);
-            }
-            EventKind::SyscallEntry { nr } => {
-                out.push(TAG_SYSCALL);
-                put_varint(&mut out, delta);
-                put_varint(&mut out, nr as u64);
-            }
-            EventKind::WatchdogTick { eip } => {
-                out.push(TAG_TICK);
-                put_varint(&mut out, delta);
-                put_varint(&mut out, eip as u64);
-            }
-            EventKind::IpiDelivered { eip } => {
-                out.push(TAG_IPI);
-                put_varint(&mut out, delta);
-                put_varint(&mut out, eip as u64);
-            }
-            EventKind::InjectionArmed { addr } => {
-                out.push(TAG_ARMED);
-                put_varint(&mut out, delta);
-                put_varint(&mut out, addr as u64);
-            }
-            EventKind::TriggerHit { addr } => {
-                out.push(TAG_TRIGGER);
-                put_varint(&mut out, delta);
-                put_varint(&mut out, addr as u64);
-            }
-            EventKind::BitFlipApplied { addr, mask } => {
-                out.push(TAG_FLIP);
-                put_varint(&mut out, delta);
-                put_varint(&mut out, addr as u64);
-                out.push(mask);
-            }
-            EventKind::SnapshotRestore { mode } => {
-                out.push(TAG_RESTORE);
-                put_varint(&mut out, delta);
-                put_varint(&mut out, mode as u64);
-            }
-            EventKind::OutcomeClassified { code } => {
-                out.push(TAG_OUTCOME);
-                put_varint(&mut out, delta);
-                out.push(code);
-            }
-            EventKind::SubsystemTransition { from, to } => {
-                out.push(TAG_TRANSITION);
-                put_varint(&mut out, delta);
-                out.push(from);
-                out.push(to);
-            }
-        }
-    }
-    out
-}
-
-/// Decodes a byte stream produced by [`encode`].
-///
-/// # Errors
-///
-/// [`CodecError`] on truncation or an unknown tag.
-pub fn decode(buf: &[u8]) -> Result<Vec<Event>, CodecError> {
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    let mut tsc = 0u64;
-    while pos < buf.len() {
-        let tag_offset = pos;
-        let tag = buf[pos];
-        pos += 1;
-        let delta = get_varint(buf, &mut pos)?;
-        tsc = tsc.wrapping_add(delta);
-        let byte = |pos: &mut usize| -> Result<u8, CodecError> {
-            let b = *buf.get(*pos).ok_or(CodecError::Truncated)?;
-            *pos += 1;
-            Ok(b)
-        };
-        let kind = match tag {
-            TAG_EXCEPTION | TAG_EXCEPTION_ERR => {
-                let vector = byte(&mut pos)?;
-                let eip = get_varint(buf, &mut pos)? as u32;
-                let error_code = if tag == TAG_EXCEPTION_ERR {
-                    Some(get_varint(buf, &mut pos)? as u32)
-                } else {
-                    None
-                };
-                EventKind::ExceptionRaised { vector, eip, error_code }
-            }
-            TAG_CR3 => EventKind::Cr3Switch {
-                old: get_varint(buf, &mut pos)? as u32,
-                new: get_varint(buf, &mut pos)? as u32,
-            },
-            TAG_SYSCALL => EventKind::SyscallEntry { nr: get_varint(buf, &mut pos)? as u32 },
-            TAG_TICK => EventKind::WatchdogTick { eip: get_varint(buf, &mut pos)? as u32 },
-            TAG_IPI => EventKind::IpiDelivered { eip: get_varint(buf, &mut pos)? as u32 },
-            TAG_ARMED => EventKind::InjectionArmed { addr: get_varint(buf, &mut pos)? as u32 },
-            TAG_TRIGGER => EventKind::TriggerHit { addr: get_varint(buf, &mut pos)? as u32 },
-            TAG_FLIP => {
-                let addr = get_varint(buf, &mut pos)? as u32;
-                let mask = byte(&mut pos)?;
-                EventKind::BitFlipApplied { addr, mask }
-            }
-            TAG_RESTORE => EventKind::SnapshotRestore { mode: get_varint(buf, &mut pos)? as u32 },
-            TAG_OUTCOME => EventKind::OutcomeClassified { code: byte(&mut pos)? },
-            TAG_TRANSITION => {
-                let from = byte(&mut pos)?;
-                let to = byte(&mut pos)?;
-                EventKind::SubsystemTransition { from, to }
-            }
-            other => return Err(CodecError::BadTag { offset: tag_offset, tag: other }),
-        };
-        out.push(Event { tsc, kind });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_events() -> Vec<Event> {
-        vec![
-            Event { tsc: 100, kind: EventKind::SnapshotRestore { mode: 2 } },
-            Event { tsc: 150, kind: EventKind::InjectionArmed { addr: 0xc001_2345 } },
-            Event { tsc: 9_000, kind: EventKind::TriggerHit { addr: 0xc001_2345 } },
-            Event { tsc: 9_001, kind: EventKind::BitFlipApplied { addr: 0xc001_2346, mask: 0x40 } },
-            Event {
-                tsc: 9_950,
-                kind: EventKind::ExceptionRaised {
-                    vector: 14,
-                    eip: 0xc001_2350,
-                    error_code: Some(2),
-                },
-            },
-            Event {
-                tsc: 10_000,
-                kind: EventKind::ExceptionRaised { vector: 6, eip: 0xc001_0000, error_code: None },
-            },
-            Event { tsc: 10_500, kind: EventKind::Cr3Switch { old: 0x1000, new: 0x7000 } },
-            Event { tsc: 11_000, kind: EventKind::SyscallEntry { nr: 4 } },
-            Event { tsc: 50_000, kind: EventKind::WatchdogTick { eip: 0xc001_0040 } },
-            Event { tsc: 60_000, kind: EventKind::OutcomeClassified { code: 3 } },
-            Event { tsc: 60_000, kind: EventKind::SubsystemTransition { from: 2, to: 7 } },
-        ]
-    }
-
     #[test]
-    fn roundtrip() {
-        let events = sample_events();
-        let bytes = encode(&events);
-        assert_eq!(decode(&bytes).unwrap(), events);
-    }
-
-    #[test]
-    fn compactness() {
-        let events = sample_events();
-        let bytes = encode(&events);
-        assert!(
-            bytes.len() < events.len() * 12,
-            "{} bytes for {} events",
-            bytes.len(),
-            events.len()
-        );
-    }
-
-    #[test]
-    fn truncation_is_detected() {
-        let bytes = encode(&sample_events());
-        for cut in 1..bytes.len() {
-            // Every strict prefix either decodes fewer events or errors;
-            // it must never panic.
-            let _ = decode(&bytes[..cut]);
+    fn varints_roundtrip_and_refuse_truncation() {
+        let values = [0, 1, 0x7f, 0x80, 300, u64::from(u32::MAX), u64::MAX];
+        let mut buf = Vec::new();
+        for v in values {
+            put_varint(&mut buf, v);
         }
-        assert_eq!(decode(&bytes[..1]), Err(CodecError::Truncated));
-    }
-
-    #[test]
-    fn bad_tag_is_reported() {
-        let r = decode(&[0xee, 0x00]);
-        assert_eq!(r, Err(CodecError::BadTag { offset: 0, tag: 0xee }));
+        let mut pos = 0;
+        for v in values {
+            assert_eq!(get_varint(&buf, &mut pos), Ok(v));
+        }
+        assert_eq!(pos, buf.len());
+        let mut pos = buf.len() - 10;
+        assert_eq!(get_varint(&buf[..buf.len() - 1], &mut pos), Err(CodecError::Truncated));
+        assert_eq!(get_varint(&[0x80; 10], &mut 0), Err(CodecError::Truncated), "overflow");
     }
 }

@@ -13,8 +13,8 @@
 //!   [`TraceSink`] enum whose [`TraceSink::Null`] variant compiles to a
 //!   single never-taken branch, so the hot exec loop pays nothing when
 //!   tracing is off;
-//! * a binary [`codec`] (tag byte + LEB128 varints, delta-encoded
-//!   timestamps) for storing or shipping event streams;
+//! * the LEB128 varints of the workspace's binary encodings
+//!   ([`codec`]) and their CRC-checked framing ([`frame`]);
 //! * a [`Metrics`] counter registry (instructions retired, faults by
 //!   vector, TLB-miss page walks, snapshot restores, per-run latencies)
 //!   whose [`Metrics::merge`] is pure addition — commutative and

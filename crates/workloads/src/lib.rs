@@ -94,7 +94,8 @@ impl Suite {
         self.workloads().iter().position(|w| *w == name).map(|i| i as u32)
     }
 
-    /// Number of single-workload run modes (the golden-store `n_modes`).
+    /// Number of single-workload run modes (the `n_modes` a rig base
+    /// captures golden runs for).
     pub fn n_modes(self) -> u32 {
         self.workloads().len() as u32
     }
