@@ -116,7 +116,7 @@ proptest! {
         let r = reference_pass(&prog, cfg);
         let smp = run_to_reference(&prog, MachineConfig { cpus: 2, ..cfg }, &r);
         let up = run_to_reference(&prog, cfg, &r);
-        let mask = StateMask { decode_stats: true, tlb_stats: true, smp_digest: false };
+        let mask = StateMask { decode_stats: true, smp_digest: false };
         let (s, u) = (ArchState::capture(&smp, &mask), ArchState::capture(&up, &mask));
         prop_assert_eq!(s.diff(&u), Vec::<String>::new(), "seed {} {:?}", seed, variant(vidx));
         let reference = ArchState::capture(&r.machine, &mask);

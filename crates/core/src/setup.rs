@@ -93,7 +93,7 @@ pub fn setup_summary() -> Vec<SetupItem> {
             group: "Tools",
             label: "Campaign setup",
             paper: "reboot + golden rerun per injection",
-            ours: "CoW rig forks + memoized golden store",
+            ours: "CoW forks of one booted base + prefix checkpoints + severity memo",
         },
     ]
 }

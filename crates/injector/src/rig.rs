@@ -855,11 +855,8 @@ impl InjectorRig {
         self.metrics.snapshot_restores += 1;
         // The breakpoint goes on the CPU that was active at the snapshot.
         let bp_cpu = self.machine.active_cpu();
-        // TLB and decode-cache stats are cumulative across restores;
-        // diff around the run (sanitizer violations likewise). A
-        // checkpoint install adds its prefix's share.
-        let tlb_0 = self.machine.tlb_stats();
-        let dec_0 = self.machine.decode_stats();
+        // Sanitizer violations are cumulative across restores; diff
+        // around the run.
         let san_0 = self.machine.sanitizer_violation_count();
         let golden_cycles = self.golden(mode).cycles;
         let budget = golden_cycles * config.budget_factor + config.budget_slack;
@@ -901,7 +898,7 @@ impl InjectorRig {
             _ => {
                 let run_cycles = self.machine.max_tsc().saturating_sub(start);
                 let sanitizer_violations = self.absorb_sanitizer(san_0);
-                self.absorb_run_counters(tlb_0, dec_0);
+                self.absorb_run_counters();
                 self.metrics.record_outcome(trace_outcome::NOT_ACTIVATED);
                 self.metrics.run_cycles.record(run_cycles);
                 self.metrics.run_cycles_total += run_cycles;
@@ -928,7 +925,7 @@ impl InjectorRig {
         let end_tsc = self.machine.max_tsc();
         let run_cycles = end_tsc.saturating_sub(start);
         let sanitizer_violations = self.absorb_sanitizer(san_0);
-        self.absorb_run_counters(tlb_0, dec_0);
+        self.absorb_run_counters();
 
         // Keep the severity-assessment reboot out of the timeline.
         let sink = self.machine.take_trace_sink();
@@ -969,12 +966,13 @@ impl InjectorRig {
         delta
     }
 
-    /// Folds the machine's per-run execution counters plus the TLB and
-    /// decode-cache deltas since the start-of-run baselines into the rig
-    /// metrics, and records the run's dirty-page footprint. Must run
-    /// before classification: severity assessment reboots the machine
-    /// (and its reboot-and-fsck activity must stay out of run metrics).
-    fn absorb_run_counters(&mut self, tlb_0: (u64, u64), dec_0: (u64, u64, u64)) {
+    /// Folds the machine's execution counters and TLB and decode-cache
+    /// statistics, which count from the run's restore (or its
+    /// checkpoint's install), into the rig metrics, and records the
+    /// run's dirty-page footprint. Must run before classification:
+    /// severity assessment reboots the machine (and its reboot-and-fsck
+    /// activity must stay out of run metrics).
+    fn absorb_run_counters(&mut self) {
         let c = self.machine.counters();
         self.metrics.instructions += c.instructions;
         self.metrics.syscalls += c.syscalls;
@@ -986,12 +984,12 @@ impl InjectorRig {
             }
         }
         let (h, m) = self.machine.tlb_stats();
-        self.metrics.tlb_hits += h - tlb_0.0;
-        self.metrics.tlb_miss_walks += m - tlb_0.1;
+        self.metrics.tlb_hits += h;
+        self.metrics.tlb_miss_walks += m;
         let (dh, dm, di) = self.machine.decode_stats();
-        self.metrics.decode_hits += dh - dec_0.0;
-        self.metrics.decode_misses += dm - dec_0.1;
-        self.metrics.decode_invalidations += di - dec_0.2;
+        self.metrics.decode_hits += dh;
+        self.metrics.decode_misses += dm;
+        self.metrics.decode_invalidations += di;
         // The run's *own* footprint, not the pages reset at restore
         // time: restore cost depends on what the previous run on this
         // worker touched, which would vary with scheduling, while the
@@ -1473,14 +1471,10 @@ mod golden_reference {
         for mode in 0..suite.n_modes() {
             let what = format!("{kernel:?} {suite:?} cpus {cpus} mode {mode}");
             let (mut got_steps, mut want_steps) = (Steps::default(), Steps::default());
-            let replayed = rig.machine.block_stats().0;
             let got = base
                 .capture_golden(&mut rig.machine, mode, |cpu| got_steps.push(cpu))
                 .expect(&what);
-            assert!(
-                rig.machine.block_stats().0 > replayed,
-                "{what}: the capture replayed no block"
-            );
+            assert!(rig.machine.block_stats().0 > 0, "{what}: the capture replayed no block");
             assert_eq!(&got, rig.golden(mode), "{what}: the capture at boot differs");
             let want = capture_single_stepped(&mut rig, mode, |cpu| want_steps.push(cpu));
             let want = want.expect(&what);

@@ -258,10 +258,8 @@ pub(crate) struct LiveBlock {
     links: [Option<u32>; 2],
 }
 
-/// A direct-mapped basic-block cache with hit/miss/invalidation
-/// counters. Counters are cumulative for the life of the machine (like
-/// TLB and decode-cache stats); callers wanting per-run numbers diff
-/// around the run.
+/// A direct-mapped basic-block cache with hit/miss/invalidation and
+/// chain counters, which count since the last [`BlockCache::reset`].
 ///
 /// The table is allocated on the first insert or install, and freed
 /// with every block by [`BlockCache::release`].
@@ -297,27 +295,36 @@ impl BlockCache {
         }
     }
 
-    /// Cumulative `(hits, misses, invalidations)`. A hit replayed a
-    /// cached block; a miss recorded one; an invalidation is a miss
-    /// that found a matching entry killed by a write to its page.
+    /// `(hits, misses, invalidations)`. A hit replayed a cached block; a
+    /// miss recorded one; an invalidation is a miss that found a
+    /// matching entry killed by a write to its page.
     pub(crate) fn stats(&self) -> (u64, u64, u64) {
         (self.hits, self.misses, self.invalidations)
     }
 
-    /// Cumulative `(links, follows, breaks)`: chain edges recorded,
-    /// edges traversed block-to-block, and edges torn down because the
-    /// successor vanished (page write, eviction, or flush).
+    /// `(links, follows, breaks)`: chain edges recorded, edges traversed
+    /// block-to-block, and edges torn down because the successor
+    /// vanished (page write, eviction, or flush).
     pub(crate) fn chain_stats(&self) -> (u64, u64, u64) {
         (self.links, self.follows, self.breaks)
     }
 
     /// Drops every entry in O(1) by advancing the epoch.
-    pub(crate) fn flush(&mut self) {
+    fn flush(&mut self) {
         self.epoch += 1;
     }
 
+    /// [`BlockCache::flush`], and zeroes the counters: the cache a
+    /// restore leaves.
+    pub(crate) fn reset(&mut self) {
+        self.flush();
+        [self.hits, self.misses, self.invalidations] = [0; 3];
+        [self.links, self.follows, self.breaks] = [0; 3];
+    }
+
     /// [`BlockCache::flush`], and frees the table with every block in it
-    /// (a flush leaves them allocated until their slots are reused).
+    /// (a flush leaves them allocated until their slots are reused). The
+    /// counters keep counting.
     pub(crate) fn release(&mut self) {
         self.flush();
         self.slots = Vec::new();
@@ -1230,6 +1237,12 @@ mod tests {
         c.flush();
         assert!(c.take(0x1000, mem).is_none());
         assert_eq!(c.stats(), (1, 2, 1));
+        // A reset drops the entries too, and starts the counters over.
+        c.insert(0x1000, mem.page_gen(0x1000), test_block());
+        c.reset();
+        assert_eq!((c.stats(), c.chain_stats()), ((0, 0, 0), (0, 0, 0)));
+        assert!(c.take(0x1000, mem).is_none());
+        assert_eq!(c.stats(), (0, 1, 0));
     }
 
     /// A machine at a two-instruction loop (`inc %eax; jmp .-3`).

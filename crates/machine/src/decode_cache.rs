@@ -10,11 +10,11 @@
 //! page (page-straddling fetches always take the slow path), which makes
 //! page-generation validation exact.
 //!
-//! The cache is flushed (epoch bump, O(1)) on every snapshot restore.
-//! Entries for untouched pages would still be *correct* across a restore,
-//! but keeping them would make per-run hit/miss counts depend on which
-//! runs a worker executed earlier — and campaign metrics must be
-//! bit-identical for any thread count.
+//! Every snapshot restore flushes the cache (epoch bump, O(1)) and zeroes
+//! its counters. Entries for untouched pages would still be *correct*
+//! across a restore, but keeping them would make per-run hit/miss counts
+//! depend on which runs a worker executed earlier — and campaign metrics
+//! must be bit-identical for any thread count.
 //!
 //! The table is allocated on the first insert (or checkpoint install):
 //! a machine that has not executed, such as a fresh fork, owns none, and
@@ -40,8 +40,8 @@ struct Slot {
 const EMPTY: Slot = Slot { pa: 0, gen: 0, epoch: 0, insn: Insn { op: Op::Nop, len: 1 } };
 
 /// A direct-mapped decoded-instruction cache with hit/miss/invalidation
-/// counters. Counters are cumulative for the life of the machine (like
-/// TLB stats); callers wanting per-run numbers diff around the run.
+/// counters, which count since the last [`DecodeCache::reset`] or
+/// [`DecodeCache::install`].
 #[derive(Debug)]
 pub(crate) struct DecodeCache {
     /// Empty until the first insert or install, then `SLOTS` long.
@@ -64,16 +64,18 @@ impl DecodeCache {
         !self.slots.is_empty()
     }
 
-    /// Cumulative `(hits, misses, invalidations)`. A hit returned a
-    /// cached decode; a miss ran the decoder; an invalidation is a miss
-    /// that found a matching entry killed by a write to its page.
+    /// `(hits, misses, invalidations)`. A hit returned a cached decode; a
+    /// miss ran the decoder; an invalidation is a miss that found a
+    /// matching entry killed by a write to its page.
     pub(crate) fn stats(&self) -> (u64, u64, u64) {
         (self.hits, self.misses, self.invalidations)
     }
 
-    /// Drops every entry in O(1) by advancing the epoch.
-    pub(crate) fn flush(&mut self) {
+    /// Drops every entry in O(1) by advancing the epoch, and zeroes the
+    /// counters: the cache a restore leaves.
+    pub(crate) fn reset(&mut self) {
         self.epoch += 1;
+        (self.hits, self.misses, self.invalidations) = (0, 0, 0);
     }
 
     /// The live entries as `(pa, generation, insn)`, in slot order.
@@ -83,16 +85,14 @@ impl DecodeCache {
     }
 
     /// Makes `live` (as [`DecodeCache::live`] lists them) the cache's
-    /// entries and adds `stats` to the counters. The cache must have
-    /// been flushed since its last insert.
+    /// entries and `stats` its counters. The cache must have been reset
+    /// since its last insert.
     pub(crate) fn install(&mut self, live: &[(u32, u64, Insn)], stats: (u64, u64, u64)) {
         let epoch = self.epoch;
         for &(pa, gen, insn) in live {
             *self.slot_mut(pa) = Slot { pa, gen, epoch, insn };
         }
-        self.hits += stats.0;
-        self.misses += stats.1;
-        self.invalidations += stats.2;
+        (self.hits, self.misses, self.invalidations) = stats;
     }
 
     /// Looks up the instruction at physical address `pa`, validating the
@@ -192,12 +192,14 @@ mod tests {
     }
 
     #[test]
-    fn flush_drops_everything() {
+    fn reset_drops_everything_and_zeroes_the_counters() {
         let mem = &PhysMem::new(4096);
         let mut c = DecodeCache::new(true);
         let insn = decode(&[0x90]).unwrap();
         c.insert(0x10, mem, insn);
-        c.flush();
+        assert_eq!(c.lookup(0x10, mem), Some(insn));
+        c.reset();
+        assert_eq!(c.stats(), (0, 0, 0));
         assert_eq!(c.lookup(0x10, mem), None);
         assert_eq!(c.stats(), (0, 1, 0));
     }
@@ -217,9 +219,9 @@ mod tests {
         // Probe sees the same page-generation invalidation lookup does.
         mem.write_u8(0x1001, 0);
         assert_eq!(probe(&c, mem), None);
-        // A flush kills probes too.
+        // A reset kills probes too.
         c.insert(0x1000, mem, insn);
-        c.flush();
+        c.reset();
         assert_eq!(probe(&c, mem), None);
     }
 

@@ -470,10 +470,6 @@ pub struct Machine {
     /// The residue observer ([`Machine::observe_residue`]); `None` (the
     /// default) costs one branch on each slow path it hooks.
     observer: Option<Box<ResidueObserver>>,
-    /// The cumulative TLB and decode statistics at the last
-    /// [`Machine::restore`], so that a [`Checkpoint`] can hold the ones
-    /// since.
-    stats_base: checkpoint::CacheStats,
 }
 
 impl Machine {
@@ -508,7 +504,6 @@ impl Machine {
             triple_faulted: false,
             abort: None,
             observer: None,
-            stats_base: checkpoint::CacheStats::default(),
         }
     }
 
@@ -570,7 +565,6 @@ impl Machine {
             san: _,
             abort: _,
             observer: _,
-            stats_base: _,
             // Fixed for the machine's life.
             config: _,
         } = self;
@@ -645,7 +639,6 @@ impl Machine {
             san: _,
             abort: _,
             observer: _,
-            stats_base: _,
             config: _,
         } = self;
         let (cpu0, tlb0, next_tick0) = match smp.as_deref_mut() {
@@ -802,10 +795,10 @@ impl Machine {
         self.counters
     }
 
-    /// Cumulative TLB `(hits, misses)` since construction, summed over
-    /// every CPU's TLB on SMP machines. Unlike [`Machine::counters`],
-    /// these are *not* cleared by [`Machine::restore`] — callers
-    /// wanting per-run numbers must diff before/after.
+    /// TLB `(hits, misses)` since the last [`Machine::restore`] (or the
+    /// checkpoint [installed](Machine::install) after it), summed over
+    /// every CPU's TLB on SMP machines. A guest CR3 reload flushes the
+    /// TLB and keeps counting.
     pub fn tlb_stats(&self) -> (u64, u64) {
         let (mut hits, mut misses) = self.tlb.stats();
         if let Some(smp) = &self.smp {
@@ -953,28 +946,27 @@ impl Machine {
         smp.ipi_arg = 0;
     }
 
-    /// Cumulative decoded-instruction cache `(hits, misses,
-    /// invalidations)` since construction. Like [`Machine::tlb_stats`],
-    /// these survive [`Machine::restore`] — diff around a run for
-    /// per-run numbers. All zero on [`ExecTier::Interp`].
+    /// Decoded-instruction cache `(hits, misses, invalidations)` since
+    /// the last [`Machine::restore`] (or the checkpoint
+    /// [installed](Machine::install) after it). All zero on
+    /// [`ExecTier::Interp`].
     pub fn decode_stats(&self) -> (u64, u64, u64) {
         self.decode_cache.stats()
     }
 
-    /// Cumulative basic-block cache `(hits, misses, invalidations)`
-    /// since construction. Like [`Machine::decode_stats`], these
-    /// survive [`Machine::restore`] — diff around a run for per-run
-    /// numbers. All zero below [`ExecTier::Chained`].
+    /// Basic-block cache `(hits, misses, invalidations)` since the last
+    /// [`Machine::restore`]; [`Machine::release_blocks`] keeps counting,
+    /// and a resumed machine counts only the blocks it replays itself.
+    /// All zero below [`ExecTier::Chained`].
     pub fn block_stats(&self) -> (u64, u64, u64) {
         self.block_cache.stats()
     }
 
-    /// Cumulative block-chain `(links, follows, breaks)` since
-    /// construction: exits linked to a successor block, links followed
-    /// without re-entering the dispatch loop, and links torn down
-    /// because the successor block was invalidated or evicted. Like
-    /// [`Machine::block_stats`], these survive [`Machine::restore`] —
-    /// diff around a run for per-run numbers. All zero below
+    /// Block-chain `(links, follows, breaks)` since the last
+    /// [`Machine::restore`], counted as [`Machine::block_stats`] are:
+    /// exits linked to a successor block, links followed without
+    /// re-entering the dispatch loop, and links torn down because the
+    /// successor block was invalidated or evicted. All zero below
     /// [`ExecTier::Chained`].
     pub fn chain_stats(&self) -> (u64, u64, u64) {
         self.block_cache.chain_stats()
@@ -1051,8 +1043,12 @@ impl Machine {
         }
     }
 
-    /// Restores a snapshot, clearing logs and counters. The disk is left
-    /// untouched (swap it explicitly if the experiment needs a fresh one).
+    /// Restores a snapshot, clearing logs, counters and every cache
+    /// statistic: [`Machine::counters`], [`Machine::tlb_stats`],
+    /// [`Machine::decode_stats`], [`Machine::block_stats`] and
+    /// [`Machine::chain_stats`] all read zero afterwards, so each counts
+    /// the run that follows. The disk is left untouched (swap it
+    /// explicitly if the experiment needs a fresh one).
     ///
     /// Restored pages share the snapshot's pages again, so a restore
     /// copies no page bytes; when restoring the same snapshot as the
@@ -1068,14 +1064,15 @@ impl Machine {
     pub fn restore(&mut self, s: &Snapshot) {
         self.cpu = s.cpu.clone();
         self.mem.restore_from(&s.mem, s.id);
-        self.decode_cache.flush();
-        self.block_cache.flush();
+        self.decode_cache.reset();
+        self.block_cache.reset();
         self.mem.zero_gens();
         self.next_tick = s.next_tick;
         self.blk_lba = s.blk_lba;
         self.blk_dma = s.blk_dma;
         self.blk_status = s.blk_status;
         self.tlb.flush();
+        self.tlb.set_stats((0, 0));
         assert_eq!(
             self.smp.is_some(),
             s.smp.is_some(),
@@ -1087,6 +1084,7 @@ impl Machine {
                 ctx.cpu = cpu.clone();
                 ctx.next_tick = *next_tick;
                 ctx.tlb.flush();
+                ctx.tlb.set_stats((0, 0));
             }
             smp.active = snap.active;
             smp.slice_left = snap.slice_left;
@@ -1103,15 +1101,15 @@ impl Machine {
         self.counters = Counters::default();
         self.delivering = 0;
         self.triple_faulted = false;
-        self.stats_base = checkpoint::CacheStats::of(self);
     }
 
     /// Frees every cached block and the block table, which a flush (as
     /// [`Machine::restore`] does) leaves allocated until the slots are
     /// reused. Meant for right after a restore, where the cache is
     /// empty anyway: what runs next counts exactly as after the flush.
-    /// A golden capture calls it between modes, so that the blocks of
-    /// one mode's run are not kept alive through the next.
+    /// The block and chain statistics are kept. A golden capture calls
+    /// it between modes, so that the blocks of one mode's run are not
+    /// kept alive through the next.
     pub fn release_blocks(&mut self) {
         self.block_cache.release();
     }
@@ -1129,14 +1127,10 @@ impl Machine {
     /// read, never written: any number of threads may fork the same
     /// snapshot concurrently.
     ///
-    /// All caches (decode, block, TLB) start empty, matching what
-    /// [`Machine::restore`] leaves behind, and the decode and block
-    /// tables are not allocated until the fork executes. Cumulative
-    /// cache statistics start at zero, which is the one observable
-    /// difference from a long-lived restored machine — callers that
-    /// compare statistics must diff around runs, as
-    /// [`Machine::tlb_stats`] already requires. No disk is attached
-    /// (snapshots never contain one).
+    /// All caches (decode, block, TLB) start empty and every statistic
+    /// at zero, as [`Machine::restore`] leaves them, and the decode and
+    /// block tables are not allocated until the fork executes. No disk
+    /// is attached (snapshots never contain one).
     ///
     /// # Panics
     ///

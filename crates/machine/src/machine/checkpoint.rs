@@ -20,25 +20,12 @@ use crate::trap::TrapRecord;
 use kfi_isa::Insn;
 use std::collections::VecDeque;
 
-/// Cumulative cache statistics that reach the dataset: the TLB
-/// `(hits, misses)` summed over every CPU, and the decode triple.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(super) struct CacheStats {
+/// The cache statistics that reach the dataset: the TLB `(hits,
+/// misses)` summed over every CPU, and the decode triple.
+#[derive(Debug, Clone, Copy)]
+struct CacheStats {
     tlb: (u64, u64),
     decode: (u64, u64, u64),
-}
-
-impl CacheStats {
-    pub(super) fn of(m: &Machine) -> CacheStats {
-        CacheStats { tlb: m.tlb_stats(), decode: m.decode_stats() }
-    }
-
-    /// `self - base`, per counter.
-    fn since(&self, base: &CacheStats) -> CacheStats {
-        let d2 = |a: (u64, u64), b: (u64, u64)| (a.0 - b.0, a.1 - b.1);
-        let d3 = |a: (u64, u64, u64), b: (u64, u64, u64)| (a.0 - b.0, a.1 - b.1, a.2 - b.2);
-        CacheStats { tlb: d2(self.tlb, base.tlb), decode: d3(self.decode, base.decode) }
-    }
 }
 
 /// A parked CPU's context: architectural state, resident TLB entries
@@ -114,7 +101,7 @@ impl PageDelta {
 /// context, the memory and disk pages written since the restore with
 /// their page generations, the decode cache, the block cache with its
 /// chain links, the TLBs, the counters, the TLB and decode statistics
-/// since the restore, and the console, monitor and trap logs. Host-side
+/// at the cut, and the console, monitor and trap logs. Host-side
 /// state (trace sink, abort flag) is not part of it.
 ///
 /// Captured by [`Machine::checkpoint`] and installed by
@@ -142,7 +129,7 @@ pub struct Checkpoint {
     disk: Option<(PageDelta, (u64, u64))>,
     decode: Vec<(u32, u64, Insn)>,
     blocks: Vec<crate::block::LiveBlock>,
-    /// TLB and decode statistics accumulated since the restore.
+    /// TLB and decode statistics at the cut.
     stats: CacheStats,
     console: Vec<u8>,
     monitor: Vec<(u64, MonitorEvent)>,
@@ -233,7 +220,6 @@ impl Machine {
             triple_faulted,
             san,
             observer,
-            stats_base,
             // Host-side: what the host watches, not what the guest ran.
             trace: _,
             abort: _,
@@ -287,7 +273,7 @@ impl Machine {
             disk,
             decode,
             blocks,
-            stats: CacheStats::of(self).since(stats_base),
+            stats: CacheStats { tlb: self.tlb_stats(), decode: self.decode_stats() },
             console: console.clone(),
             monitor: monitor.clone(),
             trap_log: trap_log.clone(),
@@ -301,9 +287,10 @@ impl Machine {
 
     /// Installs `c`, leaving the machine in the state it was captured
     /// in: the inverse of [`Machine::checkpoint`]. The TLB and decode
-    /// statistics accumulated before the cut are added to this machine's
-    /// cumulative ones, so a caller that diffs them around a run started
-    /// here sees the same totals as one that ran from the restore.
+    /// statistics and the counters become the checkpoint's, so they read
+    /// as on a machine that ran from the restore through the cut; the
+    /// block and chain statistics stay at zero and count only what this
+    /// machine replays itself.
     ///
     /// The machine must have just been [restored](Machine::restore) from
     /// the checkpoint's snapshot, with its disk (if the checkpoint has
@@ -317,8 +304,7 @@ impl Machine {
         assert_eq!(self.counters, Counters::default(), "checkpoint install on a machine that ran");
         assert_eq!(self.config, c.config, "checkpoint of another machine configuration");
         // Move the active CPU's TLB into place the way the scheduler
-        // does, so that the stale parked slot stays the uncounted one
-        // and the summed TLB statistics are unchanged by the move.
+        // does, so that the stale parked slot stays the uncounted one.
         if let Some(sc) = &c.smp {
             self.smp_switch(sc.active);
         }
@@ -344,13 +330,12 @@ impl Machine {
             triple_faulted,
             san: _,
             observer: _,
-            stats_base: _,
             trace: _,
             abort: _,
         } = self;
         cpu.clone_from(&c.cpu);
         tlb.install(&c.tlb);
-        tlb.add_stats(c.stats.tlb);
+        tlb.set_stats(c.stats.tlb);
         *next_tick = c.next_tick;
         if let (Some(smp), Some(sc)) = (smp.as_deref_mut(), &c.smp) {
             let SmpState { ctxs, active, slice_left, rng, ipi_arg, pending } = smp;

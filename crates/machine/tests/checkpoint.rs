@@ -3,7 +3,8 @@
 //! restore, through the cut, without stopping — architecture, memory,
 //! disk, logs, counters and every cache statistic — at 1 and 2 CPUs,
 //! whether the checkpoint was captured from the snapshot or from an
-//! earlier checkpoint.
+//! earlier checkpoint. Every statistic counts from the restore, so each
+//! side reads it directly.
 
 use kfi_kernel::layout::events;
 use kfi_kernel::{boot, build_kernel, mkfs, set_run_mode, BootConfig, KernelBuildOptions};
@@ -95,10 +96,6 @@ fn stats(m: &Machine) -> Stats {
     (m.tlb_stats(), m.decode_stats())
 }
 
-fn since(a: Stats, b: Stats) -> Stats {
-    ((a.0 .0 - b.0 .0, a.0 .1 - b.0 .1), (a.1 .0 - b.1 .0, a.1 .1 - b.1 .1, a.1 .2 - b.1 .2))
-}
-
 /// Everything a run can leave behind that anything downstream reads.
 #[derive(Debug, PartialEq)]
 struct FullState {
@@ -123,7 +120,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
-fn full_state(m: &Machine, exit: RunExit, stats_0: Stats) -> FullState {
+fn full_state(m: &Machine, exit: RunExit) -> FullState {
     let disk = m.disk.as_ref().expect("disk");
     FullState {
         exit,
@@ -135,7 +132,7 @@ fn full_state(m: &Machine, exit: RunExit, stats_0: Stats) -> FullState {
         monitor: m.monitor_events().to_vec(),
         trap_log: m.trap_log().to_vec(),
         counters: m.counters(),
-        stats: since(stats(m), stats_0),
+        stats: stats(m),
         dirty_pages: m.dirty_page_count(),
         residue: m.reset_residue(),
         smp_digest: m.smp_digest(),
@@ -146,11 +143,10 @@ fn full_state(m: &Machine, exit: RunExit, stats_0: Stats) -> FullState {
 fn reference(b: &Base, mode: u32, k: u32, n: u64) -> FullState {
     let mut m = fork(b);
     restore(&mut m, b);
-    let stats_0 = stats(&m);
     set_run_mode(&mut m, mode);
     run_cuts(&mut m, k);
     let exit = m.run(n);
-    full_state(&m, exit, stats_0)
+    full_state(&m, exit)
 }
 
 /// Captures cut `k` — from the snapshot, or by installing `prev` (cut
@@ -191,10 +187,9 @@ fn resumed(b: &Base, c: &Checkpoint, n: u64) -> FullState {
     restore(&mut m, b);
     m.run(300_000);
     restore(&mut m, b);
-    let stats_0 = stats(&m);
     m.install(c);
     let exit = m.run(n);
-    full_state(&m, exit, stats_0)
+    full_state(&m, exit)
 }
 
 proptest! {
@@ -233,7 +228,6 @@ fn a_cut_is_where_the_uncut_run_passes_and_stats_add_up() {
         let b = base(cpus);
         let mut cut = fork(b);
         restore(&mut cut, b);
-        let stats_0 = stats(&cut);
         let mut cuts = 0;
         // The snapshot's run mode runs the whole suite, past this budget.
         let budget = b.machine.max_tsc() + 3_000_000;
@@ -246,12 +240,40 @@ fn a_cut_is_where_the_uncut_run_passes_and_stats_add_up() {
         assert!(cuts > 10, "the run crossed ticks");
         let mut plain = fork(b);
         restore(&mut plain, b);
-        let plain_0 = stats(&plain);
         let plain_exit = plain.run(budget - plain.max_tsc());
-        assert_eq!(full_state(&cut, exit, stats_0), full_state(&plain, plain_exit, plain_0));
+        assert_eq!(full_state(&cut, exit), full_state(&plain, plain_exit));
         // Without an install the block engine's own statistics agree too.
         assert_eq!(cut.block_stats(), plain.block_stats());
         assert_eq!(cut.chain_stats(), plain.chain_stats());
+    }
+}
+
+/// Every statistic a restore zeroes: the counters, the TLB and decode
+/// statistics, and the block and chain statistics.
+type Counts = (Counters, Stats, (u64, u64, u64), (u64, u64, u64));
+
+fn counts(m: &Machine) -> Counts {
+    (m.counters(), stats(m), m.block_stats(), m.chain_stats())
+}
+
+#[test]
+fn a_restore_counts_from_zero_like_a_fresh_fork() {
+    // A restored machine's statistics count only what it ran since, so a
+    // machine with history, restored and run, counts exactly what a
+    // fresh fork of the same snapshot counts over the same run.
+    let n = 2_000_000;
+    for cpus in 1..=2 {
+        let b = base(cpus);
+        let mut again = fork(b);
+        assert_eq!(counts(&again), Counts::default(), "{cpus} CPUs: a fork counts from zero");
+        again.run(n);
+        restore(&mut again, b);
+        assert_eq!(counts(&again), Counts::default(), "{cpus} CPUs: a restore counts from zero");
+        again.run(n);
+        let mut once = fork(b);
+        once.run(n);
+        assert!(counts(&once).2 .0 > 0, "{cpus} CPUs: the run replayed blocks");
+        assert_eq!(counts(&again), counts(&once), "{cpus} CPUs");
     }
 }
 
@@ -280,23 +302,21 @@ fn a_breakpoint_first_reached_on_a_due_tick_fires_at_the_cut() {
         run_cuts_plain(&mut m, k);
         let (addr, cut_tsc) = (m.cpu.eip, m.max_tsc());
         m.restore(&snapshot);
-        let stats_0 = stats(&m);
         m.cpu.arm_breakpoint(0, addr);
         let exit = m.run(100_000);
         assert_eq!((exit, m.max_tsc()), (RunExit::DebugBreak { index: 0 }, cut_tsc));
-        let want = full_state_diskless(&m, exit, stats_0);
+        let want = full_state_diskless(&m, exit);
         // Resumed at the cut.
         m.restore(&snapshot);
         run_cuts_plain(&mut m, k);
         let c = m.checkpoint(None);
         let mut r = Machine::fork(&snapshot, *m.config());
         r.restore(&snapshot);
-        let stats_0 = stats(&r);
         r.install(&c);
         r.cpu.arm_breakpoint(0, addr);
         // The same absolute deadline: the snapshot's clock is 0.
         let exit = r.run(100_000 - c.max_tsc());
-        assert_eq!(full_state_diskless(&r, exit, stats_0), want, "cut {k}");
+        assert_eq!(full_state_diskless(&r, exit), want, "cut {k}");
         cuts += 1;
     }
     assert_eq!(cuts, 3);
@@ -310,9 +330,8 @@ fn run_cuts_plain(m: &mut Machine, k: u32) {
 
 type Diskless = (RunExit, Cpu, u64, Counters, Stats);
 
-fn full_state_diskless(m: &Machine, exit: RunExit, stats_0: Stats) -> Diskless {
-    let mem = m.mem.digest();
-    (exit, m.cpu.clone(), mem, m.counters(), since(stats(m), stats_0))
+fn full_state_diskless(m: &Machine, exit: RunExit) -> Diskless {
+    (exit, m.cpu.clone(), m.mem.digest(), m.counters(), stats(m))
 }
 
 #[test]
@@ -355,10 +374,9 @@ fn parked_cpus_resume_where_they_were_cut() {
     let snapshot = m.snapshot();
     for (k, n) in [(3, 0), (5, 5_000), (9, 40_000)] {
         m.restore(&snapshot);
-        let stats_0 = stats(&m);
         run_cuts_plain(&mut m, k);
         let exit = m.run(n);
-        let want = (full_state_diskless(&m, exit, stats_0), m.cpu_state(1).clone(), m.smp_digest());
+        let want = (full_state_diskless(&m, exit), m.cpu_state(1).clone(), m.smp_digest());
         m.restore(&snapshot);
         run_cuts_plain(&mut m, k);
         let parked = 1 - m.active_cpu();
@@ -366,10 +384,9 @@ fn parked_cpus_resume_where_they_were_cut() {
         let c = m.checkpoint(None);
         let mut r = Machine::fork(&snapshot, config);
         r.restore(&snapshot);
-        let stats_0 = stats(&r);
         r.install(&c);
         let exit = r.run(n);
-        let got = (full_state_diskless(&r, exit, stats_0), r.cpu_state(1).clone(), r.smp_digest());
+        let got = (full_state_diskless(&r, exit), r.cpu_state(1).clone(), r.smp_digest());
         assert_eq!(got, want, "cut {k}, run({n})");
     }
 }
