@@ -55,7 +55,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -607,7 +607,7 @@ impl<'a> Pool<'a> {
                     self.report.workers_quarantined += 1;
                 }
             }
-            Msg::Heartbeat { .. } | Msg::LeaseAck { .. } => {}
+            Msg::Heartbeat => {}
             // Worker-bound messages are never valid coordinator-bound.
             Msg::LeaseGrant { .. } | Msg::Stall | Msg::Die { .. } | Msg::Shutdown => {}
             Msg::JobDone { .. } => unreachable!("handled above"),
@@ -869,7 +869,6 @@ pub fn run_worker<R: Read, W: Write + Send>(
         seed: exp.config.seed,
     })?;
 
-    let jobs_done = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
     let stalled = AtomicBool::new(false);
     let slot = WatchSlot::new();
@@ -883,8 +882,7 @@ pub fn run_worker<R: Read, W: Write + Send>(
         s.spawn(|| {
             while !stop.load(Ordering::SeqCst) {
                 if !stalled.load(Ordering::SeqCst) {
-                    let msg = Msg::Heartbeat { jobs_done: jobs_done.load(Ordering::SeqCst) };
-                    if send(&msg).is_err() {
+                    if send(&Msg::Heartbeat).is_err() {
                         // Coordinator gone; nothing to beat for.
                         break;
                     }
@@ -906,9 +904,6 @@ pub fn run_worker<R: Read, W: Write + Send>(
                 let Ok(msg) = decode_msg(&payload, &mut pos) else { continue };
                 match msg {
                     Msg::LeaseGrant { lease, campaign, indices } => {
-                        if send(&Msg::LeaseAck { lease }).is_err() {
-                            break 'io;
-                        }
                         let plan =
                             plans.entry(campaign.letter()).or_insert_with(|| exp.planned(campaign));
                         for raw in indices {
@@ -917,7 +912,6 @@ pub fn run_worker<R: Read, W: Write + Send>(
                             let job = Job { index, target, mode };
                             match process_job(exp, &cfg.supervisor, &job, &mut rig, &slot) {
                                 Ok(done) => {
-                                    jobs_done.fetch_add(1, Ordering::SeqCst);
                                     let msg = Msg::JobDone {
                                         lease,
                                         index: done.index as u64,
@@ -948,10 +942,7 @@ pub fn run_worker<R: Read, W: Write + Send>(
                     }
                     Msg::Shutdown => break 'io,
                     // Coordinator-bound frames are not ours to handle.
-                    Msg::Hello { .. }
-                    | Msg::LeaseAck { .. }
-                    | Msg::Heartbeat { .. }
-                    | Msg::JobDone { .. } => {}
+                    Msg::Hello { .. } | Msg::Heartbeat | Msg::JobDone { .. } => {}
                 }
             }
             match input.read(&mut buf) {

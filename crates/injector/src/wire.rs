@@ -214,12 +214,12 @@ pub fn decode_record(buf: &[u8], pos: &mut usize) -> Result<RunRecord, CodecErro
 /// Version of the coordinator↔worker protocol. A worker whose
 /// [`Msg::Hello`] carries a different version is reaped immediately —
 /// mixed builds must never exchange records. Version 2 dropped eleven
-/// counters from the `JobDone` metrics.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// counters from the `JobDone` metrics; version 3 dropped the lease
+/// acknowledgement and the heartbeat's job count, which nothing read.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 const MSG_HELLO: u8 = 1;
 const MSG_LEASE_GRANT: u8 = 2;
-const MSG_LEASE_ACK: u8 = 3;
 const MSG_HEARTBEAT: u8 = 4;
 const MSG_JOB_DONE: u8 = 5;
 const MSG_STALL: u8 = 6;
@@ -251,16 +251,8 @@ pub enum Msg {
         /// Plan indices to run, ascending.
         indices: Vec<u64>,
     },
-    /// Worker → coordinator: the lease was received and work started.
-    LeaseAck {
-        /// The lease being acknowledged.
-        lease: u64,
-    },
     /// Worker → coordinator, periodic liveness signal.
-    Heartbeat {
-        /// Jobs completed so far in this worker's lifetime.
-        jobs_done: u64,
-    },
+    Heartbeat,
     /// Worker → coordinator: one plan index finished.
     JobDone {
         /// Lease the job was granted under.
@@ -303,14 +295,7 @@ pub fn encode_msg(out: &mut Vec<u8>, msg: &Msg) {
                 put_varint(out, *i);
             }
         }
-        Msg::LeaseAck { lease } => {
-            out.push(MSG_LEASE_ACK);
-            put_varint(out, *lease);
-        }
-        Msg::Heartbeat { jobs_done } => {
-            out.push(MSG_HEARTBEAT);
-            put_varint(out, *jobs_done);
-        }
+        Msg::Heartbeat => out.push(MSG_HEARTBEAT),
         Msg::JobDone { lease, index, record, metrics } => {
             out.push(MSG_JOB_DONE);
             put_varint(out, *lease);
@@ -356,8 +341,7 @@ pub fn decode_msg(buf: &[u8], pos: &mut usize) -> Result<Msg, CodecError> {
             }
             Ok(Msg::LeaseGrant { lease, campaign, indices })
         }
-        MSG_LEASE_ACK => Ok(Msg::LeaseAck { lease: get_varint(buf, pos)? }),
-        MSG_HEARTBEAT => Ok(Msg::Heartbeat { jobs_done: get_varint(buf, pos)? }),
+        MSG_HEARTBEAT => Ok(Msg::Heartbeat),
         MSG_JOB_DONE => {
             let lease = get_varint(buf, pos)?;
             let index = get_varint(buf, pos)?;
@@ -453,8 +437,7 @@ mod tests {
             Msg::Hello { protocol: PROTOCOL_VERSION, fingerprint: 0xDEAD_BEEF_0BAD_F00D, seed: 11 },
             Msg::LeaseGrant { lease: 7, campaign: Campaign::B, indices: vec![0, 5, 1 << 40] },
             Msg::LeaseGrant { lease: 8, campaign: Campaign::C, indices: vec![] },
-            Msg::LeaseAck { lease: 7 },
-            Msg::Heartbeat { jobs_done: 99 },
+            Msg::Heartbeat,
             Msg::JobDone {
                 lease: 7,
                 index: 3,

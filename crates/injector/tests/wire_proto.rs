@@ -87,8 +87,7 @@ fn messages(v: u64, tag: u8) -> Vec<Msg> {
             campaign: campaign(tag),
             indices: (0..(v % 7)).map(|i| v.wrapping_add(i) % 10_000).collect(),
         },
-        Msg::LeaseAck { lease: v },
-        Msg::Heartbeat { jobs_done: v },
+        Msg::Heartbeat,
         Msg::JobDone {
             lease: v % 100,
             index: v % 10_000,
